@@ -20,7 +20,6 @@ fields), which reruns reproduce byte for byte.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -69,19 +68,9 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _testbed_config(args) -> testbed_mod.TestbedConfig:
-    overrides = {}
-    if getattr(args, "config", None):
-        overrides = json.loads(Path(args.config).read_text())
-        unknown = set(overrides) - {f.name for f in __import__("dataclasses").fields(testbed_mod.TestbedConfig)}
-        if unknown:
-            raise ConfigError(f"unknown testbed config fields {sorted(unknown)} in {args.config}")
-    overrides.setdefault("rng_seed", args.seed)
-    return testbed_mod.TestbedConfig(**overrides)
-
-
 def cmd_excite(args) -> int:
-    cfg = _testbed_config(args)
+    cfg = (testbed_mod.load_config(args.config, rng_seed=args.seed) if args.config
+           else testbed_mod.TestbedConfig(rng_seed=args.seed))
     data = testbed_mod.run_excitation(args.days, cfg, seed=args.seed)
     out = Path(args.out)
     data.to_csv(out)
@@ -110,7 +99,8 @@ def cmd_train(args) -> int:
 def cmd_run(args) -> int:
     fx_model = surrogate_mod.load(args.fx)
     fy_model = surrogate_mod.load(args.fy)
-    cfg = _testbed_config(args)
+    cfg = (testbed_mod.load_config(args.config, rng_seed=args.seed) if args.config
+           else testbed_mod.TestbedConfig(rng_seed=args.seed))
     calendar = testbed_mod.generate_dr_calendar(args.days, args.dr_prob, seed=args.seed)
     episode = hub_mod.run_episode(
         args.days, cfg, fx_model, fy_model, calendar, seed=args.seed

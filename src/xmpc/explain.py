@@ -444,6 +444,17 @@ def render_document(
     )
 
 
+def _records_at(episode: Episode, timesteps: list[int]) -> list[TimestepRecord]:
+    """The episode's records for the given hour indices, in the order asked."""
+    by_t = {record.t: record for record in episode.records}
+    if not by_t:
+        raise InvalidInputError("episode has no records")
+    unknown = [t for t in timesteps if t not in by_t]
+    if unknown:
+        raise InvalidInputError(f"timesteps {unknown} not in episode (valid range 0..{max(by_t)})")
+    return [by_t[t] for t in timesteps]
+
+
 def write_documents(
     episode: Episode,
     out_dir: str | Path,
@@ -460,26 +471,16 @@ def write_documents(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     templates = templates if templates is not None else load_templates()
-    by_t = {record.t: record for record in episode.records}
-    if timesteps is None:
-        selected = [record.t for record in episode.records]
-    else:
-        unknown = [t for t in timesteps if t not in by_t]
-        if unknown:
-            raise InvalidInputError(
-                f"timesteps {unknown} not in episode (valid range 0..{max(by_t)})"
-            )
-        selected = timesteps
+    records = episode.records if timesteps is None else _records_at(episode, timesteps)
 
     written: list[Path] = []
-    for t in selected:
-        record = by_t[t]
+    for record in records:
         doc = render_document(record, templates, mode=mode, llm_config=llm_config)
-        md_path = out_dir / f"ts_{t}.md"
+        md_path = out_dir / f"ts_{record.t}.md"
         md_path.write_text(doc.markdown())
         written.append(md_path)
         for k, key in enumerate(ATTRIBUTION_KEYS, start=1):
-            svg_path = out_dir / figure_name(t, k)
+            svg_path = out_dir / figure_name(record.t, k)
             title = f"Shapley attribution: {ATTRIBUTION_TARGETS[key]}"
             svg_path.write_text(attribution_chart_svg(record.attributions[key], title))
             written.append(svg_path)
@@ -506,10 +507,8 @@ def build_qa_context(
     """
     if not question or not question.strip():
         raise InvalidInputError("question must be a non-empty string")
-    by_t = {record.t: record for record in episode.records}
-    if t not in by_t:
-        raise InvalidInputError(f"timestep {t} not in episode (valid range 0..{max(by_t)})")
-    doc = render_document(by_t[t], templates, mode="deterministic")
+    [record] = _records_at(episode, [t])
+    doc = render_document(record, templates, mode="deterministic")
 
     doc_text = doc.markdown()
     context = f"{MPC_FORMULATION_SUMMARY}\n\n{doc_text}\nQuestion: {question.strip()}\n"

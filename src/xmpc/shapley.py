@@ -13,8 +13,9 @@ contributions over all coalitions that exclude it:
 
 v(empty set) is the base (expected) value and v(all features) collapses to
 the plain model prediction, so base + sum(phi) telescopes to the prediction
-up to float round-off.  That additivity identity is checked after every
-computation here and again by consumers before a value is narrated.
+up to float round-off.  ``verify_additivity`` checks that identity; the test
+suite and the benchmark's correctness gate run it on every attribution they
+produce.
 
 Exact enumeration visits all 2^n coalitions.  The surrogates use five
 features (32 coalitions), far under the guard; anything wider is refused
@@ -37,8 +38,8 @@ from .errors import InvalidInputError, SchemaError
 # already minutes of work; beyond that only the sampling estimator is sane.
 MAX_EXACT_FEATURES = 20
 
-# Keep the single batched model call under this many rows; wider problems
-# fall back to one call per coalition.
+# Coalitions reach the model in chunks of at most this many hybrid rows, so
+# memory stays bounded however many coalitions one call asks for.
 _BATCH_ROW_LIMIT = 500_000
 
 
@@ -91,66 +92,74 @@ def coalition_weight(s_size: int, n: int) -> float:
     return math.factorial(s_size) * math.factorial(n - s_size - 1) / math.factorial(n)
 
 
-def _as_batch_fn(model):
-    """Accept a SurrogateModel or any (n, d) -> (n,) callable."""
-    if callable(model):
-        return model, None
-    from .surrogate import SurrogateModel, predict_batch
+def _prepare(model, instance, background, feature_names=None):
+    """Check the inputs every entry point shares; return (fn, names, instance, background).
 
-    if isinstance(model, SurrogateModel):
-        return (lambda x: predict_batch(model, x)), model.schema.feature_names
-    raise InvalidInputError(f"cannot attribute over {type(model).__name__}; need model or callable")
+    ``model`` is a SurrogateModel or any (n, d) -> (n,) callable.
+    """
+    fn, schema_names = model, None
+    if not callable(model):
+        from .surrogate import SurrogateModel, batch_predictor
 
-
-def _check_inputs(instance: np.ndarray, background: np.ndarray):
+        if not isinstance(model, SurrogateModel):
+            raise InvalidInputError(
+                f"cannot attribute over {type(model).__name__}; need model or callable"
+            )
+        fn, schema_names = batch_predictor(model), model.schema.feature_names
+    instance = np.asarray(instance, dtype=float)
+    background = np.asarray(background, dtype=float)
     if instance.ndim != 1:
         raise SchemaError(f"instance must be 1-D, got shape {instance.shape}")
     if not np.all(np.isfinite(instance)):
         raise InvalidInputError("non-finite value in instance")
     if background.ndim != 2 or background.shape[0] < 1:
         raise InvalidInputError(f"background must be a non-empty (b, d) array, got {background.shape}")
-    if background.shape[1] != instance.shape[0]:
+    n = instance.shape[0]
+    if background.shape[1] != n:
         raise SchemaError(
-            f"background width {background.shape[1]} does not match instance width {instance.shape[0]}"
+            f"background width {background.shape[1]} does not match instance width {n}"
         )
+    names = tuple(feature_names or schema_names or (f"f{i}" for i in range(n)))
+    if len(names) != n:
+        raise SchemaError(f"got {len(names)} feature names for {n} features")
+    return fn, names, instance, background
+
+
+def _coalition_values(
+    fn, instance: np.ndarray, background: np.ndarray, members: np.ndarray
+) -> np.ndarray:
+    """v(S) for each row of a (k, n) boolean coalition-membership matrix.
+
+    Every coalition gets its own copy of the background in which the member
+    columns are pinned to the instance.  Coalitions go to the model in
+    chunks of at most ``_BATCH_ROW_LIMIT`` rows (one coalition per call if
+    the background alone is larger).
+    """
+    k, n = members.shape
+    b = background.shape[0]
+    per_call = max(1, _BATCH_ROW_LIMIT // b)
+    values = np.empty(k)
+    for start in range(0, k, per_call):
+        chunk = members[start : start + per_call]
+        hybrids = np.tile(background, (len(chunk), 1))
+        blocks = hybrids.reshape(len(chunk), b, n)
+        for i in range(n):
+            blocks[chunk[:, i], :, i] = instance[i]
+        preds = np.asarray(fn(hybrids), dtype=float)
+        values[start : start + len(chunk)] = preds.reshape(len(chunk), b).mean(axis=1)
+    return values
 
 
 def value_of(model, instance, background, subset) -> float:
     """Coalition value v(S): mean prediction with S pinned to the instance."""
-    fn, _ = _as_batch_fn(model)
-    instance = np.asarray(instance, dtype=float)
-    background = np.asarray(background, dtype=float)
-    _check_inputs(instance, background)
-    subset = list(subset)
-    if any(i < 0 or i >= instance.shape[0] for i in subset):
-        raise InvalidInputError(f"subset {subset} out of range for {instance.shape[0]} features")
-    hybrid = background.copy()
-    hybrid[:, subset] = instance[subset]
-    return float(np.mean(fn(hybrid)))
-
-
-def _coalition_values(fn, instance: np.ndarray, background: np.ndarray) -> np.ndarray:
-    """v(S) for every coalition, indexed by bitmask."""
+    fn, _, instance, background = _prepare(model, instance, background)
     n = instance.shape[0]
-    b = background.shape[0]
-    n_masks = 1 << n
-    if n_masks * b <= _BATCH_ROW_LIMIT:
-        hybrids = np.tile(background, (n_masks, 1))
-        for mask in range(n_masks):
-            block = slice(mask * b, (mask + 1) * b)
-            for i in range(n):
-                if mask >> i & 1:
-                    hybrids[block, i] = instance[i]
-        preds = np.asarray(fn(hybrids), dtype=float)
-        return preds.reshape(n_masks, b).mean(axis=1)
-    values = np.empty(n_masks)
-    for mask in range(n_masks):
-        hybrid = background.copy()
-        for i in range(n):
-            if mask >> i & 1:
-                hybrid[:, i] = instance[i]
-        values[mask] = np.mean(fn(hybrid))
-    return values
+    subset = list(subset)
+    if any(i < 0 or i >= n for i in subset):
+        raise InvalidInputError(f"subset {subset} out of range for {n} features")
+    members = np.zeros((1, n), dtype=bool)
+    members[0, subset] = True
+    return float(_coalition_values(fn, instance, background, members)[0])
 
 
 def shapley(model, instance, background, feature_names=None) -> Attribution:
@@ -159,21 +168,17 @@ def shapley(model, instance, background, feature_names=None) -> Attribution:
     Deterministic: coalitions are visited in ascending bitmask order, so the
     same inputs always produce bit-identical output.
     """
-    fn, schema_names = _as_batch_fn(model)
-    instance = np.asarray(instance, dtype=float)
-    background = np.asarray(background, dtype=float)
-    _check_inputs(instance, background)
+    fn, names, instance, background = _prepare(model, instance, background, feature_names)
     n = instance.shape[0]
     if n > MAX_EXACT_FEATURES:
         raise InvalidInputError(
             f"{n} features exceeds the exact-enumeration guard ({MAX_EXACT_FEATURES}); "
             "use shapley_sampled instead"
         )
-    names = tuple(feature_names or schema_names or (f"f{i}" for i in range(n)))
-    if len(names) != n:
-        raise SchemaError(f"got {len(names)} feature names for {n} features")
 
-    values = _coalition_values(fn, instance, background)
+    # Row ``mask`` holds coalition ``mask``: feature i is a member iff bit i is set.
+    members = (np.arange(1 << n)[:, None] >> np.arange(n) & 1).astype(bool)
+    values = _coalition_values(fn, instance, background, members)
     weights = [coalition_weight(s, n) for s in range(n)]
     popcount = [bin(mask).count("1") for mask in range(1 << n)]
 
@@ -211,47 +216,40 @@ def shapley_sampled(
     """
     if n_permutations < 1:
         raise InvalidInputError(f"n_permutations must be >= 1, got {n_permutations}")
-    fn, schema_names = _as_batch_fn(model)
-    instance = np.asarray(instance, dtype=float)
-    background = np.asarray(background, dtype=float)
-    _check_inputs(instance, background)
+    fn, names, instance, background = _prepare(model, instance, background, feature_names)
     n = instance.shape[0]
-    names = tuple(feature_names or schema_names or (f"f{i}" for i in range(n)))
 
     if n <= 10 and n_permutations >= math.factorial(n):
         perms = list(itertools.permutations(range(n)))
     else:
         rng = np.random.default_rng(seed)
-        perms = [tuple(rng.permutation(n)) for _ in range(n_permutations)]
+        perms = [tuple(rng.permutation(n).tolist()) for _ in range(n_permutations)]
 
-    cache: dict[int, float] = {}
-
-    def v(mask: int) -> float:
-        if mask not in cache:
-            hybrid = background.copy()
-            for i in range(n):
-                if mask >> i & 1:
-                    hybrid[:, i] = instance[i]
-            cache[mask] = float(np.mean(fn(hybrid)))
-        return cache[mask]
-
-    phi = np.zeros(n)
+    # Each walk is the row indices of its prefix coalitions.  Coalitions are
+    # Python-int bitmasks (any width), and each distinct one is evaluated once.
+    row = {0: 0}
+    walks = []
     for perm in perms:
-        mask = 0
-        prev = v(0)
+        mask, walk = 0, [0]
         for i in perm:
             mask |= 1 << i
-            cur = v(mask)
-            phi[i] += cur - prev
-            prev = cur
+            walk.append(row.setdefault(mask, len(row)))
+        walks.append(walk)
+    members = np.array([[mask >> i & 1 for i in range(n)] for mask in row], dtype=bool)
+    values = _coalition_values(fn, instance, background, members)
+
+    phi = np.zeros(n)
+    for perm, walk in zip(perms, walks):
+        for i, prev, cur in zip(perm, walk, walk[1:]):
+            phi[i] += values[cur] - values[prev]
     phi /= len(perms)
 
     return Attribution(
         feature_names=names,
         feature_values=instance.copy(),
         shapley_values=phi,
-        base_value=v(0),
-        prediction=v((1 << n) - 1),
+        base_value=float(values[0]),
+        prediction=float(values[walks[0][-1]]),
         background_size=background.shape[0],
         method="sampled",
     )

@@ -408,16 +408,28 @@ def save_config(cfg: TestbedConfig, path: str | Path) -> None:
     Path(path).write_text(json.dumps(asdict(cfg), indent=2) + "\n")
 
 
-def load_config(path: str | Path) -> TestbedConfig:
+def load_config(path: str | Path, rng_seed: int = 0) -> TestbedConfig:
+    """Read a config written by ``save_config``, or a subset of its fields.
+
+    Omitted fields keep their defaults; ``rng_seed`` stands in for a missing seed.
+    """
     try:
         data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise DeserializationError(f"{path}: invalid JSON ({exc})") from None
-    known = {f.name for f in fields(TestbedConfig)}
-    unknown = set(data) - known
+    if not isinstance(data, dict):
+        raise DeserializationError(f"{path}: expected a JSON object, got {type(data).__name__}")
+    kinds = {f.name: type(f.default) for f in fields(TestbedConfig)}
+    unknown = set(data) - set(kinds)
     if unknown:
         raise DeserializationError(f"{path}: unknown config fields {sorted(unknown)}")
-    return TestbedConfig(**data)
+    for name, value in data.items():
+        allowed = (int, float) if kinds[name] is float else kinds[name]
+        if isinstance(value, bool) or not isinstance(value, allowed):
+            raise DeserializationError(
+                f"{path}: {name} must be of type {kinds[name].__name__}, got {value!r}"
+            )
+    return TestbedConfig(**{"rng_seed": rng_seed, **data})
 
 
 def save_calendar(calendar: dict[int, float], path: str | Path) -> None:

@@ -54,6 +54,30 @@ class TestExcite:
         assert rc == 2
         assert "wall_color" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, message", [
+        ('{"thermal_resistance": ', "invalid JSON"),
+        ('{"thermal_resistance": "x"}', "thermal_resistance must be of type float"),
+        ('{"occupants": 2.5}', "occupants must be of type int"),
+        ("[1, 2]", "expected a JSON object"),
+    ])
+    def test_malformed_config_is_usage_error(self, tmp_path, capsys, text, message):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(text)
+        rc = main(["excite", "--days", "1", "--out", str(tmp_path / "x.csv"),
+                   "--config", str(cfg_path)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_config_without_seed_takes_seed_flag(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"occupants": 4}))
+        out = tmp_path / "x.csv"
+        assert main(["excite", "--days", "1", "--seed", "3", "--out", str(out),
+                     "--config", str(cfg_path)]) == 0
+        cfg = testbed.load_config(str(out) + ".config.json")
+        assert (cfg.rng_seed, cfg.occupants) == (3, 4)
+
 
 class TestTrain:
     def test_reports_validation_rmse(self, cli_workspace, tmp_path, capsys):
@@ -188,6 +212,20 @@ class TestAsk:
                    "--t", "2", "--repl"])
         assert rc == 0
         assert "P_limit(t+2)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["explain", "--t", "0", "--out", "docs"],
+    ["ask", "--t", "0", "--question", "Why precool?"],
+])
+def test_timestep_of_empty_episode_is_usage_error(tmp_path, capsys, monkeypatch, argv):
+    from xmpc.hub import Episode, save_episode
+
+    monkeypatch.chdir(tmp_path)
+    save_episode(Episode(seeds={}, model_digests={}, config={}), "empty.jsonl")
+    rc = main([argv[0], "--episode", "empty.jsonl", *argv[1:]])
+    assert rc == 2
+    assert "episode has no records" in capsys.readouterr().err
 
 
 class TestParser:

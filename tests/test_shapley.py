@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import itertools
 import math
 
@@ -269,6 +270,52 @@ class TestSampled:
     def test_invalid_permutation_count(self):
         with pytest.raises(InvalidInputError):
             shapley_sampled(lambda x: x[:, 0], np.zeros(2), np.zeros((1, 2)), n_permutations=0)
+
+
+class TestCoalitionBatching:
+    @pytest.mark.parametrize("per_call", [1, 5, 24])
+    def test_chunked_calls_match_single_call(self, monkeypatch, per_call):
+        fn = lambda x: x[:, 0] * x[:, 5] + np.sin(x[:, 1]) - x[:, 2] * x[:, 3] ** 2 + x[:, 4]
+        rng = np.random.default_rng(11)
+        instance = rng.normal(size=6)
+        background = rng.normal(size=(9, 6))
+        whole = [shapley(fn, instance, background),
+                 shapley_sampled(fn, instance, background, n_permutations=40, seed=3)]
+        # Room for per_call coalitions of 9 rows, but not one more.
+        monkeypatch.setattr(importlib.import_module("xmpc.shapley"), "_BATCH_ROW_LIMIT",
+                            per_call * 9 + 8)
+        sizes: list[int] = []
+        spy = lambda x: sizes.append(len(x)) or fn(x)
+        chunked = [shapley(spy, instance, background)]
+        assert len(sizes) == -(-64 // per_call)
+        assert sum(sizes) == 64 * 9 and max(sizes) == per_call * 9
+        chunked.append(shapley_sampled(spy, instance, background, n_permutations=40, seed=3))
+        for a, b in zip(whole, chunked):
+            assert np.array_equal(a.shapley_values, b.shapley_values)
+            assert (a.base_value, a.prediction) == (b.base_value, b.prediction)
+
+    def test_surrogate_attribution_is_one_model_call(self, fx_model, monkeypatch):
+        import xmpc.surrogate as surrogate
+
+        rows: list[int] = []
+        predict_batch = surrogate.predict_batch
+        monkeypatch.setattr(surrogate, "predict_batch",
+                            lambda model, x: rows.append(len(x)) or predict_batch(model, x))
+        background = background_of(fx_model)
+        shapley(fx_model, np.array([23.0, 26.0, 34.0, 450.0, 3.0]), background)
+        assert rows == [32 * len(background)]
+
+    def test_sampled_beyond_64_features(self):
+        # Bitmasks past bit 63 would overflow int64; a linear model has the
+        # closed form phi_i = w_i * (x_i - mean(background_i)) on every walk.
+        rng = np.random.default_rng(12)
+        w = rng.normal(size=70)
+        instance = rng.normal(size=70)
+        background = rng.normal(size=(3, 70))
+        attr = shapley_sampled(lambda x: x @ w, instance, background, n_permutations=4, seed=0)
+        expected = w * (instance - background.mean(axis=0))
+        assert np.allclose(attr.shapley_values, expected, atol=1e-9)
+        assert attr.prediction == pytest.approx(float(instance @ w), rel=1e-12)
 
 
 class TestVerifyAdditivity:
