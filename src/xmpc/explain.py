@@ -95,10 +95,15 @@ def classify(
 
 
 def scenario_census(episode: Episode) -> dict[int, int]:
-    """Count of records per scenario label; keys 1, 2, 3 always present."""
+    """Count of records per scenario label; keys 1, 2, 3 always present.
+
+    A record counts under its stored label; only unlabelled records are
+    classified here.
+    """
     counts = {1: 0, 2: 0, 3: 0}
     for record in episode.records:
-        counts[classify(record)] += 1
+        label = record.scenario
+        counts[classify(record) if label is None else label] += 1
     return counts
 
 

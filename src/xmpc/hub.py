@@ -28,10 +28,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EpisodeIntegrityError, InvalidInputError
+from .errors import EpisodeIntegrityError, InvalidInputError, SchemaError
 from .mpc import MpcDecision, MpcProblem, optimize
 from .shapley import Attribution, shapley
-from .surrogate import SurrogateModel, background_of, digest, predict
+from .surrogate import SCHEMAS, SurrogateModel, background_of, digest, predict
 from .testbed import (
     Disturbance,
     TestbedConfig,
@@ -157,6 +157,13 @@ def run_episode(
     """
     if n_days < 1:
         raise InvalidInputError(f"n_days must be >= 1, got {n_days}")
+    for role, model in (("fx", fx_model), ("fy", fy_model)):
+        if model.schema != SCHEMAS[role]:
+            raise SchemaError(
+                f"the {role} model predicts {model.schema.target.name!r} from "
+                f"{list(model.schema.feature_names)}; expected the {role} schema, which "
+                f"predicts {SCHEMAS[role].target.name!r} from {list(SCHEMAS[role].feature_names)}"
+            )
     # classify lives in the explainer, which imports this module for the
     # record type; import at call time to keep module loading acyclic.
     from .explain import classify

@@ -119,6 +119,8 @@ def _prepare(model, instance, background, feature_names=None):
         raise SchemaError(
             f"background width {background.shape[1]} does not match instance width {n}"
         )
+    if not np.all(np.isfinite(background)):
+        raise InvalidInputError("non-finite value in background")
     names = tuple(feature_names or schema_names or (f"f{i}" for i in range(n)))
     if len(names) != n:
         raise SchemaError(f"got {len(names)} feature names for {n} features")

@@ -151,7 +151,10 @@ def forward(layers: list[tuple[np.ndarray, np.ndarray]], x: np.ndarray) -> np.nd
     """Network output for standardized inputs ``x`` of shape (n, d)."""
     h = x
     for w, b in layers[:-1]:
-        h = np.maximum(h @ w.T + b, 0.0)
+        # In place: each fresh multi-MB temporary would be page-faulted in anew.
+        h = h @ w.T
+        h += b
+        np.maximum(h, 0.0, out=h)
     w, b = layers[-1]
     return (h @ w.T + b)[:, 0]
 
@@ -170,7 +173,8 @@ def mse_loss_and_grads(
     acts = [x]
     h = x
     for w, b in layers[:-1]:
-        z = h @ w.T + b
+        z = h @ w.T
+        z += b
         pre.append(z)
         h = np.maximum(z, 0.0)
         acts.append(h)
@@ -184,10 +188,10 @@ def mse_loss_and_grads(
     grads[-1] = (d_out.T @ acts[-1], d_out.sum(axis=0))
     d_h = d_out @ w_out
     for i in range(len(layers) - 2, -1, -1):
-        d_z = d_h * (pre[i] > 0.0)
-        grads[i] = (d_z.T @ acts[i], d_z.sum(axis=0))
+        d_h *= pre[i] > 0.0  # now the gradient at the pre-activation
+        grads[i] = (d_h.T @ acts[i], d_h.sum(axis=0))
         if i > 0:
-            d_h = d_z @ layers[i][0]
+            d_h = d_h @ layers[i][0]
     return loss, grads
 
 
@@ -316,7 +320,8 @@ def predict_batch(model: SurrogateModel, features: np.ndarray) -> np.ndarray:
         )
     if not np.all(np.isfinite(features)):
         raise InvalidInputError("non-finite value in feature matrix")
-    z = (features - model.norm.means) / model.norm.stds
+    z = features - model.norm.means
+    z /= model.norm.stds
     out = forward(model.layers, z)
     return out * model.norm.target_std + model.norm.target_mean
 

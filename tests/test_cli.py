@@ -134,6 +134,16 @@ class TestRun:
         assert "mean" in out and "4.19" in out
         assert "scenario census:" in out
 
+    def test_swapped_models_are_usage_error(self, cli_workspace, tmp_path, capsys):
+        out = tmp_path / "swapped.jsonl"
+        rc = main([
+            "run", "--days", "1", "--fx", str(cli_workspace / "fy.json"),
+            "--fy", str(cli_workspace / "fx.json"), "--out", str(out),
+        ])
+        assert rc == 2
+        assert "fx model predicts 'cooling_rate'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_no_timing_reruns_are_byte_identical(self, cli_workspace, tmp_path):
         args = [
             "run", "--days", "1", "--fx", str(cli_workspace / "fx.json"),

@@ -33,7 +33,7 @@ from xmpc.explain import (
     scenario_census,
     write_documents,
 )
-from xmpc.hub import ATTRIBUTION_KEYS, TimestepRecord
+from xmpc.hub import ATTRIBUTION_KEYS, Episode, TimestepRecord
 from xmpc.mpc import MpcDecision
 from xmpc.shapley import Attribution
 
@@ -133,6 +133,13 @@ class TestClassify:
         for record in episode.records:
             assert record.scenario == classify(record)
         assert census == scenario_census(episode)
+
+    def test_census_counts_stored_labels(self):
+        # Both records classify as 2; the census must follow what was stored.
+        records = [fake_record(5000.0, 24.0, t=0), fake_record(5000.0, 24.0, t=1)]
+        records[0].scenario = 3
+        episode = Episode(seeds={}, model_digests={}, config={}, records=records)
+        assert scenario_census(episode) == {1: 0, 2: 1, 3: 1}
 
     def test_events_daily_counts(self, episode):
         # One event per day, each visible in exactly one step's t+2 lookahead,

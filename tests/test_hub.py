@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from xmpc.errors import EpisodeIntegrityError, InvalidInputError
+from xmpc.errors import EpisodeIntegrityError, InvalidInputError, SchemaError
 from xmpc.hub import (
     ATTRIBUTION_KEYS,
     EPISODE_VERSION,
@@ -90,6 +90,13 @@ class TestRunEpisode:
         fx, fy = mini_models
         with pytest.raises(InvalidInputError):
             run_episode(0, testbed_cfg, fx, fy, {})
+
+    def test_swapped_models_rejected(self, testbed_cfg, mini_models):
+        fx, fy = mini_models
+        with pytest.raises(SchemaError, match="fx model predicts 'cooling_rate'"):
+            run_episode(1, testbed_cfg, fy, fx, {})
+        with pytest.raises(SchemaError, match="fy model predicts 'zone_temp'"):
+            run_episode(1, testbed_cfg, fx, fx, {})
 
     def test_rerun_is_identical(self, testbed_cfg, mini_models, tmp_path):
         fx, fy = mini_models

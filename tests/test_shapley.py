@@ -164,6 +164,25 @@ class TestExact:
         with pytest.raises(InvalidInputError):
             shapley(fn, np.zeros(2), np.zeros((0, 2)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda fn, x, bg: shapley(fn, x, bg),
+            lambda fn, x, bg: shapley_sampled(fn, x, bg, n_permutations=4),
+            lambda fn, x, bg: value_of(fn, x, bg, [0]),
+        ],
+        ids=["shapley", "shapley_sampled", "value_of"],
+    )
+    def test_non_finite_background_rejected(self, entry, bad):
+        # A plain callable has no finiteness check of its own, so without the
+        # guard the bad row would average into every coalition value.
+        fn = lambda x: x.sum(axis=1)
+        background = np.zeros((4, 3))
+        background[2, 1] = bad
+        with pytest.raises(InvalidInputError, match="background"):
+            entry(fn, np.ones(3), background)
+
     def test_names_default_and_override(self):
         fn = lambda x: x.sum(axis=1)
         attr = shapley(fn, np.zeros(2), np.ones((1, 2)))

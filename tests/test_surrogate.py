@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from xmpc.surrogate import (
     FX_SCHEMA,
     FY_SCHEMA,
     SCHEMAS,
+    Normalization,
+    SurrogateModel,
     TrainConfig,
     background_of,
     batch_predictor,
@@ -289,6 +292,119 @@ class TestPrediction:
         bad = np.array([24.0, np.nan, 33.0, 400.0, 3.0])
         with pytest.raises(InvalidInputError):
             predict(fx_model, bad)
+
+
+def expression_forward(layers, x):
+    """``forward`` as plain expressions, each step in a fresh array."""
+    h = x
+    for w, b in layers[:-1]:
+        h = np.maximum(h @ w.T + b, 0.0)
+    w, b = layers[-1]
+    return (h @ w.T + b)[:, 0]
+
+
+def expression_loss_and_grads(layers, x, y):
+    """``mse_loss_and_grads`` as plain expressions, each step in a fresh array."""
+    n = x.shape[0]
+    pre, acts, h = [], [x], x
+    for w, b in layers[:-1]:
+        z = h @ w.T + b
+        pre.append(z)
+        h = np.maximum(z, 0.0)
+        acts.append(h)
+    w_out, b_out = layers[-1]
+    resid = (h @ w_out.T + b_out)[:, 0] - y
+    grads = [None] * len(layers)
+    d_out = (2.0 / n) * resid[:, None]
+    grads[-1] = (d_out.T @ acts[-1], d_out.sum(axis=0))
+    d_h = d_out @ w_out
+    for i in range(len(layers) - 2, -1, -1):
+        d_z = d_h * (pre[i] > 0.0)
+        grads[i] = (d_z.T @ acts[i], d_z.sum(axis=0))
+        if i > 0:
+            d_h = d_z @ layers[i][0]
+    return float(np.mean(resid**2)), grads
+
+
+def assert_bitwise(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+def random_model(rng, hidden_layers: int) -> SurrogateModel:
+    dims = [FX_SCHEMA.n_features] + [50] * hidden_layers + [1]
+    layers = [
+        (rng.normal(0.0, 0.6, size=(fan_out, fan_in)), rng.normal(0.0, 0.3, fan_out))
+        for fan_in, fan_out in zip(dims[:-1], dims[1:])
+    ]
+    norm = Normalization(
+        means=rng.normal(25.0, 5.0, FX_SCHEMA.n_features),
+        stds=rng.uniform(0.5, 100.0, FX_SCHEMA.n_features),
+        target_mean=24.0,
+        target_std=1.7,
+    )
+    return SurrogateModel(schema=FX_SCHEMA, activation="relu", layers=layers, norm=norm)
+
+
+class TestInPlaceForward:
+    """The numeric hot paths work in place without changing a single bit."""
+
+    def test_forward_peak_is_one_hidden_buffer(self):
+        # A shapley call on a surrogate forwards 32 coalitions x 256 background
+        # rows.  Working in place keeps the traced peak near the one
+        # (8192, 50) hidden buffer; the expression form peaks at two of them.
+        rng = np.random.default_rng(0)
+        layers = random_model(rng, hidden_layers=1).layers
+        x = rng.normal(size=(8192, 5))
+        forward(layers, x)
+        tracemalloc.start()
+        try:
+            forward(layers, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * 8192 * 50 * 8
+
+    @pytest.mark.parametrize("hidden_layers", [1, 2])
+    def test_bitwise_equal_to_expression_form(self, hidden_layers):
+        rng = np.random.default_rng(hidden_layers)
+        model = random_model(rng, hidden_layers)
+        features = model.norm.means + model.norm.stds * rng.normal(size=(257, 5))
+        z = rng.normal(size=(257, 5))
+        y = rng.normal(size=257)
+
+        assert_bitwise(forward(model.layers, z), expression_forward(model.layers, z))
+        expected = (
+            expression_forward(model.layers, (features - model.norm.means) / model.norm.stds)
+            * model.norm.target_std
+            + model.norm.target_mean
+        )
+        assert_bitwise(predict_batch(model, features), expected)
+        loss, grads = mse_loss_and_grads(model.layers, z, y)
+        ref_loss, ref_grads = expression_loss_and_grads(model.layers, z, y)
+        assert loss == ref_loss
+        for (dw, db), (ref_dw, ref_db) in zip(grads, ref_grads):
+            assert_bitwise(dw, ref_dw)
+            assert_bitwise(db, ref_db)
+
+    @pytest.mark.parametrize("hidden_layers", [1, 2])
+    def test_inputs_not_modified(self, hidden_layers):
+        rng = np.random.default_rng(10 + hidden_layers)
+        model = random_model(rng, hidden_layers)
+        features = model.norm.means + model.norm.stds * rng.normal(size=(64, 5))
+        z = rng.normal(size=(64, 5))
+        y = rng.normal(size=64)
+        params = [a for layer in model.layers for a in layer]
+        watched = [features, z, y, model.norm.means, model.norm.stds, *params]
+        before = [a.copy() for a in watched]
+
+        forward(model.layers, z)
+        predict_batch(model, features)
+        mse_loss_and_grads(model.layers, z, y)
+
+        for original, now in zip(before, watched):
+            assert_bitwise(now, original)
 
 
 class TestPersistence:
