@@ -8,6 +8,9 @@ validation always covers unseen later days.
 Run from the repository root:  python3 demos/02_surrogate_training.py
 """
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 
 from xmpc.surrogate import (
@@ -46,8 +49,9 @@ for label, schema in (("f_x", FX_SCHEMA), ("f_y", FY_SCHEMA)):
 
 # Models serialize to JSON with repr-exact floats, so a round trip reproduces
 # predictions bit for bit and the file digest is stable.
-save(fy_model, "/tmp/fy_demo.json")
-reloaded = load("/tmp/fy_demo.json")
+model_path = Path(tempfile.gettempdir()) / "fy_demo.json"
+save(fy_model, model_path)
+reloaded = load(model_path)
 probe = np.array([24.0, 25.0, 33.0, 400.0, 3.0])
 print("\npersistence round trip:")
 print(f"  prediction before {predict(fy_model, probe)!r}")

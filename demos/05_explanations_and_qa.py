@@ -9,6 +9,7 @@ used here reproduces the deterministic narration and rubric exactly.
 Run from the repository root:  python3 demos/05_explanations_and_qa.py
 """
 
+import tempfile
 from pathlib import Path
 
 from xmpc.explain import (
@@ -41,7 +42,7 @@ print(f"\nnarrating the hour-1 cooling attribution at t={record.t}:")
 print(narrate_attribution(attr, VARIABLE_DICTIONARY, "the cooling power P(t+1)"))
 
 # Render the full document set for the precool day into a scratch directory.
-out = Path("/tmp/xmpc_docs")
+out = Path(tempfile.gettempdir()) / "xmpc_docs"
 day0 = (record.t // 24) * 24
 written = write_documents(episode, out, timesteps=list(range(day0, day0 + 24)))
 print(f"\nwrote {len(written)} files to {out} "

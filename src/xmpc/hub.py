@@ -29,6 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EpisodeIntegrityError, InvalidInputError, SchemaError
+from .fileio import atomic_write
 from .mpc import MpcDecision, MpcProblem, optimize
 from .shapley import Attribution, shapley
 from .surrogate import SCHEMAS, SurrogateModel, background_of, digest, predict
@@ -252,8 +253,7 @@ def save_episode(episode: Episode, path: str | Path, include_timing: bool = True
     ``include_timing=False`` writes the canonical form: identical runs
     produce byte-identical files because per-step wall-clock is omitted.
     """
-    path = Path(path)
-    with path.open("w") as fh:
+    with atomic_write(path) as fh:
         header = {
             "version": episode.version,
             "kind": "episode",

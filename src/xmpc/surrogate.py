@@ -18,7 +18,11 @@ Training is full-batch gradient descent with Adam on the mean squared error
 of z-scored inputs and targets.  The implementation is deliberately plain
 numpy: weights serialize to JSON exactly (repr round-trip), gradients are
 analytic and checkable against finite differences, and a fixed seed makes
-training bit-reproducible.
+training bit-reproducible.  A fit allocates its activation and gradient
+buffers once and keeps parameters, gradients and Adam moments in one flat
+vector each, so every epoch runs in place: allocating the per-epoch
+(rows, hidden) temporaries afresh made the allocator hand them back to the
+kernel and page-fault them in again, which cost more than the arithmetic.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ from .errors import (
     SchemaError,
     TrainingDivergedError,
 )
+from .fileio import atomic_write
 
 
 @dataclass(frozen=True)
@@ -94,9 +99,11 @@ class TrainConfig:
     """Optimizer and architecture settings.
 
     Defaults are desk scale: 2000 full-batch epochs train either surrogate in
-    a few seconds.  Longer schedules (for example 10000 epochs) are selected
+    about a second.  Longer schedules (for example 10000 epochs) are selected
     by raising ``epochs``; the width and depth of the hidden stack are
-    exposed but rarely need changing.
+    exposed but rarely need changing.  ``train`` reuses one set of buffers
+    across all epochs of a fit (see the module docstring), so the epoch count
+    costs time but no memory traffic through the allocator.
     """
 
     epochs: int = 2000
@@ -119,6 +126,14 @@ class TrainConfig:
             )
         if self.hidden_layers < 1 or self.hidden_dim < 1:
             raise InvalidInputError("need at least one hidden layer of width >= 1")
+        for name in ("learning_rate", "eps"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise InvalidInputError(f"{name} must be finite and > 0, got {value}")
+        for name in ("beta1", "beta2"):
+            value = getattr(self, name)
+            if not 0.0 <= value < 1.0:
+                raise InvalidInputError(f"{name} must be in [0, 1), got {value}")
 
 
 @dataclass
@@ -159,39 +174,88 @@ def forward(layers: list[tuple[np.ndarray, np.ndarray]], x: np.ndarray) -> np.nd
     return (h @ w.T + b)[:, 0]
 
 
+class _Workspace:
+    """Activation and gradient buffers for one input size, reused across epochs.
+
+    ``acts[i]`` holds hidden layer i's relu output and ``masks[i]`` where its
+    pre-activation was positive; ``d_h[i]`` receives the loss gradient at
+    that layer.  The pre-activation is built in ``acts[i]`` and rectified in
+    place once its mask is taken; the residual is built in ``out``.
+    """
+
+    def __init__(self, layers: list[tuple[np.ndarray, np.ndarray]], n: int):
+        widths = [w.shape[0] for w, _ in layers[:-1]]
+        self.acts = [np.empty((n, k)) for k in widths]
+        self.masks = [np.empty((n, k), dtype=bool) for k in widths]
+        self.d_h = [np.empty((n, k)) for k in widths]
+        self.out = np.empty((n, 1))
+        self.d_out = np.empty((n, 1))
+
+
+def _layer_views(
+    flat: np.ndarray, layers: list[tuple[np.ndarray, np.ndarray]]
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """``(w, b)`` views into ``flat`` shaped like ``layers``, packed in order."""
+    views, at = [], 0
+    for w, b in layers:
+        w_view = flat[at : at + w.size].reshape(w.shape)
+        at += w.size
+        views.append((w_view, flat[at : at + b.size]))
+        at += b.size
+    return views
+
+
+def _loss_and_grads_into(
+    layers: list[tuple[np.ndarray, np.ndarray]],
+    x: np.ndarray,
+    y: np.ndarray,
+    ws: _Workspace,
+    grads: list[tuple[np.ndarray, np.ndarray]],
+) -> float:
+    """Mean squared error; its gradients overwrite ``grads`` in place.
+
+    Every intermediate lives in ``ws``, so repeated calls allocate no arrays.
+    """
+    n = x.shape[0]
+    h = x
+    for (w, b), a, mask in zip(layers[:-1], ws.acts, ws.masks):
+        np.matmul(h, w.T, out=a)
+        a += b
+        np.greater(a, 0.0, out=mask)
+        np.maximum(a, 0.0, out=a)
+        h = a
+    w_out, b_out = layers[-1]
+    np.matmul(h, w_out.T, out=ws.out)
+    ws.out += b_out
+    resid = ws.out[:, 0]
+    resid -= y
+    d_out = ws.d_out  # holds the squared residuals until the gradient overwrites them
+    loss = float(np.mean(np.square(resid, out=d_out[:, 0])))
+
+    np.multiply(resid, 2.0 / n, out=d_out[:, 0])
+    np.matmul(d_out.T, h, out=grads[-1][0])
+    d_out.sum(axis=0, out=grads[-1][1])
+    d_above, w_above = d_out, w_out
+    for i in range(len(layers) - 2, -1, -1):
+        d_h = np.matmul(d_above, w_above, out=ws.d_h[i])
+        d_h *= ws.masks[i]  # now the gradient at the pre-activation
+        np.matmul(d_h.T, ws.acts[i - 1] if i > 0 else x, out=grads[i][0])
+        d_h.sum(axis=0, out=grads[i][1])
+        d_above, w_above = d_h, layers[i][0]
+    return loss
+
+
 def mse_loss_and_grads(
     layers: list[tuple[np.ndarray, np.ndarray]], x: np.ndarray, y: np.ndarray
 ) -> tuple[float, list[tuple[np.ndarray, np.ndarray]]]:
     """Mean squared error and its analytic gradients for every weight and bias.
 
-    Used by the training loop and by the finite-difference gradient check;
-    keeping it a standalone function lets the check exercise exactly the
-    gradients the optimizer consumes.
+    Runs the training loop's own kernel on a fresh workspace, so the
+    finite-difference gradient check exercises exactly the arithmetic the
+    optimizer consumes.
     """
-    n = x.shape[0]
-    pre = []
-    acts = [x]
-    h = x
-    for w, b in layers[:-1]:
-        z = h @ w.T
-        z += b
-        pre.append(z)
-        h = np.maximum(z, 0.0)
-        acts.append(h)
-    w_out, b_out = layers[-1]
-    out = (h @ w_out.T + b_out)[:, 0]
-    resid = out - y
-    loss = float(np.mean(resid**2))
-
-    grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(layers)
-    d_out = (2.0 / n) * resid[:, None]
-    grads[-1] = (d_out.T @ acts[-1], d_out.sum(axis=0))
-    d_h = d_out @ w_out
-    for i in range(len(layers) - 2, -1, -1):
-        d_h *= pre[i] > 0.0  # now the gradient at the pre-activation
-        grads[i] = (d_h.T @ acts[i], d_h.sum(axis=0))
-        if i > 0:
-            d_h = d_h @ layers[i][0]
+    grads = _layer_views(np.empty(sum(w.size + b.size for w, b in layers)), layers)
+    loss = _loss_and_grads_into(layers, x, y, _Workspace(layers, x.shape[0]), grads)
     return loss, grads
 
 
@@ -209,6 +273,47 @@ def _init_layers(
         scale = math.sqrt(2.0 / fan_in)
         layers.append((rng.normal(0.0, scale, size=(fan_out, fan_in)), np.zeros(fan_out)))
     return layers
+
+
+def _fit(
+    layers: list[tuple[np.ndarray, np.ndarray]], xs: np.ndarray, ys: np.ndarray, cfg: TrainConfig
+) -> tuple[list[tuple[np.ndarray, np.ndarray]], list[float]]:
+    """Adam from ``layers`` for ``cfg.epochs`` epochs: final layers and loss curve.
+
+    Parameters, gradients and both moments are one flat vector each, so the
+    update is a handful of in-place vector ops; with the reused workspace an
+    epoch allocates no arrays.
+    """
+    theta = np.concatenate([a.ravel() for layer in layers for a in layer])
+    grad, m, v, step, denom = (np.zeros_like(theta) for _ in range(5))
+    params, grads = _layer_views(theta, layers), _layer_views(grad, layers)
+    ws = _Workspace(layers, xs.shape[0])
+    loss_curve = []
+    for epoch in range(cfg.epochs):
+        loss = _loss_and_grads_into(params, xs, ys, ws, grads)
+        if not math.isfinite(loss):
+            raise TrainingDivergedError(epoch)
+        loss_curve.append(loss)
+        t = epoch + 1
+        bias1 = 1.0 - cfg.beta1**t
+        bias2 = 1.0 - cfg.beta2**t
+        # theta -= lr * (m / bias1) / (sqrt(v / bias2) + eps), each product
+        # and quotient rounded in the same order as the expression.
+        m *= cfg.beta1
+        np.multiply(grad, 1.0 - cfg.beta1, out=step)
+        m += step
+        v *= cfg.beta2
+        np.square(grad, out=step)
+        step *= 1.0 - cfg.beta2
+        v += step
+        np.divide(m, bias1, out=step)
+        step *= cfg.learning_rate
+        np.divide(v, bias2, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += cfg.eps
+        step /= denom
+        theta -= step
+    return [(w.copy(), b.copy()) for w, b in params], loss_curve
 
 
 def train(dataset, schema: FeatureSchema, cfg: TrainConfig | None = None) -> SurrogateModel:
@@ -245,33 +350,7 @@ def train(dataset, schema: FeatureSchema, cfg: TrainConfig | None = None) -> Sur
     rng = np.random.default_rng(cfg.rng_seed)
     layers = _init_layers(schema.n_features, cfg, rng)
     initial_val_mse = float(np.mean((forward(layers, xvs) - yvs) ** 2))
-
-    # Adam state, one (m, v) pair per parameter array.
-    moments = [
-        [(np.zeros_like(w), np.zeros_like(w)), (np.zeros_like(b), np.zeros_like(b))]
-        for w, b in layers
-    ]
-    loss_curve = []
-    for epoch in range(cfg.epochs):
-        loss, grads = mse_loss_and_grads(layers, xs, ys)
-        if not math.isfinite(loss):
-            raise TrainingDivergedError(epoch)
-        loss_curve.append(loss)
-        t = epoch + 1
-        bias1 = 1.0 - cfg.beta1**t
-        bias2 = 1.0 - cfg.beta2**t
-        new_layers = []
-        for i, ((w, b), (dw, db)) in enumerate(zip(layers, grads)):
-            updated = []
-            for param, grad, j in ((w, dw, 0), (b, db, 1)):
-                m, v = moments[i][j]
-                m = cfg.beta1 * m + (1.0 - cfg.beta1) * grad
-                v = cfg.beta2 * v + (1.0 - cfg.beta2) * grad**2
-                moments[i][j] = (m, v)
-                step_vec = cfg.learning_rate * (m / bias1) / (np.sqrt(v / bias2) + cfg.eps)
-                updated.append(param - step_vec)
-            new_layers.append((updated[0], updated[1]))
-        layers = new_layers
+    layers, loss_curve = _fit(layers, xs, ys, cfg)
 
     final_train_mse = loss_curve[-1]
     final_val_mse = float(np.mean((forward(layers, xvs) - yvs) ** 2))
@@ -389,7 +468,8 @@ def model_to_json(model: SurrogateModel) -> dict:
 
 
 def save(model: SurrogateModel, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(model_to_json(model)) + "\n")
+    with atomic_write(path) as fh:
+        fh.write(json.dumps(model_to_json(model)) + "\n")
 
 
 def load(path: str | Path) -> SurrogateModel:

@@ -96,6 +96,16 @@ class TestTrain:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("lr", ["-1", "0", "nan", "inf"])
+    def test_bad_learning_rate_is_usage_error(self, cli_workspace, tmp_path, capsys, lr):
+        rc = main([
+            "train", "--data", str(cli_workspace / "data.csv"), "--target", "fx",
+            "--epochs", "40", "--lr", lr, "--out", str(tmp_path / "m.json"),
+        ])
+        assert rc == 2
+        assert "learning_rate" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergent_training_is_runtime_error(self, cli_workspace, tmp_path, capsys):
         # A NaN measurement poisons the loss on the first epoch.

@@ -11,6 +11,7 @@ from xmpc.errors import EpisodeIntegrityError, InvalidInputError, SchemaError
 from xmpc.hub import (
     ATTRIBUTION_KEYS,
     EPISODE_VERSION,
+    TimestepRecord,
     load_episode,
     run_episode,
     save_episode,
@@ -138,6 +139,25 @@ class TestEpisodeFile:
         assert all(r.opt_seconds is None for r in loaded.records)
         with pytest.raises(InvalidInputError, match="timing"):
             timing_report(loaded)
+
+    def test_failed_save_keeps_previous_file(self, mini_episode, tmp_path, monkeypatch):
+        path = tmp_path / "episode.jsonl"
+        save_episode(mini_episode, path)
+        before = path.read_bytes()
+        to_json = TimestepRecord.to_json
+        calls = []
+
+        def fail_on_third(record, *args, **kwargs):
+            calls.append(record.t)
+            if len(calls) == 3:
+                raise RuntimeError("disk full")
+            return to_json(record, *args, **kwargs)
+
+        monkeypatch.setattr(TimestepRecord, "to_json", fail_on_third)
+        with pytest.raises(RuntimeError, match="disk full"):
+            save_episode(mini_episode, path, include_timing=False)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["episode.jsonl"]
 
     def test_timing_report(self, mini_episode):
         report = timing_report(mini_episode)

@@ -3,11 +3,18 @@
 from __future__ import annotations
 
 import json
+import math
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from xmpc import surrogate as surrogate_mod
 from xmpc.errors import (
     DeserializationError,
     InvalidInputError,
@@ -258,6 +265,33 @@ class TestTraining:
         with pytest.raises(InvalidInputError):
             TrainConfig(hidden_layers=0)
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("learning_rate", -1.0),
+            ("learning_rate", 0.0),
+            ("learning_rate", math.nan),
+            ("learning_rate", math.inf),
+            ("beta1", -0.1),
+            ("beta1", 1.0),
+            ("beta1", math.nan),
+            ("beta2", -1e-3),
+            ("beta2", 1.0),
+            ("beta2", math.nan),
+            ("eps", 0.0),
+            ("eps", -1e-8),
+            ("eps", math.nan),
+            ("eps", math.inf),
+        ],
+    )
+    def test_optimizer_settings_validated(self, name, value):
+        with pytest.raises(InvalidInputError, match=name):
+            TrainConfig(**{name: value})
+
+    def test_optimizer_settings_boundaries_accepted(self):
+        cfg = TrainConfig(learning_rate=1e-12, beta1=0.0, beta2=0.0, eps=1e-300)
+        assert cfg.beta1 == cfg.beta2 == 0.0
+
     def test_background_sample(self, fx_model, excitation):
         bg = background_of(fx_model)
         assert bg.shape == (256, 5)
@@ -326,6 +360,31 @@ def expression_loss_and_grads(layers, x, y):
     return float(np.mean(resid**2)), grads
 
 
+def expression_train(layers, xs, ys, cfg):
+    """``surrogate._fit`` as a per-array Adam loop, each step in a fresh array."""
+    moments = [[(np.zeros_like(a), np.zeros_like(a)) for a in layer] for layer in layers]
+    loss_curve = []
+    for epoch in range(cfg.epochs):
+        loss, grads = expression_loss_and_grads(layers, xs, ys)
+        loss_curve.append(loss)
+        t = epoch + 1
+        bias1 = 1.0 - cfg.beta1**t
+        bias2 = 1.0 - cfg.beta2**t
+        new_layers = []
+        for i, (layer, layer_grads) in enumerate(zip(layers, grads)):
+            updated = []
+            for j, (param, grad) in enumerate(zip(layer, layer_grads)):
+                m, v = moments[i][j]
+                m = cfg.beta1 * m + (1.0 - cfg.beta1) * grad
+                v = cfg.beta2 * v + (1.0 - cfg.beta2) * grad**2
+                moments[i][j] = (m, v)
+                step_vec = cfg.learning_rate * (m / bias1) / (np.sqrt(v / bias2) + cfg.eps)
+                updated.append(param - step_vec)
+            new_layers.append(tuple(updated))
+        layers = new_layers
+    return layers, loss_curve
+
+
 def assert_bitwise(a, b):
     a, b = np.asarray(a), np.asarray(b)
     assert a.dtype == b.dtype and a.shape == b.shape
@@ -366,7 +425,7 @@ class TestInPlaceForward:
             tracemalloc.stop()
         assert peak < 1.25 * 8192 * 50 * 8
 
-    @pytest.mark.parametrize("hidden_layers", [1, 2])
+    @pytest.mark.parametrize("hidden_layers", [0, 1, 2])
     def test_bitwise_equal_to_expression_form(self, hidden_layers):
         rng = np.random.default_rng(hidden_layers)
         model = random_model(rng, hidden_layers)
@@ -407,6 +466,47 @@ class TestInPlaceForward:
             assert_bitwise(now, original)
 
 
+class TestReusedTrainingBuffers:
+    """Training epochs run in reused buffers without changing a single bit."""
+
+    @pytest.mark.parametrize("hidden_layers", [1, 2, 3])
+    @pytest.mark.parametrize("schema", [FX_SCHEMA, FY_SCHEMA], ids=["fx", "fy"])
+    def test_model_bytes_equal_to_expression_form(
+        self, excitation, monkeypatch, schema, hidden_layers
+    ):
+        cfg = TrainConfig(epochs=200, learning_rate=3e-3, hidden_layers=hidden_layers)
+        model = train(excitation, schema, cfg)
+        monkeypatch.setattr(surrogate_mod, "_fit", expression_train)
+        reference = train(excitation, schema, cfg)
+        assert json.dumps(model_to_json(model)) == json.dumps(model_to_json(reference))
+
+    def test_epochs_do_not_page_fault(self):
+        # Fixture-size data gives (595, 50) hidden buffers.  Allocated afresh
+        # every epoch they cost ~140 minor page faults per epoch; reused, a
+        # whole fit takes fewer faults than it has epochs.  A fresh
+        # interpreter, because earlier large frees in this one raise glibc's
+        # mmap threshold and hide the churn.
+        epochs = 2000
+        code = textwrap.dedent(f"""
+            import resource
+            from xmpc.surrogate import FY_SCHEMA, TrainConfig, train
+            from xmpc.testbed import TestbedConfig, run_excitation
+            data = run_excitation(31, TestbedConfig(), seed=42)
+            train(data, FY_SCHEMA, TrainConfig(epochs=2))
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            train(data, FY_SCHEMA, TrainConfig(epochs={epochs}, learning_rate=3e-3))
+            print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        """)
+        src = str(Path(surrogate_mod.__file__).parents[1])
+        paths = [src, os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
+        )
+        assert result.returncode == 0, result.stderr
+        assert int(result.stdout) < epochs
+
+
 class TestPersistence:
     def test_roundtrip_bit_exact(self, tmp_path, fy_model):
         path = tmp_path / "fy.json"
@@ -423,6 +523,18 @@ class TestPersistence:
         save(fx_model, p1)
         save(fx_model, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_save_replaces_file_atomically(self, tmp_path, fx_model, fy_model):
+        # The new content goes to a temporary file renamed over the target, so
+        # a reader holding the old file (here a hard link) keeps it whole.
+        path = tmp_path / "model.json"
+        save(fx_model, path)
+        before = path.read_bytes()
+        os.link(path, tmp_path / "reader.json")
+        save(fy_model, path)
+        assert (tmp_path / "reader.json").read_bytes() == before
+        assert digest(load(path)) == digest(fy_model)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json", "reader.json"]
 
     def test_truncated_file(self, tmp_path, fx_model):
         path = tmp_path / "model.json"
