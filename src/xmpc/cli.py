@@ -164,13 +164,13 @@ def cmd_explain(args) -> int:
 def cmd_ask(args) -> int:
     if not args.question and not args.repl:
         raise InvalidInputError("provide --question or --repl")
-    episode = hub_mod.load_episode(args.episode)
     cfg = llm_mod.LlmConfig(
         mode=args.mode,
         endpoint=args.endpoint or "",
         model=args.model,
         temperature=args.temperature,
     )
+    episode = hub_mod.load_episode(args.episode)
 
     def answer(question: str) -> None:
         context = explain_mod.build_qa_context(

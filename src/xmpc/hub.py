@@ -268,25 +268,28 @@ def save_episode(episode: Episode, path: str | Path, include_timing: bool = True
 
 
 def load_episode(path: str | Path) -> Episode:
+    """Read an episode file record by record, checking it as it goes."""
     path = Path(path)
-    with path.open() as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise EpisodeIntegrityError(f"{path}: empty episode file")
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise EpisodeIntegrityError(f"{path}:1: bad header ({exc})") from None
-    if header.get("kind") != "episode":
-        raise EpisodeIntegrityError(f"{path}: not an episode file (kind={header.get('kind')!r})")
     records = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
+    with path.open() as fh:
+        first = fh.readline()
+        if not first:
+            raise EpisodeIntegrityError(f"{path}: empty episode file")
         try:
-            records.append(TimestepRecord.from_json(json.loads(line)))
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise EpisodeIntegrityError(f"{path}:{lineno}: bad record ({exc})") from None
+            header = json.loads(first.rstrip("\n"))
+        except json.JSONDecodeError as exc:
+            raise EpisodeIntegrityError(f"{path}:1: bad header ({exc})") from None
+        if header.get("kind") != "episode":
+            raise EpisodeIntegrityError(
+                f"{path}: not an episode file (kind={header.get('kind')!r})"
+            )
+        for lineno, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
+            try:
+                records.append(TimestepRecord.from_json(json.loads(line.rstrip("\n"))))
+            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+                raise EpisodeIntegrityError(f"{path}:{lineno}: bad record ({exc})") from None
     declared = header.get("n_records")
     if declared != len(records):
         raise EpisodeIntegrityError(

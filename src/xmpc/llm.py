@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import re
 import time
@@ -55,6 +56,18 @@ class LlmConfig:
     def __post_init__(self):
         if self.mode not in ("stub", "online"):
             raise ConfigError(f"unknown gateway mode {self.mode!r}")
+        # A NaN or infinite temperature would reach the service as invalid JSON.
+        if not (math.isfinite(self.temperature) and self.temperature >= 0.0):
+            raise ConfigError(f"temperature must be finite and >= 0, got {self.temperature}")
+        if not (math.isfinite(self.timeout_seconds) and self.timeout_seconds > 0.0):
+            raise ConfigError(f"timeout_seconds must be finite and > 0, got {self.timeout_seconds}")
+        if not (math.isfinite(self.backoff_seconds) and self.backoff_seconds >= 0.0):
+            raise ConfigError(f"backoff_seconds must be finite and >= 0, got {self.backoff_seconds}")
+        if self.max_tokens < 1:
+            raise ConfigError(f"max_tokens must be >= 1, got {self.max_tokens}")
+        # Every retry is an attempt, the first one included.
+        if self.max_retries < 1:
+            raise ConfigError(f"max_retries must be >= 1, got {self.max_retries}")
 
 
 @dataclass

@@ -16,6 +16,12 @@ average power.  Predicted cooling rates are clamped at zero from below
 before costing, since a slightly negative network output is a model
 artifact, not a real power.
 
+Predictors must be deterministic: the same feature vector must always give
+the same prediction.  ``optimize`` relies on it to predict the first hour
+once per u1 and reuse it for every u2, which costs 2g + 2g^2 model calls on
+a g-point grid (60 for the default 5 points) where rolling out each pair
+afresh costs 4g^2 (100), with the same decisions and candidate table.
+
 Cost ties prefer the larger u1 and then the larger u2, so the controller
 only moves off the comfort ceiling for a strict cost advantage.  With the
 untightened 5000 W limits this makes (26, 26) the resting choice.
@@ -24,7 +30,7 @@ untightened 5000 W limits this makes (26, 26) the resting choice.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -58,6 +64,12 @@ class MpcProblem:
     def __post_init__(self):
         if not math.isfinite(self.zone_temp_c):
             raise InvalidInputError(f"zone temperature {self.zone_temp_c!r} is not finite")
+        for name in ("d1", "d2"):
+            forecast = getattr(self, name)
+            for f in fields(forecast):
+                value = getattr(forecast, f.name)
+                if not math.isfinite(value):
+                    raise InvalidInputError(f"forecast {name}.{f.name} {value!r} is not finite")
         for name in ("p_limit_t1_w", "p_limit_t2_w"):
             limit = getattr(self, name)
             if not math.isfinite(limit) or limit <= 0.0:
@@ -167,11 +179,14 @@ def _clamp_power(value: float) -> float:
     return max(0.0, value)
 
 
-def rollout(problem: MpcProblem, u1: float, u2: float) -> RolloutResult:
-    """Chain the surrogates over the two horizon hours for one setpoint pair."""
+def _first_hour(problem: MpcProblem, u1: float) -> tuple[float, float]:
+    """Predicted zone temperature and clamped cooling rate after hour one."""
     f1 = _features(u1, problem.zone_temp_c, problem.d1)
-    x1 = float(problem.fx(f1))
-    y1 = _clamp_power(float(problem.fy(f1)))
+    return float(problem.fx(f1)), _clamp_power(float(problem.fy(f1)))
+
+
+def _second_hour(problem: MpcProblem, x1: float, y1: float, u2: float) -> RolloutResult:
+    """Finish the rollout from hour one's predictions with setpoint ``u2``."""
     if not (math.isfinite(x1) and math.isfinite(y1)):
         return RolloutResult(x1, y1, math.nan, math.nan, math.nan, math.nan, math.nan)
     f2 = _features(u2, x1, problem.d2)
@@ -182,6 +197,11 @@ def rollout(problem: MpcProblem, u1: float, u2: float) -> RolloutResult:
         return RolloutResult(x1, y1, v1, x2, y2, math.nan, math.nan)
     v2 = penalty(y2, problem.p_limit_t2_w)
     return RolloutResult(x1, y1, v1, x2, y2, v2, cost=y1 + v1 + y2 + v2)
+
+
+def rollout(problem: MpcProblem, u1: float, u2: float) -> RolloutResult:
+    """Chain the surrogates over the two horizon hours for one setpoint pair."""
+    return _second_hour(problem, *_first_hour(problem, u1), u2)
 
 
 def optimize(problem: MpcProblem) -> MpcDecision:
@@ -196,8 +216,10 @@ def optimize(problem: MpcProblem) -> MpcDecision:
     best: tuple[float, float, RolloutResult] | None = None
     candidates: list[tuple[float, float, float]] = []
     for u1 in reversed(grid):
+        # Hour one depends on u1 alone: predict it once for all of u1's pairs.
+        x1, y1 = _first_hour(problem, u1)
         for u2 in reversed(grid):
-            result = rollout(problem, u1, u2)
+            result = _second_hour(problem, x1, y1, u2)
             candidates.append((u1, u2, result.cost))
             if not math.isfinite(result.cost):
                 continue

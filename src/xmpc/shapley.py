@@ -39,8 +39,13 @@ from .errors import InvalidInputError, SchemaError
 MAX_EXACT_FEATURES = 20
 
 # Coalitions reach the model in chunks of at most this many hybrid rows, so
-# memory stays bounded however many coalitions one call asks for.
-_BATCH_ROW_LIMIT = 500_000
+# memory stays bounded however many coalitions one call asks for.  A
+# surrogate attribution (32 coalitions x 256 background rows) runs as four
+# chunks of 8 coalitions: each chunk's (2048, 50) hidden buffer is 0.8 MB,
+# which keeps a call's traced peak near 1 MB instead of near 4 MB for one
+# 8,192-row chunk, and is no slower.  Chunking never changes the values:
+# each coalition's rows stay together in one chunk and are averaged alone.
+_BATCH_ROW_LIMIT = 2048
 
 
 @dataclass

@@ -389,6 +389,15 @@ def train(dataset, schema: FeatureSchema, cfg: TrainConfig | None = None) -> Sur
 # ---------------------------------------------------------------------------
 
 
+def _standardized(model: SurrogateModel, features: np.ndarray) -> np.ndarray:
+    """z-scored copy of a finite (n, d) feature matrix."""
+    if not np.isfinite(features).all():
+        raise InvalidInputError("non-finite value in feature matrix")
+    z = features - model.norm.means
+    z /= model.norm.stds
+    return z
+
+
 def predict_batch(model: SurrogateModel, features: np.ndarray) -> np.ndarray:
     """Predictions in physical units for a (n, d) feature matrix."""
     features = np.asarray(features, dtype=float)
@@ -397,23 +406,24 @@ def predict_batch(model: SurrogateModel, features: np.ndarray) -> np.ndarray:
             f"expected (n, {model.schema.n_features}) features "
             f"{list(model.schema.feature_names)}, got shape {features.shape}"
         )
-    if not np.all(np.isfinite(features)):
-        raise InvalidInputError("non-finite value in feature matrix")
-    z = features - model.norm.means
-    z /= model.norm.stds
-    out = forward(model.layers, z)
+    out = forward(model.layers, _standardized(model, features))
     return out * model.norm.target_std + model.norm.target_mean
 
 
 def predict(model: SurrogateModel, features: np.ndarray) -> float:
-    """Prediction in physical units for a single feature vector."""
+    """Prediction in physical units for a single feature vector.
+
+    Bit-equal to ``predict_batch`` on a one-row matrix: the unscaling below
+    is the same two IEEE operations on Python floats.
+    """
     features = np.asarray(features, dtype=float)
     if features.shape != (model.schema.n_features,):
         raise SchemaError(
             f"expected {model.schema.n_features} features "
             f"{list(model.schema.feature_names)}, got shape {features.shape}"
         )
-    return float(predict_batch(model, features[None, :])[0])
+    out = float(forward(model.layers, _standardized(model, features[None, :]))[0])
+    return out * model.norm.target_std + model.norm.target_mean
 
 
 def batch_predictor(model: SurrogateModel):

@@ -225,6 +225,13 @@ class TestAsk:
         assert rc == 2
         assert "--question or --repl" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-3"])
+    def test_bad_temperature_is_usage_error(self, cli_workspace, capsys, no_network, value):
+        rc = main(["ask", "--episode", str(cli_workspace / "episode.jsonl"), "--t", "0",
+                   "--question", "Why precool?", f"--temperature={value}"])
+        assert rc == 2
+        assert "temperature" in capsys.readouterr().err
+
     def test_repl_loop_reads_until_quit(self, cli_workspace, capsys, monkeypatch, no_network):
         lines = iter(["", "what limit applies?", "quit"])
         monkeypatch.setattr("builtins.input", lambda prompt="": next(lines))

@@ -184,6 +184,25 @@ class TestEpisodeFile:
         with pytest.raises(EpisodeIntegrityError, match=":6"):
             load_episode(corrupt)
 
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_line_numbers_and_messages_while_streaming(self, mini_episode, tmp_path, newline):
+        path = tmp_path / "episode.jsonl"
+        save_episode(mini_episode, path)
+        lines = path.read_text().splitlines()
+        # A blank line after the header; record k then sits on line k + 2.
+        text = newline.join([lines[0], "", *lines[1:]])
+        spaced = tmp_path / "spaced.jsonl"
+        spaced.write_bytes((text + newline).encode())
+        assert len(load_episode(spaced)) == len(mini_episode)
+
+        cut = tmp_path / "cut.jsonl"
+        cut.write_bytes(text[:-10].encode())  # last record truncated, no line end
+        with pytest.raises(json.JSONDecodeError) as expected:
+            json.loads(lines[-1][:-10])
+        with pytest.raises(EpisodeIntegrityError) as info:
+            load_episode(cut)
+        assert str(info.value) == f"{cut}:{len(lines) + 1}: bad record ({expected.value})"
+
     def test_wrong_kind_and_empty(self, tmp_path):
         empty = tmp_path / "empty.jsonl"
         empty.write_text("")

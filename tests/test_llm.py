@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import time
 
 import numpy as np
@@ -91,6 +92,23 @@ class TestConfigAndRequest:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ConfigError):
             LlmConfig(mode="telepathy")
+
+    @pytest.mark.parametrize("field, value", [
+        ("temperature", math.nan), ("temperature", math.inf), ("temperature", -3.0),
+        ("max_tokens", 0), ("max_tokens", -1),
+        ("timeout_seconds", 0.0), ("timeout_seconds", -1.0), ("timeout_seconds", math.nan),
+        ("timeout_seconds", math.inf),
+        ("backoff_seconds", -0.5), ("backoff_seconds", math.nan), ("backoff_seconds", math.inf),
+        ("max_retries", 0), ("max_retries", -1),
+    ])
+    def test_bad_settings_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            LlmConfig(**{field: value})
+
+    def test_boundary_settings_accepted(self):
+        cfg = LlmConfig(temperature=0.0, max_tokens=1, backoff_seconds=0.0, max_retries=1,
+                        timeout_seconds=1e-3)
+        assert build_request(cfg, "sys", "user")["temperature"] == 0.0
 
 
 class TestStub:

@@ -121,6 +121,16 @@ class TestGridAndValidation:
                 lambda f: f[1], lambda f: 0.0, setpoint_min_c=27.0, setpoint_max_c=22.0
             )
 
+    @pytest.mark.parametrize("hour", ["d1", "d2"])
+    @pytest.mark.parametrize("name", ["oa_temp_c", "oa_radiation_wm2", "occupancy"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_forecast_rejected(self, hour, name, value):
+        forecast = Disturbance(**{**vars(D1), name: value})
+        problem = dict(zone_temp_c=26.0, d1=D1, d2=D2, p_limit_t1_w=5000.0,
+                       p_limit_t2_w=5000.0, fx=lambda f: f[1], fy=lambda f: 0.0)
+        with pytest.raises(InvalidInputError, match=f"{hour}.{name}"):
+            MpcProblem(**{**problem, hour: forecast})
+
 
 class TestRollout:
     def test_feature_chaining(self):
@@ -257,6 +267,107 @@ class TestOptimize:
         assert 22.0 <= decision.u2_c <= 26.0
         assert decision.y1_w >= 0.0 and decision.y2_w >= 0.0
         assert math.isfinite(decision.cost)
+
+
+def expression_optimize(problem):
+    """``optimize`` as one ``rollout`` per pair: 4 model calls for each of g^2 pairs."""
+    grid = setpoint_grid(problem)
+    best = None
+    candidates = []
+    for u1 in reversed(grid):
+        for u2 in reversed(grid):
+            result = rollout(problem, u1, u2)
+            candidates.append((u1, u2, result.cost))
+            if not math.isfinite(result.cost):
+                continue
+            if best is None or result.cost < best[2].cost:
+                best = (u1, u2, result)
+    if best is None:
+        raise OptimizationFailedError("no finite candidate")
+    u1, u2, r = best
+    return MpcDecision(u1, u2, r.x1_c, r.x2_c, r.y1_w, r.y2_w, r.v1, r.v2, r.cost, candidates)
+
+
+def assert_same_decision(a: MpcDecision, b: MpcDecision):
+    """Every field and candidate bit for bit, NaN equal to NaN."""
+    bits = lambda d: [float(v).hex() for v in (
+        d.u1_c, d.u2_c, d.x1_c, d.x2_c, d.y1_w, d.y2_w, d.v1, d.v2, d.cost,
+        *(v for candidate in d.candidates for v in candidate),
+    )]
+    assert bits(a) == bits(b)
+
+
+def counting(fn, calls):
+    def counted(f):
+        calls.append(f)
+        return fn(f)
+
+    return counted
+
+
+class TestFirstHourOnce:
+    """``optimize`` predicts hour one once per u1 and reuses it for every u2."""
+
+    def test_equals_pairwise_rollouts_on_fixture_problems(self, fx_model, fy_model):
+        from xmpc.surrogate import predict
+
+        fx = lambda f: predict(fx_model, f)
+        fy = lambda f: predict(fy_model, f)
+        rng = np.random.default_rng(31)
+        for trial in range(200):
+            d1, d2 = (
+                Disturbance(rng.uniform(18.0, 38.0), rng.uniform(0.0, 900.0), rng.uniform(0.0, 8.0))
+                for _ in range(2)
+            )
+            # Event limits from the calendar's [750, 1750] W range, often both hours.
+            limit1, limit2 = (
+                float(rng.uniform(750.0, 1750.0)) if rng.random() < 0.6 else 5000.0
+                for _ in range(2)
+            )
+            problem = MpcProblem(
+                zone_temp_c=float(rng.uniform(21.0, 29.0)), d1=d1, d2=d2,
+                p_limit_t1_w=limit1, p_limit_t2_w=limit2, fx=fx, fy=fy,
+            )
+            assert_same_decision(optimize(problem), expression_optimize(problem))
+
+    def test_non_finite_hours_mark_the_same_candidates(self):
+        # Hour one is NaN for u1 = 23 (fx) and u1 = 22 (fy); x2 is NaN for
+        # u2 = 25.  Hours are told apart by their outdoor temperature.
+        def fx(f):
+            if (f[2], f[0]) in ((D1.oa_temp_c, 23.0), (D2.oa_temp_c, 25.0)):
+                return math.nan
+            return f[1] - 0.3 * (26.0 - f[0])
+
+        def fy(f):
+            if (f[2], f[0]) == (D1.oa_temp_c, 22.0):
+                return math.nan
+            return 80.0 * (f[1] - 18.0) - 40.0 * f[0]
+
+        fx_calls, fy_calls = [], []
+        problem = make_problem(counting(fx, fx_calls), counting(fy, fy_calls), limit1=700.0)
+        decision = optimize(problem)
+        # No second-hour calls for the two u1 whose first hour failed.
+        assert len(fx_calls) == len(fy_calls) == 5 + 3 * 5
+        assert_same_decision(decision, expression_optimize(problem))
+        failed = {(u1, u2) for u1, u2, cost in decision.candidates if not math.isfinite(cost)}
+        grid = setpoint_grid(problem)
+        assert failed == {(u1, u2) for u1 in grid for u2 in grid if u1 in (22.0, 23.0) or u2 == 25.0}
+
+    @pytest.mark.parametrize("step, g", [(1.0, 5), (0.5, 9), (4.0, 2), (10.0, 1)])
+    def test_model_calls_per_decision(self, step, g):
+        fx_calls, fy_calls = [], []
+        problem = make_problem(
+            counting(lambda f: f[1] - 0.3 * (26.0 - f[0]), fx_calls),
+            counting(lambda f: 60.0 * (f[1] - 20.0), fy_calls),
+            setpoint_step_c=step,
+        )
+        assert len(setpoint_grid(problem)) == g
+        optimize(problem)
+        assert len(fx_calls) + len(fy_calls) == 2 * g + 2 * g * g
+        fx_calls.clear()
+        fy_calls.clear()
+        expression_optimize(problem)
+        assert len(fx_calls) + len(fy_calls) == 4 * g * g
 
 
 class TestDecisionSerialization:

@@ -313,7 +313,7 @@ class TestCoalitionBatching:
             assert np.array_equal(a.shapley_values, b.shapley_values)
             assert (a.base_value, a.prediction) == (b.base_value, b.prediction)
 
-    def test_surrogate_attribution_is_one_model_call(self, fx_model, monkeypatch):
+    def test_surrogate_attribution_is_four_model_calls(self, fx_model, monkeypatch):
         import xmpc.surrogate as surrogate
 
         rows: list[int] = []
@@ -321,8 +321,41 @@ class TestCoalitionBatching:
         monkeypatch.setattr(surrogate, "predict_batch",
                             lambda model, x: rows.append(len(x)) or predict_batch(model, x))
         background = background_of(fx_model)
+        assert len(background) == 256
         shapley(fx_model, np.array([23.0, 26.0, 34.0, 450.0, 3.0]), background)
-        assert rows == [32 * len(background)]
+        # 32 coalitions of 256 background rows, 8 coalitions per call.
+        assert rows == [2048] * 4
+
+    def test_surrogate_chunks_match_one_call(self, fx_model, fy_model, monkeypatch):
+        rng = np.random.default_rng(13)
+        cases = []
+        for model in (fx_model, fy_model):
+            background = background_of(model)
+            for row in rng.choice(len(background), size=20, replace=False):
+                instance = background[row] * rng.uniform(0.9, 1.1, size=5)
+                cases.append((model, instance, background))
+        chunked = [shapley(*case) for case in cases]
+        monkeypatch.setattr(importlib.import_module("xmpc.shapley"), "_BATCH_ROW_LIMIT", 10**9)
+        for case, a in zip(cases, chunked):
+            b = shapley(*case)
+            assert a.shapley_values.tobytes() == b.shapley_values.tobytes()
+            assert (a.base_value, a.prediction) == (b.base_value, b.prediction)
+
+    def test_surrogate_attribution_peak_memory(self, fy_model):
+        import tracemalloc
+
+        background = background_of(fy_model)
+        instance = np.array([23.0, 26.0, 34.0, 450.0, 3.0])
+        shapley(fy_model, instance, background)
+        tracemalloc.start()
+        try:
+            shapley(fy_model, instance, background)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # One 2,048-row chunk's (2048, 50) hidden buffer is 0.82 MB; a single
+        # 8,192-row call peaked at 3.9 MB.
+        assert peak < 1.5e6
 
     def test_sampled_beyond_64_features(self):
         # Bitmasks past bit 63 would overflow int64; a linear model has the

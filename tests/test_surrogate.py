@@ -327,6 +327,18 @@ class TestPrediction:
         with pytest.raises(InvalidInputError):
             predict(fx_model, bad)
 
+    @pytest.mark.parametrize("which", ["fx", "fy", "random"])
+    def test_single_row_bit_equal_to_batch_row(self, which, fx_model, fy_model):
+        rng = np.random.default_rng(41)
+        model = {"fx": fx_model, "fy": fy_model, "random": random_model(rng, 2)}[which]
+        rows = model.norm.means + rng.normal(size=(2000, 5)) * 2.0 * model.norm.stds
+        for f in rows:
+            value = predict(model, f)
+            assert type(value) is float
+            assert value.hex() == float(predict_batch(model, f[None])[0]).hex()
+        with pytest.raises(InvalidInputError, match="non-finite value in feature matrix"):
+            predict(model, np.array([24.0, 25.0, np.inf, 400.0, 3.0]))
+
 
 def expression_forward(layers, x):
     """``forward`` as plain expressions, each step in a fresh array."""
