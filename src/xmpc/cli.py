@@ -48,7 +48,7 @@ _USAGE_ERRORS = (
     InvalidInputError,
     RenderError,
     SchemaError,
-    FileNotFoundError,
+    OSError,
 )
 _RUNTIME_ERRORS = (
     GatewayError,
@@ -118,15 +118,19 @@ def cmd_run(args) -> int:
 
 
 def _llm_config(args) -> llm_mod.LlmConfig:
-    return llm_mod.LlmConfig(
+    cfg = llm_mod.LlmConfig(
         mode=args.gateway,
         endpoint=args.endpoint or "",
         model=args.model,
         temperature=args.temperature,
     )
+    if cfg.mode == "online":
+        llm_mod.online_api_key(cfg)
+    return cfg
 
 
 def cmd_explain(args) -> int:
+    llm_config = _llm_config(args) if args.mode == "llm" else None
     episode = hub_mod.load_episode(args.episode)
     templates = explain_mod.load_templates(args.templates)
     if args.t == "all":
@@ -136,18 +140,6 @@ def cmd_explain(args) -> int:
             timesteps = [int(args.t)]
         except ValueError:
             raise InvalidInputError(f"--t must be an hour index or 'all', got {args.t!r}") from None
-    llm_config = _llm_config(args) if args.mode == "llm" else None
-    if llm_config is not None and llm_config.mode == "online":
-        # Fail before rendering anything if the online gateway cannot run.
-        import os
-
-        if not llm_config.endpoint:
-            raise ConfigError("llm mode with the online gateway requires --endpoint")
-        if not os.environ.get(llm_config.api_key_env, ""):
-            raise ConfigError(
-                f"llm mode requires an API key in the {llm_config.api_key_env} "
-                "environment variable (or use --gateway stub)"
-            )
     written = explain_mod.write_documents(
         episode,
         args.out,
@@ -164,12 +156,7 @@ def cmd_explain(args) -> int:
 def cmd_ask(args) -> int:
     if not args.question and not args.repl:
         raise InvalidInputError("provide --question or --repl")
-    cfg = llm_mod.LlmConfig(
-        mode=args.mode,
-        endpoint=args.endpoint or "",
-        model=args.model,
-        temperature=args.temperature,
-    )
+    cfg = _llm_config(args)
     episode = hub_mod.load_episode(args.episode)
 
     def answer(question: str) -> None:
@@ -250,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--question")
     p.add_argument("--repl", action="store_true")
-    p.add_argument("--mode", choices=("stub", "online"), default="stub")
+    p.add_argument("--mode", dest="gateway", choices=("stub", "online"), default="stub")
     p.add_argument("--endpoint")
     p.add_argument("--model", default=llm_mod.DEFAULT_MODEL)
     p.add_argument("--temperature", type=float, default=0.5)

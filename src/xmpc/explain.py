@@ -80,14 +80,10 @@ MPC_FORMULATION_SUMMARY = (
 # ---------------------------------------------------------------------------
 
 
-def classify(
-    record: TimestepRecord,
-    threshold_w: float = NORMAL_POWER_LIMIT_W,
-    comfort_ceiling_c: float = COMFORT_CEILING_C,
-) -> int:
+def classify(record: TimestepRecord) -> int:
     """Deterministic scenario label for one record (see module docstring)."""
-    event_ahead = record.p_limit_t2_w < threshold_w
-    if event_ahead and record.setpoint_c < comfort_ceiling_c:
+    event_ahead = record.p_limit_t2_w < NORMAL_POWER_LIMIT_W
+    if event_ahead and record.setpoint_c < COMFORT_CEILING_C:
         return 1
     if event_ahead:
         return 3
@@ -112,15 +108,8 @@ def scenario_census(episode: Episode) -> dict[int, int]:
 # ---------------------------------------------------------------------------
 # The faithfulness contract is that every numeral in a document can be traced
 # back to a record or attribution value, so all rendering funnels through
-# these helpers and the tests reuse them to build the expected value set.
-
-
-def fmt_temp(v: float) -> str:
-    return f"{v:.1f}"
-
-
-def fmt_power(v: float) -> str:
-    return f"{v:.1f}"
+# these helpers (``fmt_value`` for every one-decimal temperature, power and
+# feature value) and the tests reuse them to build the expected value set.
 
 
 def fmt_value(v: float) -> str:
@@ -204,23 +193,24 @@ def build_shap_prompt(
     )
 
 
-def build_scenario_prompt(record: TimestepRecord, threshold_w: float = NORMAL_POWER_LIMIT_W) -> str:
+def build_scenario_prompt(record: TimestepRecord) -> str:
     """The scenario-judgment request sent to the chat model in llm mode."""
-    ceiling = fmt_temp(COMFORT_CEILING_C)
+    threshold = fmt_value(NORMAL_POWER_LIMIT_W)
+    ceiling = fmt_value(COMFORT_CEILING_C)
     return (
         "A model predictive controller chooses the cooling setpoints for the next two "
         "hours. Scenario 1: the power limit in the hour after the next is below "
-        f"{fmt_power(threshold_w)}W and the building is pre-cooled, T_spt(t+1) < {ceiling}°C. "
+        f"{threshold}W and the building is pre-cooled, T_spt(t+1) < {ceiling}°C. "
         "Scenario 2: the power limit in the hour after the next is not tightened. "
         "Scenario 3: the power limit in the hour after the next is below "
-        f"{fmt_power(threshold_w)}W but the building is not pre-cooled, "
+        f"{threshold}W but the building is not pre-cooled, "
         f"T_spt(t+1) = {ceiling}°C.\n\n"
         "Based on the following inputs, judge what kind of scenario it is and answer "
         "with the scenario number first:\n"
-        f"P_limit(t+1) = {fmt_power(record.p_limit_t1_w)}W; "
-        f"P_limit(t+2) = {fmt_power(record.p_limit_t2_w)}W; "
-        f"T_spt(t+1) = {fmt_temp(record.setpoint_c)}°C; "
-        f"T_spt(t+2) = {fmt_temp(record.decision.u2_c)}°C"
+        f"P_limit(t+1) = {fmt_value(record.p_limit_t1_w)}W; "
+        f"P_limit(t+2) = {fmt_value(record.p_limit_t2_w)}W; "
+        f"T_spt(t+1) = {fmt_value(record.setpoint_c)}°C; "
+        f"T_spt(t+2) = {fmt_value(record.decision.u2_c)}°C"
     )
 
 
@@ -316,25 +306,25 @@ def figure_name(t: int, k: int) -> str:
     return f"ts_{t}_attr{k}.svg"
 
 
-def _header_block(record: TimestepRecord, threshold_w: float) -> str:
+def _header_block(record: TimestepRecord) -> str:
     day, hod = divmod(record.t, 24)
     d = record.decision
     return (
         f"In timestep {record.t} (day {day}, {hod:02d}:00):\n\n"
-        f"Future power limits: P_limit(t+1) = {fmt_power(record.p_limit_t1_w)}W, "
-        f"P_limit(t+2) = {fmt_power(record.p_limit_t2_w)}W, "
-        f"P_limit(threshold) = {fmt_power(threshold_w)}W.\n\n"
+        f"Future power limits: P_limit(t+1) = {fmt_value(record.p_limit_t1_w)}W, "
+        f"P_limit(t+2) = {fmt_value(record.p_limit_t2_w)}W, "
+        f"P_limit(threshold) = {fmt_value(NORMAL_POWER_LIMIT_W)}W.\n\n"
         "State, boundary conditions, and decisions: "
-        f"T_z(t) = {fmt_temp(record.zone_temp_c)}°C, "
-        f"OAT(t) = {fmt_temp(record.oa_temp_c)}°C, "
+        f"T_z(t) = {fmt_value(record.zone_temp_c)}°C, "
+        f"OAT(t) = {fmt_value(record.oa_temp_c)}°C, "
         f"Radiation_direct(t) = {fmt_value(record.oa_radiation_wm2)}W/m2, "
         f"OCC(t) = {fmt_value(record.occupancy)}, "
-        f"T_spt(t+1) = {fmt_temp(d.u1_c)}°C, "
-        f"T_spt(t+2) = {fmt_temp(d.u2_c)}°C.\n\n"
+        f"T_spt(t+1) = {fmt_value(d.u1_c)}°C, "
+        f"T_spt(t+2) = {fmt_value(d.u2_c)}°C.\n\n"
         "Model predictions: "
-        f"T_z(t+1) = {fmt_temp(d.x1_c)}°C, P(t+1) = {fmt_power(d.y1_w)}W, "
-        f"T_z(t+2) = {fmt_temp(d.x2_c)}°C, P(t+2) = {fmt_power(d.y2_w)}W. "
-        f"Realized cooling this hour: {fmt_power(record.cooling_rate_w)}W."
+        f"T_z(t+1) = {fmt_value(d.x1_c)}°C, P(t+1) = {fmt_value(d.y1_w)}W, "
+        f"T_z(t+2) = {fmt_value(d.x2_c)}°C, P(t+2) = {fmt_value(d.y2_w)}W. "
+        f"Realized cooling this hour: {fmt_value(record.cooling_rate_w)}W."
     )
 
 
@@ -350,8 +340,8 @@ def _rationale(record: TimestepRecord, scenario: int) -> str:
     d = record.decision
     if scenario == 1:
         try:
-            hold_cost = d.candidate_cost(COMFORT_CEILING_C, COMFORT_CEILING_C)
-            hold = f" (cost {d.cost:.1f} against {hold_cost:.1f} for holding the ceiling)"
+            hold_cost = fmt_value(d.candidate_cost(COMFORT_CEILING_C, COMFORT_CEILING_C))
+            hold = f" (cost {fmt_value(d.cost)} against {hold_cost} for holding the ceiling)"
         except KeyError:
             hold = ""
         return (
@@ -374,7 +364,6 @@ def render_document(
     templates: dict[int, PromptTemplate] | None = None,
     mode: str = "deterministic",
     llm_config=None,
-    threshold_w: float = NORMAL_POWER_LIMIT_W,
 ) -> ExplanationDoc:
     """Render one interval's document in deterministic or llm mode.
 
@@ -385,7 +374,7 @@ def render_document(
     if mode not in ("deterministic", "llm"):
         raise ConfigError(f"unknown rendering mode {mode!r}")
     templates = templates if templates is not None else load_templates()
-    scenario = classify(record, threshold_w)
+    scenario = classify(record)
     d = record.decision
 
     narrations: dict[str, str] = {}
@@ -399,7 +388,7 @@ def render_document(
                 record.attributions[key], target_desc=ATTRIBUTION_TARGETS[key]
             )
             narrations[key] = complete(cfg, NARRATOR_SYSTEM_PROMPT, prompt).response.strip()
-        judgment = complete(cfg, NARRATOR_SYSTEM_PROMPT, build_scenario_prompt(record, threshold_w))
+        judgment = complete(cfg, NARRATOR_SYSTEM_PROMPT, build_scenario_prompt(record))
         agreement = parse_scenario(judgment.response) == scenario
     else:
         for key in ATTRIBUTION_KEYS:
@@ -408,16 +397,16 @@ def render_document(
             )
 
     mapping = {
-        "P_limit_t1": fmt_power(record.p_limit_t1_w),
-        "P_limit_t2": fmt_power(record.p_limit_t2_w),
-        "P_limit_threshold": fmt_power(threshold_w),
-        "comfort_ceiling": fmt_temp(COMFORT_CEILING_C),
-        "T_spt_t1": fmt_temp(d.u1_c),
-        "T_spt_t2": fmt_temp(d.u2_c),
-        "T_z_t1": fmt_temp(d.x1_c),
-        "T_z_t2": fmt_temp(d.x2_c),
-        "P_t1": fmt_power(d.y1_w),
-        "P_t2": fmt_power(d.y2_w),
+        "P_limit_t1": fmt_value(record.p_limit_t1_w),
+        "P_limit_t2": fmt_value(record.p_limit_t2_w),
+        "P_limit_threshold": fmt_value(NORMAL_POWER_LIMIT_W),
+        "comfort_ceiling": fmt_value(COMFORT_CEILING_C),
+        "T_spt_t1": fmt_value(d.u1_c),
+        "T_spt_t2": fmt_value(d.u2_c),
+        "T_z_t1": fmt_value(d.x1_c),
+        "T_z_t2": fmt_value(d.x2_c),
+        "P_t1": fmt_value(d.y1_w),
+        "P_t2": fmt_value(d.y2_w),
         "P_t2_vs_limit": _comparative(d.y2_w, record.p_limit_t2_w),
         "penalty_outcome": (
             "which avoids the penalty from the demand response event."
@@ -440,7 +429,7 @@ def render_document(
         t=record.t,
         scenario=scenario,
         mode=mode,
-        header_block=_header_block(record, threshold_w),
+        header_block=_header_block(record),
         scenario_paragraph=paragraph,
         attribution_paragraphs=[narrations[key] for key in ATTRIBUTION_KEYS],
         rationale=_rationale(record, scenario),

@@ -1,8 +1,10 @@
 """Atomic replacement of output files.
 
-Model and episode files are written to a temporary file in the target's
-directory and renamed over the target only once complete, so a write that
-fails part-way leaves the previous file untouched and no partial file behind.
+Model, episode, excitation, config and calendar files are written to a
+temporary file in the target's directory and renamed over the target only
+once complete, so a write that fails part-way leaves the previous file
+untouched and no partial file behind.  Text is written untranslated
+(``newline=""``), so csv's ``\r\n`` row terminators survive on every platform.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ def atomic_write(path: str | Path):
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with tmp.open("w") as fh:
+        with tmp.open("w", newline="") as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:

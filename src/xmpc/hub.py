@@ -30,10 +30,11 @@ import numpy as np
 
 from .errors import EpisodeIntegrityError, InvalidInputError, SchemaError
 from .fileio import atomic_write
-from .mpc import MpcDecision, MpcProblem, optimize
+from .mpc import MpcDecision, MpcProblem, features, optimize
 from .shapley import Attribution, shapley
 from .surrogate import SCHEMAS, SurrogateModel, background_of, digest, predict
 from .testbed import (
+    INITIAL_ZONE_TEMP_C,
     Disturbance,
     TestbedConfig,
     ZoneState,
@@ -147,15 +148,8 @@ def run_episode(
     fy_model: SurrogateModel,
     dr_calendar: dict[int, float],
     seed: int = 0,
-    initial_zone_temp_c: float = 24.0,
-    background: np.ndarray | None = None,
 ) -> Episode:
-    """Run ``n_days * 24`` control intervals and return the full episode.
-
-    The attribution background defaults to the training-row sample embedded
-    in each model at fit time, so an episode needs nothing beyond the two
-    model files and the calendar.
-    """
+    """Run ``n_days * 24`` control intervals and return the full episode."""
     if n_days < 1:
         raise InvalidInputError(f"n_days must be >= 1, got {n_days}")
     for role, model in (("fx", fx_model), ("fy", fy_model)):
@@ -169,8 +163,8 @@ def run_episode(
     # record type; import at call time to keep module loading acyclic.
     from .explain import classify
 
-    fx_bg = background if background is not None else background_of(fx_model)
-    fy_bg = background if background is not None else background_of(fy_model)
+    fx_bg = background_of(fx_model)
+    fy_bg = background_of(fy_model)
 
     def fx_scalar(f):
         return predict(fx_model, f)
@@ -184,7 +178,7 @@ def run_episode(
     def disturbance_at(hour: int) -> Disturbance:
         return profiles[hour // 24][hour % 24]
 
-    state = ZoneState(0, initial_zone_temp_c)
+    state = ZoneState(0, INITIAL_ZONE_TEMP_C)
     records: list[TimestepRecord] = []
     for t in range(24 * n_days):
         d1 = disturbance_at(t)
@@ -202,12 +196,8 @@ def run_episode(
         decision = optimize(problem)
         opt_seconds = time.perf_counter() - started
 
-        features_h1 = np.array(
-            [decision.u1_c, state.zone_temp_c, d1.oa_temp_c, d1.oa_radiation_wm2, d1.occupancy]
-        )
-        features_h2 = np.array(
-            [decision.u2_c, decision.x1_c, d2.oa_temp_c, d2.oa_radiation_wm2, d2.occupancy]
-        )
+        features_h1 = features(decision.u1_c, state.zone_temp_c, d1)
+        features_h2 = features(decision.u2_c, decision.x1_c, d2)
         attributions = {
             "fx_t1": shapley(fx_model, features_h1, fx_bg),
             "fy_t1": shapley(fy_model, features_h1, fy_bg),
@@ -271,25 +261,30 @@ def load_episode(path: str | Path) -> Episode:
     """Read an episode file record by record, checking it as it goes."""
     path = Path(path)
     records = []
-    with path.open() as fh:
-        first = fh.readline()
-        if not first:
-            raise EpisodeIntegrityError(f"{path}: empty episode file")
-        try:
-            header = json.loads(first.rstrip("\n"))
-        except json.JSONDecodeError as exc:
-            raise EpisodeIntegrityError(f"{path}:1: bad header ({exc})") from None
-        if header.get("kind") != "episode":
-            raise EpisodeIntegrityError(
-                f"{path}: not an episode file (kind={header.get('kind')!r})"
-            )
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
+    try:
+        with path.open() as fh:
+            first = fh.readline()
+            if not first:
+                raise EpisodeIntegrityError(f"{path}: empty episode file")
             try:
-                records.append(TimestepRecord.from_json(json.loads(line.rstrip("\n"))))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise EpisodeIntegrityError(f"{path}:{lineno}: bad record ({exc})") from None
+                header = json.loads(first.rstrip("\n"))
+            except json.JSONDecodeError as exc:
+                raise EpisodeIntegrityError(f"{path}:1: bad header ({exc})") from None
+            if not isinstance(header, dict):
+                raise EpisodeIntegrityError(f"{path}:1: header is not a JSON object")
+            if header.get("kind") != "episode":
+                raise EpisodeIntegrityError(
+                    f"{path}: not an episode file (kind={header.get('kind')!r})"
+                )
+            for lineno, line in enumerate(fh, start=2):
+                if not line.strip():
+                    continue
+                try:
+                    records.append(TimestepRecord.from_json(json.loads(line.rstrip("\n"))))
+                except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+                    raise EpisodeIntegrityError(f"{path}:{lineno}: bad record ({exc})") from None
+    except UnicodeDecodeError as exc:
+        raise EpisodeIntegrityError(f"{path}: not a text file ({exc})") from None
     declared = header.get("n_records")
     if declared != len(records):
         raise EpisodeIntegrityError(

@@ -129,18 +129,24 @@ def answer_question(cfg: LlmConfig, context: str) -> ChatExchange:
 # ---------------------------------------------------------------------------
 
 
-def _complete_online(
-    cfg: LlmConfig, system_prompt: str, user_prompt: str, started: float
-) -> ChatExchange:
-    import requests
-
+def online_api_key(cfg: LlmConfig) -> str:
+    """The API key for the online gateway; ConfigError if it cannot run."""
     if not cfg.endpoint:
-        raise ConfigError("online mode requires a chat-completions endpoint URL")
+        raise ConfigError("online mode requires a chat-completions endpoint URL (--endpoint)")
     api_key = os.environ.get(cfg.api_key_env, "")
     if not api_key:
         raise ConfigError(
             f"online mode requires an API key in the {cfg.api_key_env} environment variable"
         )
+    return api_key
+
+
+def _complete_online(
+    cfg: LlmConfig, system_prompt: str, user_prompt: str, started: float
+) -> ChatExchange:
+    import requests
+
+    api_key = online_api_key(cfg)
     url = cfg.endpoint.rstrip("/") + "/chat/completions"
     body = build_request(cfg, system_prompt, user_prompt)
     headers = {"Authorization": f"Bearer {api_key}", "Content-Type": "application/json"}
@@ -253,9 +259,9 @@ def _stub_scenario_judgment(prompt: str) -> str:
     tail = tail or prompt
     p2 = _first_float(r"P_limit\(t\+2\) = ([\d.]+)W", tail)
     u1 = _first_float(r"T_spt\(t\+1\) = ([\d.]+)°C", tail)
-    threshold = _first_float(r"is below ([\d.]+)W", head or prompt) or 5000.0
-    ceiling = _first_float(r"T_spt\(t\+1\) < ([\d.]+)°C", head or prompt) or 26.0
-    if p2 is None or u1 is None:
+    threshold = _first_float(r"is below ([\d.]+)W", head or prompt)
+    ceiling = _first_float(r"T_spt\(t\+1\) < ([\d.]+)°C", head or prompt)
+    if None in (p2, u1, threshold, ceiling):
         return "Stub judgment: the scenario inputs could not be parsed from the request."
     if p2 < threshold and u1 < ceiling:
         n, why = 1, "the upcoming power limit is tightened and the building is pre-cooled"

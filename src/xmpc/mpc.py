@@ -107,34 +107,17 @@ class MpcDecision:
     candidates: list[tuple[float, float, float]] = field(default_factory=list)
 
     def to_json(self) -> dict:
-        return {
-            "u1_c": self.u1_c,
-            "u2_c": self.u2_c,
-            "x1_c": self.x1_c,
-            "x2_c": self.x2_c,
-            "y1_w": self.y1_w,
-            "y2_w": self.y2_w,
-            "v1": self.v1,
-            "v2": self.v2,
-            "cost": self.cost,
-            "candidates": [
-                {"u1": u1, "u2": u2, "cost": cost if math.isfinite(cost) else None}
-                for u1, u2, cost in self.candidates
-            ],
-        }
+        data = {name: getattr(self, name) for name in _SCALAR_DECISION_FIELDS}
+        data["candidates"] = [
+            {"u1": u1, "u2": u2, "cost": cost if math.isfinite(cost) else None}
+            for u1, u2, cost in self.candidates
+        ]
+        return data
 
     @classmethod
     def from_json(cls, data: dict) -> "MpcDecision":
         return cls(
-            u1_c=data["u1_c"],
-            u2_c=data["u2_c"],
-            x1_c=data["x1_c"],
-            x2_c=data["x2_c"],
-            y1_w=data["y1_w"],
-            y2_w=data["y2_w"],
-            v1=data["v1"],
-            v2=data["v2"],
-            cost=data["cost"],
+            **{name: data[name] for name in _SCALAR_DECISION_FIELDS},
             candidates=[
                 (c["u1"], c["u2"], math.inf if c["cost"] is None else c["cost"])
                 for c in data["candidates"]
@@ -146,6 +129,10 @@ class MpcDecision:
             if cu1 == u1 and cu2 == u2:
                 return cost
         raise KeyError(f"pair ({u1}, {u2}) not in candidate table")
+
+
+# Serialized in field order; only the candidate table needs its own encoding.
+_SCALAR_DECISION_FIELDS = tuple(f.name for f in fields(MpcDecision) if f.name != "candidates")
 
 
 def penalty(power_w: float, p_limit_w: float) -> float:
@@ -167,7 +154,8 @@ def setpoint_grid(problem: MpcProblem) -> list[float]:
     return grid
 
 
-def _features(setpoint: float, zone_temp: float, d: Disturbance) -> np.ndarray:
+def features(setpoint: float, zone_temp: float, d: Disturbance) -> np.ndarray:
+    """The five-feature vector both surrogates read for one hour."""
     return np.array([setpoint, zone_temp, d.oa_temp_c, d.oa_radiation_wm2, d.occupancy])
 
 
@@ -181,7 +169,7 @@ def _clamp_power(value: float) -> float:
 
 def _first_hour(problem: MpcProblem, u1: float) -> tuple[float, float]:
     """Predicted zone temperature and clamped cooling rate after hour one."""
-    f1 = _features(u1, problem.zone_temp_c, problem.d1)
+    f1 = features(u1, problem.zone_temp_c, problem.d1)
     return float(problem.fx(f1)), _clamp_power(float(problem.fy(f1)))
 
 
@@ -189,7 +177,7 @@ def _second_hour(problem: MpcProblem, x1: float, y1: float, u2: float) -> Rollou
     """Finish the rollout from hour one's predictions with setpoint ``u2``."""
     if not (math.isfinite(x1) and math.isfinite(y1)):
         return RolloutResult(x1, y1, math.nan, math.nan, math.nan, math.nan, math.nan)
-    f2 = _features(u2, x1, problem.d2)
+    f2 = features(u2, x1, problem.d2)
     x2 = float(problem.fx(f2))
     y2 = _clamp_power(float(problem.fy(f2)))
     v1 = penalty(y1, problem.p_limit_t1_w)

@@ -486,8 +486,10 @@ def load(path: str | Path) -> SurrogateModel:
     path = Path(path)
     try:
         data = json.loads(path.read_text())
-    except (json.JSONDecodeError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         raise DeserializationError(f"{path}: cannot parse model file ({exc})") from None
+    if not isinstance(data, dict):
+        raise DeserializationError(f"{path}: expected a JSON object, got {type(data).__name__}")
     for key in ("schema", "activation", "layers", "norm", "meta"):
         if key not in data:
             raise DeserializationError(f"{path}: missing required field {key!r}")

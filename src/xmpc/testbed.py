@@ -41,6 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DeserializationError, InvalidInputError, SimulationDivergedError
+from .fileio import atomic_write
 
 DT_SECONDS = 3600.0
 
@@ -58,6 +59,9 @@ EVENT_LIMIT_MIN_W = 750.0
 EVENT_LIMIT_MAX_W = 1750.0
 EVENT_HOUR_MIN = 11
 EVENT_HOUR_MAX = 18
+
+# Zone air temperature at hour 0 of every simulation.
+INITIAL_ZONE_TEMP_C = 24.0
 
 CSV_COLUMNS = (
     "time_hour",
@@ -325,8 +329,7 @@ class ExcitationData:
 
     def to_csv(self, path: str | Path) -> None:
         """Write the dataset with floats at 6 decimal places for stable hashing."""
-        path = Path(path)
-        with path.open("w", newline="") as fh:
+        with atomic_write(path) as fh:
             writer = csv.writer(fh)
             writer.writerow(CSV_COLUMNS)
             for row in self.rows:
@@ -335,37 +338,35 @@ class ExcitationData:
     @classmethod
     def from_csv(cls, path: str | Path) -> "ExcitationData":
         path = Path(path)
-        with path.open(newline="") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise DeserializationError(f"{path} is empty") from None
-            if tuple(header) != CSV_COLUMNS:
-                raise DeserializationError(
-                    f"{path} has unexpected header {header}; expected {list(CSV_COLUMNS)}"
-                )
-            rows = []
-            for lineno, row in enumerate(reader, start=2):
-                if len(row) != len(CSV_COLUMNS):
-                    raise DeserializationError(
-                        f"{path}:{lineno}: expected {len(CSV_COLUMNS)} fields, got {len(row)}"
-                    )
+        try:
+            with path.open(newline="") as fh:
+                reader = csv.reader(fh)
                 try:
-                    rows.append([float(v) for v in row])
-                except ValueError as exc:
-                    raise DeserializationError(f"{path}:{lineno}: {exc}") from None
+                    header = next(reader)
+                except StopIteration:
+                    raise DeserializationError(f"{path} is empty") from None
+                if tuple(header) != CSV_COLUMNS:
+                    raise DeserializationError(
+                        f"{path} has unexpected header {header}; expected {list(CSV_COLUMNS)}"
+                    )
+                rows = []
+                for lineno, row in enumerate(reader, start=2):
+                    if len(row) != len(CSV_COLUMNS):
+                        raise DeserializationError(
+                            f"{path}:{lineno}: expected {len(CSV_COLUMNS)} fields, got {len(row)}"
+                        )
+                    try:
+                        rows.append([float(v) for v in row])
+                    except ValueError as exc:
+                        raise DeserializationError(f"{path}:{lineno}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise DeserializationError(f"{path}: not a text file ({exc})") from None
         if not rows:
             raise DeserializationError(f"{path} contains a header but no data rows")
         return cls(np.array(rows))
 
 
-def run_excitation(
-    n_days: int,
-    cfg: TestbedConfig,
-    seed: int,
-    initial_zone_temp_c: float = 24.0,
-) -> ExcitationData:
+def run_excitation(n_days: int, cfg: TestbedConfig, seed: int) -> ExcitationData:
     """Simulate ``n_days`` under an hourly random setpoint schedule.
 
     Setpoints are drawn uniformly from the integer grid {22..26} degC, which
@@ -375,7 +376,7 @@ def run_excitation(
     if n_days < 1:
         raise InvalidInputError(f"n_days must be >= 1, got {n_days}")
     rng = np.random.default_rng(seed)
-    state = ZoneState(0, initial_zone_temp_c)
+    state = ZoneState(0, INITIAL_ZONE_TEMP_C)
     records = []
     for day in range(n_days):
         profile = synth_disturbances(day, cfg)
@@ -405,7 +406,8 @@ def run_excitation(
 
 
 def save_config(cfg: TestbedConfig, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(asdict(cfg), indent=2) + "\n")
+    with atomic_write(path) as fh:
+        fh.write(json.dumps(asdict(cfg), indent=2) + "\n")
 
 
 def load_config(path: str | Path, rng_seed: int = 0) -> TestbedConfig:
@@ -434,7 +436,8 @@ def load_config(path: str | Path, rng_seed: int = 0) -> TestbedConfig:
 
 def save_calendar(calendar: dict[int, float], path: str | Path) -> None:
     payload = {"version": 1, "limits": {str(h): calendar[h] for h in sorted(calendar)}}
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+    with atomic_write(path) as fh:
+        fh.write(json.dumps(payload, indent=2) + "\n")
 
 
 def load_calendar(path: str | Path) -> dict[int, float]:

@@ -232,6 +232,14 @@ class TestAsk:
         assert rc == 2
         assert "temperature" in capsys.readouterr().err
 
+    def test_online_without_endpoint_fails_before_reading_episode(self, tmp_path, capsys):
+        rc = main(["ask", "--episode", str(tmp_path / "absent.jsonl"), "--t", "0",
+                   "--question", "Why precool?", "--mode", "online"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "--endpoint" in err
+        assert "absent.jsonl" not in err
+
     def test_repl_loop_reads_until_quit(self, cli_workspace, capsys, monkeypatch, no_network):
         lines = iter(["", "what limit applies?", "quit"])
         monkeypatch.setattr("builtins.input", lambda prompt="": next(lines))
@@ -253,6 +261,41 @@ def test_timestep_of_empty_episode_is_usage_error(tmp_path, capsys, monkeypatch,
     rc = main([argv[0], "--episode", "empty.jsonl", *argv[1:]])
     assert rc == 2
     assert "episode has no records" in capsys.readouterr().err
+
+
+# Placeholders: a directory, a file that is not text, a file in the way of an
+# output directory, an episode whose header is a JSON array, a model file that
+# is a JSON number, and the shared workspace.
+@pytest.mark.parametrize("argv", [
+    ["excite", "--days", "1", "--config", "{dir}", "--out", "x.csv"],
+    ["train", "--data", "{dir}", "--target", "fx", "--out", "m.json"],
+    ["explain", "--episode", "{dir}", "--out", "docs"],
+    ["ask", "--episode", "{dir}", "--t", "0", "--question", "Why?"],
+    ["train", "--data", "{binary}", "--target", "fx", "--out", "m.json"],
+    ["run", "--days", "1", "--fx", "{binary}", "--fy", "{ws}/fy.json", "--out", "e.jsonl"],
+    ["run", "--days", "1", "--fx", "{ws}/fx.json", "--fy", "{binary}", "--out", "e.jsonl"],
+    ["run", "--days", "1", "--fx", "{number}", "--fy", "{ws}/fy.json", "--out", "e.jsonl"],
+    ["explain", "--episode", "{binary}", "--out", "docs"],
+    ["explain", "--episode", "{ws}/episode.jsonl", "--t", "0", "--out", "{file}"],
+    ["explain", "--episode", "{array}", "--out", "docs"],
+], ids=[
+    "excite-config-dir", "train-data-dir", "explain-episode-dir", "ask-episode-dir",
+    "train-data-binary", "run-fx-binary", "run-fy-binary", "run-fx-number",
+    "explain-episode-binary", "explain-out-file", "explain-episode-array-header",
+])
+def test_bad_path_or_file_is_usage_error(cli_workspace, tmp_path, capsys, monkeypatch, argv):
+    # An exception escaping main() would reach the user as a traceback.
+    monkeypatch.chdir(tmp_path)
+    Path("adir").mkdir()
+    Path("binary").write_bytes(b"\xff\xfe\x80 not text\n")
+    Path("file").write_text("in the way\n")
+    Path("array.jsonl").write_text("[1]\n")
+    Path("number.json").write_text("5\n")
+    names = {"dir": "adir", "binary": "binary", "file": "file", "array": "array.jsonl",
+             "number": "number.json", "ws": str(cli_workspace)}
+    rc = main([arg.format(**names) for arg in argv])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 class TestParser:

@@ -23,8 +23,6 @@ from xmpc.explain import (
     figure_name,
     fmt_mean,
     fmt_phi,
-    fmt_power,
-    fmt_temp,
     fmt_value,
     load_templates,
     narrate_attribution,
@@ -85,14 +83,14 @@ def expected_numerals(record: TimestepRecord, threshold_w: float = 5000.0) -> se
     signed = {
         str(record.t), str(day), f"{hod:02d}", str(hod), "00",
         "1", "2", "3", "4",  # scenario labels and figure indices
-        fmt_power(record.p_limit_t1_w), fmt_power(record.p_limit_t2_w),
-        fmt_power(threshold_w),
-        fmt_temp(record.zone_temp_c), fmt_temp(record.oa_temp_c),
+        fmt_value(record.p_limit_t1_w), fmt_value(record.p_limit_t2_w),
+        fmt_value(threshold_w),
+        fmt_value(record.zone_temp_c), fmt_value(record.oa_temp_c),
         fmt_value(record.oa_radiation_wm2), fmt_value(record.occupancy),
-        fmt_temp(d.u1_c), fmt_temp(d.u2_c), fmt_temp(d.x1_c), fmt_temp(d.x2_c),
-        fmt_power(d.y1_w), fmt_power(d.y2_w),
-        fmt_power(record.cooling_rate_w),
-        fmt_temp(COMFORT_CEILING_C),
+        fmt_value(d.u1_c), fmt_value(d.u2_c), fmt_value(d.x1_c), fmt_value(d.x2_c),
+        fmt_value(d.y1_w), fmt_value(d.y2_w),
+        fmt_value(record.cooling_rate_w),
+        fmt_value(COMFORT_CEILING_C),
         f"{d.cost:.1f}",
     }
     try:
@@ -257,7 +255,7 @@ class TestTemplates:
         record = mini_episode.records[0]
         doc = render_document(record, templates)
         assert doc.scenario_paragraph == (
-            f"Scenario {doc.scenario}: limit {fmt_power(record.p_limit_t2_w)}W."
+            f"Scenario {doc.scenario}: limit {fmt_value(record.p_limit_t2_w)}W."
         )
 
 
@@ -269,8 +267,8 @@ class TestRenderDocument:
         text = doc.markdown()
         d = record.decision
         assert text.startswith(f"# Timestep {record.t}: Scenario 1 (Precool)")
-        assert f"pre-cooled to T_spt(t+1) = {fmt_temp(d.u1_c)}°C" in text
-        assert f"which is lower than the comfort ceiling of {fmt_temp(COMFORT_CEILING_C)}°C" in text
+        assert f"pre-cooled to T_spt(t+1) = {fmt_value(d.u1_c)}°C" in text
+        assert f"which is lower than the comfort ceiling of {fmt_value(COMFORT_CEILING_C)}°C" in text
         assert "[placeholder]" not in text
         for k in range(1, 5):
             assert figure_name(record.t, k) in text
@@ -292,7 +290,7 @@ class TestRenderDocument:
         text = doc.markdown()
         assert "Scenario 3 criteria" in text
         assert "pre-cooling is not engaged" in text
-        assert f"T_spt(t+1) = {fmt_temp(26.0)}°C" in text
+        assert f"T_spt(t+1) = {fmt_value(26.0)}°C" in text
         assert "[placeholder]" not in text
 
     def test_header_block_content(self, episode):
@@ -300,9 +298,9 @@ class TestRenderDocument:
         doc = render_document(record)
         day, hod = divmod(record.t, 24)
         assert f"In timestep {record.t} (day {day}, {hod:02d}:00)" in doc.header_block
-        assert f"P_limit(t+2) = {fmt_power(record.p_limit_t2_w)}W" in doc.header_block
-        assert f"T_z(t) = {fmt_temp(record.zone_temp_c)}°C" in doc.header_block
-        assert f"Realized cooling this hour: {fmt_power(record.cooling_rate_w)}W" in doc.header_block
+        assert f"P_limit(t+2) = {fmt_value(record.p_limit_t2_w)}W" in doc.header_block
+        assert f"T_z(t) = {fmt_value(record.zone_temp_c)}°C" in doc.header_block
+        assert f"Realized cooling this hour: {fmt_value(record.cooling_rate_w)}W" in doc.header_block
 
     def test_unknown_mode(self, mini_episode):
         with pytest.raises(ConfigError, match="mode"):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 
@@ -380,6 +381,14 @@ class TestDecisionSerialization:
         assert back.u2_c == decision.u2_c
         assert back.cost == decision.cost
         assert back.candidates == decision.candidates
+
+    def test_keys_are_the_fields_in_order(self):
+        # Canonical episodes depend on this key order staying fixed.
+        fy = lambda f: 100.0 * (26.0 - f[0])
+        decision = optimize(make_problem(lambda f: f[1], fy, limit2=150.0))
+        data = decision.to_json()
+        assert list(data) == [f.name for f in dataclasses.fields(MpcDecision)]
+        assert MpcDecision.from_json(data) == decision
 
     def test_non_finite_candidates_serialize_as_null(self):
         fy = lambda f: math.nan if f[0] < 26.0 else 10.0

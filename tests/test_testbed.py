@@ -296,6 +296,29 @@ class TestExcitation:
             run_excitation(0, testbed_cfg, seed=0)
 
 
+class TestAtomicOutputs:
+    def test_csv_rows_end_in_crlf(self, tmp_path):
+        data = run_excitation(1, CFG, seed=1)
+        path = tmp_path / "data.csv"
+        data.to_csv(path)
+        raw = path.read_bytes()
+        assert raw.count(b"\r\n") == raw.count(b"\n") == len(data) + 1
+
+    @pytest.mark.parametrize("write", [
+        # The second row's hour is NaN, so the write fails after the first row.
+        lambda path: ExcitationData(np.array([[0.0] * 8, [math.nan] * 8])).to_csv(path),
+        lambda path: save_config(TestbedConfig(rng_seed=object()), path),
+        lambda path: save_calendar({0: object()}, path),
+    ], ids=["csv", "config", "calendar"])
+    def test_failed_write_keeps_previous_file(self, tmp_path, write):
+        path = tmp_path / "out"
+        path.write_text("previous\n")
+        with pytest.raises((TypeError, ValueError)):
+            write(path)
+        assert path.read_text() == "previous\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+
 class TestConfigPersistence:
     def test_roundtrip(self, tmp_path):
         cfg = TestbedConfig(rng_seed=5, occupants=7)
