@@ -5,98 +5,5 @@ surrogates of its hourly response, a two-hour setpoint optimizer, an exact
 Shapley attribution engine, and a template-driven explainer with an optional
 chat-model narration gateway.  See the module docstrings for the contracts
 of each piece and the ``xmpc`` command-line tool for the end-to-end flow.
+Import names from those submodules; the package itself re-exports nothing.
 """
-
-from .testbed import (
-    Disturbance,
-    DrEvent,
-    ExcitationData,
-    HvacOutput,
-    TestbedConfig,
-    ZoneState,
-    generate_dr_calendar,
-    run_excitation,
-    step,
-    synth_disturbances,
-)
-from .surrogate import (
-    FX_SCHEMA,
-    FY_SCHEMA,
-    FeatureSchema,
-    SurrogateModel,
-    TrainConfig,
-    predict,
-    predict_batch,
-    train,
-)
-from .shapley import (
-    Attribution,
-    coalition_weight,
-    shapley,
-    shapley_sampled,
-    value_of,
-    verify_additivity,
-)
-from .mpc import MpcDecision, MpcProblem, optimize, penalty, rollout
-from .hub import Episode, TimestepRecord, load_episode, run_episode, save_episode, timing_report
-from .explain import (
-    ExplanationDoc,
-    build_qa_context,
-    classify,
-    narrate_attribution,
-    render_document,
-    scenario_census,
-    write_documents,
-)
-from .llm import ChatExchange, LlmConfig, answer_question, complete
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "Attribution",
-    "ChatExchange",
-    "Disturbance",
-    "DrEvent",
-    "Episode",
-    "ExcitationData",
-    "ExplanationDoc",
-    "FX_SCHEMA",
-    "FY_SCHEMA",
-    "FeatureSchema",
-    "HvacOutput",
-    "LlmConfig",
-    "MpcDecision",
-    "MpcProblem",
-    "SurrogateModel",
-    "TestbedConfig",
-    "TimestepRecord",
-    "TrainConfig",
-    "ZoneState",
-    "answer_question",
-    "build_qa_context",
-    "classify",
-    "coalition_weight",
-    "complete",
-    "generate_dr_calendar",
-    "load_episode",
-    "narrate_attribution",
-    "optimize",
-    "penalty",
-    "predict",
-    "predict_batch",
-    "render_document",
-    "rollout",
-    "run_episode",
-    "run_excitation",
-    "save_episode",
-    "scenario_census",
-    "shapley",
-    "shapley_sampled",
-    "step",
-    "synth_disturbances",
-    "timing_report",
-    "train",
-    "value_of",
-    "verify_additivity",
-    "write_documents",
-]

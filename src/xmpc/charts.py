@@ -18,6 +18,25 @@ _POS_FILL = "#d62728"
 _NEG_FILL = "#1f77b4"
 _FONT = 'font-family="Helvetica,Arial,sans-serif" font-size="13"'
 
+# The faithfulness contract is that every numeral in a document or chart can
+# be traced back to a record or attribution value, so all rendering funnels
+# through these helpers (``fmt_value`` for every one-decimal temperature,
+# power and feature value) and the tests reuse them to build the expected
+# value set.  SVG coordinates are layout, not numerals, and keep their own
+# fixed precision.
+
+
+def fmt_value(v: float) -> str:
+    return f"{v:.1f}"
+
+
+def fmt_mean(v: float) -> str:
+    return f"{v:.2f}"
+
+
+def fmt_phi(v: float) -> str:
+    return f"{v:+.2f}"
+
 
 def ranking_order(attribution: Attribution) -> list[int]:
     """Feature indices sorted by |phi| descending, ties by schema order."""
@@ -57,19 +76,20 @@ def attribution_chart_svg(attribution: Attribution, title: str) -> str:
         name = attribution.feature_names[i]
         parts.append(
             f'<text x="{_AXIS_X - _BAR_SPAN - 12:.1f}" y="{y_mid}" text-anchor="end" {_FONT}>'
-            f"{_esc(name)} = {value:.1f}</text>"
+            f"{_esc(name)} = {fmt_value(value)}</text>"
         )
         parts.append(
             f'<rect x="{x:.2f}" y="{y_top}" width="{width:.2f}" height="{_BAR_H}" fill="{fill}"/>'
         )
         parts.append(
-            f'<text x="{label_x:.2f}" y="{y_mid}" text-anchor="{anchor}" {_FONT}>{phi:+.2f}</text>'
+            f'<text x="{label_x:.2f}" y="{y_mid}" text-anchor="{anchor}" {_FONT}>'
+            f"{fmt_phi(phi)}</text>"
         )
     footer_y = 48 + n * _ROW_H + 24
     parts.append(
         f'<text x="{_WIDTH // 2}" y="{footer_y}" text-anchor="middle" {_FONT}>'
-        f"expected value = {attribution.base_value:.2f}, "
-        f"prediction = {attribution.prediction:.2f}</text>"
+        f"expected value = {fmt_mean(attribution.base_value)}, "
+        f"prediction = {fmt_mean(attribution.prediction)}</text>"
     )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

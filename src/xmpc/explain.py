@@ -28,7 +28,7 @@ import string
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .charts import attribution_chart_svg, ranking_order
+from .charts import attribution_chart_svg, fmt_mean, fmt_phi, fmt_value, ranking_order
 from .errors import ConfigError, InvalidInputError, RenderError
 from .hub import ATTRIBUTION_KEYS, Episode, TimestepRecord
 from .shapley import Attribution
@@ -101,27 +101,6 @@ def scenario_census(episode: Episode) -> dict[int, int]:
         label = record.scenario
         counts[classify(record) if label is None else label] += 1
     return counts
-
-
-# ---------------------------------------------------------------------------
-# Number formatting
-# ---------------------------------------------------------------------------
-# The faithfulness contract is that every numeral in a document can be traced
-# back to a record or attribution value, so all rendering funnels through
-# these helpers (``fmt_value`` for every one-decimal temperature, power and
-# feature value) and the tests reuse them to build the expected value set.
-
-
-def fmt_value(v: float) -> str:
-    return f"{v:.1f}"
-
-
-def fmt_mean(v: float) -> str:
-    return f"{v:.2f}"
-
-
-def fmt_phi(v: float) -> str:
-    return f"{v:+.2f}"
 
 
 # ---------------------------------------------------------------------------

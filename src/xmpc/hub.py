@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -68,36 +68,20 @@ class TimestepRecord:
     opt_seconds: float | None = None
 
     def to_json(self, include_timing: bool = True) -> dict:
-        data = {
-            "t": self.t,
-            "zone_temp_c": self.zone_temp_c,
-            "oa_temp_c": self.oa_temp_c,
-            "oa_radiation_wm2": self.oa_radiation_wm2,
-            "occupancy": self.occupancy,
-            "setpoint_c": self.setpoint_c,
-            "cooling_rate_w": self.cooling_rate_w,
-            "p_limit_t1_w": self.p_limit_t1_w,
-            "p_limit_t2_w": self.p_limit_t2_w,
-            "scenario": self.scenario,
-            "decision": self.decision.to_json(),
-            "attributions": {k: self.attributions[k].to_json() for k in ATTRIBUTION_KEYS},
-        }
+        data = {name: getattr(self, name) for name in _SCALAR_RECORD_FIELDS}
+        data["scenario"] = self.scenario
+        data["decision"] = self.decision.to_json()
+        data["attributions"] = {k: self.attributions[k].to_json() for k in ATTRIBUTION_KEYS}
         if include_timing and self.opt_seconds is not None:
             data["opt_seconds"] = self.opt_seconds
         return data
 
     @classmethod
     def from_json(cls, data: dict) -> "TimestepRecord":
+        scalars = {name: data[name] for name in _SCALAR_RECORD_FIELDS}
+        scalars["t"] = int(scalars["t"])
         return cls(
-            t=int(data["t"]),
-            zone_temp_c=data["zone_temp_c"],
-            oa_temp_c=data["oa_temp_c"],
-            oa_radiation_wm2=data["oa_radiation_wm2"],
-            occupancy=data["occupancy"],
-            setpoint_c=data["setpoint_c"],
-            cooling_rate_w=data["cooling_rate_w"],
-            p_limit_t1_w=data["p_limit_t1_w"],
-            p_limit_t2_w=data["p_limit_t2_w"],
+            **scalars,
             decision=MpcDecision.from_json(data["decision"]),
             attributions={
                 k: Attribution.from_json(v) for k, v in data["attributions"].items()
@@ -109,6 +93,14 @@ class TimestepRecord:
     @property
     def disturbance(self) -> Disturbance:
         return Disturbance(self.oa_temp_c, self.oa_radiation_wm2, self.occupancy)
+
+
+# Serialized in field order ahead of the four fields with their own encoding.
+_SCALAR_RECORD_FIELDS = tuple(
+    f.name
+    for f in fields(TimestepRecord)
+    if f.name not in ("decision", "attributions", "scenario", "opt_seconds")
+)
 
 
 @dataclass

@@ -164,6 +164,15 @@ def _complete_online(
         except requests.ConnectionError as exc:
             last_error = exc
             continue
+        except (
+            requests.exceptions.MissingSchema,
+            requests.exceptions.InvalidSchema,
+            requests.exceptions.InvalidURL,
+        ) as exc:
+            raise ConfigError(f"--endpoint {cfg.endpoint!r} is not a usable URL ({exc})") from None
+        except requests.RequestException as exc:
+            # A redirect loop or an undecodable body: retrying will not help.
+            raise GatewayError(f"request failed ({exc})") from None
         if resp.status_code == 429 or resp.status_code >= 500:
             last_error = GatewayError(f"service returned status {resp.status_code}")
             continue

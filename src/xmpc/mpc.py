@@ -79,21 +79,12 @@ class MpcProblem:
 
 
 @dataclass
-class RolloutResult:
-    """Predicted trajectory and cost terms for one setpoint pair."""
-
-    x1_c: float
-    y1_w: float
-    v1: float
-    x2_c: float
-    y2_w: float
-    v2: float
-    cost: float
-
-
-@dataclass
 class MpcDecision:
-    """The chosen pair plus its predictions and the full candidate table."""
+    """One costed setpoint pair: its predictions, penalties and total cost.
+
+    ``rollout`` returns a pair with an empty ``candidates`` table; ``optimize``
+    returns the cheapest pair with the table of every pair it costed.
+    """
 
     u1_c: float
     u2_c: float
@@ -173,23 +164,25 @@ def _first_hour(problem: MpcProblem, u1: float) -> tuple[float, float]:
     return float(problem.fx(f1)), _clamp_power(float(problem.fy(f1)))
 
 
-def _second_hour(problem: MpcProblem, x1: float, y1: float, u2: float) -> RolloutResult:
-    """Finish the rollout from hour one's predictions with setpoint ``u2``."""
-    if not (math.isfinite(x1) and math.isfinite(y1)):
-        return RolloutResult(x1, y1, math.nan, math.nan, math.nan, math.nan, math.nan)
-    f2 = features(u2, x1, problem.d2)
-    x2 = float(problem.fx(f2))
-    y2 = _clamp_power(float(problem.fy(f2)))
-    v1 = penalty(y1, problem.p_limit_t1_w)
-    if not (math.isfinite(x2) and math.isfinite(y2)):
-        return RolloutResult(x1, y1, v1, x2, y2, math.nan, math.nan)
-    v2 = penalty(y2, problem.p_limit_t2_w)
-    return RolloutResult(x1, y1, v1, x2, y2, v2, cost=y1 + v1 + y2 + v2)
+def _second_hour(problem: MpcProblem, u1: float, x1: float, y1: float, u2: float) -> MpcDecision:
+    """Finish the rollout of (u1, u2) from hour one's predictions."""
+    x2 = y2 = v1 = v2 = cost = math.nan
+    if math.isfinite(x1) and math.isfinite(y1):
+        f2 = features(u2, x1, problem.d2)
+        x2 = float(problem.fx(f2))
+        y2 = _clamp_power(float(problem.fy(f2)))
+        v1 = penalty(y1, problem.p_limit_t1_w)
+        if math.isfinite(x2) and math.isfinite(y2):
+            v2 = penalty(y2, problem.p_limit_t2_w)
+            cost = y1 + v1 + y2 + v2
+    return MpcDecision(
+        u1_c=u1, u2_c=u2, x1_c=x1, x2_c=x2, y1_w=y1, y2_w=y2, v1=v1, v2=v2, cost=cost
+    )
 
 
-def rollout(problem: MpcProblem, u1: float, u2: float) -> RolloutResult:
+def rollout(problem: MpcProblem, u1: float, u2: float) -> MpcDecision:
     """Chain the surrogates over the two horizon hours for one setpoint pair."""
-    return _second_hour(problem, *_first_hour(problem, u1), u2)
+    return _second_hour(problem, u1, *_first_hour(problem, u1), u2)
 
 
 def optimize(problem: MpcProblem) -> MpcDecision:
@@ -201,32 +194,19 @@ def optimize(problem: MpcProblem) -> MpcDecision:
     The returned candidate table lists all pairs in that evaluation order.
     """
     grid = setpoint_grid(problem)
-    best: tuple[float, float, RolloutResult] | None = None
+    best: MpcDecision | None = None
     candidates: list[tuple[float, float, float]] = []
     for u1 in reversed(grid):
         # Hour one depends on u1 alone: predict it once for all of u1's pairs.
         x1, y1 = _first_hour(problem, u1)
         for u2 in reversed(grid):
-            result = _second_hour(problem, x1, y1, u2)
-            candidates.append((u1, u2, result.cost))
-            if not math.isfinite(result.cost):
-                continue
-            if best is None or result.cost < best[2].cost:
-                best = (u1, u2, result)
+            pair = _second_hour(problem, u1, x1, y1, u2)
+            candidates.append((u1, u2, pair.cost))
+            if math.isfinite(pair.cost) and (best is None or pair.cost < best.cost):
+                best = pair
     if best is None:
         raise OptimizationFailedError(
             f"all {len(candidates)} setpoint candidates evaluated to non-finite cost"
         )
-    u1, u2, r = best
-    return MpcDecision(
-        u1_c=u1,
-        u2_c=u2,
-        x1_c=r.x1_c,
-        x2_c=r.x2_c,
-        y1_w=r.y1_w,
-        y2_w=r.y2_w,
-        v1=r.v1,
-        v2=r.v2,
-        cost=r.cost,
-        candidates=candidates,
-    )
+    best.candidates = candidates
+    return best

@@ -493,6 +493,10 @@ def load(path: str | Path) -> SurrogateModel:
     for key in ("schema", "activation", "layers", "norm", "meta"):
         if key not in data:
             raise DeserializationError(f"{path}: missing required field {key!r}")
+    if data["activation"] != "relu":
+        raise DeserializationError(
+            f"{path}: unsupported activation {data['activation']!r} (only 'relu' is implemented)"
+        )
     try:
         schema = _schema_from_json(data["schema"])
         layers = [

@@ -151,16 +151,6 @@ class HvacOutput:
     cooling_rate_w: float
 
 
-@dataclass
-class DrEvent:
-    """One demand-response event: a 1 h power limit on a given day."""
-
-    day: int
-    start_hour: int
-    power_limit_w: float
-    duration_hours: int = 1
-
-
 # ---------------------------------------------------------------------------
 # Core dynamics
 # ---------------------------------------------------------------------------
@@ -277,16 +267,6 @@ def generate_dr_calendar(
         limit = float(rng.uniform(EVENT_LIMIT_MIN_W, EVENT_LIMIT_MAX_W))
         calendar[day * 24 + start] = limit
     return calendar
-
-
-def events_in_calendar(calendar: dict[int, float]) -> list[DrEvent]:
-    """Recover the event list from a calendar (entries below the normal limit)."""
-    events = []
-    for hour in sorted(calendar):
-        limit = calendar[hour]
-        if limit < NORMAL_POWER_LIMIT_W:
-            events.append(DrEvent(day=hour // 24, start_hour=hour % 24, power_limit_w=limit))
-    return events
 
 
 def power_limit_at(calendar: dict[int, float], hour: int) -> float:
@@ -441,10 +421,27 @@ def save_calendar(calendar: dict[int, float], path: str | Path) -> None:
 
 
 def load_calendar(path: str | Path) -> dict[int, float]:
+    """Read a calendar written by ``save_calendar``: hour index -> power limit in W."""
     try:
-        data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+        # parse_int=float: every JSON number arrives as a float (an oversized
+        # integer as inf), so one isinstance check covers all limits.
+        data = json.loads(Path(path).read_text(encoding="utf-8"), parse_int=float)
+    except ValueError as exc:  # also a file that is not UTF-8
         raise DeserializationError(f"{path}: invalid JSON ({exc})") from None
+    if not isinstance(data, dict):
+        raise DeserializationError(f"{path}: expected a JSON object, got {type(data).__name__}")
     if "limits" not in data:
         raise DeserializationError(f"{path}: missing 'limits' field")
-    return {int(h): float(v) for h, v in data["limits"].items()}
+    limits = data["limits"]
+    if not isinstance(limits, dict):
+        raise DeserializationError(
+            f"{path}: 'limits' must be a JSON object, got {type(limits).__name__}"
+        )
+    for hour, limit in limits.items():
+        if not (hour.isascii() and hour.isdigit()):
+            raise DeserializationError(f"{path}: hour {hour!r} is not a non-negative integer")
+        if not (isinstance(limit, float) and math.isfinite(limit) and limit > 0.0):
+            raise DeserializationError(
+                f"{path}: limit for hour {hour} must be a finite number > 0, got {limit!r}"
+            )
+    return {int(hour): limit for hour, limit in limits.items()}

@@ -6,6 +6,7 @@ import json
 from pathlib import Path
 
 import pytest
+import requests
 
 from xmpc import testbed
 from xmpc.cli import main
@@ -239,6 +240,30 @@ class TestAsk:
         err = capsys.readouterr().err
         assert "--endpoint" in err
         assert "absent.jsonl" not in err
+
+    def test_gateway_request_failure_is_runtime_error(
+        self, cli_workspace, capsys, monkeypatch, no_network
+    ):
+        def fake_post(url, **kwargs):
+            raise requests.TooManyRedirects("Exceeded 30 redirects.")
+
+        monkeypatch.setattr(requests, "post", fake_post)
+        monkeypatch.setenv("LLM_API_KEY", "sk-test")
+        rc = main(["ask", "--episode", str(cli_workspace / "episode.jsonl"), "--t", "0",
+                   "--question", "Why precool?", "--mode", "online",
+                   "--endpoint", "https://gateway.example"])
+        assert rc == 3
+        assert "runtime error:" in capsys.readouterr().err
+
+    def test_endpoint_without_scheme_is_usage_error(
+        self, cli_workspace, capsys, monkeypatch, no_network
+    ):
+        # requests rejects the URL before it opens any connection.
+        monkeypatch.setenv("LLM_API_KEY", "sk-test")
+        rc = main(["ask", "--episode", str(cli_workspace / "episode.jsonl"), "--t", "0",
+                   "--question", "Why precool?", "--mode", "online", "--endpoint", "example.com"])
+        assert rc == 2
+        assert "--endpoint 'example.com' is not a usable URL" in capsys.readouterr().err
 
     def test_repl_loop_reads_until_quit(self, cli_workspace, capsys, monkeypatch, no_network):
         lines = iter(["", "what limit applies?", "quit"])

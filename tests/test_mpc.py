@@ -237,6 +237,7 @@ class TestOptimize:
         assert decision.y2_w == again.y2_w
         assert decision.cost == again.cost
         assert decision.cost == decision.candidate_cost(decision.u1_c, decision.u2_c)
+        assert isinstance(again, MpcDecision) and again.candidates == []
 
     def test_chosen_cost_is_min_of_table(self):
         fy = lambda f: 100.0 * (f[1] - 20.0) + 10.0 * f[0]

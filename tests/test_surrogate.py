@@ -580,3 +580,12 @@ class TestPersistence:
         path.write_text(json.dumps(payload))
         with pytest.raises(DeserializationError, match="width 1"):
             load(path)
+
+    def test_activation_other_than_relu_rejected(self, tmp_path, fx_model):
+        # forward() is relu-only, so a tanh model must not load as a relu one.
+        path = tmp_path / "model.json"
+        payload = model_to_json(fx_model)
+        payload["activation"] = "tanh"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DeserializationError, match="tanh"):
+            load(path)

@@ -22,7 +22,6 @@ from xmpc.testbed import (
     ExcitationData,
     TestbedConfig,
     ZoneState,
-    events_in_calendar,
     generate_dr_calendar,
     load_calendar,
     load_config,
@@ -177,28 +176,34 @@ class TestSynthDisturbances:
         assert synth_disturbances(0, CFG)[14].oa_temp_c != synth_disturbances(0, other)[14].oa_temp_c
 
 
+def event_hours(calendar: dict[int, float]) -> list[int]:
+    """Hours whose limit is below the normal one, i.e. the DR events."""
+    return sorted(h for h, limit in calendar.items() if limit < NORMAL_POWER_LIMIT_W)
+
+
 class TestDrCalendar:
     def test_probability_zero_means_no_events(self):
         cal = generate_dr_calendar(10, 0.0, seed=1)
         assert len(cal) == 240
         assert all(v == NORMAL_POWER_LIMIT_W for v in cal.values())
-        assert events_in_calendar(cal) == []
+        assert event_hours(cal) == []
 
     def test_probability_one_means_one_event_per_day(self):
         cal = generate_dr_calendar(14, 1.0, seed=2)
-        events = events_in_calendar(cal)
+        events = event_hours(cal)
         assert len(events) == 14
-        assert sorted(e.day for e in events) == list(range(14))
-        for e in events:
-            assert EVENT_HOUR_MIN <= e.start_hour <= EVENT_HOUR_MAX
-            assert EVENT_LIMIT_MIN_W <= e.power_limit_w <= EVENT_LIMIT_MAX_W
-            assert e.duration_hours == 1
+        assert sorted(h // 24 for h in events) == list(range(14))
+        for h in events:
+            assert EVENT_HOUR_MIN <= h % 24 <= EVENT_HOUR_MAX
+            assert EVENT_LIMIT_MIN_W <= cal[h] <= EVENT_LIMIT_MAX_W
+            assert cal[h + 1] == NORMAL_POWER_LIMIT_W  # lasts one hour
 
     def test_event_bounds_across_seeds(self):
         for seed in range(20):
-            for e in events_in_calendar(generate_dr_calendar(30, 0.5, seed=seed)):
-                assert EVENT_HOUR_MIN <= e.start_hour <= EVENT_HOUR_MAX
-                assert EVENT_LIMIT_MIN_W <= e.power_limit_w <= EVENT_LIMIT_MAX_W
+            cal = generate_dr_calendar(30, 0.5, seed=seed)
+            for h in event_hours(cal):
+                assert EVENT_HOUR_MIN <= h % 24 <= EVENT_HOUR_MAX
+                assert EVENT_LIMIT_MIN_W <= cal[h] <= EVENT_LIMIT_MAX_W
 
     def test_determinism(self):
         assert generate_dr_calendar(7, 0.5, seed=3) == generate_dr_calendar(7, 0.5, seed=3)
@@ -222,6 +227,28 @@ class TestDrCalendar:
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         with pytest.raises(DeserializationError):
+            load_calendar(path)
+
+    @pytest.mark.parametrize("content, message", [
+        (b"5", "expected a JSON object"),
+        (b'{"limits": [1, 2]}', "'limits' must be a JSON object"),
+        (b'{"limits": {"x": 1000}}', "hour 'x'"),
+        (b'{"limits": {"-1": 1000}}', "hour '-1'"),
+        (b'{"limits": {"3": "nan"}}', "limit for hour 3"),
+        (b'{"limits": {"3": NaN}}', "limit for hour 3"),
+        (b'{"limits": {"3": Infinity}}', "limit for hour 3"),
+        (b'{"limits": {"3": -5}}', "limit for hour 3"),
+        (b'{"limits": {"3": 0}}', "limit for hour 3"),
+        (b'{"limits": {"3": true}}', "limit for hour 3"),
+        (b'{"limits": {"3": 1' + b"0" * 400 + b"}}", "limit for hour 3"),
+        ('{"note": "caf\u00e9", "limits": {"3": 1000.0}}'.encode("latin-1"), "utf-8"),
+    ], ids=["top-level-number", "limits-list", "hour-word", "hour-negative", "limit-string",
+            "limit-nan", "limit-inf", "limit-negative", "limit-zero", "limit-bool",
+            "limit-oversized-int", "not-utf8"])
+    def test_calendar_malformed_content_rejected(self, tmp_path, content, message):
+        path = tmp_path / "calendar.json"
+        path.write_bytes(content)
+        with pytest.raises(DeserializationError, match=message):
             load_calendar(path)
 
 
