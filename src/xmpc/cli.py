@@ -131,7 +131,6 @@ def _llm_config(args) -> llm_mod.LlmConfig:
 
 def cmd_explain(args) -> int:
     llm_config = _llm_config(args) if args.mode == "llm" else None
-    episode = hub_mod.load_episode(args.episode)
     templates = explain_mod.load_templates(args.templates)
     if args.t == "all":
         timesteps = None
@@ -140,6 +139,7 @@ def cmd_explain(args) -> int:
             timesteps = [int(args.t)]
         except ValueError:
             raise InvalidInputError(f"--t must be an hour index or 'all', got {args.t!r}") from None
+    episode = hub_mod.load_episode(args.episode, timesteps)
     written = explain_mod.write_documents(
         episode,
         args.out,
@@ -157,7 +157,7 @@ def cmd_ask(args) -> int:
     if not args.question and not args.repl:
         raise InvalidInputError("provide --question or --repl")
     cfg = _llm_config(args)
-    episode = hub_mod.load_episode(args.episode)
+    episode = hub_mod.load_episode(args.episode, [args.t])
 
     def answer(question: str) -> None:
         context = explain_mod.build_qa_context(

@@ -30,7 +30,7 @@ from pathlib import Path
 
 from .charts import attribution_chart_svg, fmt_mean, fmt_phi, fmt_value, ranking_order
 from .errors import ConfigError, InvalidInputError, RenderError
-from .hub import ATTRIBUTION_KEYS, Episode, TimestepRecord
+from .hub import ATTRIBUTION_KEYS, Episode, TimestepRecord, records_at
 from .shapley import Attribution
 from .testbed import NORMAL_POWER_LIMIT_W
 
@@ -417,17 +417,6 @@ def render_document(
     )
 
 
-def _records_at(episode: Episode, timesteps: list[int]) -> list[TimestepRecord]:
-    """The episode's records for the given hour indices, in the order asked."""
-    by_t = {record.t: record for record in episode.records}
-    if not by_t:
-        raise InvalidInputError("episode has no records")
-    unknown = [t for t in timesteps if t not in by_t]
-    if unknown:
-        raise InvalidInputError(f"timesteps {unknown} not in episode (valid range 0..{max(by_t)})")
-    return [by_t[t] for t in timesteps]
-
-
 def write_documents(
     episode: Episode,
     out_dir: str | Path,
@@ -444,7 +433,7 @@ def write_documents(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     templates = templates if templates is not None else load_templates()
-    records = episode.records if timesteps is None else _records_at(episode, timesteps)
+    records = episode.records if timesteps is None else records_at(episode.records, timesteps)
 
     written: list[Path] = []
     for record in records:
@@ -480,7 +469,7 @@ def build_qa_context(
     """
     if not question or not question.strip():
         raise InvalidInputError("question must be a non-empty string")
-    [record] = _records_at(episode, [t])
+    [record] = records_at(episode.records, [t])
     doc = render_document(record, templates, mode="deterministic")
 
     doc_text = doc.markdown()

@@ -15,12 +15,12 @@ from pathlib import Path
 
 
 @contextmanager
-def atomic_write(path: str | Path):
-    """Text handle whose content replaces ``path`` when the block succeeds."""
+def atomic_write(path: str | Path, binary: bool = False):
+    """Text (or binary) handle whose content replaces ``path`` when the block succeeds."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with tmp.open("w", newline="") as fh:
+        with tmp.open("wb") if binary else tmp.open("w", newline="") as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:

@@ -13,14 +13,21 @@
    winning rollout evaluated,
 4. labels the step with the deterministic scenario rubric.
 
-Episodes serialize to JSON lines: a header object carrying seeds, model
-digests, and the testbed configuration, then one record per line.  Per-step
+Episodes serialize to JSON lines: a header object, then one record per line.
+The version 2 header carries the seeds, model digests, testbed configuration
+and DR calendar (in ``save_calendar``'s form), the record count, and
+``records_sha256``, a digest of the record lines that seals the file.  Per-step
 optimization wall-clock is stored in the records but can be omitted at save
 time (canonical form), which makes reruns with equal seeds byte-identical.
+
+``load_episode`` hashes every record line but decodes only the records it is
+asked for: a matching seal vouches for the lines it skips.  A version 1 file
+has no seal and is decoded in full.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import time
 from dataclasses import asdict, dataclass, field, fields
@@ -38,12 +45,14 @@ from .testbed import (
     Disturbance,
     TestbedConfig,
     ZoneState,
+    calendar_from_json,
+    calendar_to_json,
     power_limit_at,
     step,
     synth_disturbances,
 )
 
-EPISODE_VERSION = 1
+EPISODE_VERSION = 2
 
 # One attribution per horizon prediction, keyed by model and reporting tick.
 ATTRIBUTION_KEYS = ("fx_t1", "fy_t1", "fx_t2", "fy_t2")
@@ -112,6 +121,8 @@ class Episode:
     config: dict
     records: list[TimestepRecord] = field(default_factory=list)
     version: int = EPISODE_VERSION
+    # The DR calendar the episode ran under; None when unknown (version 1 files).
+    calendar: dict[int, float] | None = None
 
     def __len__(self) -> int:
         return len(self.records)
@@ -221,6 +232,7 @@ def run_episode(
         model_digests={"fx": digest(fx_model), "fy": digest(fy_model)},
         config={"n_days": n_days, "testbed": asdict(cfg)},
         records=records,
+        calendar=dict(dr_calendar),
     )
 
 
@@ -230,65 +242,126 @@ def run_episode(
 
 
 def save_episode(episode: Episode, path: str | Path, include_timing: bool = True) -> None:
-    """Write header plus one record per line.
+    """Write header plus one record per line, sealed with the records' sha256.
 
     ``include_timing=False`` writes the canonical form: identical runs
     produce byte-identical files because per-step wall-clock is omitted.
+    The digest is known only after the last record, so the header is
+    written with a placeholder of the same width that is then overwritten.
     """
-    with atomic_write(path) as fh:
-        header = {
-            "version": episode.version,
-            "kind": "episode",
-            "n_records": len(episode.records),
-            "seeds": episode.seeds,
-            "model_digests": episode.model_digests,
-            "config": episode.config,
-        }
-        fh.write(json.dumps(header, separators=(",", ":")) + "\n")
+    header = {
+        "version": EPISODE_VERSION,
+        "kind": "episode",
+        "n_records": len(episode.records),
+        "records_sha256": "0" * 64,  # overwritten in place once the records are out
+        "seeds": episode.seeds,
+        "model_digests": episode.model_digests,
+        "config": episode.config,
+        "calendar": None if episode.calendar is None else calendar_to_json(episode.calendar),
+    }
+    head = (json.dumps(header, separators=(",", ":")) + "\n").encode()
+    seal = hashlib.sha256()
+    with atomic_write(path, binary=True) as fh:
+        fh.write(head)
         for record in episode.records:
-            fh.write(json.dumps(record.to_json(include_timing), separators=(",", ":")) + "\n")
+            line = json.dumps(record.to_json(include_timing), separators=(",", ":")) + "\n"
+            line = line.encode()
+            seal.update(line)
+            fh.write(line)
+        fh.seek(head.index(b'"records_sha256":"') + len(b'"records_sha256":"'))
+        fh.write(seal.hexdigest().encode())
 
 
-def load_episode(path: str | Path) -> Episode:
-    """Read an episode file record by record, checking it as it goes."""
+def load_episode(path: str | Path, timesteps: list[int] | None = None) -> Episode:
+    """Read an episode file; with ``timesteps``, only the records at those hours.
+
+    Every record line is hashed, and the record count and ``records_sha256``
+    are checked against the header.  A matching digest means every line is
+    as written, so of a sealed file only the requested records are decoded:
+    hour t is looked up at position t, where ``run_episode`` puts it, and by
+    hour in a full decode if it is not there.  A version 1 file has no seal,
+    so each of its records is decoded and checked.
+    """
     path = Path(path)
-    records = []
-    try:
-        with path.open() as fh:
-            first = fh.readline()
-            if not first:
-                raise EpisodeIntegrityError(f"{path}: empty episode file")
-            try:
-                header = json.loads(first.rstrip("\n"))
-            except json.JSONDecodeError as exc:
-                raise EpisodeIntegrityError(f"{path}:1: bad header ({exc})") from None
-            if not isinstance(header, dict):
-                raise EpisodeIntegrityError(f"{path}:1: header is not a JSON object")
-            if header.get("kind") != "episode":
-                raise EpisodeIntegrityError(
-                    f"{path}: not an episode file (kind={header.get('kind')!r})"
-                )
-            for lineno, line in enumerate(fh, start=2):
-                if not line.strip():
-                    continue
-                try:
-                    records.append(TimestepRecord.from_json(json.loads(line.rstrip("\n"))))
-                except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                    raise EpisodeIntegrityError(f"{path}:{lineno}: bad record ({exc})") from None
-    except UnicodeDecodeError as exc:
-        raise EpisodeIntegrityError(f"{path}: not a text file ({exc})") from None
-    declared = header.get("n_records")
-    if declared != len(records):
-        raise EpisodeIntegrityError(
-            f"{path}: header declares {declared} records but file holds {len(records)}"
-        )
+    header, decoded = _read_episode(path, None if timesteps is None else set(timesteps))
+    if timesteps is None:
+        records = list(decoded.values())
+    else:
+        records = [decoded.get(t) for t in timesteps]
+        if not all(r is not None and r.t == t for r, t in zip(records, timesteps)):
+            # Not at its position (or out of range): find the hours by value.
+            _, decoded = _read_episode(path, None)
+            records = records_at(list(decoded.values()), timesteps)
+    calendar = header.get("calendar")
     return Episode(
         seeds=header.get("seeds", {}),
         model_digests=header.get("model_digests", {}),
         config=header.get("config", {}),
         records=records,
         version=header.get("version", EPISODE_VERSION),
+        calendar=None if calendar is None else calendar_from_json(calendar, f"{path}:1 calendar"),
     )
+
+
+def _read_episode(path: Path, positions: set[int] | None) -> tuple[dict, dict]:
+    """The header and the decoded records by position, after one checked pass.
+
+    ``positions=None``, or a file without a seal, decodes every record.
+    The digest covers each non-blank record line with its CR/LF ending
+    replaced by one ``\\n``.
+    """
+    records: dict[int, TimestepRecord] = {}
+    seal = hashlib.sha256()
+    with path.open("rb") as fh:
+        first = fh.readline()
+        if not first:
+            raise EpisodeIntegrityError(f"{path}: empty episode file")
+        try:
+            header = json.loads(first)
+        except ValueError as exc:
+            raise EpisodeIntegrityError(f"{path}:1: bad header ({exc})") from None
+        if not isinstance(header, dict):
+            raise EpisodeIntegrityError(f"{path}:1: header is not a JSON object")
+        if header.get("kind") != "episode":
+            raise EpisodeIntegrityError(
+                f"{path}: not an episode file (kind={header.get('kind')!r})"
+            )
+        sealed = header.get("records_sha256")
+        decode_all = positions is None or sealed is None
+        position = 0
+        for lineno, line in enumerate(fh, start=2):
+            line = line.rstrip(b"\r\n")
+            if not line or line.isspace():
+                continue
+            seal.update(line)
+            seal.update(b"\n")
+            if decode_all or position in positions:
+                try:
+                    records[position] = TimestepRecord.from_json(json.loads(line))
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise EpisodeIntegrityError(f"{path}:{lineno}: bad record ({exc})") from None
+            position += 1
+    declared = header.get("n_records")
+    if declared != position:
+        raise EpisodeIntegrityError(
+            f"{path}: header declares {declared} records but file holds {position}"
+        )
+    if sealed is not None and sealed != seal.hexdigest():
+        raise EpisodeIntegrityError(
+            f"{path}: records do not match the header's records_sha256 (edited since written?)"
+        )
+    return header, records
+
+
+def records_at(records: list[TimestepRecord], timesteps: list[int]) -> list[TimestepRecord]:
+    """The records for the given hour indices, in the order asked."""
+    by_t = {record.t: record for record in records}
+    if not by_t:
+        raise InvalidInputError("episode has no records")
+    unknown = [t for t in timesteps if t not in by_t]
+    if unknown:
+        raise InvalidInputError(f"timesteps {unknown} not in episode (valid range 0..{max(by_t)})")
+    return [by_t[t] for t in timesteps]
 
 
 def timing_report(episode: Episode) -> TimingReport:

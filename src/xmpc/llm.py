@@ -161,6 +161,9 @@ def _complete_online(
         except requests.Timeout as exc:
             last_error, timed_out = exc, True
             continue
+        except requests.exceptions.SSLError as exc:
+            # A ConnectionError subclass, but a certificate failure will not pass on retry.
+            raise GatewayError(f"request failed ({exc})") from None
         except requests.ConnectionError as exc:
             last_error = exc
             continue

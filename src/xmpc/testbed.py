@@ -414,34 +414,51 @@ def load_config(path: str | Path, rng_seed: int = 0) -> TestbedConfig:
     return TestbedConfig(**{"rng_seed": rng_seed, **data})
 
 
+def calendar_to_json(calendar: dict[int, float]) -> dict:
+    """The calendar as ``save_calendar`` writes it and episode headers hold it."""
+    return {"version": 1, "limits": {str(h): calendar[h] for h in sorted(calendar)}}
+
+
+def calendar_from_json(data, source: str) -> dict[int, float]:
+    """Check a parsed calendar object and return hour index -> power limit in W.
+
+    ``source`` names the file (and part) in error messages.
+    """
+    if not isinstance(data, dict):
+        raise DeserializationError(f"{source}: expected a JSON object, got {type(data).__name__}")
+    if "limits" not in data:
+        raise DeserializationError(f"{source}: missing 'limits' field")
+    limits = data["limits"]
+    if not isinstance(limits, dict):
+        raise DeserializationError(
+            f"{source}: 'limits' must be a JSON object, got {type(limits).__name__}"
+        )
+    calendar = {}
+    for hour, limit in limits.items():
+        # Canonical form only, so "3" and "03" cannot both name hour 3.
+        if not (hour.isascii() and hour.isdigit() and hour == str(int(hour))):
+            raise DeserializationError(f"{source}: hour {hour!r} is not a non-negative integer")
+        try:
+            value = float(limit) if type(limit) in (int, float) else math.nan  # not bool
+        except OverflowError:
+            value = math.inf
+        if not (math.isfinite(value) and value > 0.0):
+            raise DeserializationError(
+                f"{source}: limit for hour {hour} must be a finite number > 0, got {limit!r}"
+            )
+        calendar[int(hour)] = value
+    return calendar
+
+
 def save_calendar(calendar: dict[int, float], path: str | Path) -> None:
-    payload = {"version": 1, "limits": {str(h): calendar[h] for h in sorted(calendar)}}
     with atomic_write(path) as fh:
-        fh.write(json.dumps(payload, indent=2) + "\n")
+        fh.write(json.dumps(calendar_to_json(calendar), indent=2) + "\n")
 
 
 def load_calendar(path: str | Path) -> dict[int, float]:
     """Read a calendar written by ``save_calendar``: hour index -> power limit in W."""
     try:
-        # parse_int=float: every JSON number arrives as a float (an oversized
-        # integer as inf), so one isinstance check covers all limits.
-        data = json.loads(Path(path).read_text(encoding="utf-8"), parse_int=float)
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
     except ValueError as exc:  # also a file that is not UTF-8
         raise DeserializationError(f"{path}: invalid JSON ({exc})") from None
-    if not isinstance(data, dict):
-        raise DeserializationError(f"{path}: expected a JSON object, got {type(data).__name__}")
-    if "limits" not in data:
-        raise DeserializationError(f"{path}: missing 'limits' field")
-    limits = data["limits"]
-    if not isinstance(limits, dict):
-        raise DeserializationError(
-            f"{path}: 'limits' must be a JSON object, got {type(limits).__name__}"
-        )
-    for hour, limit in limits.items():
-        if not (hour.isascii() and hour.isdigit()):
-            raise DeserializationError(f"{path}: hour {hour!r} is not a non-negative integer")
-        if not (isinstance(limit, float) and math.isfinite(limit) and limit > 0.0):
-            raise DeserializationError(
-                f"{path}: limit for hour {hour} must be a finite number > 0, got {limit!r}"
-            )
-    return {int(hour): limit for hour, limit in limits.items()}
+    return calendar_from_json(data, str(path))

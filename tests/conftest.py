@@ -8,6 +8,7 @@ deterministic end to end.
 from __future__ import annotations
 
 import socket
+from pathlib import Path
 
 import pytest
 
@@ -102,3 +103,21 @@ def no_network(monkeypatch: pytest.MonkeyPatch):
     monkeypatch.setattr(socket, "socket", _blocked)
     monkeypatch.setattr(socket, "create_connection", _blocked)
     return _SocketBlocked
+
+
+@pytest.fixture()
+def edit_digit():
+    """Copy an episode file with one digit of record t's cooling rate changed.
+
+    The edited line is still a valid record, so only the seal can catch it.
+    """
+
+    def copy_with_edit(src: Path, dst: Path, t: int) -> None:
+        lines = Path(src).read_bytes().split(b"\n")
+        key = b'"cooling_rate_w":'
+        line = lines[t + 1]
+        at = line.index(key) + len(key)
+        lines[t + 1] = line[:at] + str(int(line[at:at + 1]) % 9 + 1).encode() + line[at + 1:]
+        Path(dst).write_bytes(b"\n".join(lines))
+
+    return copy_with_edit

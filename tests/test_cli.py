@@ -288,6 +288,48 @@ def test_timestep_of_empty_episode_is_usage_error(tmp_path, capsys, monkeypatch,
     assert "episode has no records" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["explain", "--t", "9999", "--out", "docs"],
+    ["ask", "--t", "9999", "--question", "Why precool?"],
+])
+def test_timestep_out_of_range_is_usage_error(cli_workspace, tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    rc = main([argv[0], "--episode", str(cli_workspace / "episode.jsonl"), *argv[1:]])
+    assert rc == 2
+    assert "timesteps [9999] not in episode (valid range 0..47)" in capsys.readouterr().err
+
+
+def test_records_out_of_hour_order_are_found_by_hour(cli_workspace, tmp_path, capsys):
+    # Record 5 is not at position 5, so its position must not be trusted.
+    from xmpc.hub import load_episode, save_episode
+
+    episode = load_episode(cli_workspace / "episode.jsonl")
+    episode.records.reverse()
+    save_episode(episode, tmp_path / "reversed.jsonl")
+    outputs = []
+    for path in (cli_workspace / "episode.jsonl", tmp_path / "reversed.jsonl"):
+        docs = tmp_path / f"docs_{path.stem}"
+        assert main(["explain", "--episode", str(path), "--t", "5", "--out", str(docs)]) == 0
+        assert main(["ask", "--episode", str(path), "--t", "5", "--question", "Why?"]) == 0
+        outputs.append(((docs / "ts_5.md").read_text(), capsys.readouterr().out.splitlines()[1:]))
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["ask", "--t", "3", "--question", "Why precool?"],
+    ["explain", "--t", "3", "--out", "docs"],
+    ["explain", "--out", "docs"],
+])
+def test_edited_sealed_episode_is_usage_error(
+    cli_workspace, tmp_path, capsys, monkeypatch, edit_digit, argv
+):
+    monkeypatch.chdir(tmp_path)
+    edit_digit(cli_workspace / "episode.jsonl", tmp_path / "edited.jsonl", 30)
+    rc = main([argv[0], "--episode", "edited.jsonl", *argv[1:]])
+    assert rc == 2
+    assert "records_sha256" in capsys.readouterr().err
+
+
 # Placeholders: a directory, a file that is not text, a file in the way of an
 # output directory, an episode whose header is a JSON array, a model file that
 # is a JSON number, and the shared workspace.

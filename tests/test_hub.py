@@ -2,15 +2,22 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from xmpc.errors import EpisodeIntegrityError, InvalidInputError, SchemaError
+from xmpc.errors import (
+    DeserializationError,
+    EpisodeIntegrityError,
+    InvalidInputError,
+    SchemaError,
+)
 from xmpc.hub import (
     ATTRIBUTION_KEYS,
     EPISODE_VERSION,
+    Episode,
     TimestepRecord,
     load_episode,
     run_episode,
@@ -19,7 +26,13 @@ from xmpc.hub import (
 )
 from xmpc.shapley import verify_additivity
 from xmpc.surrogate import digest, predict
-from xmpc.testbed import ZoneState, generate_dr_calendar, power_limit_at, step
+from xmpc.testbed import (
+    ZoneState,
+    calendar_to_json,
+    generate_dr_calendar,
+    power_limit_at,
+    step,
+)
 
 
 class TestRunEpisode:
@@ -218,6 +231,96 @@ class TestEpisodeFile:
         garbled.write_text("{not json\n")
         with pytest.raises(EpisodeIntegrityError, match="header"):
             load_episode(garbled)
+
+    def test_selective_load_matches_full_load(self, mini_episode, tmp_path, monkeypatch):
+        path = tmp_path / "episode.jsonl"
+        save_episode(mini_episode, path)
+        full = load_episode(path)
+        for record in full.records:
+            [alone] = load_episode(path, timesteps=[record.t]).records
+            assert alone.to_json() == record.to_json()
+        decoded = []
+        from_json = TimestepRecord.from_json
+
+        def counting(data):
+            decoded.append(data["t"])
+            return from_json(data)
+
+        monkeypatch.setattr(TimestepRecord, "from_json", counting)
+        picked = load_episode(path, timesteps=[30, 4, 30])
+        assert [r.t for r in picked.records] == [30, 4, 30]
+        assert sorted(decoded) == [4, 30]
+        assert picked.calendar == full.calendar == mini_episode.calendar
+
+    def test_header_seal_and_calendar(self, mini_episode, tmp_path):
+        path = tmp_path / "episode.jsonl"
+        save_episode(mini_episode, path, include_timing=False)
+        head, _, body = path.read_bytes().partition(b"\n")
+        header = json.loads(head)
+        assert header["version"] == EPISODE_VERSION == 2
+        assert header["n_records"] == len(mini_episode)
+        assert header["records_sha256"] == hashlib.sha256(body).hexdigest()
+        assert header["calendar"] == calendar_to_json(generate_dr_calendar(2, 1.0, seed=5))
+
+    def test_edited_digit_breaks_the_seal(self, mini_episode, tmp_path, edit_digit):
+        path = tmp_path / "episode.jsonl"
+        save_episode(mini_episode, path)
+        edited = tmp_path / "edited.jsonl"
+        edit_digit(path, edited, 20)
+        line = edited.read_text().splitlines()[21]
+        assert TimestepRecord.from_json(json.loads(line)).cooling_rate_w != (
+            mini_episode.records[20].cooling_rate_w
+        )
+        for timesteps in (None, [3], [20]):
+            with pytest.raises(EpisodeIntegrityError, match="records_sha256"):
+                load_episode(edited, timesteps=timesteps)
+
+    def test_version_1_file_still_loads(self, mini_episode, tmp_path, edit_digit):
+        path = tmp_path / "episode.jsonl"
+        save_episode(mini_episode, path)
+        lines = path.read_text().splitlines(keepends=True)
+        header = json.loads(lines[0])
+        del header["records_sha256"], header["calendar"]
+        header["version"] = 1
+        old = tmp_path / "v1.jsonl"
+        old.write_text(json.dumps(header) + "\n" + "".join(lines[1:]))
+        full = load_episode(old)
+        assert (full.version, len(full), full.calendar) == (1, len(mini_episode), None)
+        [record] = load_episode(old, timesteps=[7]).records
+        assert record.to_json() == full.records[7].to_json()
+        # Without a seal an edited value loads as written.
+        edited = tmp_path / "v1_edited.jsonl"
+        edit_digit(old, edited, 20)
+        assert len(load_episode(edited)) == len(mini_episode)
+
+    def test_records_out_of_hour_order_found_by_hour(self, mini_episode, tmp_path):
+        path = tmp_path / "shuffled.jsonl"
+        records = mini_episode.records
+        save_episode(Episode(seeds={}, model_digests={}, config={},
+                             records=records[10:][::-1]), path)
+        [record] = load_episode(path, timesteps=[12]).records
+        assert record.to_json() == records[12].to_json()
+        with pytest.raises(InvalidInputError, match=r"timesteps \[3\] not in episode"):
+            load_episode(path, timesteps=[3])
+
+    def test_out_of_range_timestep_message(self, mini_episode, tmp_path):
+        path = tmp_path / "episode.jsonl"
+        save_episode(mini_episode, path)
+        for t in (48, 9999, -1):
+            with pytest.raises(InvalidInputError) as info:
+                load_episode(path, timesteps=[t])
+            assert str(info.value) == f"timesteps [{t}] not in episode (valid range 0..47)"
+
+    def test_bad_header_calendar_rejected(self, mini_episode, tmp_path):
+        path = tmp_path / "episode.jsonl"
+        save_episode(mini_episode, path)
+        head, _, body = path.read_bytes().partition(b"\n")
+        header = json.loads(head)
+        header["calendar"]["limits"]["03"] = 1000.0
+        bad = tmp_path / "bad_calendar.jsonl"
+        bad.write_bytes(json.dumps(header).encode() + b"\n" + body)
+        with pytest.raises(DeserializationError, match="calendar: hour '03'"):
+            load_episode(bad, timesteps=[0])
 
     def test_month_episode_shape(self, episode):
         # The month-long fixture: 31 days of hourly records, every scenario

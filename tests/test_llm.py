@@ -221,6 +221,24 @@ class TestOnline:
             complete(online_cfg, SYSTEM, "user")
         assert len(attempts) == 1
 
+    def test_tls_failure_not_retried(self, online_cfg, monkeypatch):
+        # SSLError subclasses ConnectionError, which is retried with backoff.
+        attempts = []
+        sleeps = []
+
+        def fake_post(url, **kwargs):
+            attempts.append(1)
+            raise requests.exceptions.SSLError("certificate verify failed")
+
+        monkeypatch.setattr(requests, "post", fake_post)
+        monkeypatch.setattr(time, "sleep", lambda s: sleeps.append(s))
+        with pytest.raises(GatewayError, match="certificate verify failed") as info:
+            complete(online_cfg, SYSTEM, "user")
+        assert not isinstance(info.value, GatewayTimeoutError)
+        assert "attempts" not in str(info.value)
+        assert len(attempts) == 1
+        assert sleeps == []
+
     def test_malformed_response(self, online_cfg, monkeypatch):
         monkeypatch.setattr(
             requests, "post", lambda url, **kwargs: FakeResponse(payload={"nope": True})

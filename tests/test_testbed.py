@@ -223,6 +223,13 @@ class TestDrCalendar:
         save_calendar(cal, path)
         assert load_calendar(path) == cal
 
+    def test_calendar_integer_limits_load_as_floats(self, tmp_path):
+        path = tmp_path / "calendar.json"
+        path.write_text('{"limits": {"0": 5000, "13": 1200.5}}')
+        cal = load_calendar(path)
+        assert cal == {0: 5000.0, 13: 1200.5}
+        assert all(type(limit) is float for limit in cal.values())
+
     def test_calendar_bad_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -234,6 +241,8 @@ class TestDrCalendar:
         (b'{"limits": [1, 2]}', "'limits' must be a JSON object"),
         (b'{"limits": {"x": 1000}}', "hour 'x'"),
         (b'{"limits": {"-1": 1000}}', "hour '-1'"),
+        (b'{"limits": {"3": 1000, "03": 2000}}', "hour '03'"),
+        (b'{"limits": {"00": 1000}}', "hour '00'"),
         (b'{"limits": {"3": "nan"}}', "limit for hour 3"),
         (b'{"limits": {"3": NaN}}', "limit for hour 3"),
         (b'{"limits": {"3": Infinity}}', "limit for hour 3"),
@@ -242,9 +251,9 @@ class TestDrCalendar:
         (b'{"limits": {"3": true}}', "limit for hour 3"),
         (b'{"limits": {"3": 1' + b"0" * 400 + b"}}", "limit for hour 3"),
         ('{"note": "caf\u00e9", "limits": {"3": 1000.0}}'.encode("latin-1"), "utf-8"),
-    ], ids=["top-level-number", "limits-list", "hour-word", "hour-negative", "limit-string",
-            "limit-nan", "limit-inf", "limit-negative", "limit-zero", "limit-bool",
-            "limit-oversized-int", "not-utf8"])
+    ], ids=["top-level-number", "limits-list", "hour-word", "hour-negative",
+            "hour-leading-zero", "hour-double-zero", "limit-string", "limit-nan", "limit-inf",
+            "limit-negative", "limit-zero", "limit-bool", "limit-oversized-int", "not-utf8"])
     def test_calendar_malformed_content_rejected(self, tmp_path, content, message):
         path = tmp_path / "calendar.json"
         path.write_bytes(content)
