@@ -16,6 +16,7 @@ import numpy as np
 from xmpc.surrogate import (
     FX_SCHEMA,
     FY_SCHEMA,
+    VALIDATION_FRACTION,
     TrainConfig,
     background_of,
     digest,
@@ -40,7 +41,7 @@ for label, schema in (("f_x", FX_SCHEMA), ("f_y", FY_SCHEMA)):
     # Holdout accuracy in physical units, on the chronological tail.
     x = np.column_stack([data[f.column] for f in schema.features])
     y = np.asarray(data[schema.target.column])
-    n_val = max(1, round(len(data) * cfg.validation_fraction))
+    n_val = max(1, round(len(data) * VALIDATION_FRACTION))
     rmse = float(np.sqrt(np.mean((predict_batch(model, x[-n_val:]) - y[-n_val:]) ** 2)))
     print(f"  holdout RMSE {rmse:.3f} {schema.target.unit} on the last {n_val} hours")
 

@@ -15,15 +15,11 @@ from xmpc.shapley import shapley, shapley_sampled, verify_additivity
 from xmpc.surrogate import FY_SCHEMA, TrainConfig, background_of, batch_predictor, train
 from xmpc.testbed import TestbedConfig, run_excitation
 
-# Toy case first: f(x0, x1) = x0 * x1 at (3, 4) against a single background
+# Toy case first: f(f0, f1) = f0 * f1 at (3, 4) against a single background
 # row (1, 2).  The four coalition values are v({}) = 2, v({0}) = 6,
-# v({1}) = 4, v({0,1}) = 12, giving phi = (6, 4) by hand.
-toy = shapley(
-    lambda x: x[:, 0] * x[:, 1],
-    np.array([3.0, 4.0]),
-    np.array([[1.0, 2.0]]),
-    feature_names=("x0", "x1"),
-)
+# v({1}) = 4, v({0,1}) = 12, giving phi = (6, 4) by hand.  A plain callable's
+# features are named f0, f1, ...; a surrogate's come from its schema.
+toy = shapley(lambda x: x[:, 0] * x[:, 1], np.array([3.0, 4.0]), np.array([[1.0, 2.0]]))
 print("toy product model at (3, 4), background (1, 2):")
 for name, phi in zip(toy.feature_names, toy.shapley_values):
     print(f"  phi[{name}] = {phi:.1f}")

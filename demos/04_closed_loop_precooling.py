@@ -11,10 +11,10 @@ Run from the repository root:  python3 demos/04_closed_loop_precooling.py
 
 import numpy as np
 
-from xmpc.explain import SCENARIO_NAMES, scenario_census
+from xmpc.explain import COMFORT_CEILING_C, SCENARIO_NAMES, scenario_census
 from xmpc.hub import run_episode, timing_report
 from xmpc.surrogate import FX_SCHEMA, FY_SCHEMA, TrainConfig, train
-from xmpc.testbed import TestbedConfig, generate_dr_calendar, run_excitation
+from xmpc.testbed import SETPOINT_GRID_C, TestbedConfig, generate_dr_calendar, run_excitation
 
 cfg = TestbedConfig()
 data = run_excitation(n_days=31, cfg=cfg, seed=42)
@@ -41,15 +41,14 @@ print(f"  limits: P_limit(t+1) {record.p_limit_t1_w:.0f} W, "
       f"P_limit(t+2) {record.p_limit_t2_w:.0f} W")
 print(f"  chosen u = ({d.u1_c:.0f}, {d.u2_c:.0f}) degC, predicted cooling "
       f"({d.y1_w:.0f}, {d.y2_w:.0f}) W, cost {d.cost:.1f}")
-relaxed = d.candidate_cost(26.0, 26.0)
+relaxed = d.candidate_cost(COMFORT_CEILING_C, COMFORT_CEILING_C)
 print(f"  holding (26, 26) would cost {relaxed:.1f} "
       f"({relaxed - d.cost:+.1f} vs chosen)")
 
 print("\n  full candidate table (rows u1, columns u2, costs):")
-grid = [22.0, 23.0, 24.0, 25.0, 26.0]
-print("        " + "".join(f"{u2:>13.0f}" for u2 in grid))
-for u1 in grid:
-    row = "".join(f"{d.candidate_cost(u1, u2):>13.1f}" for u2 in grid)
+print("        " + "".join(f"{u2:>13.0f}" for u2 in SETPOINT_GRID_C))
+for u1 in SETPOINT_GRID_C:
+    row = "".join(f"{d.candidate_cost(u1, u2):>13.1f}" for u2 in SETPOINT_GRID_C)
     print(f"    {u1:.0f} {row}")
 
 # Receding horizon: only u1 is applied; the zone then actually moves, and the

@@ -58,14 +58,21 @@ _RUNTIME_ERRORS = (
 )
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
-    return value
+def _int_at_least(low: int, kind: str):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected a {kind} integer, got {value}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1, "positive")
+_non_negative_int = _int_at_least(0, "non-negative")
 
 
 def cmd_excite(args) -> int:
@@ -194,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("excite", help="generate the excitation dataset")
     p.add_argument("--days", type=_positive_int, default=31)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--out", default="data.csv")
     p.add_argument("--config", help="JSON file with testbed config overrides")
     p.set_defaults(func=cmd_excite)
@@ -204,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", choices=("fx", "fy"), required=True)
     p.add_argument("--epochs", type=_positive_int, default=2000)
     p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
 
@@ -213,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fx", required=True, help="temperature surrogate model JSON")
     p.add_argument("--fy", required=True, help="cooling surrogate model JSON")
     p.add_argument("--dr-prob", type=float, default=1.0, help="per-day event probability")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--out", default="episode.jsonl")
     p.add_argument("--no-timing", action="store_true", help="canonical form: omit wall-clock fields")
     p.add_argument("--config", help="JSON file with testbed config overrides")

@@ -11,7 +11,7 @@ Scenario rubric (deterministic, evaluated per record):
 
 * Scenario 1, "Precool": the power limit two reporting ticks ahead is below
   the normal 5000 W ceiling and the chosen first-hour setpoint is below the
-  26 degC comfort ceiling.
+  comfort ceiling, the top of ``testbed.SETPOINT_GRID_C`` (26 degC).
 * Scenario 3, "EventNoPrecool": the limit is tightened but the setpoint
   stays at the ceiling.
 * Scenario 2, "Normal": everything else.
@@ -32,9 +32,9 @@ from .charts import attribution_chart_svg, fmt_mean, fmt_phi, fmt_value, ranking
 from .errors import ConfigError, InvalidInputError, RenderError
 from .hub import ATTRIBUTION_KEYS, Episode, TimestepRecord, records_at
 from .shapley import Attribution
-from .testbed import NORMAL_POWER_LIMIT_W
+from .testbed import NORMAL_POWER_LIMIT_W, SETPOINT_GRID_C
 
-COMFORT_CEILING_C = 26.0
+COMFORT_CEILING_C = SETPOINT_GRID_C[-1]
 
 SCENARIO_NAMES = {1: "Precool", 2: "Normal", 3: "EventNoPrecool"}
 
@@ -63,14 +63,14 @@ ATTRIBUTION_TARGETS = {
 
 MPC_FORMULATION_SUMMARY = (
     "Controller background: every hour a model predictive controller picks cooling "
-    "setpoints for the next two hours from the 1 K grid between 22°C and 26°C by "
-    "exhaustively costing all 25 pairs. Two small neural network surrogates trained on "
-    "simulated building data supply the predictions: one maps (setpoint, zone "
-    "temperature, outdoor temperature, solar radiation, occupancy) to the next hour's "
-    "zone temperature, the other to that hour's average cooling power. A candidate's "
-    "cost is the predicted cooling power of both hours plus a quadratic penalty on any "
-    "power above that hour's demand-response limit, so tightened limits make the "
-    "controller pre-cool: it buys cheaper cooling early to hold the limited hour under "
+    f"setpoints for the next two hours from the 1 K grid between {SETPOINT_GRID_C[0]:g}°C and "
+    f"{COMFORT_CEILING_C:g}°C by exhaustively costing all {len(SETPOINT_GRID_C) ** 2} pairs. Two "
+    "small neural network surrogates trained on simulated building data supply the "
+    "predictions: one maps (setpoint, zone temperature, outdoor temperature, solar radiation, "
+    "occupancy) to the next hour's zone temperature, the other to that hour's average cooling "
+    "power. A candidate's cost is the predicted cooling power of both hours plus a quadratic "
+    "penalty on any power above that hour's demand-response limit, so tightened limits make "
+    "the controller pre-cool: it buys cheaper cooling early to hold the limited hour under "
     "its cap. Only the first setpoint is applied before the optimization repeats."
 )
 
@@ -144,13 +144,8 @@ def narrate_attribution(
     return " ".join(sentences)
 
 
-def build_shap_prompt(
-    attribution: Attribution,
-    dictionary: dict[str, str] | None = None,
-    target_desc: str | None = None,
-) -> str:
+def build_shap_prompt(attribution: Attribution, target_desc: str | None = None) -> str:
     """The narration request sent to the chat model in llm mode."""
-    dictionary = dictionary if dictionary is not None else VARIABLE_DICTIONARY
     target = target_desc or "the model output"
     shap_items = "; ".join(
         f"{name} {float(phi):.6f}"
@@ -160,7 +155,7 @@ def build_shap_prompt(
         f"{name} {float(v):g}"
         for name, v in zip(attribution.feature_names, attribution.feature_values)
     )
-    dict_items = ", ".join(f"{k}: {v}" for k, v in dictionary.items())
+    dict_items = ", ".join(f"{k}: {v}" for k, v in VARIABLE_DICTIONARY.items())
     return (
         "Based on the Shapley values and variable values, please help me generate a "
         "descriptive paragraph:\n\n"
@@ -454,13 +449,7 @@ def write_documents(
 # ---------------------------------------------------------------------------
 
 
-def build_qa_context(
-    episode: Episode,
-    t: int,
-    question: str,
-    budget_chars: int = 12000,
-    templates: dict[int, PromptTemplate] | None = None,
-) -> str:
+def build_qa_context(episode: Episode, t: int, question: str, budget_chars: int = 12000) -> str:
     """Assemble the QA prompt: formulation summary, document, question.
 
     If the assembled context exceeds the budget, attribution paragraphs are
@@ -470,7 +459,7 @@ def build_qa_context(
     if not question or not question.strip():
         raise InvalidInputError("question must be a non-empty string")
     [record] = records_at(episode.records, [t])
-    doc = render_document(record, templates, mode="deterministic")
+    doc = render_document(record, mode="deterministic")
 
     doc_text = doc.markdown()
     context = f"{MPC_FORMULATION_SUMMARY}\n\n{doc_text}\nQuestion: {question.strip()}\n"

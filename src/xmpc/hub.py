@@ -14,15 +14,17 @@
 4. labels the step with the deterministic scenario rubric.
 
 Episodes serialize to JSON lines: a header object, then one record per line.
-The version 2 header carries the seeds, model digests, testbed configuration
+The version 3 header carries the seeds, model digests, testbed configuration
 and DR calendar (in ``save_calendar``'s form), the record count, and
-``records_sha256``, a digest of the record lines that seals the file.  Per-step
+``records_sha256``, a digest that seals the file: it covers the header line
+(with its own digest field zeroed) and every record line.  Per-step
 optimization wall-clock is stored in the records but can be omitted at save
 time (canonical form), which makes reruns with equal seeds byte-identical.
 
-``load_episode`` hashes every record line but decodes only the records it is
-asked for: a matching seal vouches for the lines it skips.  A version 1 file
-has no seal and is decoded in full.
+``load_episode`` hashes every line but decodes only the records it is asked
+for: a matching seal vouches for the lines it skips.  A version 2 file's seal
+covers the record lines only; a version 1 file has no seal and is decoded in
+full.
 """
 
 from __future__ import annotations
@@ -52,7 +54,14 @@ from .testbed import (
     synth_disturbances,
 )
 
-EPISODE_VERSION = 2
+EPISODE_VERSION = 3
+
+# Reference per-interval optimization time that timing reports quote.
+REFERENCE_OPT_SECONDS = 4.19
+
+# The header's digest field, and its value while the digest is being computed.
+_SEAL_KEY = b'"records_sha256":"'
+_UNSEALED = b"0" * 64
 
 # One attribution per horizon prediction, keyed by model and reporting tick.
 ATTRIBUTION_KEYS = ("fx_t1", "fy_t1", "fx_t2", "fy_t2")
@@ -89,12 +98,13 @@ class TimestepRecord:
     def from_json(cls, data: dict) -> "TimestepRecord":
         scalars = {name: data[name] for name in _SCALAR_RECORD_FIELDS}
         scalars["t"] = int(scalars["t"])
+        attributions = data["attributions"]
+        if not isinstance(attributions, dict) or set(attributions) != set(ATTRIBUTION_KEYS):
+            raise ValueError(f"attributions must be exactly {list(ATTRIBUTION_KEYS)}")
         return cls(
             **scalars,
             decision=MpcDecision.from_json(data["decision"]),
-            attributions={
-                k: Attribution.from_json(v) for k, v in data["attributions"].items()
-            },
+            attributions={k: Attribution.from_json(attributions[k]) for k in ATTRIBUTION_KEYS},
             scenario=data.get("scenario"),
             opt_seconds=data.get("opt_seconds"),
         )
@@ -135,12 +145,11 @@ class TimingReport:
     mean_seconds: float
     max_seconds: float
     n_intervals: int
-    reference_seconds: float = 4.19
 
     def __str__(self) -> str:
         return (
             f"optimization: mean {self.mean_seconds:.4f} s, max {self.max_seconds:.4f} s "
-            f"over {self.n_intervals} intervals (reference {self.reference_seconds:.2f} s)"
+            f"over {self.n_intervals} intervals (reference {REFERENCE_OPT_SECONDS:.2f} s)"
         )
 
 
@@ -242,25 +251,26 @@ def run_episode(
 
 
 def save_episode(episode: Episode, path: str | Path, include_timing: bool = True) -> None:
-    """Write header plus one record per line, sealed with the records' sha256.
+    """Write header plus one record per line, sealed with the lines' sha256.
 
     ``include_timing=False`` writes the canonical form: identical runs
     produce byte-identical files because per-step wall-clock is omitted.
     The digest is known only after the last record, so the header is
-    written with a placeholder of the same width that is then overwritten.
+    written, and hashed, with a placeholder of the same width that is then
+    overwritten.
     """
     header = {
         "version": EPISODE_VERSION,
         "kind": "episode",
         "n_records": len(episode.records),
-        "records_sha256": "0" * 64,  # overwritten in place once the records are out
+        "records_sha256": _UNSEALED.decode(),  # overwritten in place once the records are out
         "seeds": episode.seeds,
         "model_digests": episode.model_digests,
         "config": episode.config,
         "calendar": None if episode.calendar is None else calendar_to_json(episode.calendar),
     }
     head = (json.dumps(header, separators=(",", ":")) + "\n").encode()
-    seal = hashlib.sha256()
+    seal = hashlib.sha256(head)
     with atomic_write(path, binary=True) as fh:
         fh.write(head)
         for record in episode.records:
@@ -268,15 +278,15 @@ def save_episode(episode: Episode, path: str | Path, include_timing: bool = True
             line = line.encode()
             seal.update(line)
             fh.write(line)
-        fh.seek(head.index(b'"records_sha256":"') + len(b'"records_sha256":"'))
+        fh.seek(head.index(_SEAL_KEY) + len(_SEAL_KEY))
         fh.write(seal.hexdigest().encode())
 
 
 def load_episode(path: str | Path, timesteps: list[int] | None = None) -> Episode:
     """Read an episode file; with ``timesteps``, only the records at those hours.
 
-    Every record line is hashed, and the record count and ``records_sha256``
-    are checked against the header.  A matching digest means every line is
+    Every line is hashed, and the record count and ``records_sha256`` are
+    checked against the header.  A matching digest means every line is
     as written, so of a sealed file only the requested records are decoded:
     hour t is looked up at position t, where ``run_episode`` puts it, and by
     hour in a full decode if it is not there.  A version 1 file has no seal,
@@ -308,7 +318,8 @@ def _read_episode(path: Path, positions: set[int] | None) -> tuple[dict, dict]:
 
     ``positions=None``, or a file without a seal, decodes every record.
     The digest covers each non-blank record line with its CR/LF ending
-    replaced by one ``\\n``.
+    replaced by one ``\\n``; from version 3 on it first covers the header
+    line, ended the same way and with its own digest zeroed.
     """
     records: dict[int, TimestepRecord] = {}
     seal = hashlib.sha256()
@@ -328,6 +339,9 @@ def _read_episode(path: Path, positions: set[int] | None) -> tuple[dict, dict]:
             )
         sealed = header.get("records_sha256")
         decode_all = positions is None or sealed is None
+        if header.get("version") not in (1, 2):
+            head = first.rstrip(b"\r\n") + b"\n"
+            seal.update(head.replace(_SEAL_KEY + str(sealed).encode(), _SEAL_KEY + _UNSEALED, 1))
         position = 0
         for lineno, line in enumerate(fh, start=2):
             line = line.rstrip(b"\r\n")
@@ -348,7 +362,7 @@ def _read_episode(path: Path, positions: set[int] | None) -> tuple[dict, dict]:
         )
     if sealed is not None and sealed != seal.hexdigest():
         raise EpisodeIntegrityError(
-            f"{path}: records do not match the header's records_sha256 (edited since written?)"
+            f"{path}: lines do not match the header's records_sha256 (edited since written?)"
         )
     return header, records
 

@@ -10,9 +10,9 @@ Two modes share one ``complete()`` entry point:
   with networking disabled.
 * ``online``: POSTs an OpenAI-style ``/chat/completions`` request with the
   configured model and temperature, bearer-authenticated with a key read
-  from the environment.  Transient failures (connect errors, timeouts, 429,
-  5xx) retry with exponential backoff; the API key is never logged or
-  echoed into error messages.
+  from the ``LLM_API_KEY`` environment variable.  Transient failures
+  (connect errors, timeouts, 429, 5xx) retry with exponential backoff; the
+  API key is never logged or echoed into error messages.
 
 Every exchange can be appended to a JSON-lines log as digests plus metadata,
 never raw key material.
@@ -34,6 +34,15 @@ import numpy as np
 from .errors import ConfigError, GatewayError, GatewayTimeoutError
 
 DEFAULT_MODEL = "gpt-3.5-turbo-0301"
+
+# Online gateway constants.  Every retry is an attempt, the first one
+# included; attempt k > 1 waits BACKOFF_SECONDS * 2^(k-2) first.
+MAX_TOKENS = 512
+TIMEOUT_SECONDS = 30.0
+API_KEY_ENV = "LLM_API_KEY"
+MAX_RETRIES = 3
+BACKOFF_SECONDS = 0.5
+
 QA_SYSTEM_PROMPT = (
     "You are assisting facility operators. Answer the question using only the "
     "explanation document provided in the request; cite its numbers."
@@ -46,11 +55,6 @@ class LlmConfig:
     endpoint: str = ""
     model: str = DEFAULT_MODEL
     temperature: float = 0.5
-    max_tokens: int = 512
-    timeout_seconds: float = 30.0
-    api_key_env: str = "LLM_API_KEY"
-    max_retries: int = 3
-    backoff_seconds: float = 0.5
     log_path: str | None = None
 
     def __post_init__(self):
@@ -59,15 +63,6 @@ class LlmConfig:
         # A NaN or infinite temperature would reach the service as invalid JSON.
         if not (math.isfinite(self.temperature) and self.temperature >= 0.0):
             raise ConfigError(f"temperature must be finite and >= 0, got {self.temperature}")
-        if not (math.isfinite(self.timeout_seconds) and self.timeout_seconds > 0.0):
-            raise ConfigError(f"timeout_seconds must be finite and > 0, got {self.timeout_seconds}")
-        if not (math.isfinite(self.backoff_seconds) and self.backoff_seconds >= 0.0):
-            raise ConfigError(f"backoff_seconds must be finite and >= 0, got {self.backoff_seconds}")
-        if self.max_tokens < 1:
-            raise ConfigError(f"max_tokens must be >= 1, got {self.max_tokens}")
-        # Every retry is an attempt, the first one included.
-        if self.max_retries < 1:
-            raise ConfigError(f"max_retries must be >= 1, got {self.max_retries}")
 
 
 @dataclass
@@ -88,7 +83,7 @@ def build_request(cfg: LlmConfig, system_prompt: str, user_prompt: str) -> dict:
     return {
         "model": cfg.model,
         "temperature": cfg.temperature,
-        "max_tokens": cfg.max_tokens,
+        "max_tokens": MAX_TOKENS,
         "messages": [
             {"role": "system", "content": system_prompt},
             {"role": "user", "content": user_prompt},
@@ -133,10 +128,10 @@ def online_api_key(cfg: LlmConfig) -> str:
     """The API key for the online gateway; ConfigError if it cannot run."""
     if not cfg.endpoint:
         raise ConfigError("online mode requires a chat-completions endpoint URL (--endpoint)")
-    api_key = os.environ.get(cfg.api_key_env, "")
+    api_key = os.environ.get(API_KEY_ENV, "")
     if not api_key:
         raise ConfigError(
-            f"online mode requires an API key in the {cfg.api_key_env} environment variable"
+            f"online mode requires an API key in the {API_KEY_ENV} environment variable"
         )
     return api_key
 
@@ -153,11 +148,11 @@ def _complete_online(
 
     last_error: Exception | None = None
     timed_out = False
-    for attempt in range(cfg.max_retries):
+    for attempt in range(MAX_RETRIES):
         if attempt:
-            time.sleep(cfg.backoff_seconds * 2 ** (attempt - 1))
+            time.sleep(BACKOFF_SECONDS * 2 ** (attempt - 1))
         try:
-            resp = requests.post(url, json=body, headers=headers, timeout=cfg.timeout_seconds)
+            resp = requests.post(url, json=body, headers=headers, timeout=TIMEOUT_SECONDS)
         except requests.Timeout as exc:
             last_error, timed_out = exc, True
             continue
@@ -196,10 +191,8 @@ def _complete_online(
             latency_seconds=time.perf_counter() - started,
         )
     if timed_out:
-        raise GatewayTimeoutError(
-            f"no response after {cfg.max_retries} attempts (last error: timeout)"
-        )
-    raise GatewayError(f"no response after {cfg.max_retries} attempts (last error: {last_error})")
+        raise GatewayTimeoutError(f"no response after {MAX_RETRIES} attempts (last error: timeout)")
+    raise GatewayError(f"no response after {MAX_RETRIES} attempts (last error: {last_error})")
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Two-hour setpoint optimization over the trained surrogates.
 
 Each control interval the controller picks cooling setpoints (u1, u2) for
-the coming two hours from the 1 K grid 22..26 degC by exhaustively costing
-all 25 pairs.  A candidate's cost is the predicted cooling power plus a
-quadratic penalty for exceeding each hour's demand-response power limit:
+the coming two hours from ``testbed.SETPOINT_GRID_C``, the 1 K grid 22..26
+degC, by exhaustively costing all 25 pairs.  A candidate's cost is the
+predicted cooling power plus a quadratic penalty for exceeding each hour's
+demand-response power limit:
 
     J(u1, u2) = y1 + V(y1, L1) + y2 + V(y2, L2)
     V(y, L)   = (y - L)^2  if y > L  else  0
@@ -19,7 +20,7 @@ artifact, not a real power.
 Predictors must be deterministic: the same feature vector must always give
 the same prediction.  ``optimize`` relies on it to predict the first hour
 once per u1 and reuse it for every u2, which costs 2g + 2g^2 model calls on
-a g-point grid (60 for the default 5 points) where rolling out each pair
+a g-point grid (60 for the 5-point grid) where rolling out each pair
 afresh costs 4g^2 (100), with the same decisions and candidate table.
 
 Cost ties prefer the larger u1 and then the larger u2, so the controller
@@ -36,7 +37,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvalidInputError, OptimizationFailedError
-from .testbed import Disturbance
+from .testbed import SETPOINT_GRID_C, Disturbance
 
 Predictor = Callable[[np.ndarray], float]
 
@@ -57,9 +58,6 @@ class MpcProblem:
     p_limit_t2_w: float
     fx: Predictor
     fy: Predictor
-    setpoint_min_c: float = 22.0
-    setpoint_max_c: float = 26.0
-    setpoint_step_c: float = 1.0
 
     def __post_init__(self):
         if not math.isfinite(self.zone_temp_c):
@@ -74,8 +72,6 @@ class MpcProblem:
             limit = getattr(self, name)
             if not math.isfinite(limit) or limit <= 0.0:
                 raise InvalidInputError(f"{name} must be positive and finite, got {limit!r}")
-        if self.setpoint_step_c <= 0.0 or self.setpoint_min_c > self.setpoint_max_c:
-            raise InvalidInputError("setpoint grid is empty or has non-positive step")
 
 
 @dataclass
@@ -136,13 +132,8 @@ def penalty(power_w: float, p_limit_w: float) -> float:
 
 
 def setpoint_grid(problem: MpcProblem) -> list[float]:
-    """Candidate setpoints, ascending."""
-    grid = []
-    value = problem.setpoint_min_c
-    while value <= problem.setpoint_max_c + 1e-9:
-        grid.append(round(value, 9))
-        value += problem.setpoint_step_c
-    return grid
+    """Candidate setpoints, ascending: the same grid for every interval."""
+    return list(SETPOINT_GRID_C)
 
 
 def features(setpoint: float, zone_temp: float, d: Disturbance) -> np.ndarray:

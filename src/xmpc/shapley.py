@@ -97,10 +97,11 @@ def coalition_weight(s_size: int, n: int) -> float:
     return math.factorial(s_size) * math.factorial(n - s_size - 1) / math.factorial(n)
 
 
-def _prepare(model, instance, background, feature_names=None):
+def _prepare(model, instance, background):
     """Check the inputs every entry point shares; return (fn, names, instance, background).
 
-    ``model`` is a SurrogateModel or any (n, d) -> (n,) callable.
+    ``model`` is a SurrogateModel, whose schema names the features, or any
+    (n, d) -> (n,) callable, whose features are named f0, f1, ...
     """
     fn, schema_names = model, None
     if not callable(model):
@@ -126,9 +127,7 @@ def _prepare(model, instance, background, feature_names=None):
         )
     if not np.all(np.isfinite(background)):
         raise InvalidInputError("non-finite value in background")
-    names = tuple(feature_names or schema_names or (f"f{i}" for i in range(n)))
-    if len(names) != n:
-        raise SchemaError(f"got {len(names)} feature names for {n} features")
+    names = schema_names or tuple(f"f{i}" for i in range(n))
     return fn, names, instance, background
 
 
@@ -169,13 +168,13 @@ def value_of(model, instance, background, subset) -> float:
     return float(_coalition_values(fn, instance, background, members)[0])
 
 
-def shapley(model, instance, background, feature_names=None) -> Attribution:
+def shapley(model, instance, background) -> Attribution:
     """Exact Shapley attribution by full coalition enumeration.
 
     Deterministic: coalitions are visited in ascending bitmask order, so the
     same inputs always produce bit-identical output.
     """
-    fn, names, instance, background = _prepare(model, instance, background, feature_names)
+    fn, names, instance, background = _prepare(model, instance, background)
     n = instance.shape[0]
     if n > MAX_EXACT_FEATURES:
         raise InvalidInputError(
@@ -210,9 +209,7 @@ def shapley(model, instance, background, feature_names=None) -> Attribution:
     )
 
 
-def shapley_sampled(
-    model, instance, background, n_permutations: int, seed: int = 0, feature_names=None
-) -> Attribution:
+def shapley_sampled(model, instance, background, n_permutations: int, seed: int = 0) -> Attribution:
     """Permutation-averaging Shapley estimate.
 
     Each permutation contributes one marginal-contribution walk; the mean
@@ -223,7 +220,7 @@ def shapley_sampled(
     """
     if n_permutations < 1:
         raise InvalidInputError(f"n_permutations must be >= 1, got {n_permutations}")
-    fn, names, instance, background = _prepare(model, instance, background, feature_names)
+    fn, names, instance, background = _prepare(model, instance, background)
     n = instance.shape[0]
 
     if n <= 10 and n_permutations >= math.factorial(n):

@@ -93,47 +93,39 @@ FY_SCHEMA = FeatureSchema(
 
 SCHEMAS = {"fx": FX_SCHEMA, "fy": FY_SCHEMA}
 
+# Fixed design: one relu hidden layer of 50 units, Adam with its usual
+# constants, and the last fifth of the rows (chronologically) held out.
+HIDDEN_DIM = 50
+HIDDEN_LAYERS = 1
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+VALIDATION_FRACTION = 0.2
+
 
 @dataclass
 class TrainConfig:
-    """Optimizer and architecture settings.
+    """The training schedule; the network shape and Adam's constants are fixed.
 
     Defaults are desk scale: 2000 full-batch epochs train either surrogate in
     about a second.  Longer schedules (for example 10000 epochs) are selected
-    by raising ``epochs``; the width and depth of the hidden stack are
-    exposed but rarely need changing.  ``train`` reuses one set of buffers
-    across all epochs of a fit (see the module docstring), so the epoch count
-    costs time but no memory traffic through the allocator.
+    by raising ``epochs``.  ``train`` reuses one set of buffers across all
+    epochs of a fit (see the module docstring), so the epoch count costs time
+    but no memory traffic through the allocator.
     """
 
     epochs: int = 2000
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    validation_fraction: float = 0.2
     rng_seed: int = 0
-    hidden_dim: int = 50
-    hidden_layers: int = 1
     background_rows: int = 256
 
     def __post_init__(self):
         if self.epochs < 1:
             raise InvalidInputError(f"epochs must be >= 1, got {self.epochs}")
-        if not 0.0 < self.validation_fraction < 1.0:
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
             raise InvalidInputError(
-                f"validation_fraction must be in (0, 1), got {self.validation_fraction}"
+                f"learning_rate must be finite and > 0, got {self.learning_rate}"
             )
-        if self.hidden_layers < 1 or self.hidden_dim < 1:
-            raise InvalidInputError("need at least one hidden layer of width >= 1")
-        for name in ("learning_rate", "eps"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise InvalidInputError(f"{name} must be finite and > 0, got {value}")
-        for name in ("beta1", "beta2"):
-            value = getattr(self, name)
-            if not 0.0 <= value < 1.0:
-                raise InvalidInputError(f"{name} must be in [0, 1), got {value}")
 
 
 @dataclass
@@ -264,10 +256,8 @@ def mse_loss_and_grads(
 # ---------------------------------------------------------------------------
 
 
-def _init_layers(
-    n_in: int, cfg: TrainConfig, rng: np.random.Generator
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    dims = [n_in] + [cfg.hidden_dim] * cfg.hidden_layers + [1]
+def _init_layers(n_in: int, rng: np.random.Generator) -> list[tuple[np.ndarray, np.ndarray]]:
+    dims = [n_in] + [HIDDEN_DIM] * HIDDEN_LAYERS + [1]
     layers = []
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
         scale = math.sqrt(2.0 / fan_in)
@@ -295,22 +285,22 @@ def _fit(
             raise TrainingDivergedError(epoch)
         loss_curve.append(loss)
         t = epoch + 1
-        bias1 = 1.0 - cfg.beta1**t
-        bias2 = 1.0 - cfg.beta2**t
+        bias1 = 1.0 - ADAM_BETA1**t
+        bias2 = 1.0 - ADAM_BETA2**t
         # theta -= lr * (m / bias1) / (sqrt(v / bias2) + eps), each product
         # and quotient rounded in the same order as the expression.
-        m *= cfg.beta1
-        np.multiply(grad, 1.0 - cfg.beta1, out=step)
+        m *= ADAM_BETA1
+        np.multiply(grad, 1.0 - ADAM_BETA1, out=step)
         m += step
-        v *= cfg.beta2
+        v *= ADAM_BETA2
         np.square(grad, out=step)
-        step *= 1.0 - cfg.beta2
+        step *= 1.0 - ADAM_BETA2
         v += step
         np.divide(m, bias1, out=step)
         step *= cfg.learning_rate
         np.divide(v, bias2, out=denom)
         np.sqrt(denom, out=denom)
-        denom += cfg.eps
+        denom += ADAM_EPS
         step /= denom
         theta -= step
     return [(w.copy(), b.copy()) for w, b in params], loss_curve
@@ -332,7 +322,7 @@ def train(dataset, schema: FeatureSchema, cfg: TrainConfig | None = None) -> Sur
         raise InvalidInputError(f"dataset too small or inconsistent: {x.shape[0]} rows")
 
     n = x.shape[0]
-    n_val = max(1, round(n * cfg.validation_fraction))
+    n_val = max(1, round(n * VALIDATION_FRACTION))
     x_train, x_val = x[: n - n_val], x[n - n_val :]
     y_train, y_val = y[: n - n_val], y[n - n_val :]
 
@@ -348,7 +338,7 @@ def train(dataset, schema: FeatureSchema, cfg: TrainConfig | None = None) -> Sur
     yvs = (y_val - t_mean) / t_std
 
     rng = np.random.default_rng(cfg.rng_seed)
-    layers = _init_layers(schema.n_features, cfg, rng)
+    layers = _init_layers(schema.n_features, rng)
     initial_val_mse = float(np.mean((forward(layers, xvs) - yvs) ** 2))
     layers, loss_curve = _fit(layers, xs, ys, cfg)
 
@@ -370,8 +360,8 @@ def train(dataset, schema: FeatureSchema, cfg: TrainConfig | None = None) -> Sur
     meta = {
         "epochs": cfg.epochs,
         "learning_rate": cfg.learning_rate,
-        "hidden_dim": cfg.hidden_dim,
-        "hidden_layers": cfg.hidden_layers,
+        "hidden_dim": HIDDEN_DIM,
+        "hidden_layers": HIDDEN_LAYERS,
         "rng_seed": cfg.rng_seed,
         "n_rows": n,
         "n_train": n_train,

@@ -63,6 +63,10 @@ EVENT_HOUR_MAX = 18
 # Zone air temperature at hour 0 of every simulation.
 INITIAL_ZONE_TEMP_C = 24.0
 
+# The 1 K cooling-setpoint grid: the excitation draws from it, the MPC costs
+# every pair on it, and its top is the comfort ceiling of the scenario rubric.
+SETPOINT_GRID_C = (22.0, 23.0, 24.0, 25.0, 26.0)
+
 CSV_COLUMNS = (
     "time_hour",
     "setpoint_c",
@@ -119,6 +123,8 @@ class TestbedConfig:
                 raise InvalidInputError(f"{name} must be a positive finite number, got {value!r}")
         if not 0 <= self.occupied_start_hour <= self.occupied_end_hour <= 24:
             raise InvalidInputError("occupied hours must satisfy 0 <= start <= end <= 24")
+        if self.rng_seed < 0:
+            raise InvalidInputError(f"rng_seed must be >= 0, got {self.rng_seed}")
 
 
 @dataclass
@@ -349,7 +355,7 @@ class ExcitationData:
 def run_excitation(n_days: int, cfg: TestbedConfig, seed: int) -> ExcitationData:
     """Simulate ``n_days`` under an hourly random setpoint schedule.
 
-    Setpoints are drawn uniformly from the integer grid {22..26} degC, which
+    Setpoints are drawn uniformly from ``SETPOINT_GRID_C``, which
     exercises both free-float hours and deep pull-downs so the surrogate
     models see the full operating envelope.
     """
@@ -362,7 +368,7 @@ def run_excitation(n_days: int, cfg: TestbedConfig, seed: int) -> ExcitationData
         profile = synth_disturbances(day, cfg)
         for hour in range(24):
             d = profile[hour]
-            setpoint = float(rng.integers(22, 27))
+            setpoint = SETPOINT_GRID_C[rng.integers(len(SETPOINT_GRID_C))]
             nxt, hvac = step(state, d, setpoint, cfg)
             records.append(
                 [

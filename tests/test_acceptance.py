@@ -36,6 +36,7 @@ from xmpc.shapley import shapley, verify_additivity
 from xmpc.surrogate import (
     FX_SCHEMA,
     FY_SCHEMA,
+    VALIDATION_FRACTION,
     background_of,
     batch_predictor,
     mse_loss_and_grads,
@@ -282,7 +283,7 @@ def test_07_surrogate_quality(criterion, excitation, fx_model, fy_model, train_c
         cols = [f.column for f in FX_SCHEMA.features]
         x = np.column_stack([excitation[c] for c in cols])
         n = len(excitation)
-        n_val = max(1, round(n * train_cfg.validation_fraction))
+        n_val = max(1, round(n * VALIDATION_FRACTION))
         x_hold = x[n - n_val:]
 
         temp_hold = excitation["next_zone_temp_c"][n - n_val:]

@@ -70,6 +70,15 @@ class TestExcite:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
+    def test_negative_seed_in_config_is_usage_error(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"rng_seed": -1}))
+        rc = main(["excite", "--days", "1", "--out", str(tmp_path / "x.csv"),
+                   "--config", str(cfg_path)])
+        assert rc == 2
+        assert "rng_seed must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_config_without_seed_takes_seed_flag(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"occupants": 4}))
@@ -330,6 +339,20 @@ def test_edited_sealed_episode_is_usage_error(
     assert "records_sha256" in capsys.readouterr().err
 
 
+def test_edited_episode_header_is_usage_error(cli_workspace, tmp_path, capsys):
+    # The seal covers the header: a raised event limit must not load quietly.
+    head, _, body = (cli_workspace / "episode.jsonl").read_bytes().partition(b"\n")
+    header = json.loads(head)
+    limits = header["calendar"]["limits"]
+    event = min(h for h, limit in limits.items() if limit < testbed.NORMAL_POWER_LIMIT_W)
+    limits[event] = testbed.NORMAL_POWER_LIMIT_W
+    edited = tmp_path / "edited.jsonl"
+    edited.write_bytes(json.dumps(header, separators=(",", ":")).encode() + b"\n" + body)
+    rc = main(["ask", "--episode", str(edited), "--t", "3", "--question", "Why?"])
+    assert rc == 2
+    assert "records_sha256" in capsys.readouterr().err
+
+
 # Placeholders: a directory, a file that is not text, a file in the way of an
 # output directory, an episode whose header is a JSON array, a model file that
 # is a JSON number, and the shared workspace.
@@ -380,3 +403,16 @@ class TestParser:
         with pytest.raises(SystemExit) as info:
             main(["excite", "--days", "0"])
         assert info.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["excite", "--days", "1", "--seed", "-1", "--out", "bad.csv"],
+        ["train", "--data", "data.csv", "--target", "fx", "--seed", "-2", "--out", "m.json"],
+        ["run", "--days", "1", "--fx", "fx.json", "--fy", "fy.json", "--seed", "-1"],
+    ], ids=["excite", "train", "run"])
+    def test_negative_seed_rejected(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert "expected a non-negative integer, got" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []

@@ -203,13 +203,13 @@ class TestNarration:
 
 class TestPrompts:
     def test_shap_prompt_structure(self):
-        prompt = build_shap_prompt(WORKED_ATTR, WORKED_DICTIONARY, "the cooling power P(t+1)")
+        prompt = build_shap_prompt(WORKED_ATTR, "the cooling power P(t+1)")
         assert "Only introduce the largest 3 impactful features plus the expected value." in prompt
         assert "Shapley values: oa_temp 680.369781; " in prompt
         assert "expected_value 1544.673602" in prompt
         assert "Variable values: oa_temp 32.7; " in prompt
         assert "The variable dictionary is listed as follows: {" in prompt
-        assert "zone_clg_tstat: zone temperature setpoint" in prompt
+        assert "setpoint_t: zone temperature setpoint" in prompt
         assert "the cooling power P(t+1)" in prompt
 
     def test_scenario_prompt_structure(self):

@@ -17,6 +17,7 @@ from xmpc.errors import (
 from xmpc.hub import (
     ATTRIBUTION_KEYS,
     EPISODE_VERSION,
+    REFERENCE_OPT_SECONDS,
     Episode,
     TimestepRecord,
     load_episode,
@@ -27,6 +28,7 @@ from xmpc.hub import (
 from xmpc.shapley import verify_additivity
 from xmpc.surrogate import digest, predict
 from xmpc.testbed import (
+    NORMAL_POWER_LIMIT_W,
     ZoneState,
     calendar_to_json,
     generate_dr_calendar,
@@ -34,6 +36,14 @@ from xmpc.testbed import (
     step,
 )
 
+
+
+def rewrite_header(src, dst, edit) -> None:
+    """Copy an episode file with ``edit`` applied to its header, written as saved."""
+    head, _, body = src.read_bytes().partition(b"\n")
+    header = json.loads(head)
+    edit(header)
+    dst.write_bytes(json.dumps(header, separators=(",", ":")).encode() + b"\n" + body)
 
 class TestRunEpisode:
     def test_record_count_and_fields(self, mini_episode):
@@ -176,7 +186,7 @@ class TestEpisodeFile:
         report = timing_report(mini_episode)
         assert report.n_intervals == 48
         assert 0.0 < report.mean_seconds <= report.max_seconds
-        assert report.reference_seconds == 4.19
+        assert REFERENCE_OPT_SECONDS == 4.19
         text = str(report)
         assert "mean" in text and "4.19" in text
 
@@ -257,10 +267,75 @@ class TestEpisodeFile:
         save_episode(mini_episode, path, include_timing=False)
         head, _, body = path.read_bytes().partition(b"\n")
         header = json.loads(head)
-        assert header["version"] == EPISODE_VERSION == 2
+        assert header["version"] == EPISODE_VERSION == 3
         assert header["n_records"] == len(mini_episode)
-        assert header["records_sha256"] == hashlib.sha256(body).hexdigest()
+        # The seal covers the header line, its own digest zeroed, then the records.
+        unsealed = head.replace(header["records_sha256"].encode(), b"0" * 64)
+        assert header["records_sha256"] == hashlib.sha256(unsealed + b"\n" + body).hexdigest()
         assert header["calendar"] == calendar_to_json(generate_dr_calendar(2, 1.0, seed=5))
+
+    def test_edited_header_breaks_the_seal(self, mini_episode, tmp_path):
+        path = tmp_path / "episode.jsonl"
+        save_episode(mini_episode, path)
+        event = min(h for h, limit in mini_episode.calendar.items() if limit < NORMAL_POWER_LIMIT_W)
+
+        def limit(header):
+            header["calendar"]["limits"][str(event)] += 100.0
+
+        def model_digest(header):
+            header["model_digests"]["fx"] = "0" * 64
+
+        # Rewritten unchanged, the header keeps its bytes and the file loads.
+        rewrite_header(path, tmp_path / "same.jsonl", lambda header: None)
+        assert (tmp_path / "same.jsonl").read_bytes() == path.read_bytes()
+        for edit in (limit, model_digest):
+            edited = tmp_path / f"{edit.__name__}.jsonl"
+            rewrite_header(path, edited, edit)
+            for timesteps in (None, [3]):
+                with pytest.raises(EpisodeIntegrityError, match="records_sha256"):
+                    load_episode(edited, timesteps=timesteps)
+
+    def test_version_2_file_still_loads(self, mini_episode, tmp_path, edit_digit):
+        # Version 2 sealed the record lines only.
+        path = tmp_path / "episode.jsonl"
+        save_episode(mini_episode, path)
+        body = path.read_bytes().partition(b"\n")[2]
+
+        def as_version_2(header):
+            header["version"] = 2
+            header["records_sha256"] = hashlib.sha256(body).hexdigest()
+
+        old = tmp_path / "v2.jsonl"
+        rewrite_header(path, old, as_version_2)
+        full = load_episode(old)
+        assert (full.version, len(full), full.calendar) == (2, 48, mini_episode.calendar)
+        [record] = load_episode(old, timesteps=[7]).records
+        assert record.to_json() == full.records[7].to_json()
+        edited = tmp_path / "v2_edited.jsonl"
+        edit_digit(old, edited, 20)
+        with pytest.raises(EpisodeIntegrityError, match="records_sha256"):
+            load_episode(edited, timesteps=[3])
+
+    def test_record_must_hold_the_four_attributions(self, mini_episode, tmp_path):
+        # A version 1 file has no seal, so only the record check can catch it.
+        path = tmp_path / "episode.jsonl"
+        save_episode(mini_episode, path)
+        lines = path.read_text().splitlines(keepends=True)
+        header = json.loads(lines[0])
+        del header["records_sha256"]
+        header["version"] = 1
+        for change in ("drop", "add"):
+            record = json.loads(lines[6])  # hour 5, on line 7
+            if change == "drop":
+                del record["attributions"]["fy_t2"]
+            else:
+                record["attributions"]["fy_t3"] = record["attributions"]["fy_t2"]
+            bad = tmp_path / f"{change}.jsonl"
+            bad.write_text(json.dumps(header) + "\n" + "".join(lines[1:6])
+                           + json.dumps(record) + "\n" + "".join(lines[7:]))
+            for timesteps in (None, [5]):
+                with pytest.raises(EpisodeIntegrityError, match=r":7: bad record .*fy_t2"):
+                    load_episode(bad, timesteps=timesteps)
 
     def test_edited_digit_breaks_the_seal(self, mini_episode, tmp_path, edit_digit):
         path = tmp_path / "episode.jsonl"
@@ -312,11 +387,14 @@ class TestEpisodeFile:
             assert str(info.value) == f"timesteps [{t}] not in episode (valid range 0..47)"
 
     def test_bad_header_calendar_rejected(self, mini_episode, tmp_path):
+        # A version 2 seal leaves the header out, so the calendar check is what fails.
         path = tmp_path / "episode.jsonl"
         save_episode(mini_episode, path)
         head, _, body = path.read_bytes().partition(b"\n")
         header = json.loads(head)
         header["calendar"]["limits"]["03"] = 1000.0
+        header["version"] = 2
+        header["records_sha256"] = hashlib.sha256(body).hexdigest()
         bad = tmp_path / "bad_calendar.jsonl"
         bad.write_bytes(json.dumps(header).encode() + b"\n" + body)
         with pytest.raises(DeserializationError, match="calendar: hour '03'"):

@@ -11,7 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from xmpc import mpc as mpc_mod
 from xmpc.errors import InvalidInputError, OptimizationFailedError
+from xmpc.explain import COMFORT_CEILING_C
 from xmpc.mpc import (
     MpcDecision,
     MpcProblem,
@@ -26,7 +28,7 @@ D1 = Disturbance(34.0, 400.0, 3.0)
 D2 = Disturbance(33.0, 350.0, 3.0)
 
 
-def make_problem(fx, fy, limit1=5000.0, limit2=5000.0, zone_temp=26.0, **kwargs):
+def make_problem(fx, fy, limit1=5000.0, limit2=5000.0, zone_temp=26.0):
     return MpcProblem(
         zone_temp_c=zone_temp,
         d1=D1,
@@ -35,8 +37,13 @@ def make_problem(fx, fy, limit1=5000.0, limit2=5000.0, zone_temp=26.0, **kwargs)
         p_limit_t2_w=limit2,
         fx=fx,
         fy=fy,
-        **kwargs,
     )
+
+
+def patch_grid(monkeypatch, step: float) -> None:
+    """Replace the 1 K grid with the one from 22 to 26 degC at ``step``."""
+    n = int(4.0 / step + 1e-9) + 1
+    monkeypatch.setattr(mpc_mod, "SETPOINT_GRID_C", tuple(22.0 + k * step for k in range(n)))
 
 
 def oracle_search(problem):
@@ -108,19 +115,23 @@ class TestGridAndValidation:
         problem = make_problem(lambda f: f[1], lambda f: 0.0)
         assert setpoint_grid(problem) == [22.0, 23.0, 24.0, 25.0, 26.0]
 
-    def test_half_degree_grid(self):
-        problem = make_problem(lambda f: f[1], lambda f: 0.0, setpoint_step_c=0.5)
-        assert len(setpoint_grid(problem)) == 9
+    def test_comfort_ceiling_tops_the_grid(self):
+        problem = make_problem(lambda f: f[1], lambda f: 0.0)
+        assert COMFORT_CEILING_C == setpoint_grid(problem)[-1] == 26.0
+
+    def test_half_degree_grid(self, monkeypatch):
+        patch_grid(monkeypatch, 0.5)
+        problem = make_problem(lambda f: f[1], lambda f: 0.0)
+        assert setpoint_grid(problem) == [22.0 + 0.5 * k for k in range(9)]
+        decision = optimize(problem)
+        assert len(decision.candidates) == 81
+        assert {u1 for u1, _, _ in decision.candidates} == set(setpoint_grid(problem))
 
     def test_problem_validation(self):
         with pytest.raises(InvalidInputError):
             make_problem(lambda f: f[1], lambda f: 0.0, zone_temp=math.nan)
         with pytest.raises(InvalidInputError):
             make_problem(lambda f: f[1], lambda f: 0.0, limit2=0.0)
-        with pytest.raises(InvalidInputError):
-            make_problem(
-                lambda f: f[1], lambda f: 0.0, setpoint_min_c=27.0, setpoint_max_c=22.0
-            )
 
     @pytest.mark.parametrize("hour", ["d1", "d2"])
     @pytest.mark.parametrize("name", ["oa_temp_c", "oa_radiation_wm2", "occupancy"])
@@ -356,12 +367,12 @@ class TestFirstHourOnce:
         assert failed == {(u1, u2) for u1 in grid for u2 in grid if u1 in (22.0, 23.0) or u2 == 25.0}
 
     @pytest.mark.parametrize("step, g", [(1.0, 5), (0.5, 9), (4.0, 2), (10.0, 1)])
-    def test_model_calls_per_decision(self, step, g):
+    def test_model_calls_per_decision(self, step, g, monkeypatch):
+        patch_grid(monkeypatch, step)
         fx_calls, fy_calls = [], []
         problem = make_problem(
             counting(lambda f: f[1] - 0.3 * (26.0 - f[0]), fx_calls),
             counting(lambda f: 60.0 * (f[1] - 20.0), fy_calls),
-            setpoint_step_c=step,
         )
         assert len(setpoint_grid(problem)) == g
         optimize(problem)

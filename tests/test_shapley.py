@@ -183,14 +183,14 @@ class TestExact:
         with pytest.raises(InvalidInputError, match="background"):
             entry(fn, np.ones(3), background)
 
-    def test_names_default_and_override(self):
+    def test_names_default_and_override(self, fx_model):
         fn = lambda x: x.sum(axis=1)
-        attr = shapley(fn, np.zeros(2), np.ones((1, 2)))
-        assert attr.feature_names == ("f0", "f1")
-        attr = shapley(fn, np.zeros(2), np.ones((1, 2)), feature_names=("a", "b"))
-        assert attr.feature_names == ("a", "b")
+        assert shapley(fn, np.zeros(2), np.ones((1, 2))).feature_names == ("f0", "f1")
+        sampled = shapley_sampled(fn, np.zeros(2), np.ones((1, 2)), n_permutations=2)
+        assert sampled.feature_names == ("f0", "f1")
+        # A surrogate's schema names its features, so a narrower instance is refused.
         with pytest.raises(SchemaError):
-            shapley(fn, np.zeros(2), np.ones((1, 2)), feature_names=("only_one",))
+            shapley(fx_model, np.zeros(4), np.ones((1, 4)))
 
     def test_surrogate_model_input(self, fx_model):
         background = background_of(fx_model)[:32]
@@ -421,10 +421,10 @@ class TestSerialization:
         rng = np.random.default_rng(10)
         instance = rng.normal(size=5)
         background = rng.normal(size=(4, 5))
-        attr = shapley(nonlinear_fn, instance, background, feature_names=tuple("abcde"))
+        attr = shapley(nonlinear_fn, instance, background)
         data = attr.to_json()
         assert set(data) == {"features", "base_value", "prediction", "background_size", "method"}
-        assert [f["name"] for f in data["features"]] == list("abcde")
+        assert [f["name"] for f in data["features"]] == [f"f{i}" for i in range(5)]
         back = Attribution.from_json(data)
         assert back.feature_names == attr.feature_names
         assert np.array_equal(back.shapley_values, attr.shapley_values)

@@ -234,10 +234,12 @@ class TestTraining:
         assert np.all(model.norm.stds > 0.0)
         assert np.isfinite(predict(model, np.array([5.0, 24.0, 30.0, 100.0, 2.0])))
 
-    def test_two_hidden_layer_stack(self):
+    def test_two_hidden_layer_stack(self, monkeypatch):
         data = make_dataset(60, seed=9, target_fn=lambda c: c["setpoint_c"])
-        cfg = TrainConfig(epochs=30, hidden_layers=2, hidden_dim=8, background_rows=8)
-        model = train(data, FX_SCHEMA, cfg)
+        monkeypatch.setattr(surrogate_mod, "HIDDEN_LAYERS", 2)
+        monkeypatch.setattr(surrogate_mod, "HIDDEN_DIM", 8)
+        model = train(data, FX_SCHEMA, TrainConfig(epochs=30, background_rows=8))
+        assert (model.meta["hidden_layers"], model.meta["hidden_dim"]) == (2, 8)
         assert len(model.layers) == 3
         assert model.layers[0][0].shape == (8, 5)
         assert model.layers[1][0].shape == (8, 8)
@@ -260,10 +262,6 @@ class TestTraining:
     def test_config_validation(self):
         with pytest.raises(InvalidInputError):
             TrainConfig(epochs=0)
-        with pytest.raises(InvalidInputError):
-            TrainConfig(validation_fraction=1.0)
-        with pytest.raises(InvalidInputError):
-            TrainConfig(hidden_layers=0)
 
     @pytest.mark.parametrize(
         "name, value",
@@ -272,16 +270,6 @@ class TestTraining:
             ("learning_rate", 0.0),
             ("learning_rate", math.nan),
             ("learning_rate", math.inf),
-            ("beta1", -0.1),
-            ("beta1", 1.0),
-            ("beta1", math.nan),
-            ("beta2", -1e-3),
-            ("beta2", 1.0),
-            ("beta2", math.nan),
-            ("eps", 0.0),
-            ("eps", -1e-8),
-            ("eps", math.nan),
-            ("eps", math.inf),
         ],
     )
     def test_optimizer_settings_validated(self, name, value):
@@ -289,8 +277,7 @@ class TestTraining:
             TrainConfig(**{name: value})
 
     def test_optimizer_settings_boundaries_accepted(self):
-        cfg = TrainConfig(learning_rate=1e-12, beta1=0.0, beta2=0.0, eps=1e-300)
-        assert cfg.beta1 == cfg.beta2 == 0.0
+        assert TrainConfig(learning_rate=1e-12).learning_rate == 1e-12
 
     def test_background_sample(self, fx_model, excitation):
         bg = background_of(fx_model)
@@ -375,22 +362,23 @@ def expression_loss_and_grads(layers, x, y):
 def expression_train(layers, xs, ys, cfg):
     """``surrogate._fit`` as a per-array Adam loop, each step in a fresh array."""
     moments = [[(np.zeros_like(a), np.zeros_like(a)) for a in layer] for layer in layers]
+    beta1, beta2, eps = surrogate_mod.ADAM_BETA1, surrogate_mod.ADAM_BETA2, surrogate_mod.ADAM_EPS
     loss_curve = []
     for epoch in range(cfg.epochs):
         loss, grads = expression_loss_and_grads(layers, xs, ys)
         loss_curve.append(loss)
         t = epoch + 1
-        bias1 = 1.0 - cfg.beta1**t
-        bias2 = 1.0 - cfg.beta2**t
+        bias1 = 1.0 - beta1**t
+        bias2 = 1.0 - beta2**t
         new_layers = []
         for i, (layer, layer_grads) in enumerate(zip(layers, grads)):
             updated = []
             for j, (param, grad) in enumerate(zip(layer, layer_grads)):
                 m, v = moments[i][j]
-                m = cfg.beta1 * m + (1.0 - cfg.beta1) * grad
-                v = cfg.beta2 * v + (1.0 - cfg.beta2) * grad**2
+                m = beta1 * m + (1.0 - beta1) * grad
+                v = beta2 * v + (1.0 - beta2) * grad**2
                 moments[i][j] = (m, v)
-                step_vec = cfg.learning_rate * (m / bias1) / (np.sqrt(v / bias2) + cfg.eps)
+                step_vec = cfg.learning_rate * (m / bias1) / (np.sqrt(v / bias2) + eps)
                 updated.append(param - step_vec)
             new_layers.append(tuple(updated))
         layers = new_layers
@@ -486,7 +474,8 @@ class TestReusedTrainingBuffers:
     def test_model_bytes_equal_to_expression_form(
         self, excitation, monkeypatch, schema, hidden_layers
     ):
-        cfg = TrainConfig(epochs=200, learning_rate=3e-3, hidden_layers=hidden_layers)
+        monkeypatch.setattr(surrogate_mod, "HIDDEN_LAYERS", hidden_layers)
+        cfg = TrainConfig(epochs=200, learning_rate=3e-3)
         model = train(excitation, schema, cfg)
         monkeypatch.setattr(surrogate_mod, "_fit", expression_train)
         reference = train(excitation, schema, cfg)

@@ -283,6 +283,13 @@ class TestExcitation:
     def test_setpoints_cover_grid(self, excitation):
         assert set(np.unique(excitation["setpoint_c"])) == {22.0, 23.0, 24.0, 25.0, 26.0}
 
+    @pytest.mark.parametrize("seed", [0, 1, 7, 42, 2024])
+    def test_setpoints_are_the_integer_draw(self, seed):
+        # Drawing from the grid by index keeps the stream of the 22..26 integer draw.
+        rng = np.random.default_rng(seed)
+        expected = [float(rng.integers(22, 27)) for _ in range(48)]
+        assert run_excitation(2, CFG, seed=seed)["setpoint_c"].tolist() == expected
+
     def test_determinism(self, testbed_cfg):
         a = run_excitation(2, testbed_cfg, seed=42)
         b = run_excitation(2, testbed_cfg, seed=42)
@@ -375,3 +382,11 @@ class TestConfigPersistence:
             TestbedConfig(cooling_capacity=-10.0)
         with pytest.raises(InvalidInputError):
             TestbedConfig(occupied_start_hour=18, occupied_end_hour=9)
+
+    def test_negative_seed_rejected(self, tmp_path):
+        with pytest.raises(InvalidInputError, match="rng_seed"):
+            TestbedConfig(rng_seed=-1)
+        path = tmp_path / "cfg.json"
+        path.write_text('{"rng_seed": -3}')
+        with pytest.raises(InvalidInputError, match="rng_seed"):
+            load_config(path)
