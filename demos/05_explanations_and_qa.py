@@ -13,7 +13,6 @@ import tempfile
 from pathlib import Path
 
 from xmpc.explain import (
-    VARIABLE_DICTIONARY,
     build_qa_context,
     classify,
     narrate_attribution,
@@ -39,12 +38,12 @@ print(f"episode: {len(episode)} intervals, census {scenario_census(episode)}")
 record = next(r for r in episode.records if r.scenario == 1)
 attr = record.attributions["fy_t1"]
 print(f"\nnarrating the hour-1 cooling attribution at t={record.t}:")
-print(narrate_attribution(attr, VARIABLE_DICTIONARY, "the cooling power P(t+1)"))
+print(narrate_attribution(attr, "the cooling power P(t+1)"))
 
 # Render the full document set for the precool day into a scratch directory.
 out = Path(tempfile.gettempdir()) / "xmpc_docs"
 day0 = (record.t // 24) * 24
-written = write_documents(episode, out, timesteps=list(range(day0, day0 + 24)))
+written = write_documents(episode.records[day0:day0 + 24], out)
 print(f"\nwrote {len(written)} files to {out} "
       f"({sum(1 for p in written if p.suffix == '.md')} documents, "
       f"{sum(1 for p in written if p.suffix == '.svg')} charts)")
@@ -63,7 +62,7 @@ for question in (
     "Why did the controller lower the setpoint this hour?",
     "What happens if the cooling power exceeds the limit?",
 ):
-    context = build_qa_context(episode, record.t, question)
+    context = build_qa_context(record, question)
     exchange = answer_question(stub, context)
     print(f"\nQ: {question}")
     print(f"A: {exchange.response}")

@@ -148,12 +148,7 @@ def cmd_explain(args) -> int:
             raise InvalidInputError(f"--t must be an hour index or 'all', got {args.t!r}") from None
     episode = hub_mod.load_episode(args.episode, timesteps)
     written = explain_mod.write_documents(
-        episode,
-        args.out,
-        mode=args.mode,
-        llm_config=llm_config,
-        timesteps=timesteps,
-        templates=templates,
+        episode.records, args.out, mode=args.mode, llm_config=llm_config, templates=templates
     )
     docs = sum(1 for p in written if p.suffix == ".md")
     print(f"wrote {docs} documents ({len(written)} files) to {args.out}")
@@ -164,12 +159,10 @@ def cmd_ask(args) -> int:
     if not args.question and not args.repl:
         raise InvalidInputError("provide --question or --repl")
     cfg = _llm_config(args)
-    episode = hub_mod.load_episode(args.episode, [args.t])
+    [record] = hub_mod.load_episode(args.episode, [args.t]).records
 
     def answer(question: str) -> None:
-        context = explain_mod.build_qa_context(
-            episode, args.t, question, budget_chars=args.context_budget
-        )
+        context = explain_mod.build_qa_context(record, question, budget_chars=args.context_budget)
         exchange = llm_mod.answer_question(cfg, context)
         print(exchange.response)
 

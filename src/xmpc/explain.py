@@ -30,7 +30,7 @@ from pathlib import Path
 
 from .charts import attribution_chart_svg, fmt_mean, fmt_phi, fmt_value, ranking_order
 from .errors import ConfigError, InvalidInputError, RenderError
-from .hub import ATTRIBUTION_KEYS, Episode, TimestepRecord, records_at
+from .hub import ATTRIBUTION_KEYS, Episode, TimestepRecord
 from .shapley import Attribution
 from .testbed import NORMAL_POWER_LIMIT_W, SETPOINT_GRID_C
 
@@ -108,18 +108,14 @@ def scenario_census(episode: Episode) -> dict[int, int]:
 # ---------------------------------------------------------------------------
 
 
-def narrate_attribution(
-    attribution: Attribution,
-    dictionary: dict[str, str] | None = None,
-    target_desc: str | None = None,
-) -> str:
+def narrate_attribution(attribution: Attribution, target_desc: str | None = None) -> str:
     """One deterministic paragraph: top-3 features by |phi| with directions.
 
     Ties in |phi| resolve by schema order.  The base (expected) value is
     always mentioned so the reader can reconstruct the prediction from the
-    listed contributions.
+    listed contributions.  Feature names are described through
+    ``VARIABLE_DICTIONARY``; a name it lacks is shown as is.
     """
-    dictionary = dictionary if dictionary is not None else VARIABLE_DICTIONARY
     target = target_desc or "the model output"
     order = ranking_order(attribution)
     top = order[:3]
@@ -129,7 +125,7 @@ def narrate_attribution(
     ]
     for i in top:
         name = attribution.feature_names[i]
-        desc = dictionary.get(name, name)
+        desc = VARIABLE_DICTIONARY.get(name, name)
         phi = float(attribution.shapley_values[i])
         if phi > 0:
             direction = "pushing the prediction above the expected value"
@@ -215,12 +211,14 @@ class PromptTemplate:
         return tuple(names)
 
     def render(self, mapping: dict[str, str]) -> str:
-        missing = [name for name in self.placeholders if name not in mapping]
-        if missing:
-            raise RenderError(
-                f"scenario {self.scenario} template is missing values for {missing}"
-            )
-        return self.text.format(**mapping).strip()
+        """The filled-in text; a malformed or unfillable template is a ``RenderError``."""
+        try:
+            missing = [name for name in self.placeholders if name not in mapping]
+            if not missing:
+                return self.text.format(**mapping).strip()
+        except (ValueError, LookupError) as exc:  # a stray brace, conversion or format spec
+            raise RenderError(f"scenario {self.scenario} template is malformed ({exc})") from None
+        raise RenderError(f"scenario {self.scenario} template is missing values for {missing}")
 
 
 def default_template_dir() -> Path:
@@ -228,14 +226,18 @@ def default_template_dir() -> Path:
 
 
 def load_templates(directory: str | Path | None = None) -> dict[int, PromptTemplate]:
-    """Load scenario1.txt .. scenario3.txt; a missing file is a startup error."""
+    """Load scenario1.txt .. scenario3.txt; a missing or non-UTF-8 file is a startup error."""
     directory = Path(directory) if directory is not None else default_template_dir()
     templates = {}
     for scenario in (1, 2, 3):
         path = directory / f"scenario{scenario}.txt"
         if not path.is_file():
             raise ConfigError(f"missing template file {path}")
-        templates[scenario] = PromptTemplate(scenario=scenario, text=path.read_text())
+        try:
+            text = path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"template file {path} is not UTF-8 text ({exc})") from None
+        templates[scenario] = PromptTemplate(scenario=scenario, text=text)
     return templates
 
 
@@ -413,14 +415,13 @@ def render_document(
 
 
 def write_documents(
-    episode: Episode,
+    records: list[TimestepRecord],
     out_dir: str | Path,
     mode: str = "deterministic",
     llm_config=None,
-    timesteps: list[int] | None = None,
     templates: dict[int, PromptTemplate] | None = None,
 ) -> list[Path]:
-    """Render documents and charts for the chosen timesteps (default: all).
+    """Render documents and charts for the given records.
 
     Emits ``ts_<t>.md`` plus ``ts_<t>_attr<k>.svg`` for k in 1..4 and
     returns every path written.
@@ -428,7 +429,6 @@ def write_documents(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     templates = templates if templates is not None else load_templates()
-    records = episode.records if timesteps is None else records_at(episode.records, timesteps)
 
     written: list[Path] = []
     for record in records:
@@ -449,8 +449,8 @@ def write_documents(
 # ---------------------------------------------------------------------------
 
 
-def build_qa_context(episode: Episode, t: int, question: str, budget_chars: int = 12000) -> str:
-    """Assemble the QA prompt: formulation summary, document, question.
+def build_qa_context(record: TimestepRecord, question: str, budget_chars: int = 12000) -> str:
+    """Assemble the QA prompt about one record: formulation summary, document, question.
 
     If the assembled context exceeds the budget, attribution paragraphs are
     dropped from the document text last-first until it fits; the decision
@@ -458,7 +458,6 @@ def build_qa_context(episode: Episode, t: int, question: str, budget_chars: int 
     """
     if not question or not question.strip():
         raise InvalidInputError("question must be a non-empty string")
-    [record] = records_at(episode.records, [t])
     doc = render_document(record, mode="deterministic")
 
     doc_text = doc.markdown()

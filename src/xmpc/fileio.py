@@ -1,6 +1,6 @@
 """Atomic replacement of output files.
 
-Model, episode, excitation, config and calendar files are written to a
+Model, episode, excitation and config files are written to a
 temporary file in the target's directory and renamed over the target only
 once complete, so a write that fails part-way leaves the previous file
 untouched and no partial file behind.  Text is written untranslated

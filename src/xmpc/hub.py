@@ -13,18 +13,17 @@
    winning rollout evaluated,
 4. labels the step with the deterministic scenario rubric.
 
-Episodes serialize to JSON lines: a header object, then one record per line.
-The version 3 header carries the seeds, model digests, testbed configuration
-and DR calendar (in ``save_calendar``'s form), the record count, and
-``records_sha256``, a digest that seals the file: it covers the header line
-(with its own digest field zeroed) and every record line.  Per-step
-optimization wall-clock is stored in the records but can be omitted at save
-time (canonical form), which makes reruns with equal seeds byte-identical.
+Episodes serialize to JSON lines: a header object, then one record per line,
+hour t on record line t.  The header carries the format version (3, the only
+one that loads), the seeds, model digests, testbed configuration and DR
+calendar, the record count, and ``records_sha256``, a digest that seals the
+file: it covers the header line (with its own digest field zeroed) and every
+record line.  Per-step optimization wall-clock is stored in the records but
+can be omitted at save time (canonical form), which makes reruns with equal
+seeds byte-identical.
 
 ``load_episode`` hashes every line but decodes only the records it is asked
-for: a matching seal vouches for the lines it skips.  A version 2 file's seal
-covers the record lines only; a version 1 file has no seal and is decoded in
-full.
+for: the seal, which every file must carry, vouches for the lines it skips.
 """
 
 from __future__ import annotations
@@ -130,9 +129,8 @@ class Episode:
     model_digests: dict
     config: dict
     records: list[TimestepRecord] = field(default_factory=list)
-    version: int = EPISODE_VERSION
-    # The DR calendar the episode ran under; None when unknown (version 1 files).
-    calendar: dict[int, float] | None = None
+    # The DR calendar the episode ran under: hour index -> power limit in W.
+    calendar: dict[int, float] = field(default_factory=dict)
 
     def __len__(self) -> int:
         return len(self.records)
@@ -253,11 +251,12 @@ def run_episode(
 def save_episode(episode: Episode, path: str | Path, include_timing: bool = True) -> None:
     """Write header plus one record per line, sealed with the lines' sha256.
 
-    ``include_timing=False`` writes the canonical form: identical runs
-    produce byte-identical files because per-step wall-clock is omitted.
-    The digest is known only after the last record, so the header is
-    written, and hashed, with a placeholder of the same width that is then
-    overwritten.
+    Record p must be hour p, as ``run_episode`` builds it, because the
+    loader finds hours by position.  ``include_timing=False`` writes the
+    canonical form: identical runs produce byte-identical files because
+    per-step wall-clock is omitted.  The digest is known only after the last
+    record, so the header is written, and hashed, with a placeholder of the
+    same width that is then overwritten.
     """
     header = {
         "version": EPISODE_VERSION,
@@ -267,13 +266,15 @@ def save_episode(episode: Episode, path: str | Path, include_timing: bool = True
         "seeds": episode.seeds,
         "model_digests": episode.model_digests,
         "config": episode.config,
-        "calendar": None if episode.calendar is None else calendar_to_json(episode.calendar),
+        "calendar": calendar_to_json(episode.calendar),
     }
     head = (json.dumps(header, separators=(",", ":")) + "\n").encode()
     seal = hashlib.sha256(head)
     with atomic_write(path, binary=True) as fh:
         fh.write(head)
-        for record in episode.records:
+        for position, record in enumerate(episode.records):
+            if record.t != position:
+                raise InvalidInputError(f"record {position} holds hour {record.t}, not {position}")
             line = json.dumps(record.to_json(include_timing), separators=(",", ":")) + "\n"
             line = line.encode()
             seal.update(line)
@@ -287,42 +288,38 @@ def load_episode(path: str | Path, timesteps: list[int] | None = None) -> Episod
 
     Every line is hashed, and the record count and ``records_sha256`` are
     checked against the header.  A matching digest means every line is
-    as written, so of a sealed file only the requested records are decoded:
-    hour t is looked up at position t, where ``run_episode`` puts it, and by
-    hour in a full decode if it is not there.  A version 1 file has no seal,
-    so each of its records is decoded and checked.
+    as written, so only the requested records are decoded: hour t is record
+    t, which the loader checks for every record it decodes.
     """
     path = Path(path)
     header, decoded = _read_episode(path, None if timesteps is None else set(timesteps))
-    if timesteps is None:
-        records = list(decoded.values())
-    else:
-        records = [decoded.get(t) for t in timesteps]
-        if not all(r is not None and r.t == t for r, t in zip(records, timesteps)):
-            # Not at its position (or out of range): find the hours by value.
-            _, decoded = _read_episode(path, None)
-            records = records_at(list(decoded.values()), timesteps)
-    calendar = header.get("calendar")
+    records = list(decoded.values())
+    if timesteps is not None:
+        if not header["n_records"]:
+            raise InvalidInputError("episode has no records")
+        unknown = [t for t in timesteps if t not in decoded]
+        if unknown:
+            raise InvalidInputError(
+                f"timesteps {unknown} not in episode (valid range 0..{header['n_records'] - 1})"
+            )
+        records = [decoded[t] for t in timesteps]
     return Episode(
         seeds=header.get("seeds", {}),
         model_digests=header.get("model_digests", {}),
         config=header.get("config", {}),
         records=records,
-        version=header.get("version", EPISODE_VERSION),
-        calendar=None if calendar is None else calendar_from_json(calendar, f"{path}:1 calendar"),
+        calendar=calendar_from_json(header.get("calendar"), f"{path}:1 calendar"),
     )
 
 
 def _read_episode(path: Path, positions: set[int] | None) -> tuple[dict, dict]:
     """The header and the decoded records by position, after one checked pass.
 
-    ``positions=None``, or a file without a seal, decodes every record.
-    The digest covers each non-blank record line with its CR/LF ending
-    replaced by one ``\\n``; from version 3 on it first covers the header
-    line, ended the same way and with its own digest zeroed.
+    ``positions=None`` decodes every record.  The digest covers the header
+    line, its CR/LF ending replaced by one ``\\n`` and its own digest zeroed,
+    then each non-blank record line, ended the same way.
     """
     records: dict[int, TimestepRecord] = {}
-    seal = hashlib.sha256()
     with path.open("rb") as fh:
         first = fh.readline()
         if not first:
@@ -337,11 +334,16 @@ def _read_episode(path: Path, positions: set[int] | None) -> tuple[dict, dict]:
             raise EpisodeIntegrityError(
                 f"{path}: not an episode file (kind={header.get('kind')!r})"
             )
-        sealed = header.get("records_sha256")
-        decode_all = positions is None or sealed is None
-        if header.get("version") not in (1, 2):
-            head = first.rstrip(b"\r\n") + b"\n"
-            seal.update(head.replace(_SEAL_KEY + str(sealed).encode(), _SEAL_KEY + _UNSEALED, 1))
+        if header.get("version") != EPISODE_VERSION:
+            raise EpisodeIntegrityError(
+                f"{path}: episode format version {header.get('version')!r} is not "
+                f"{EPISODE_VERSION}; re-run `xmpc run` to rebuild the episode"
+            )
+        if "records_sha256" not in header:
+            raise EpisodeIntegrityError(f"{path}:1: header lacks its seal, records_sha256")
+        sealed = str(header["records_sha256"])
+        head = first.rstrip(b"\r\n") + b"\n"
+        seal = hashlib.sha256(head.replace(_SEAL_KEY + sealed.encode(), _SEAL_KEY + _UNSEALED, 1))
         position = 0
         for lineno, line in enumerate(fh, start=2):
             line = line.rstrip(b"\r\n")
@@ -349,33 +351,27 @@ def _read_episode(path: Path, positions: set[int] | None) -> tuple[dict, dict]:
                 continue
             seal.update(line)
             seal.update(b"\n")
-            if decode_all or position in positions:
+            if positions is None or position in positions:
                 try:
-                    records[position] = TimestepRecord.from_json(json.loads(line))
+                    record = TimestepRecord.from_json(json.loads(line))
                 except (KeyError, TypeError, ValueError) as exc:
                     raise EpisodeIntegrityError(f"{path}:{lineno}: bad record ({exc})") from None
+                if record.t != position:
+                    raise EpisodeIntegrityError(
+                        f"{path}:{lineno}: bad record (hour {record.t} at record {position})"
+                    )
+                records[position] = record
             position += 1
     declared = header.get("n_records")
     if declared != position:
         raise EpisodeIntegrityError(
             f"{path}: header declares {declared} records but file holds {position}"
         )
-    if sealed is not None and sealed != seal.hexdigest():
+    if sealed != seal.hexdigest():
         raise EpisodeIntegrityError(
             f"{path}: lines do not match the header's records_sha256 (edited since written?)"
         )
     return header, records
-
-
-def records_at(records: list[TimestepRecord], timesteps: list[int]) -> list[TimestepRecord]:
-    """The records for the given hour indices, in the order asked."""
-    by_t = {record.t: record for record in records}
-    if not by_t:
-        raise InvalidInputError("episode has no records")
-    unknown = [t for t in timesteps if t not in by_t]
-    if unknown:
-        raise InvalidInputError(f"timesteps {unknown} not in episode (valid range 0..{max(by_t)})")
-    return [by_t[t] for t in timesteps]
 
 
 def timing_report(episode: Episode) -> TimingReport:

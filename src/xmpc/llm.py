@@ -219,7 +219,6 @@ def _stub_narration(prompt: str) -> str:
     shap_match = re.search(r"Shapley values: (.+?)\n\n", prompt, re.S)
     value_match = re.search(r"Variable values: (.+?)\n\n", prompt, re.S)
     target_match = re.search(r"impactful to (.+?)\.\n", prompt, re.S)
-    dict_match = re.search(r"listed as follows: \{(.*)\}\s*$", prompt, re.S)
     if not (shap_match and value_match):
         return "Stub narration: could not locate Shapley and variable values in the request."
 
@@ -236,12 +235,6 @@ def _stub_narration(prompt: str) -> str:
         name, _, number = item.rpartition(" ")
         if name:
             values[name] = float(number)
-    dictionary = {}
-    if dict_match:
-        for item in dict_match.group(1).split(", "):
-            key, _, desc = item.partition(": ")
-            if key:
-                dictionary[key] = desc
 
     names = tuple(phis)
     attribution = Attribution(
@@ -254,7 +247,7 @@ def _stub_narration(prompt: str) -> str:
         method="exact",
     )
     target = target_match.group(1) if target_match else None
-    return narrate_attribution(attribution, dictionary=dictionary or None, target_desc=target)
+    return narrate_attribution(attribution, target_desc=target)
 
 
 def _stub_scenario_judgment(prompt: str) -> str:

@@ -126,6 +126,8 @@ class TrainConfig:
             raise InvalidInputError(
                 f"learning_rate must be finite and > 0, got {self.learning_rate}"
             )
+        if self.rng_seed < 0:
+            raise InvalidInputError(f"rng_seed must be >= 0, got {self.rng_seed}")
 
 
 @dataclass

@@ -21,7 +21,8 @@ Time conventions used throughout the package:
 * the demand-response calendar is indexed by the reporting tick, i.e.
   ``calendar[h]`` limits the cooling rate reported at hour h (the power
   delivered during the hour ending at h).  Outside events the limit is a
-  5000 W ceiling that normal operation does not reach.
+  5000 W ceiling that normal operation does not reach.  The calendar is
+  stored only in episode headers, through ``calendar_to_json``.
 
 Synthetic weather is a deterministic function of (seed, day): a sinusoidal
 dry-bulb profile peaking at 14:00, a daytime half-sine direct solar profile,
@@ -421,7 +422,7 @@ def load_config(path: str | Path, rng_seed: int = 0) -> TestbedConfig:
 
 
 def calendar_to_json(calendar: dict[int, float]) -> dict:
-    """The calendar as ``save_calendar`` writes it and episode headers hold it."""
+    """The calendar as episode headers hold it."""
     return {"version": 1, "limits": {str(h): calendar[h] for h in sorted(calendar)}}
 
 
@@ -454,17 +455,3 @@ def calendar_from_json(data, source: str) -> dict[int, float]:
             )
         calendar[int(hour)] = value
     return calendar
-
-
-def save_calendar(calendar: dict[int, float], path: str | Path) -> None:
-    with atomic_write(path) as fh:
-        fh.write(json.dumps(calendar_to_json(calendar), indent=2) + "\n")
-
-
-def load_calendar(path: str | Path) -> dict[int, float]:
-    """Read a calendar written by ``save_calendar``: hour index -> power limit in W."""
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:  # also a file that is not UTF-8
-        raise DeserializationError(f"{path}: invalid JSON ({exc})") from None
-    return calendar_from_json(data, str(path))

@@ -7,6 +7,8 @@ deterministic end to end.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import socket
 from pathlib import Path
 
@@ -121,3 +123,21 @@ def edit_digit():
         Path(dst).write_bytes(b"\n".join(lines))
 
     return copy_with_edit
+
+
+@pytest.fixture()
+def reseal():
+    """Recompute an edited episode file's seal in place, as ``save_episode`` computes it.
+
+    Behind a matching seal the loader's own checks are what must catch an edit.
+    """
+
+    def reseal_file(path: Path) -> None:
+        head, _, body = Path(path).read_bytes().partition(b"\n")
+        header = json.loads(head)
+        header["records_sha256"] = "0" * 64
+        seal = hashlib.sha256(json.dumps(header, separators=(",", ":")).encode() + b"\n" + body)
+        header["records_sha256"] = seal.hexdigest()
+        Path(path).write_bytes(json.dumps(header, separators=(",", ":")).encode() + b"\n" + body)
+
+    return reseal_file

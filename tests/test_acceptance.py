@@ -340,7 +340,7 @@ def test_07_surrogate_quality(criterion, excitation, fx_model, fy_model, train_c
 def test_08_document_integrity(criterion, episode, tmp_path):
     with criterion("08 document integrity") as v:
         started = time.perf_counter()
-        first = write_documents(episode, tmp_path / "render1")
+        first = write_documents(episode.records, tmp_path / "render1")
         elapsed = time.perf_counter() - started
 
         docs = [p for p in first if p.suffix == ".md"]
@@ -356,7 +356,7 @@ def test_08_document_integrity(criterion, episode, tmp_path):
             allowed = expected_numerals(by_t[t])
             stray += sum(1 for tok in numeral.findall(p.read_text()) if tok not in allowed)
 
-        second = write_documents(episode, tmp_path / "render2")
+        second = write_documents(episode.records, tmp_path / "render2")
         identical = all(
             a.read_bytes() == b.read_bytes() for a, b in zip(first, second)
         )
@@ -389,7 +389,7 @@ def test_10_offline_guarantee(criterion, episode, no_network):
         )
         doc = render_document(record, mode="llm", llm_config=cfg).markdown()
         answer = answer_question(
-            cfg, build_qa_context(episode, record.t, "Why precool this hour?")
+            cfg, build_qa_context(record, "Why precool this hour?")
         ).response
         v.ok = judged == record.scenario and "Shapley value" in doc and bool(answer)
         v.detail = (

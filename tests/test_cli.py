@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -10,6 +12,7 @@ import requests
 
 from xmpc import testbed
 from xmpc.cli import main
+from xmpc.explain import default_template_dir
 
 
 @pytest.fixture(scope="session")
@@ -308,20 +311,65 @@ def test_timestep_out_of_range_is_usage_error(cli_workspace, tmp_path, capsys, m
     assert "timesteps [9999] not in episode (valid range 0..47)" in capsys.readouterr().err
 
 
-def test_records_out_of_hour_order_are_found_by_hour(cli_workspace, tmp_path, capsys):
-    # Record 5 is not at position 5, so its position must not be trusted.
-    from xmpc.hub import load_episode, save_episode
+@pytest.mark.parametrize("relabel, message", [
+    (lambda header, body: header.update(version=1) or header.pop("records_sha256"),
+     "episode format version 1 is not 3; re-run `xmpc run`"),
+    (lambda header, body: header.update(
+        version=2, records_sha256=hashlib.sha256(body).hexdigest()),
+     "episode format version 2 is not 3"),
+    (lambda header, body: header.pop("records_sha256"), "header lacks its seal, records_sha256"),
+], ids=["v1", "v2", "v3-unsealed"])
+def test_legacy_or_unsealed_episode_is_usage_error(
+    cli_workspace, tmp_path, capsys, relabel, message
+):
+    # Without a seal over its header (v1 and v2 files, or a v3 header that
+    # lost its digest), a raised event limit would load as written.
+    head, _, body = (cli_workspace / "episode.jsonl").read_bytes().partition(b"\n")
+    header = json.loads(head)
+    limits = header["calendar"]["limits"]
+    limits[min(h for h, limit in limits.items() if limit < testbed.NORMAL_POWER_LIMIT_W)] = (
+        testbed.NORMAL_POWER_LIMIT_W
+    )
+    relabel(header, body)
+    edited = tmp_path / "edited.jsonl"
+    edited.write_bytes(json.dumps(header, separators=(",", ":")).encode() + b"\n" + body)
+    rc = main(["ask", "--episode", str(edited), "--t", "5", "--question", "Why?"])
+    assert rc == 2
+    assert message in capsys.readouterr().err
 
-    episode = load_episode(cli_workspace / "episode.jsonl")
-    episode.records.reverse()
-    save_episode(episode, tmp_path / "reversed.jsonl")
-    outputs = []
-    for path in (cli_workspace / "episode.jsonl", tmp_path / "reversed.jsonl"):
-        docs = tmp_path / f"docs_{path.stem}"
-        assert main(["explain", "--episode", str(path), "--t", "5", "--out", str(docs)]) == 0
-        assert main(["ask", "--episode", str(path), "--t", "5", "--question", "Why?"]) == 0
-        outputs.append(((docs / "ts_5.md").read_text(), capsys.readouterr().out.splitlines()[1:]))
-    assert outputs[0] == outputs[1]
+
+@pytest.mark.parametrize("argv", [
+    ["ask", "--t", "5", "--question", "Why?"],
+    ["explain", "--t", "5", "--out", "docs"],
+], ids=["ask", "explain"])
+def test_hour_not_at_its_record_is_usage_error(
+    cli_workspace, tmp_path, capsys, monkeypatch, reseal, argv
+):
+    # Hour t is record t; with a recomputed seal only the loader's check catches a swap.
+    monkeypatch.chdir(tmp_path)
+    lines = (cli_workspace / "episode.jsonl").read_bytes().splitlines(keepends=True)
+    lines[6], lines[7] = lines[7], lines[6]  # records 5 and 6
+    Path("swapped.jsonl").write_bytes(b"".join(lines))
+    reseal("swapped.jsonl")
+    rc = main([argv[0], "--episode", "swapped.jsonl", *argv[1:]])
+    assert rc == 2
+    assert "swapped.jsonl:7: bad record (hour 6 at record 5)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content, message", [
+    (b"{P_limit_t1\n", "scenario 1 template is malformed"),
+    (b"{P_limit_t1!x}\n", "scenario 1 template is malformed"),
+    (b"{P_limit_t1:d}\n", "scenario 1 template is malformed"),
+    (b"caf\xe9 {P_limit_t1}\n", "scenario1.txt is not UTF-8 text"),
+], ids=["unbalanced-brace", "unknown-conversion", "bad-format-spec", "not-utf8"])
+def test_bad_template_is_usage_error(cli_workspace, tmp_path, capsys, content, message):
+    templates = tmp_path / "templates"
+    shutil.copytree(default_template_dir(), templates)
+    (templates / "scenario1.txt").write_bytes(content)
+    rc = main(["explain", "--episode", str(cli_workspace / "episode.jsonl"),
+               "--templates", str(templates), "--out", str(tmp_path / "docs")])
+    assert rc == 2
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

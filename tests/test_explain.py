@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import re
 
 import numpy as np
@@ -44,14 +45,6 @@ WORKED_ATTR = Attribution(
     background_size=256,
     method="exact",
 )
-
-WORKED_DICTIONARY = {
-    "oa_temp": "outdoor air dry-bulb temperature",
-    "oa_radiation": "direct solar radiation rate per area",
-    "zone_temp": "zone air temperature",
-    "zone_clg_tstat": "zone temperature setpoint",
-    "zone_occ": "occupancy",
-}
 
 
 def fake_record(p_limit_t2: float, u1: float, t: int = 0) -> TimestepRecord:
@@ -149,7 +142,10 @@ class TestClassify:
 
 class TestNarration:
     def test_worked_example_top3(self):
-        text = narrate_attribution(WORKED_ATTR, WORKED_DICTIONARY, "the cooling power")
+        # The worked example under schema names, which the variable dictionary describes.
+        names = ("oa_temp_t", "oa_radiation_t", "zone_temp_t", "setpoint_t", "occupancy_t")
+        attr = dataclasses.replace(WORKED_ATTR, feature_names=names)
+        text = narrate_attribution(attr, "the cooling power")
         i_oa = text.index("outdoor air dry-bulb temperature")
         i_tstat = text.index("zone temperature setpoint")
         i_occ = text.index("occupancy")
@@ -171,7 +167,7 @@ class TestNarration:
             background_size=4,
             method="exact",
         )
-        text = narrate_attribution(attr, {})
+        text = narrate_attribution(attr)
         # Top-3 fall back to schema order and the flat wording is used.
         assert text.index("a = ") < text.index("b = ") < text.index("c = ")
         assert "d = " not in text
@@ -187,11 +183,11 @@ class TestNarration:
             background_size=1,
             method="exact",
         )
-        text = narrate_attribution(attr, {})
+        text = narrate_attribution(attr)
         assert text.index("first") < text.index("second") < text.index("third")
 
     def test_unknown_name_falls_back_to_raw(self):
-        text = narrate_attribution(WORKED_ATTR, {}, "the cooling power")
+        text = narrate_attribution(WORKED_ATTR, "the cooling power")
         assert "The oa_temp (oa_temp = " in text
 
     def test_default_dictionary_covers_schema_names(self, mini_episode):
@@ -343,7 +339,7 @@ class TestLlmModeRendering:
 class TestWriteDocuments:
     def test_files_written(self, mini_episode, tmp_path):
         out = tmp_path / "docs"
-        written = write_documents(mini_episode, out, timesteps=[0, 7])
+        written = write_documents([mini_episode.records[0], mini_episode.records[7]], out)
         assert len(written) == 10  # md + 4 svg per timestep
         assert (out / "ts_0.md").is_file()
         for k in range(1, 5):
@@ -351,19 +347,15 @@ class TestWriteDocuments:
 
     def test_byte_identical_reruns(self, mini_episode, tmp_path):
         out1, out2 = tmp_path / "one", tmp_path / "two"
-        write_documents(mini_episode, out1, timesteps=[3])
-        write_documents(mini_episode, out2, timesteps=[3])
+        write_documents(mini_episode.records[3:4], out1)
+        write_documents(mini_episode.records[3:4], out2)
         for name in ("ts_3.md", "ts_3_attr1.svg", "ts_3_attr4.svg"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
-
-    def test_unknown_timestep(self, mini_episode, tmp_path):
-        with pytest.raises(InvalidInputError, match="999"):
-            write_documents(mini_episode, tmp_path, timesteps=[999])
 
 
 class TestQaContext:
     def test_contains_summary_document_question(self, mini_episode):
-        context = build_qa_context(mini_episode, 5, "Why this setpoint?")
+        context = build_qa_context(mini_episode.records[5], "Why this setpoint?")
         assert MPC_FORMULATION_SUMMARY in context
         assert "# Timestep 5" in context
         assert context.rstrip().endswith("Question: Why this setpoint?")
@@ -371,23 +363,21 @@ class TestQaContext:
     def test_budget_drops_attribution_paragraphs_last_first(self, mini_episode):
         record = mini_episode.records[5]
         doc = render_document(record)
-        full = build_qa_context(mini_episode, 5, "Why?")
-        trimmed = build_qa_context(mini_episode, 5, "Why?", budget_chars=len(full) - 1)
+        full = build_qa_context(record, "Why?")
+        trimmed = build_qa_context(record, "Why?", budget_chars=len(full) - 1)
         assert doc.attribution_paragraphs[3] not in trimmed  # second-hour cooling dropped first
         assert doc.attribution_paragraphs[0] in trimmed
         assert len(trimmed) < len(full)
 
-        tiny = build_qa_context(mini_episode, 5, "Why?", budget_chars=200)
+        tiny = build_qa_context(record, "Why?", budget_chars=200)
         for paragraph in doc.attribution_paragraphs:
             assert paragraph not in tiny
         assert MPC_FORMULATION_SUMMARY in tiny  # the summary always survives
         assert "Question: Why?" in tiny
 
     def test_invalid_inputs(self, mini_episode):
-        with pytest.raises(InvalidInputError, match="timestep"):
-            build_qa_context(mini_episode, 999, "Why?")
         with pytest.raises(InvalidInputError, match="question"):
-            build_qa_context(mini_episode, 5, "   ")
+            build_qa_context(mini_episode.records[5], "   ")
 
     def test_targets_cover_attribution_keys(self):
         assert set(ATTRIBUTION_TARGETS) == set(ATTRIBUTION_KEYS)

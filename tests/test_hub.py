@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -48,7 +49,7 @@ def rewrite_header(src, dst, edit) -> None:
 class TestRunEpisode:
     def test_record_count_and_fields(self, mini_episode):
         assert len(mini_episode) == 48
-        assert mini_episode.version == EPISODE_VERSION
+        assert [record.t for record in mini_episode.records] == list(range(48))
         for record in mini_episode.records:
             assert set(record.attributions) == set(ATTRIBUTION_KEYS)
             assert record.scenario in (1, 2, 3)
@@ -141,7 +142,7 @@ class TestEpisodeFile:
         assert len(loaded) == len(mini_episode)
         assert loaded.seeds == mini_episode.seeds
         assert loaded.model_digests == mini_episode.model_digests
-        assert loaded.version == EPISODE_VERSION
+        assert loaded.calendar == mini_episode.calendar
         for orig, back in zip(mini_episode.records, loaded.records):
             assert back.t == orig.t
             assert back.zone_temp_c == orig.zone_temp_c
@@ -295,35 +296,37 @@ class TestEpisodeFile:
                 with pytest.raises(EpisodeIntegrityError, match="records_sha256"):
                     load_episode(edited, timesteps=timesteps)
 
-    def test_version_2_file_still_loads(self, mini_episode, tmp_path, edit_digit):
-        # Version 2 sealed the record lines only.
+    @pytest.mark.parametrize("relabel, message", [
+        (lambda header, body: header.update(version=1) or header.pop("records_sha256"),
+         "episode format version 1 is not 3; re-run `xmpc run`"),
+        (lambda header, body: header.update(
+            version=2, records_sha256=hashlib.sha256(body).hexdigest()),
+         "episode format version 2 is not 3"),
+        (lambda header, body: header.pop("records_sha256"),
+         ":1: header lacks its seal, records_sha256"),
+    ], ids=["v1", "v2", "v3-unsealed"])
+    def test_legacy_or_unsealed_file_refused(self, mini_episode, tmp_path, relabel, message):
+        # Version 1 had no seal and version 2 sealed the records only, so with
+        # either label, or without its digest, an edited event limit loaded.
         path = tmp_path / "episode.jsonl"
         save_episode(mini_episode, path)
         body = path.read_bytes().partition(b"\n")[2]
+        event = min(h for h, limit in mini_episode.calendar.items() if limit < NORMAL_POWER_LIMIT_W)
 
-        def as_version_2(header):
-            header["version"] = 2
-            header["records_sha256"] = hashlib.sha256(body).hexdigest()
+        def edit(header):
+            header["calendar"]["limits"][str(event)] = NORMAL_POWER_LIMIT_W
+            relabel(header, body)
 
-        old = tmp_path / "v2.jsonl"
-        rewrite_header(path, old, as_version_2)
-        full = load_episode(old)
-        assert (full.version, len(full), full.calendar) == (2, 48, mini_episode.calendar)
-        [record] = load_episode(old, timesteps=[7]).records
-        assert record.to_json() == full.records[7].to_json()
-        edited = tmp_path / "v2_edited.jsonl"
-        edit_digit(old, edited, 20)
-        with pytest.raises(EpisodeIntegrityError, match="records_sha256"):
-            load_episode(edited, timesteps=[3])
+        edited = tmp_path / "edited.jsonl"
+        rewrite_header(path, edited, edit)
+        for timesteps in (None, [event - 2]):
+            with pytest.raises(EpisodeIntegrityError, match=re.escape(message)):
+                load_episode(edited, timesteps=timesteps)
 
-    def test_record_must_hold_the_four_attributions(self, mini_episode, tmp_path):
-        # A version 1 file has no seal, so only the record check can catch it.
+    def test_record_must_hold_the_four_attributions(self, mini_episode, tmp_path, reseal):
         path = tmp_path / "episode.jsonl"
         save_episode(mini_episode, path)
         lines = path.read_text().splitlines(keepends=True)
-        header = json.loads(lines[0])
-        del header["records_sha256"]
-        header["version"] = 1
         for change in ("drop", "add"):
             record = json.loads(lines[6])  # hour 5, on line 7
             if change == "drop":
@@ -331,8 +334,8 @@ class TestEpisodeFile:
             else:
                 record["attributions"]["fy_t3"] = record["attributions"]["fy_t2"]
             bad = tmp_path / f"{change}.jsonl"
-            bad.write_text(json.dumps(header) + "\n" + "".join(lines[1:6])
-                           + json.dumps(record) + "\n" + "".join(lines[7:]))
+            bad.write_text("".join(lines[:6]) + json.dumps(record) + "\n" + "".join(lines[7:]))
+            reseal(bad)
             for timesteps in (None, [5]):
                 with pytest.raises(EpisodeIntegrityError, match=r":7: bad record .*fy_t2"):
                     load_episode(bad, timesteps=timesteps)
@@ -350,33 +353,28 @@ class TestEpisodeFile:
             with pytest.raises(EpisodeIntegrityError, match="records_sha256"):
                 load_episode(edited, timesteps=timesteps)
 
-    def test_version_1_file_still_loads(self, mini_episode, tmp_path, edit_digit):
+    def test_hour_not_at_its_record_is_a_bad_record(self, mini_episode, tmp_path, reseal):
         path = tmp_path / "episode.jsonl"
         save_episode(mini_episode, path)
-        lines = path.read_text().splitlines(keepends=True)
-        header = json.loads(lines[0])
-        del header["records_sha256"], header["calendar"]
-        header["version"] = 1
-        old = tmp_path / "v1.jsonl"
-        old.write_text(json.dumps(header) + "\n" + "".join(lines[1:]))
-        full = load_episode(old)
-        assert (full.version, len(full), full.calendar) == (1, len(mini_episode), None)
-        [record] = load_episode(old, timesteps=[7]).records
-        assert record.to_json() == full.records[7].to_json()
-        # Without a seal an edited value loads as written.
-        edited = tmp_path / "v1_edited.jsonl"
-        edit_digit(old, edited, 20)
-        assert len(load_episode(edited)) == len(mini_episode)
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[3], lines[4] = lines[4], lines[3]  # hours 2 and 3 trade places
+        swapped = tmp_path / "swapped.jsonl"
+        swapped.write_bytes(b"".join(lines))
+        reseal(swapped)
+        for timesteps, message in ((None, ":4: bad record (hour 3 at record 2)"),
+                                   ([3], ":5: bad record (hour 2 at record 3)")):
+            with pytest.raises(EpisodeIntegrityError, match=re.escape(message)):
+                load_episode(swapped, timesteps=timesteps)
 
-    def test_records_out_of_hour_order_found_by_hour(self, mini_episode, tmp_path):
+    def test_save_refuses_records_out_of_hour_order(self, mini_episode, tmp_path):
         path = tmp_path / "shuffled.jsonl"
         records = mini_episode.records
-        save_episode(Episode(seeds={}, model_digests={}, config={},
-                             records=records[10:][::-1]), path)
-        [record] = load_episode(path, timesteps=[12]).records
-        assert record.to_json() == records[12].to_json()
-        with pytest.raises(InvalidInputError, match=r"timesteps \[3\] not in episode"):
-            load_episode(path, timesteps=[3])
+        for shuffled, message in ((records[10:], "record 0 holds hour 10, not 0"),
+                                  (records[::-1], "record 0 holds hour 47, not 0"),
+                                  (records[:5] + records[6:], "record 5 holds hour 6, not 5")):
+            with pytest.raises(InvalidInputError, match=message):
+                save_episode(Episode(seeds={}, model_digests={}, config={}, records=shuffled), path)
+        assert list(tmp_path.iterdir()) == []
 
     def test_out_of_range_timestep_message(self, mini_episode, tmp_path):
         path = tmp_path / "episode.jsonl"
@@ -386,17 +384,12 @@ class TestEpisodeFile:
                 load_episode(path, timesteps=[t])
             assert str(info.value) == f"timesteps [{t}] not in episode (valid range 0..47)"
 
-    def test_bad_header_calendar_rejected(self, mini_episode, tmp_path):
-        # A version 2 seal leaves the header out, so the calendar check is what fails.
+    def test_bad_header_calendar_rejected(self, mini_episode, tmp_path, reseal):
         path = tmp_path / "episode.jsonl"
         save_episode(mini_episode, path)
-        head, _, body = path.read_bytes().partition(b"\n")
-        header = json.loads(head)
-        header["calendar"]["limits"]["03"] = 1000.0
-        header["version"] = 2
-        header["records_sha256"] = hashlib.sha256(body).hexdigest()
         bad = tmp_path / "bad_calendar.jsonl"
-        bad.write_bytes(json.dumps(header).encode() + b"\n" + body)
+        rewrite_header(path, bad, lambda header: header["calendar"]["limits"].update({"03": 1e3}))
+        reseal(bad)
         with pytest.raises(DeserializationError, match="calendar: hour '03'"):
             load_episode(bad, timesteps=[0])
 

@@ -132,7 +132,7 @@ class TestStub:
             assert parse_scenario(exchange.response) == classify(record), f"t={record.t}"
 
     def test_answer_mentions_limit_and_penalty(self, no_network, mini_episode):
-        context = build_qa_context(mini_episode, 13, "What is the penalty risk?")
+        context = build_qa_context(mini_episode.records[13], "What is the penalty risk?")
         exchange = answer_question(LlmConfig(), context)
         record = mini_episode.records[13]
         assert f"P_limit(t+2) = {record.p_limit_t2_w:.1f}W" in exchange.response

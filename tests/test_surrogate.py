@@ -263,6 +263,11 @@ class TestTraining:
         with pytest.raises(InvalidInputError):
             TrainConfig(epochs=0)
 
+    def test_negative_seed_rejected(self):
+        data = make_dataset(40, seed=7, target_fn=lambda c: c["setpoint_c"])
+        with pytest.raises(InvalidInputError, match="rng_seed must be >= 0, got -1"):
+            train(data, FX_SCHEMA, TrainConfig(epochs=1, rng_seed=-1))
+
     @pytest.mark.parametrize(
         "name, value",
         [

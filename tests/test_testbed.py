@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -22,12 +23,12 @@ from xmpc.testbed import (
     ExcitationData,
     TestbedConfig,
     ZoneState,
+    calendar_from_json,
+    calendar_to_json,
     generate_dr_calendar,
-    load_calendar,
     load_config,
     power_limit_at,
     run_excitation,
-    save_calendar,
     save_config,
     step,
     synth_disturbances,
@@ -217,24 +218,15 @@ class TestDrCalendar:
         with pytest.raises(InvalidInputError):
             generate_dr_calendar(5, 1.5, seed=0)
 
-    def test_calendar_roundtrip(self, tmp_path):
+    def test_calendar_roundtrip(self):
+        # Through JSON text, as an episode header carries it.
         cal = generate_dr_calendar(5, 1.0, seed=11)
-        path = tmp_path / "calendar.json"
-        save_calendar(cal, path)
-        assert load_calendar(path) == cal
+        assert calendar_from_json(json.loads(json.dumps(calendar_to_json(cal))), "header") == cal
 
-    def test_calendar_integer_limits_load_as_floats(self, tmp_path):
-        path = tmp_path / "calendar.json"
-        path.write_text('{"limits": {"0": 5000, "13": 1200.5}}')
-        cal = load_calendar(path)
+    def test_calendar_integer_limits_load_as_floats(self):
+        cal = calendar_from_json(json.loads('{"limits": {"0": 5000, "13": 1200.5}}'), "header")
         assert cal == {0: 5000.0, 13: 1200.5}
         assert all(type(limit) is float for limit in cal.values())
-
-    def test_calendar_bad_json(self, tmp_path):
-        path = tmp_path / "broken.json"
-        path.write_text("{not json")
-        with pytest.raises(DeserializationError):
-            load_calendar(path)
 
     @pytest.mark.parametrize("content, message", [
         (b"5", "expected a JSON object"),
@@ -250,15 +242,12 @@ class TestDrCalendar:
         (b'{"limits": {"3": 0}}', "limit for hour 3"),
         (b'{"limits": {"3": true}}', "limit for hour 3"),
         (b'{"limits": {"3": 1' + b"0" * 400 + b"}}", "limit for hour 3"),
-        ('{"note": "caf\u00e9", "limits": {"3": 1000.0}}'.encode("latin-1"), "utf-8"),
     ], ids=["top-level-number", "limits-list", "hour-word", "hour-negative",
             "hour-leading-zero", "hour-double-zero", "limit-string", "limit-nan", "limit-inf",
-            "limit-negative", "limit-zero", "limit-bool", "limit-oversized-int", "not-utf8"])
-    def test_calendar_malformed_content_rejected(self, tmp_path, content, message):
-        path = tmp_path / "calendar.json"
-        path.write_bytes(content)
-        with pytest.raises(DeserializationError, match=message):
-            load_calendar(path)
+            "limit-negative", "limit-zero", "limit-bool", "limit-oversized-int"])
+    def test_calendar_malformed_content_rejected(self, content, message):
+        with pytest.raises(DeserializationError, match=f"header: .*{message}"):
+            calendar_from_json(json.loads(content), "header")
 
 
 class TestExcitation:
@@ -351,8 +340,7 @@ class TestAtomicOutputs:
         # The second row's hour is NaN, so the write fails after the first row.
         lambda path: ExcitationData(np.array([[0.0] * 8, [math.nan] * 8])).to_csv(path),
         lambda path: save_config(TestbedConfig(rng_seed=object()), path),
-        lambda path: save_calendar({0: object()}, path),
-    ], ids=["csv", "config", "calendar"])
+    ], ids=["csv", "config"])
     def test_failed_write_keeps_previous_file(self, tmp_path, write):
         path = tmp_path / "out"
         path.write_text("previous\n")
