@@ -11,8 +11,8 @@ Run from the repository root:  python3 demos/03_attribution_basics.py
 
 import numpy as np
 
-from xmpc.shapley import shapley, shapley_sampled, verify_additivity
-from xmpc.surrogate import FY_SCHEMA, TrainConfig, background_of, batch_predictor, train
+from xmpc.shapley import shapley, verify_additivity
+from xmpc.surrogate import FY_SCHEMA, TrainConfig, background_of, predict_batch, train
 from xmpc.testbed import TestbedConfig, run_excitation
 
 # Toy case first: f(f0, f1) = f0 * f1 at (3, 4) against a single background
@@ -42,22 +42,10 @@ print(f"  background mean {attr.base_value:.2f} W, prediction {attr.prediction:.
 ok, residual = verify_additivity(attr)
 print(f"  additivity holds: {ok} (residual {residual:.2e})")
 
-# The permutation-averaging estimator walks orderings instead of coalitions.
-# Asking for at least n! permutations makes it enumerate every ordering, so
-# it reproduces the exact values; fewer permutations give a seeded estimate.
-sampled = shapley_sampled(model, instance, background, n_permutations=120, seed=0)
-gap = float(np.max(np.abs(sampled.shapley_values - attr.shapley_values)))
-print(f"\npermutation estimator with 120 = 5! orderings: max gap {gap:.2e} (exact)")
-
-rough = shapley_sampled(model, instance, background, n_permutations=20, seed=0)
-gap = float(np.max(np.abs(rough.shapley_values - attr.shapley_values)))
-print(f"permutation estimator with 20 orderings:        max gap {gap:.2f} W (estimate)")
-
 # A feature the model never reads gets exactly zero, one of the axioms the
 # test suite checks on constructed cases.
-fn = batch_predictor(model)
 frozen = shapley(
-    lambda x: fn(np.column_stack([x[:, :4], np.full(len(x), 3.0)])),
+    lambda x: predict_batch(model, np.column_stack([x[:, :4], np.full(len(x), 3.0)])),
     instance,
     background,
 )

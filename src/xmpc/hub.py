@@ -96,7 +96,8 @@ class TimestepRecord:
     @classmethod
     def from_json(cls, data: dict) -> "TimestepRecord":
         scalars = {name: data[name] for name in _SCALAR_RECORD_FIELDS}
-        scalars["t"] = int(scalars["t"])
+        if type(scalars["t"]) is not int:  # not isinstance: a bool is an int there
+            raise ValueError(f"hour t must be an integer, got {scalars['t']!r}")
         attributions = data["attributions"]
         if not isinstance(attributions, dict) or set(attributions) != set(ATTRIBUTION_KEYS):
             raise ValueError(f"attributions must be exactly {list(ATTRIBUTION_KEYS)}")

@@ -244,7 +244,6 @@ def _stub_narration(prompt: str) -> str:
         base_value=base,
         prediction=base + sum(phis.values()),
         background_size=0,
-        method="exact",
     )
     target = target_match.group(1) if target_match else None
     return narrate_attribution(attribution, target_desc=target)

@@ -18,15 +18,11 @@ suite and the benchmark's correctness gate run it on every attribution they
 produce.
 
 Exact enumeration visits all 2^n coalitions.  The surrogates use five
-features (32 coalitions), far under the guard; anything wider is refused
-with a pointer at ``shapley_sampled``, the permutation-averaging estimator,
-which is unbiased for any width and reproduces the exact values when asked
-to enumerate all n! orderings.
+features (32 coalitions), far under the guard; anything wider is refused.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -34,8 +30,8 @@ import numpy as np
 
 from .errors import InvalidInputError, SchemaError
 
-# Refuse exact enumeration above this many features.  2^20 coalitions is
-# already minutes of work; beyond that only the sampling estimator is sane.
+# Refuse exact enumeration above this many features: 2^20 coalitions is
+# already minutes of work.
 MAX_EXACT_FEATURES = 20
 
 # Coalitions reach the model in chunks of at most this many hybrid rows, so
@@ -58,7 +54,6 @@ class Attribution:
     base_value: float
     prediction: float
     background_size: int
-    method: str  # "exact" or "sampled"
 
     def to_json(self) -> dict:
         return {
@@ -69,7 +64,7 @@ class Attribution:
             "base_value": self.base_value,
             "prediction": self.prediction,
             "background_size": self.background_size,
-            "method": self.method,
+            "method": "exact",
         }
 
     @classmethod
@@ -82,7 +77,6 @@ class Attribution:
             base_value=float(data["base_value"]),
             prediction=float(data["prediction"]),
             background_size=int(data["background_size"]),
-            method=data["method"],
         )
 
 
@@ -98,20 +92,20 @@ def coalition_weight(s_size: int, n: int) -> float:
 
 
 def _prepare(model, instance, background):
-    """Check the inputs every entry point shares; return (fn, names, instance, background).
+    """Check ``shapley``'s inputs; return (fn, names, instance, background).
 
     ``model`` is a SurrogateModel, whose schema names the features, or any
     (n, d) -> (n,) callable, whose features are named f0, f1, ...
     """
     fn, schema_names = model, None
     if not callable(model):
-        from .surrogate import SurrogateModel, batch_predictor
+        from .surrogate import SurrogateModel, predict_batch
 
         if not isinstance(model, SurrogateModel):
             raise InvalidInputError(
                 f"cannot attribute over {type(model).__name__}; need model or callable"
             )
-        fn, schema_names = batch_predictor(model), model.schema.feature_names
+        fn, schema_names = (lambda x: predict_batch(model, x)), model.schema.feature_names
     instance = np.asarray(instance, dtype=float)
     background = np.asarray(background, dtype=float)
     if instance.ndim != 1:
@@ -131,21 +125,29 @@ def _prepare(model, instance, background):
     return fn, names, instance, background
 
 
-def _coalition_values(
-    fn, instance: np.ndarray, background: np.ndarray, members: np.ndarray
-) -> np.ndarray:
-    """v(S) for each row of a (k, n) boolean coalition-membership matrix.
+def shapley(model, instance, background) -> Attribution:
+    """Exact Shapley attribution by full coalition enumeration.
 
     Every coalition gets its own copy of the background in which the member
-    columns are pinned to the instance.  Coalitions go to the model in
-    chunks of at most ``_BATCH_ROW_LIMIT`` rows (one coalition per call if
-    the background alone is larger).
+    columns are pinned to the instance.  Coalitions go to the model in chunks
+    of at most ``_BATCH_ROW_LIMIT`` rows (one coalition per call if the
+    background alone is larger).  Deterministic: coalitions are visited in
+    ascending bitmask order, so the same inputs always produce bit-identical
+    output.
     """
-    k, n = members.shape
+    fn, names, instance, background = _prepare(model, instance, background)
+    n = instance.shape[0]
+    if n > MAX_EXACT_FEATURES:
+        raise InvalidInputError(
+            f"{n} features exceeds the exact-enumeration guard ({MAX_EXACT_FEATURES})"
+        )
+
+    # Row ``mask`` holds coalition ``mask``: feature i is a member iff bit i is set.
+    members = (np.arange(1 << n)[:, None] >> np.arange(n) & 1).astype(bool)
     b = background.shape[0]
     per_call = max(1, _BATCH_ROW_LIMIT // b)
-    values = np.empty(k)
-    for start in range(0, k, per_call):
+    values = np.empty(1 << n)
+    for start in range(0, 1 << n, per_call):
         chunk = members[start : start + per_call]
         hybrids = np.tile(background, (len(chunk), 1))
         blocks = hybrids.reshape(len(chunk), b, n)
@@ -153,38 +155,6 @@ def _coalition_values(
             blocks[chunk[:, i], :, i] = instance[i]
         preds = np.asarray(fn(hybrids), dtype=float)
         values[start : start + len(chunk)] = preds.reshape(len(chunk), b).mean(axis=1)
-    return values
-
-
-def value_of(model, instance, background, subset) -> float:
-    """Coalition value v(S): mean prediction with S pinned to the instance."""
-    fn, _, instance, background = _prepare(model, instance, background)
-    n = instance.shape[0]
-    subset = list(subset)
-    if any(i < 0 or i >= n for i in subset):
-        raise InvalidInputError(f"subset {subset} out of range for {n} features")
-    members = np.zeros((1, n), dtype=bool)
-    members[0, subset] = True
-    return float(_coalition_values(fn, instance, background, members)[0])
-
-
-def shapley(model, instance, background) -> Attribution:
-    """Exact Shapley attribution by full coalition enumeration.
-
-    Deterministic: coalitions are visited in ascending bitmask order, so the
-    same inputs always produce bit-identical output.
-    """
-    fn, names, instance, background = _prepare(model, instance, background)
-    n = instance.shape[0]
-    if n > MAX_EXACT_FEATURES:
-        raise InvalidInputError(
-            f"{n} features exceeds the exact-enumeration guard ({MAX_EXACT_FEATURES}); "
-            "use shapley_sampled instead"
-        )
-
-    # Row ``mask`` holds coalition ``mask``: feature i is a member iff bit i is set.
-    members = (np.arange(1 << n)[:, None] >> np.arange(n) & 1).astype(bool)
-    values = _coalition_values(fn, instance, background, members)
     weights = [coalition_weight(s, n) for s in range(n)]
     popcount = [bin(mask).count("1") for mask in range(1 << n)]
 
@@ -204,58 +174,7 @@ def shapley(model, instance, background) -> Attribution:
         shapley_values=phi,
         base_value=float(values[0]),
         prediction=float(values[-1]),
-        background_size=background.shape[0],
-        method="exact",
-    )
-
-
-def shapley_sampled(model, instance, background, n_permutations: int, seed: int = 0) -> Attribution:
-    """Permutation-averaging Shapley estimate.
-
-    Each permutation contributes one marginal-contribution walk; the mean
-    over walks is an unbiased estimate of the exact values.  When
-    ``n_permutations`` covers all n! orderings the walks are enumerated
-    exhaustively (each exactly once) and the result equals the exact
-    attribution up to summation round-off.
-    """
-    if n_permutations < 1:
-        raise InvalidInputError(f"n_permutations must be >= 1, got {n_permutations}")
-    fn, names, instance, background = _prepare(model, instance, background)
-    n = instance.shape[0]
-
-    if n <= 10 and n_permutations >= math.factorial(n):
-        perms = list(itertools.permutations(range(n)))
-    else:
-        rng = np.random.default_rng(seed)
-        perms = [tuple(rng.permutation(n).tolist()) for _ in range(n_permutations)]
-
-    # Each walk is the row indices of its prefix coalitions.  Coalitions are
-    # Python-int bitmasks (any width), and each distinct one is evaluated once.
-    row = {0: 0}
-    walks = []
-    for perm in perms:
-        mask, walk = 0, [0]
-        for i in perm:
-            mask |= 1 << i
-            walk.append(row.setdefault(mask, len(row)))
-        walks.append(walk)
-    members = np.array([[mask >> i & 1 for i in range(n)] for mask in row], dtype=bool)
-    values = _coalition_values(fn, instance, background, members)
-
-    phi = np.zeros(n)
-    for perm, walk in zip(perms, walks):
-        for i, prev, cur in zip(perm, walk, walk[1:]):
-            phi[i] += values[cur] - values[prev]
-    phi /= len(perms)
-
-    return Attribution(
-        feature_names=names,
-        feature_values=instance.copy(),
-        shapley_values=phi,
-        base_value=float(values[0]),
-        prediction=float(values[walks[0][-1]]),
-        background_size=background.shape[0],
-        method="sampled",
+        background_size=b,
     )
 
 

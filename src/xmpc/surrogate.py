@@ -1,10 +1,11 @@
 """Feed-forward surrogates for the zone's hourly thermal response.
 
-Two small dense networks approximate the testbed's one-hour transition: one
-predicts the next zone temperature, the other the hour's average cooling
-rate.  Both read the same five excitation-dataset columns (the setpoint for
-the hour plus the zone temperature and boundary conditions at its start);
-only the target column differs.
+Two small networks, each one relu hidden layer of 50 units, approximate the
+testbed's one-hour transition: one predicts the next zone temperature, the
+other the hour's average cooling rate.  Both read the same five
+excitation-dataset columns (the setpoint for the hour plus the zone
+temperature and boundary conditions at its start); only the target column
+differs.
 
 Feature names carry a lag suffix relative to each model's reporting tick.
 The temperature model predicts the value observed at tick t from quantities
@@ -96,7 +97,6 @@ SCHEMAS = {"fx": FX_SCHEMA, "fy": FY_SCHEMA}
 # Fixed design: one relu hidden layer of 50 units, Adam with its usual
 # constants, and the last fifth of the rows (chronologically) held out.
 HIDDEN_DIM = 50
-HIDDEN_LAYERS = 1
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
@@ -142,10 +142,9 @@ class Normalization:
 
 @dataclass
 class SurrogateModel:
-    """A trained network: schema, relu hidden stack, and normalization."""
+    """A trained network: schema, ``[(W1, b1), (w2, b2)]``, and normalization."""
 
     schema: FeatureSchema
-    activation: str
     layers: list[tuple[np.ndarray, np.ndarray]]
     norm: Normalization
     meta: dict = field(default_factory=dict)
@@ -158,30 +157,28 @@ class SurrogateModel:
 
 def forward(layers: list[tuple[np.ndarray, np.ndarray]], x: np.ndarray) -> np.ndarray:
     """Network output for standardized inputs ``x`` of shape (n, d)."""
-    h = x
-    for w, b in layers[:-1]:
-        # In place: each fresh multi-MB temporary would be page-faulted in anew.
-        h = h @ w.T
-        h += b
-        np.maximum(h, 0.0, out=h)
-    w, b = layers[-1]
-    return (h @ w.T + b)[:, 0]
+    (w1, b1), (w2, b2) = layers
+    # In place: a fresh multi-MB temporary would be page-faulted in anew.
+    h = x @ w1.T
+    h += b1
+    np.maximum(h, 0.0, out=h)
+    return (h @ w2.T + b2)[:, 0]
 
 
 class _Workspace:
     """Activation and gradient buffers for one input size, reused across epochs.
 
-    ``acts[i]`` holds hidden layer i's relu output and ``masks[i]`` where its
-    pre-activation was positive; ``d_h[i]`` receives the loss gradient at
-    that layer.  The pre-activation is built in ``acts[i]`` and rectified in
-    place once its mask is taken; the residual is built in ``out``.
+    ``act`` holds the hidden layer's relu output and ``mask`` where its
+    pre-activation was positive; ``d_h`` receives the loss gradient there.
+    The pre-activation is built in ``act`` and rectified in place once its
+    mask is taken; the residual is built in ``out``.
     """
 
     def __init__(self, layers: list[tuple[np.ndarray, np.ndarray]], n: int):
-        widths = [w.shape[0] for w, _ in layers[:-1]]
-        self.acts = [np.empty((n, k)) for k in widths]
-        self.masks = [np.empty((n, k), dtype=bool) for k in widths]
-        self.d_h = [np.empty((n, k)) for k in widths]
+        width = layers[0][0].shape[0]
+        self.act = np.empty((n, width))
+        self.mask = np.empty((n, width), dtype=bool)
+        self.d_h = np.empty((n, width))
         self.out = np.empty((n, 1))
         self.d_out = np.empty((n, 1))
 
@@ -211,31 +208,27 @@ def _loss_and_grads_into(
     Every intermediate lives in ``ws``, so repeated calls allocate no arrays.
     """
     n = x.shape[0]
-    h = x
-    for (w, b), a, mask in zip(layers[:-1], ws.acts, ws.masks):
-        np.matmul(h, w.T, out=a)
-        a += b
-        np.greater(a, 0.0, out=mask)
-        np.maximum(a, 0.0, out=a)
-        h = a
-    w_out, b_out = layers[-1]
-    np.matmul(h, w_out.T, out=ws.out)
-    ws.out += b_out
+    (w1, b1), (w2, b2) = layers
+    (dw1, db1), (dw2, db2) = grads
+    h = ws.act
+    np.matmul(x, w1.T, out=h)
+    h += b1
+    np.greater(h, 0.0, out=ws.mask)
+    np.maximum(h, 0.0, out=h)
+    np.matmul(h, w2.T, out=ws.out)
+    ws.out += b2
     resid = ws.out[:, 0]
     resid -= y
     d_out = ws.d_out  # holds the squared residuals until the gradient overwrites them
     loss = float(np.mean(np.square(resid, out=d_out[:, 0])))
 
     np.multiply(resid, 2.0 / n, out=d_out[:, 0])
-    np.matmul(d_out.T, h, out=grads[-1][0])
-    d_out.sum(axis=0, out=grads[-1][1])
-    d_above, w_above = d_out, w_out
-    for i in range(len(layers) - 2, -1, -1):
-        d_h = np.matmul(d_above, w_above, out=ws.d_h[i])
-        d_h *= ws.masks[i]  # now the gradient at the pre-activation
-        np.matmul(d_h.T, ws.acts[i - 1] if i > 0 else x, out=grads[i][0])
-        d_h.sum(axis=0, out=grads[i][1])
-        d_above, w_above = d_h, layers[i][0]
+    np.matmul(d_out.T, h, out=dw2)
+    d_out.sum(axis=0, out=db2)
+    d_h = np.matmul(d_out, w2, out=ws.d_h)
+    d_h *= ws.mask  # now the gradient at the pre-activation
+    np.matmul(d_h.T, x, out=dw1)
+    d_h.sum(axis=0, out=db1)
     return loss
 
 
@@ -259,12 +252,10 @@ def mse_loss_and_grads(
 
 
 def _init_layers(n_in: int, rng: np.random.Generator) -> list[tuple[np.ndarray, np.ndarray]]:
-    dims = [n_in] + [HIDDEN_DIM] * HIDDEN_LAYERS + [1]
-    layers = []
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        scale = math.sqrt(2.0 / fan_in)
-        layers.append((rng.normal(0.0, scale, size=(fan_out, fan_in)), np.zeros(fan_out)))
-    return layers
+    """He-scaled normal weights and zero biases, hidden layer drawn first."""
+    w1 = rng.normal(0.0, math.sqrt(2.0 / n_in), size=(HIDDEN_DIM, n_in))
+    w2 = rng.normal(0.0, math.sqrt(2.0 / HIDDEN_DIM), size=(1, HIDDEN_DIM))
+    return [(w1, np.zeros(HIDDEN_DIM)), (w2, np.zeros(1))]
 
 
 def _fit(
@@ -363,7 +354,7 @@ def train(dataset, schema: FeatureSchema, cfg: TrainConfig | None = None) -> Sur
         "epochs": cfg.epochs,
         "learning_rate": cfg.learning_rate,
         "hidden_dim": HIDDEN_DIM,
-        "hidden_layers": HIDDEN_LAYERS,
+        "hidden_layers": 1,
         "rng_seed": cfg.rng_seed,
         "n_rows": n,
         "n_train": n_train,
@@ -373,7 +364,7 @@ def train(dataset, schema: FeatureSchema, cfg: TrainConfig | None = None) -> Sur
         "loss_curve": loss_curve,
         "background": background.tolist(),
     }
-    return SurrogateModel(schema=schema, activation="relu", layers=layers, norm=norm, meta=meta)
+    return SurrogateModel(schema=schema, layers=layers, norm=norm, meta=meta)
 
 
 # ---------------------------------------------------------------------------
@@ -418,11 +409,6 @@ def predict(model: SurrogateModel, features: np.ndarray) -> float:
     return out * model.norm.target_std + model.norm.target_mean
 
 
-def batch_predictor(model: SurrogateModel):
-    """``(n, d) -> (n,)`` closure over the model, for the attribution engine."""
-    return lambda x: predict_batch(model, x)
-
-
 def background_of(model: SurrogateModel) -> np.ndarray:
     """The training-row sample embedded at fit time, as an (n, d) array."""
     rows = model.meta.get("background")
@@ -457,7 +443,7 @@ def _schema_from_json(data: dict) -> FeatureSchema:
 def model_to_json(model: SurrogateModel) -> dict:
     return {
         "schema": _schema_to_json(model.schema),
-        "activation": model.activation,
+        "activation": "relu",
         "layers": [{"w": w.tolist(), "b": b.tolist()} for w, b in model.layers],
         "norm": {
             "means": model.norm.means.tolist(),
@@ -489,6 +475,12 @@ def load(path: str | Path) -> SurrogateModel:
         raise DeserializationError(
             f"{path}: unsupported activation {data['activation']!r} (only 'relu' is implemented)"
         )
+    if not (isinstance(data["layers"], list) and len(data["layers"]) == 2):
+        raise DeserializationError(
+            f"{path}: 'layers' must list 2 layers, one relu hidden layer and the output layer"
+        )
+    if not isinstance(data["meta"], dict):
+        raise DeserializationError(f"{path}: 'meta' must be a JSON object")
     try:
         schema = _schema_from_json(data["schema"])
         layers = [
@@ -513,9 +505,17 @@ def load(path: str | Path) -> SurrogateModel:
         n_in = w.shape[0]
     if layers[-1][0].shape[0] != 1:
         raise DeserializationError(f"{path}: output layer must have width 1")
-    return SurrogateModel(
-        schema=schema, activation=data["activation"], layers=layers, norm=norm, meta=data["meta"]
-    )
+    if not all(np.isfinite(a).all() for layer in layers for a in layer):
+        raise DeserializationError(f"{path}: non-finite layer weight")
+    if norm.means.shape != (schema.n_features,) or norm.stds.shape != (schema.n_features,):
+        raise DeserializationError(
+            f"{path}: norm means shape {norm.means.shape} / stds shape {norm.stds.shape} "
+            f"do not match {schema.n_features} features"
+        )
+    stats = np.concatenate([norm.means, norm.stds, [norm.target_mean, norm.target_std]])
+    if not np.isfinite(stats).all() or (norm.stds <= 0.0).any() or norm.target_std <= 0.0:
+        raise DeserializationError(f"{path}: norm statistics must be finite, with stds > 0")
+    return SurrogateModel(schema=schema, layers=layers, norm=norm, meta=data["meta"])
 
 
 def digest(model: SurrogateModel) -> str:

@@ -38,7 +38,6 @@ from xmpc.surrogate import (
     FY_SCHEMA,
     VALIDATION_FRACTION,
     background_of,
-    batch_predictor,
     mse_loss_and_grads,
     predict_batch,
     train,
@@ -145,7 +144,7 @@ def test_01_attribution_exactness(criterion, fx_model, fy_model):
             for _ in range(3):
                 instance = rng.uniform(bg.min(axis=0), bg.max(axis=0))
                 attr = shapley(model, instance, bg)
-                oracle = permutation_oracle(batch_predictor(model), instance, bg)
+                oracle = permutation_oracle(lambda x: predict_batch(model, x), instance, bg)
                 worst_perm = max(worst_perm, float(np.max(np.abs(attr.shapley_values - oracle))))
 
         elapsed = time.perf_counter() - started

@@ -23,7 +23,6 @@ def make_attr(phis, values=None, names=None):
         base_value=base,
         prediction=base + float(phis.sum()),
         background_size=1,
-        method="exact",
     )
 
 

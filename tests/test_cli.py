@@ -167,6 +167,26 @@ class TestRun:
         assert "fx model predicts 'cooling_rate'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda m: m.update(layers=[]), "'layers' must list 2 layers"),
+        (lambda m: m.update(layers=m["layers"][:1]), "'layers' must list 2 layers"),
+        (lambda m: m.update(layers=m["layers"][:1] + m["layers"]), "'layers' must list 2 layers"),
+        (lambda m: m.update(meta=[]), "'meta' must be a JSON object"),
+        (lambda m: m["norm"].update(means=[0.0]), "norm means shape (1,)"),
+    ], ids=["no-layers", "one-layer", "three-layers", "meta-array", "short-norm-means"])
+    def test_malformed_model_is_usage_error(self, cli_workspace, tmp_path, capsys, edit, message):
+        model = json.loads((cli_workspace / "fx.json").read_text())
+        edit(model)
+        (tmp_path / "fx.json").write_text(json.dumps(model))
+        out = tmp_path / "e.jsonl"
+        rc = main([
+            "run", "--days", "1", "--fx", str(tmp_path / "fx.json"),
+            "--fy", str(cli_workspace / "fy.json"), "--out", str(out),
+        ])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_no_timing_reruns_are_byte_identical(self, cli_workspace, tmp_path):
         args = [
             "run", "--days", "1", "--fx", str(cli_workspace / "fx.json"),

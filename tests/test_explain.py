@@ -43,7 +43,6 @@ WORKED_ATTR = Attribution(
     base_value=1544.673602,
     prediction=2064.584551,
     background_size=256,
-    method="exact",
 )
 
 
@@ -165,7 +164,6 @@ class TestNarration:
             base_value=2.0,
             prediction=2.0,
             background_size=4,
-            method="exact",
         )
         text = narrate_attribution(attr)
         # Top-3 fall back to schema order and the flat wording is used.
@@ -181,7 +179,6 @@ class TestNarration:
             base_value=0.0,
             prediction=0.5,
             background_size=1,
-            method="exact",
         )
         text = narrate_attribution(attr)
         assert text.index("first") < text.index("second") < text.index("third")

@@ -366,6 +366,23 @@ class TestEpisodeFile:
             with pytest.raises(EpisodeIntegrityError, match=re.escape(message)):
                 load_episode(swapped, timesteps=timesteps)
 
+    @pytest.mark.parametrize("hour, edited", [
+        (5, b"5.7"), (5, b"5.0"), (5, b'"5"'), (1, b"true"),
+    ], ids=["fraction", "float", "string", "bool"])
+    def test_hour_must_be_an_integer(self, mini_episode, tmp_path, reseal, hour, edited):
+        path = tmp_path / "episode.jsonl"
+        save_episode(mini_episode, path)
+        lines = path.read_bytes().splitlines(keepends=True)
+        prefix = b'{"t":%d,' % hour
+        assert lines[hour + 1].startswith(prefix)
+        lines[hour + 1] = b'{"t":' + edited + b"," + lines[hour + 1][len(prefix):]
+        path.write_bytes(b"".join(lines))
+        reseal(path)
+        message = f":{hour + 2}: bad record (hour t must be an integer, got "
+        for timesteps in (None, [hour]):
+            with pytest.raises(EpisodeIntegrityError, match=re.escape(message)):
+                load_episode(path, timesteps=timesteps)
+
     def test_save_refuses_records_out_of_hour_order(self, mini_episode, tmp_path):
         path = tmp_path / "shuffled.jsonl"
         records = mini_episode.records

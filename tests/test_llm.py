@@ -48,7 +48,6 @@ def worked_attribution() -> Attribution:
         base_value=base,
         prediction=base + float(np.sum(phis)),
         background_size=0,
-        method="exact",
     )
 
 

@@ -1,4 +1,4 @@
-"""Attribution engine: exact enumeration, sampling estimator, and the axioms."""
+"""Attribution engine: exact enumeration and the axioms."""
 
 from __future__ import annotations
 
@@ -17,8 +17,6 @@ from xmpc.shapley import (
     Attribution,
     coalition_weight,
     shapley,
-    shapley_sampled,
-    value_of,
     verify_additivity,
 )
 from xmpc.surrogate import background_of
@@ -79,29 +77,6 @@ class TestCoalitionWeight:
             coalition_weight(0, 0)
 
 
-class TestValueOf:
-    def test_empty_and_full_coalitions(self):
-        fn = lambda x: x[:, 0] + 10.0 * x[:, 1]
-        instance = np.array([1.0, 2.0])
-        background = np.array([[0.0, 0.0], [2.0, 1.0]])
-        assert value_of(fn, instance, background, []) == pytest.approx(
-            np.mean(fn(background)), rel=1e-12
-        )
-        assert value_of(fn, instance, background, [0, 1]) == pytest.approx(21.0, rel=1e-12)
-
-    def test_partial_coalition(self):
-        fn = lambda x: x[:, 0] + 10.0 * x[:, 1]
-        instance = np.array([1.0, 2.0])
-        background = np.array([[0.0, 0.0], [2.0, 1.0]])
-        # Feature 0 pinned to 1.0, feature 1 averaged over {0, 1} -> 1 + 10*0.5.
-        assert value_of(fn, instance, background, [0]) == pytest.approx(6.0, rel=1e-12)
-
-    def test_subset_out_of_range(self):
-        fn = lambda x: x[:, 0]
-        with pytest.raises(InvalidInputError):
-            value_of(fn, np.array([1.0]), np.zeros((2, 1)), [1])
-
-
 class TestExact:
     def test_linear_model_closed_form(self):
         # For f(x) = w.x + c the attribution has the closed form
@@ -150,7 +125,7 @@ class TestExact:
     def test_feature_count_guard(self):
         n = MAX_EXACT_FEATURES + 1
         fn = lambda x: x.sum(axis=1)
-        with pytest.raises(InvalidInputError, match="shapley_sampled"):
+        with pytest.raises(InvalidInputError, match="exact-enumeration guard"):
             shapley(fn, np.zeros(n), np.zeros((2, n)))
 
     def test_input_validation(self):
@@ -165,29 +140,18 @@ class TestExact:
             shapley(fn, np.zeros(2), np.zeros((0, 2)))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    @pytest.mark.parametrize(
-        "entry",
-        [
-            lambda fn, x, bg: shapley(fn, x, bg),
-            lambda fn, x, bg: shapley_sampled(fn, x, bg, n_permutations=4),
-            lambda fn, x, bg: value_of(fn, x, bg, [0]),
-        ],
-        ids=["shapley", "shapley_sampled", "value_of"],
-    )
-    def test_non_finite_background_rejected(self, entry, bad):
+    def test_non_finite_background_rejected(self, bad):
         # A plain callable has no finiteness check of its own, so without the
         # guard the bad row would average into every coalition value.
         fn = lambda x: x.sum(axis=1)
         background = np.zeros((4, 3))
         background[2, 1] = bad
         with pytest.raises(InvalidInputError, match="background"):
-            entry(fn, np.ones(3), background)
+            shapley(fn, np.ones(3), background)
 
     def test_names_default_and_override(self, fx_model):
         fn = lambda x: x.sum(axis=1)
         assert shapley(fn, np.zeros(2), np.ones((1, 2))).feature_names == ("f0", "f1")
-        sampled = shapley_sampled(fn, np.zeros(2), np.ones((1, 2)), n_permutations=2)
-        assert sampled.feature_names == ("f0", "f1")
         # A surrogate's schema names its features, so a narrower instance is refused.
         with pytest.raises(SchemaError):
             shapley(fx_model, np.zeros(4), np.ones((1, 4)))
@@ -242,55 +206,6 @@ class TestAxioms:
             assert residual <= 1e-10 * max(1.0, abs(attr.prediction)) + 1e-12
 
 
-class TestSampled:
-    def test_full_enumeration_equals_exact(self):
-        rng = np.random.default_rng(7)
-        instance = rng.normal(size=4)
-        background = rng.normal(size=(6, 4))
-        exact = shapley(nonlinear_fn_4 := (lambda x: x[:, 0] * x[:, 1] - x[:, 2] + x[:, 3] ** 2),
-                        instance, background)
-        sampled = shapley_sampled(nonlinear_fn_4, instance, background, n_permutations=24)
-        assert np.allclose(sampled.shapley_values, exact.shapley_values, atol=1e-9)
-        assert sampled.method == "sampled"
-        assert exact.method == "exact"
-
-    def test_two_features_both_orderings(self):
-        fn = lambda x: x[:, 0] * x[:, 1]
-        instance = np.array([3.0, 4.0])
-        background = np.array([[1.0, 2.0]])
-        sampled = shapley_sampled(fn, instance, background, n_permutations=2)
-        assert sampled.shapley_values == pytest.approx([6.0, 4.0], rel=1e-12)
-
-    def test_seeded_sampling_reproducible(self):
-        rng = np.random.default_rng(8)
-        instance = rng.normal(size=6)
-        background = rng.normal(size=(4, 6))
-        a = shapley_sampled(nonlinear_fn_6 := (lambda x: x[:, 0] * x[:, 5] + x[:, 3]),
-                            instance, background, n_permutations=50, seed=1)
-        b = shapley_sampled(nonlinear_fn_6, instance, background, n_permutations=50, seed=1)
-        c = shapley_sampled(nonlinear_fn_6, instance, background, n_permutations=50, seed=2)
-        assert np.array_equal(a.shapley_values, b.shapley_values)
-        assert not np.array_equal(a.shapley_values, c.shapley_values)
-
-    def test_sampled_dummy_feature_zero(self):
-        fn = lambda x: x[:, 0]
-        attr = shapley_sampled(fn, np.array([1.0, 9.0]), np.zeros((3, 2)), n_permutations=7, seed=0)
-        assert attr.shapley_values[1] == 0.0
-
-    def test_estimate_converges(self):
-        rng = np.random.default_rng(9)
-        instance = rng.normal(size=5)
-        background = rng.normal(size=(6, 5))
-        exact = shapley(nonlinear_fn, instance, background)
-        est = shapley_sampled(nonlinear_fn, instance, background, n_permutations=120)
-        # n=5 -> 120 = 5!, so the sampler enumerates and matches exactly.
-        assert np.allclose(est.shapley_values, exact.shapley_values, atol=1e-9)
-
-    def test_invalid_permutation_count(self):
-        with pytest.raises(InvalidInputError):
-            shapley_sampled(lambda x: x[:, 0], np.zeros(2), np.zeros((1, 2)), n_permutations=0)
-
-
 class TestCoalitionBatching:
     @pytest.mark.parametrize("per_call", [1, 5, 24])
     def test_chunked_calls_match_single_call(self, monkeypatch, per_call):
@@ -298,20 +213,17 @@ class TestCoalitionBatching:
         rng = np.random.default_rng(11)
         instance = rng.normal(size=6)
         background = rng.normal(size=(9, 6))
-        whole = [shapley(fn, instance, background),
-                 shapley_sampled(fn, instance, background, n_permutations=40, seed=3)]
+        whole = shapley(fn, instance, background)
         # Room for per_call coalitions of 9 rows, but not one more.
         monkeypatch.setattr(importlib.import_module("xmpc.shapley"), "_BATCH_ROW_LIMIT",
                             per_call * 9 + 8)
         sizes: list[int] = []
         spy = lambda x: sizes.append(len(x)) or fn(x)
-        chunked = [shapley(spy, instance, background)]
+        chunked = shapley(spy, instance, background)
         assert len(sizes) == -(-64 // per_call)
         assert sum(sizes) == 64 * 9 and max(sizes) == per_call * 9
-        chunked.append(shapley_sampled(spy, instance, background, n_permutations=40, seed=3))
-        for a, b in zip(whole, chunked):
-            assert np.array_equal(a.shapley_values, b.shapley_values)
-            assert (a.base_value, a.prediction) == (b.base_value, b.prediction)
+        assert np.array_equal(whole.shapley_values, chunked.shapley_values)
+        assert (whole.base_value, whole.prediction) == (chunked.base_value, chunked.prediction)
 
     def test_surrogate_attribution_is_four_model_calls(self, fx_model, monkeypatch):
         import xmpc.surrogate as surrogate
@@ -357,18 +269,6 @@ class TestCoalitionBatching:
         # 8,192-row call peaked at 3.9 MB.
         assert peak < 1.5e6
 
-    def test_sampled_beyond_64_features(self):
-        # Bitmasks past bit 63 would overflow int64; a linear model has the
-        # closed form phi_i = w_i * (x_i - mean(background_i)) on every walk.
-        rng = np.random.default_rng(12)
-        w = rng.normal(size=70)
-        instance = rng.normal(size=70)
-        background = rng.normal(size=(3, 70))
-        attr = shapley_sampled(lambda x: x @ w, instance, background, n_permutations=4, seed=0)
-        expected = w * (instance - background.mean(axis=0))
-        assert np.allclose(attr.shapley_values, expected, atol=1e-9)
-        assert attr.prediction == pytest.approx(float(instance @ w), rel=1e-12)
-
 
 class TestVerifyAdditivity:
     def test_published_cooling_example(self):
@@ -381,7 +281,6 @@ class TestVerifyAdditivity:
             base_value=1544.673602,
             prediction=2064.584564,
             background_size=256,
-            method="exact",
         )
         ok, residual = verify_additivity(attr)
         assert ok
@@ -395,7 +294,6 @@ class TestVerifyAdditivity:
             base_value=0.1,
             prediction=0.4,
             background_size=1,
-            method="exact",
         )
         ok, residual = verify_additivity(attr)
         assert ok
@@ -409,7 +307,6 @@ class TestVerifyAdditivity:
             base_value=0.0,
             prediction=5.0,
             background_size=1,
-            method="exact",
         )
         ok, residual = verify_additivity(attr)
         assert not ok
@@ -429,4 +326,4 @@ class TestSerialization:
         assert back.feature_names == attr.feature_names
         assert np.array_equal(back.shapley_values, attr.shapley_values)
         assert back.base_value == attr.base_value
-        assert back.method == "exact"
+        assert data["method"] == "exact"
