@@ -40,6 +40,7 @@ from . import hub as hub_mod
 from . import llm as llm_mod
 from . import surrogate as surrogate_mod
 from . import testbed as testbed_mod
+from .shapley import ADDITIVITY_TOLERANCE, verify_additivity
 
 _USAGE_ERRORS = (
     ConfigError,
@@ -115,6 +116,15 @@ def cmd_run(args) -> int:
     hub_mod.save_episode(episode, args.out, include_timing=not args.no_timing)
     print(f"wrote {len(episode)} records to {args.out}")
     print(str(hub_mod.timing_report(episode)))
+    worst = max(
+        verify_additivity(a)[1] / max(1.0, abs(a.prediction))
+        for record in episode.records
+        for a in record.attributions.values()
+    )
+    print(
+        f"additivity: worst residual {worst:.1e} of max(1, |prediction|) "
+        f"(tolerance {ADDITIVITY_TOLERANCE:.0e})"
+    )
     census = explain_mod.scenario_census(episode)
     names = explain_mod.SCENARIO_NAMES
     print(

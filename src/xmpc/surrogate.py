@@ -515,6 +515,20 @@ def load(path: str | Path) -> SurrogateModel:
     stats = np.concatenate([norm.means, norm.stds, [norm.target_mean, norm.target_std]])
     if not np.isfinite(stats).all() or (norm.stds <= 0.0).any() or norm.target_std <= 0.0:
         raise DeserializationError(f"{path}: norm statistics must be finite, with stds > 0")
+    try:
+        background = np.asarray(data["meta"].get("background"), dtype=float)
+    except (TypeError, ValueError):
+        background = np.empty(0)
+    if not (
+        background.ndim == 2
+        and background.shape[0] >= 1
+        and background.shape[1] == schema.n_features
+        and np.isfinite(background).all()
+    ):
+        raise DeserializationError(
+            f"{path}: meta.background must be a finite (k >= 1, {schema.n_features}) array "
+            "of training rows"
+        )
     return SurrogateModel(schema=schema, layers=layers, norm=norm, meta=data["meta"])
 
 

@@ -156,6 +156,9 @@ class TestRun:
         assert "wrote 24 records" in out
         assert "mean" in out and "4.19" in out
         assert "scenario census:" in out
+        [line] = [line for line in out.splitlines() if line.startswith("additivity:")]
+        assert line.endswith("of max(1, |prediction|) (tolerance 1e-06)")
+        assert 0.0 <= float(line.split()[3]) <= 1e-11
 
     def test_swapped_models_are_usage_error(self, cli_workspace, tmp_path, capsys):
         out = tmp_path / "swapped.jsonl"
@@ -173,7 +176,13 @@ class TestRun:
         (lambda m: m.update(layers=m["layers"][:1] + m["layers"]), "'layers' must list 2 layers"),
         (lambda m: m.update(meta=[]), "'meta' must be a JSON object"),
         (lambda m: m["norm"].update(means=[0.0]), "norm means shape (1,)"),
-    ], ids=["no-layers", "one-layer", "three-layers", "meta-array", "short-norm-means"])
+        (lambda m: m["meta"].update(background="warm"), "meta.background must be a finite"),
+        (lambda m: m["meta"].update(background=[row[:4] for row in m["meta"]["background"]]),
+         "meta.background must be a finite (k >= 1, 5) array"),
+        (lambda m: m["meta"]["background"][3].__setitem__(1, float("nan")),
+         "meta.background must be a finite"),
+    ], ids=["no-layers", "one-layer", "three-layers", "meta-array", "short-norm-means",
+            "string-background", "narrow-background", "nan-background"])
     def test_malformed_model_is_usage_error(self, cli_workspace, tmp_path, capsys, edit, message):
         model = json.loads((cli_workspace / "fx.json").read_text())
         edit(model)

@@ -19,7 +19,7 @@ from xmpc.shapley import (
     shapley,
     verify_additivity,
 )
-from xmpc.surrogate import background_of
+from xmpc.surrogate import background_of, predict_batch
 
 
 def coalition_value(fn, instance, background, members) -> float:
@@ -156,6 +156,30 @@ class TestExact:
         with pytest.raises(SchemaError):
             shapley(fx_model, np.zeros(4), np.ones((1, 4)))
 
+    def test_surrogate_path_matches_predict_batch_callable(self, fx_model, fy_model):
+        # The z-space kernel folds the first bias into its product and the
+        # output bias and unscaling into the coalition means; against the
+        # plain x-space path that moves values at round-off level only.
+        rng = np.random.default_rng(14)
+        for model in (fx_model, fy_model):
+            background = background_of(model)
+            oracle = lambda x, model=model: predict_batch(model, x)
+            for row in rng.choice(len(background), size=200):
+                instance = background[row] * rng.uniform(0.9, 1.1, size=5)
+                fast, slow = shapley(model, instance, background), shapley(oracle, instance, background)
+                scale = 1e-12 * max(1.0, abs(slow.prediction))
+                assert np.max(np.abs(fast.shapley_values - slow.shapley_values)) <= scale
+                assert abs(fast.base_value - slow.base_value) <= scale
+                assert abs(fast.prediction - slow.prediction) <= scale
+
+    def test_surrogate_feature_pinned_in_background_gets_zero(self, fy_model):
+        background = background_of(fy_model).copy()
+        background[:, 4] = 3.0
+        instance = np.array([23.0, 26.0, 34.0, 450.0, 3.0])
+        attr = shapley(fy_model, instance, background)
+        assert attr.shapley_values[4] == 0.0
+        assert np.all(attr.shapley_values[:4] != 0.0)
+
     def test_surrogate_model_input(self, fx_model):
         background = background_of(fx_model)[:32]
         instance = np.array([23.0, 26.0, 34.0, 450.0, 3.0])
@@ -226,12 +250,12 @@ class TestCoalitionBatching:
         assert (whole.base_value, whole.prediction) == (chunked.base_value, chunked.prediction)
 
     def test_surrogate_attribution_is_four_model_calls(self, fx_model, monkeypatch):
-        import xmpc.surrogate as surrogate
+        shapley_mod = importlib.import_module("xmpc.shapley")
 
         rows: list[int] = []
-        predict_batch = surrogate.predict_batch
-        monkeypatch.setattr(surrogate, "predict_batch",
-                            lambda model, x: rows.append(len(x)) or predict_batch(model, x))
+        kernel = shapley_mod._surrogate_kernel
+        monkeypatch.setattr(shapley_mod, "_surrogate_kernel",
+                            lambda x, **weights: rows.append(len(x)) or kernel(x, **weights))
         background = background_of(fx_model)
         assert len(background) == 256
         shapley(fx_model, np.array([23.0, 26.0, 34.0, 450.0, 3.0]), background)

@@ -548,9 +548,12 @@ class TestPersistence:
             ("norm", "target_std", -1.0, "stds > 0"),
             ("norm", "target_mean", math.inf, "must be finite"),
             (None, "meta", [], "'meta' must be a JSON object"),
+            ("meta", "background", None, "meta.background must be a finite"),
+            ("meta", "background", [], "meta.background must be a finite"),
+            ("meta", "background", [[1.0, 2.0], [3.0]], "meta.background must be a finite"),
         ],
         ids=["short-means", "zero-std", "nan-std", "negative-target-std", "inf-target-mean",
-             "meta-array"],
+             "meta-array", "no-background", "empty-background", "ragged-background"],
     )
     def test_malformed_norm_or_meta_rejected(self, tmp_path, fx_model, section, key, value, message):
         path = tmp_path / "model.json"
