@@ -14,13 +14,14 @@ from pathlib import Path
 
 from xmpc.explain import (
     build_qa_context,
-    classify,
+    build_scenario_prompt,
     narrate_attribution,
+    parse_scenario,
     scenario_census,
     write_documents,
 )
 from xmpc.hub import ATTRIBUTION_KEYS, run_episode
-from xmpc.llm import LlmConfig, answer_question
+from xmpc.llm import LlmConfig, answer_question, complete
 from xmpc.surrogate import FX_SCHEMA, FY_SCHEMA, TrainConfig, train
 from xmpc.testbed import TestbedConfig, generate_dr_calendar, run_excitation
 
@@ -69,6 +70,10 @@ for question in (
 
 # The stub's scenario judgment agrees with the deterministic rubric on every
 # step, which the acceptance suite checks across a full month.
-agree = sum(classify(r) == r.scenario for r in episode.records)
-print(f"\nrubric self-consistency over the week: {agree}/{len(episode)}")
+agree = sum(
+    parse_scenario(complete(stub, "scenario judge", build_scenario_prompt(r)).response)
+    == r.scenario
+    for r in episode.records
+)
+print(f"\nstub scenario judgments agreeing with the rubric over the week: {agree}/{len(episode)}")
 print(f"attribution slots per record: {list(ATTRIBUTION_KEYS)}")

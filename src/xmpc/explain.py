@@ -7,18 +7,12 @@ comes from per-scenario template files with ``{name}`` placeholders; the
 attribution paragraphs are produced either by the deterministic narrator
 here or, in llm mode, by a chat model prompted with the same numbers.
 
-Scenario rubric (deterministic, evaluated per record):
-
-* Scenario 1, "Precool": the power limit two reporting ticks ahead is below
-  the normal 5000 W ceiling and the chosen first-hour setpoint is below the
-  comfort ceiling, the top of ``testbed.SETPOINT_GRID_C`` (26 degC).
-* Scenario 3, "EventNoPrecool": the limit is tightened but the setpoint
-  stays at the ceiling.
-* Scenario 2, "Normal": everything else.
-
-In llm mode the chat model is also asked to judge the scenario from the same
-inputs; its answer is compared against this rubric, and the rubric's label
-always wins in the document while the agreement is noted in the footer.
+The scenario rubric, ``classify``, lives in ``hub`` next to the record it
+reads (see that module's docstring); every document is rendered under the
+rubric's label.  In llm mode the chat model is also asked to judge the
+scenario from the same inputs; its answer is compared against the rubric,
+and the rubric's label always wins in the document while the agreement is
+noted in the footer.
 """
 
 from __future__ import annotations
@@ -30,11 +24,9 @@ from pathlib import Path
 
 from .charts import attribution_chart_svg, fmt_mean, fmt_phi, fmt_value, ranking_order
 from .errors import ConfigError, InvalidInputError, RenderError
-from .hub import ATTRIBUTION_KEYS, Episode, TimestepRecord
+from .hub import ATTRIBUTION_KEYS, COMFORT_CEILING_C, Episode, TimestepRecord, classify
 from .shapley import Attribution
 from .testbed import NORMAL_POWER_LIMIT_W, SETPOINT_GRID_C
-
-COMFORT_CEILING_C = SETPOINT_GRID_C[-1]
 
 SCENARIO_NAMES = {1: "Precool", 2: "Normal", 3: "EventNoPrecool"}
 
@@ -76,30 +68,15 @@ MPC_FORMULATION_SUMMARY = (
 
 
 # ---------------------------------------------------------------------------
-# Scenario rubric
+# Scenario census
 # ---------------------------------------------------------------------------
 
 
-def classify(record: TimestepRecord) -> int:
-    """Deterministic scenario label for one record (see module docstring)."""
-    event_ahead = record.p_limit_t2_w < NORMAL_POWER_LIMIT_W
-    if event_ahead and record.setpoint_c < COMFORT_CEILING_C:
-        return 1
-    if event_ahead:
-        return 3
-    return 2
-
-
 def scenario_census(episode: Episode) -> dict[int, int]:
-    """Count of records per scenario label; keys 1, 2, 3 always present.
-
-    A record counts under its stored label; only unlabelled records are
-    classified here.
-    """
+    """Count of records per scenario label; keys 1, 2, 3 always present."""
     counts = {1: 0, 2: 0, 3: 0}
     for record in episode.records:
-        label = record.scenario
-        counts[classify(record) if label is None else label] += 1
+        counts[record.scenario] += 1
     return counts
 
 

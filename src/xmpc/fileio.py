@@ -1,4 +1,4 @@
-"""Atomic replacement of output files.
+"""Atomic replacement of output files, and a strict reader for JSON numbers.
 
 Model, episode, excitation and config files are written to a
 temporary file in the target's directory and renamed over the target only
@@ -9,6 +9,7 @@ untouched and no partial file behind.  Text is written untranslated
 
 from __future__ import annotations
 
+import math
 import os
 from contextlib import contextmanager
 from pathlib import Path
@@ -26,3 +27,20 @@ def atomic_write(path: str | Path, binary: bool = False):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def finite_number(value, name: str) -> float:
+    """``value`` as a float if it decoded from a finite JSON number, else a ``ValueError``.
+
+    A bool is not a number here, although Python counts it as an int, and
+    neither is a string of digits.  NaN and infinity, which ``json`` accepts,
+    are refused, and so is an integer beyond the float range.
+    """
+    if type(value) in (int, float):
+        try:
+            number = float(value)
+        except OverflowError:
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise ValueError(f"{name} must be a finite number, got {value!r}")

@@ -10,20 +10,36 @@
    plant, and discards the second (receding horizon),
 3. computes exact Shapley attributions for all four horizon predictions
    (temperature and cooling for each hour) on the same feature vectors the
-   winning rollout evaluated,
-4. labels the step with the deterministic scenario rubric.
+   winning rollout evaluated.
+
+Scenario rubric (deterministic, ``classify`` applied to a record):
+
+* Scenario 1, "Precool": the power limit two reporting ticks ahead is below
+  the normal 5000 W ceiling and the chosen first-hour setpoint is below the
+  comfort ceiling, the top of ``testbed.SETPOINT_GRID_C`` (26 degC).
+* Scenario 3, "EventNoPrecool": the limit is tightened but the setpoint
+  stays at the ceiling.
+* Scenario 2, "Normal": everything else.
 
 Episodes serialize to JSON lines: a header object, then one record per line,
-hour t on record line t.  The header carries the format version (3, the only
-one that loads), the seeds, model digests, testbed configuration and DR
-calendar, the record count, and ``records_sha256``, a digest that seals the
-file: it covers the header line (with its own digest field zeroed) and every
-record line.  Per-step optimization wall-clock is stored in the records but
-can be omitted at save time (canonical form), which makes reruns with equal
-seeds byte-identical.
+hour t on record line t.  Each fact is stored once.  A record holds the
+hour, the zone temperature and boundary conditions, the realized cooling
+rate, the two limits ahead, the decision with its candidate table, each
+attribution's feature values, phi, base value and prediction, and the
+optimization wall-clock.  The rest is derived, not stored: the applied
+setpoint is ``decision.u1_c``, the scenario label is ``classify(record)``,
+and an attribution's feature names are its model schema's.  The header
+carries the format version (4, the only one that loads), the seeds, model
+digests, testbed configuration, the DR calendar's event hours, the record
+count, and ``records_sha256``, a digest that seals the file: it covers the
+header line (with its own digest field zeroed) and every record line.  The
+wall-clock can be omitted at save time (canonical form), which makes reruns
+with equal seeds byte-identical.
 
 ``load_episode`` hashes every line but decodes only the records it is asked
 for: the seal, which every file must carry, vouches for the lines it skips.
+A decoded record must hold exactly the format's keys, and every number in
+it must be a finite JSON number (a candidate's cost may be null).
 """
 
 from __future__ import annotations
@@ -37,12 +53,14 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EpisodeIntegrityError, InvalidInputError, SchemaError
-from .fileio import atomic_write
+from .fileio import atomic_write, finite_number
 from .mpc import MpcDecision, MpcProblem, features, optimize
 from .shapley import Attribution, shapley
 from .surrogate import SCHEMAS, SurrogateModel, background_of, digest, predict
 from .testbed import (
     INITIAL_ZONE_TEMP_C,
+    NORMAL_POWER_LIMIT_W,
+    SETPOINT_GRID_C,
     Disturbance,
     TestbedConfig,
     ZoneState,
@@ -53,7 +71,7 @@ from .testbed import (
     synth_disturbances,
 )
 
-EPISODE_VERSION = 3
+EPISODE_VERSION = 4
 
 # Reference per-interval optimization time that timing reports quote.
 REFERENCE_OPT_SECONDS = 4.19
@@ -65,6 +83,8 @@ _UNSEALED = b"0" * 64
 # One attribution per horizon prediction, keyed by model and reporting tick.
 ATTRIBUTION_KEYS = ("fx_t1", "fy_t1", "fx_t2", "fy_t2")
 
+COMFORT_CEILING_C = SETPOINT_GRID_C[-1]
+
 
 @dataclass
 class TimestepRecord:
@@ -75,18 +95,15 @@ class TimestepRecord:
     oa_temp_c: float
     oa_radiation_wm2: float
     occupancy: float
-    setpoint_c: float
     cooling_rate_w: float
     p_limit_t1_w: float
     p_limit_t2_w: float
     decision: MpcDecision
     attributions: dict[str, Attribution]
-    scenario: int | None = None
     opt_seconds: float | None = None
 
     def to_json(self, include_timing: bool = True) -> dict:
         data = {name: getattr(self, name) for name in _SCALAR_RECORD_FIELDS}
-        data["scenario"] = self.scenario
         data["decision"] = self.decision.to_json()
         data["attributions"] = {k: self.attributions[k].to_json() for k in ATTRIBUTION_KEYS}
         if include_timing and self.opt_seconds is not None:
@@ -95,31 +112,58 @@ class TimestepRecord:
 
     @classmethod
     def from_json(cls, data: dict) -> "TimestepRecord":
-        scalars = {name: data[name] for name in _SCALAR_RECORD_FIELDS}
-        if type(scalars["t"]) is not int:  # not isinstance: a bool is an int there
-            raise ValueError(f"hour t must be an integer, got {scalars['t']!r}")
+        stray = sorted(set(data).symmetric_difference(_RECORD_KEYS) - {"opt_seconds"})
+        if stray:
+            raise ValueError(f"unexpected or missing keys {stray}")
+        if type(data["t"]) is not int:  # not isinstance: a bool is an int there
+            raise ValueError(f"hour t must be an integer, got {data['t']!r}")
         attributions = data["attributions"]
         if not isinstance(attributions, dict) or set(attributions) != set(ATTRIBUTION_KEYS):
             raise ValueError(f"attributions must be exactly {list(ATTRIBUTION_KEYS)}")
         return cls(
-            **scalars,
+            t=data["t"],
+            **{name: finite_number(data[name], name) for name in _SCALAR_RECORD_FIELDS[1:]},
             decision=MpcDecision.from_json(data["decision"]),
-            attributions={k: Attribution.from_json(attributions[k]) for k in ATTRIBUTION_KEYS},
-            scenario=data.get("scenario"),
-            opt_seconds=data.get("opt_seconds"),
+            attributions={
+                k: Attribution.from_json(attributions[k], SCHEMAS[k[:2]].feature_names)
+                for k in ATTRIBUTION_KEYS
+            },
+            opt_seconds=(
+                finite_number(data["opt_seconds"], "opt_seconds") if "opt_seconds" in data else None
+            ),
         )
+
+    @property
+    def setpoint_c(self) -> float:
+        return self.decision.u1_c
+
+    @property
+    def scenario(self) -> int:
+        return classify(self)
 
     @property
     def disturbance(self) -> Disturbance:
         return Disturbance(self.oa_temp_c, self.oa_radiation_wm2, self.occupancy)
 
 
-# Serialized in field order ahead of the four fields with their own encoding.
+# Serialized in field order, hour t first, ahead of the three fields with
+# their own encoding; every record holds these keys and may hold opt_seconds.
 _SCALAR_RECORD_FIELDS = tuple(
     f.name
     for f in fields(TimestepRecord)
-    if f.name not in ("decision", "attributions", "scenario", "opt_seconds")
+    if f.name not in ("decision", "attributions", "opt_seconds")
 )
+_RECORD_KEYS = frozenset(_SCALAR_RECORD_FIELDS + ("decision", "attributions"))
+
+
+def classify(record: TimestepRecord) -> int:
+    """Deterministic scenario label for one record (see module docstring)."""
+    event_ahead = record.p_limit_t2_w < NORMAL_POWER_LIMIT_W
+    if event_ahead and record.setpoint_c < COMFORT_CEILING_C:
+        return 1
+    if event_ahead:
+        return 3
+    return 2
 
 
 @dataclass
@@ -130,7 +174,7 @@ class Episode:
     model_digests: dict
     config: dict
     records: list[TimestepRecord] = field(default_factory=list)
-    # The DR calendar the episode ran under: hour index -> power limit in W.
+    # The DR calendar the episode ran under: event hour -> power limit in W.
     calendar: dict[int, float] = field(default_factory=dict)
 
     def __len__(self) -> int:
@@ -170,10 +214,6 @@ def run_episode(
                 f"{list(model.schema.feature_names)}; expected the {role} schema, which "
                 f"predicts {SCHEMAS[role].target.name!r} from {list(SCHEMAS[role].feature_names)}"
             )
-    # classify lives in the explainer, which imports this module for the
-    # record type; import at call time to keep module loading acyclic.
-    from .explain import classify
-
     fx_bg = background_of(fx_model)
     fy_bg = background_of(fy_model)
 
@@ -217,22 +257,19 @@ def run_episode(
         }
 
         next_state, hvac = step(state, d1, decision.u1_c, cfg)
-        record = TimestepRecord(
+        records.append(TimestepRecord(
             t=t,
             zone_temp_c=state.zone_temp_c,
             oa_temp_c=d1.oa_temp_c,
             oa_radiation_wm2=d1.oa_radiation_wm2,
             occupancy=d1.occupancy,
-            setpoint_c=decision.u1_c,
             cooling_rate_w=hvac.cooling_rate_w,
             p_limit_t1_w=problem.p_limit_t1_w,
             p_limit_t2_w=problem.p_limit_t2_w,
             decision=decision,
             attributions=attributions,
             opt_seconds=opt_seconds,
-        )
-        record.scenario = classify(record)
-        records.append(record)
+        ))
         state = next_state
 
     return Episode(

@@ -243,7 +243,6 @@ def _stub_narration(prompt: str) -> str:
         shapley_values=np.array([phis[n] for n in names]),
         base_value=base,
         prediction=base + sum(phis.values()),
-        background_size=0,
     )
     target = target_match.group(1) if target_match else None
     return narrate_attribution(attribution, target_desc=target)

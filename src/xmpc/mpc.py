@@ -37,6 +37,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvalidInputError, OptimizationFailedError
+from .fileio import finite_number
 from .testbed import SETPOINT_GRID_C, Disturbance
 
 Predictor = Callable[[np.ndarray], float]
@@ -103,10 +104,12 @@ class MpcDecision:
 
     @classmethod
     def from_json(cls, data: dict) -> "MpcDecision":
+        """Decode ``to_json`` output; every number must be finite but a null cost."""
         return cls(
-            **{name: data[name] for name in _SCALAR_DECISION_FIELDS},
+            **{name: finite_number(data[name], name) for name in _SCALAR_DECISION_FIELDS},
             candidates=[
-                (c["u1"], c["u2"], math.inf if c["cost"] is None else c["cost"])
+                (finite_number(c["u1"], "candidate u1"), finite_number(c["u2"], "candidate u2"),
+                 math.inf if c["cost"] is None else finite_number(c["cost"], "candidate cost"))
                 for c in data["candidates"]
             ],
         )

@@ -39,6 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, SchemaError
+from .fileio import finite_number
 from .surrogate import SurrogateModel, _standardized
 
 # Refuse exact enumeration above this many features: 2^20 coalitions is
@@ -70,30 +71,27 @@ class Attribution:
     shapley_values: np.ndarray
     base_value: float
     prediction: float
-    background_size: int
 
     def to_json(self) -> dict:
         return {
-            "features": [
-                {"name": n, "value": float(v), "phi": float(p)}
-                for n, v, p in zip(self.feature_names, self.feature_values, self.shapley_values)
-            ],
+            "values": [float(v) for v in self.feature_values],
+            "phi": [float(p) for p in self.shapley_values],
             "base_value": self.base_value,
             "prediction": self.prediction,
-            "background_size": self.background_size,
-            "method": "exact",
         }
 
     @classmethod
-    def from_json(cls, data: dict) -> "Attribution":
-        feats = data["features"]
+    def from_json(cls, data: dict, names: tuple[str, ...]) -> "Attribution":
+        """Decode ``to_json`` output, which leaves out the names: the model's schema holds them."""
+        for key in ("values", "phi"):
+            if not isinstance(data[key], list) or len(data[key]) != len(names):
+                raise ValueError(f"{key} must list {len(names)} numbers, one per feature")
         return cls(
-            feature_names=tuple(f["name"] for f in feats),
-            feature_values=np.array([f["value"] for f in feats], dtype=float),
-            shapley_values=np.array([f["phi"] for f in feats], dtype=float),
-            base_value=float(data["base_value"]),
-            prediction=float(data["prediction"]),
-            background_size=int(data["background_size"]),
+            feature_names=tuple(names),
+            feature_values=np.array([finite_number(v, "values") for v in data["values"]]),
+            shapley_values=np.array([finite_number(p, "phi") for p in data["phi"]]),
+            base_value=finite_number(data["base_value"], "base_value"),
+            prediction=finite_number(data["prediction"], "prediction"),
         )
 
 
@@ -228,7 +226,6 @@ def shapley(model, instance, background) -> Attribution:
         shapley_values=phi,
         base_value=float(values[0]),
         prediction=float(values[-1]),
-        background_size=b,
     )
 
 

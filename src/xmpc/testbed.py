@@ -20,8 +20,9 @@ Time conventions used throughout the package:
   with the average cooling rate over that interval;
 * the demand-response calendar is indexed by the reporting tick, i.e.
   ``calendar[h]`` limits the cooling rate reported at hour h (the power
-  delivered during the hour ending at h).  Outside events the limit is a
-  5000 W ceiling that normal operation does not reach.  The calendar is
+  delivered during the hour ending at h).  The calendar lists the event
+  hours only; ``power_limit_at`` gives every other hour the 5000 W normal
+  limit, a ceiling that normal operation does not reach.  The calendar is
   stored only in episode headers, through ``calendar_to_json``.
 
 Synthetic weather is a deterministic function of (seed, day): a sinusoidal
@@ -42,7 +43,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DeserializationError, InvalidInputError, SimulationDivergedError
-from .fileio import atomic_write
+from .fileio import atomic_write, finite_number
 
 DT_SECONDS = 3600.0
 
@@ -255,18 +256,18 @@ def synth_disturbances(day: int, cfg: TestbedConfig) -> list[Disturbance]:
 def generate_dr_calendar(
     n_days: int, event_probability: float, seed: int
 ) -> dict[int, float]:
-    """Draw the demand-response calendar: hour index -> power limit in W.
+    """Draw the demand-response calendar: event hour index -> power limit in W.
 
     Each day independently hosts at most one event with the given
     probability.  An event picks a start hour uniformly in [11, 18], lasts
-    one hour, and draws its limit uniformly from [750, 1750] W.  All other
-    hours carry the 5000 W normal limit.  ``calendar[h]`` bounds the cooling
-    rate reported at hour h.
+    one hour, and draws its limit uniformly from [750, 1750] W.  Only event
+    hours are listed: ``power_limit_at`` gives every other hour the 5000 W
+    normal limit.  ``calendar[h]`` bounds the cooling rate reported at hour h.
     """
     if not 0.0 <= event_probability <= 1.0:
         raise InvalidInputError(f"event probability must be in [0, 1], got {event_probability}")
     rng = np.random.default_rng(seed)
-    calendar = {h: NORMAL_POWER_LIMIT_W for h in range(24 * n_days)}
+    calendar = {}
     for day in range(n_days):
         if rng.random() >= event_probability:
             continue
@@ -422,8 +423,8 @@ def load_config(path: str | Path, rng_seed: int = 0) -> TestbedConfig:
 
 
 def calendar_to_json(calendar: dict[int, float]) -> dict:
-    """The calendar as episode headers hold it."""
-    return {"version": 1, "limits": {str(h): calendar[h] for h in sorted(calendar)}}
+    """The calendar as episode headers hold it: hour (as a string) -> limit."""
+    return {str(h): calendar[h] for h in sorted(calendar)}
 
 
 def calendar_from_json(data, source: str) -> dict[int, float]:
@@ -433,25 +434,16 @@ def calendar_from_json(data, source: str) -> dict[int, float]:
     """
     if not isinstance(data, dict):
         raise DeserializationError(f"{source}: expected a JSON object, got {type(data).__name__}")
-    if "limits" not in data:
-        raise DeserializationError(f"{source}: missing 'limits' field")
-    limits = data["limits"]
-    if not isinstance(limits, dict):
-        raise DeserializationError(
-            f"{source}: 'limits' must be a JSON object, got {type(limits).__name__}"
-        )
     calendar = {}
-    for hour, limit in limits.items():
+    for hour, limit in data.items():
         # Canonical form only, so "3" and "03" cannot both name hour 3.
         if not (hour.isascii() and hour.isdigit() and hour == str(int(hour))):
             raise DeserializationError(f"{source}: hour {hour!r} is not a non-negative integer")
         try:
-            value = float(limit) if type(limit) in (int, float) else math.nan  # not bool
-        except OverflowError:
-            value = math.inf
-        if not (math.isfinite(value) and value > 0.0):
-            raise DeserializationError(
-                f"{source}: limit for hour {hour} must be a finite number > 0, got {limit!r}"
-            )
+            value = finite_number(limit, f"limit for hour {hour}")
+        except ValueError as exc:
+            raise DeserializationError(f"{source}: {exc}") from None
+        if value <= 0.0:
+            raise DeserializationError(f"{source}: limit for hour {hour} must be > 0, got {limit!r}")
         calendar[int(hour)] = value
     return calendar

@@ -22,7 +22,6 @@ def make_attr(phis, values=None, names=None):
         shapley_values=phis,
         base_value=base,
         prediction=base + float(phis.sum()),
-        background_size=1,
     )
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import shutil
 from pathlib import Path
 
@@ -342,20 +343,21 @@ def test_timestep_out_of_range_is_usage_error(cli_workspace, tmp_path, capsys, m
 
 @pytest.mark.parametrize("relabel, message", [
     (lambda header, body: header.update(version=1) or header.pop("records_sha256"),
-     "episode format version 1 is not 3; re-run `xmpc run`"),
+     "episode format version 1 is not 4; re-run `xmpc run`"),
     (lambda header, body: header.update(
         version=2, records_sha256=hashlib.sha256(body).hexdigest()),
-     "episode format version 2 is not 3"),
+     "episode format version 2 is not 4"),
+    (lambda header, body: header.update(version=3), "episode format version 3 is not 4"),
     (lambda header, body: header.pop("records_sha256"), "header lacks its seal, records_sha256"),
-], ids=["v1", "v2", "v3-unsealed"])
+], ids=["v1", "v2", "v3", "unsealed"])
 def test_legacy_or_unsealed_episode_is_usage_error(
     cli_workspace, tmp_path, capsys, relabel, message
 ):
-    # Without a seal over its header (v1 and v2 files, or a v3 header that
-    # lost its digest), a raised event limit would load as written.
+    # Without a seal over its header (v1 and v2 files, or a header that lost
+    # its digest), a raised event limit would load as written.
     head, _, body = (cli_workspace / "episode.jsonl").read_bytes().partition(b"\n")
     header = json.loads(head)
-    limits = header["calendar"]["limits"]
+    limits = header["calendar"]
     limits[min(h for h, limit in limits.items() if limit < testbed.NORMAL_POWER_LIMIT_W)] = (
         testbed.NORMAL_POWER_LIMIT_W
     )
@@ -383,6 +385,45 @@ def test_hour_not_at_its_record_is_usage_error(
     rc = main([argv[0], "--episode", "swapped.jsonl", *argv[1:]])
     assert rc == 2
     assert "swapped.jsonl:7: bad record (hour 6 at record 5)" in capsys.readouterr().err
+
+
+# Edits to record 14 that a recomputed seal vouches for: (path to the value,
+# new value, the loader's complaint).  Each left ask or explain with a
+# traceback or a document written from a record that contradicts itself.
+MALFORMED_RECORDS = {
+    "temp-string": (["zone_temp_c"], "26.0", "zone_temp_c must be a finite number, got '26.0'"),
+    "temp-nan": (["zone_temp_c"], math.nan, "zone_temp_c must be a finite number, got nan"),
+    "limit-string": (["p_limit_t2_w"], "900", "p_limit_t2_w must be a finite number, got '900'"),
+    "setpoint-string": (["decision", "u1_c"], "24.0", "u1_c must be a finite number, got '24.0'"),
+    "prediction-null": (["decision", "y2_w"], None, "y2_w must be a finite number, got None"),
+    "timing-string": (["opt_seconds"], "fast", "opt_seconds must be a finite number, got 'fast'"),
+    "stale-scenario": (["scenario"], 9, "unexpected or missing keys ['scenario']"),
+}
+
+
+@pytest.mark.parametrize("keys, value, message", MALFORMED_RECORDS.values(), ids=MALFORMED_RECORDS)
+@pytest.mark.parametrize("argv", [
+    ["ask", "--t", "14", "--question", "Why?"],
+    ["explain", "--t", "14", "--out", "docs"],
+], ids=["ask", "explain"])
+def test_malformed_record_is_usage_error(
+    cli_workspace, tmp_path, capsys, monkeypatch, reseal, argv, keys, value, message
+):
+    monkeypatch.chdir(tmp_path)
+    lines = (cli_workspace / "episode.jsonl").read_bytes().splitlines(keepends=True)
+    record = json.loads(lines[15])
+    *parents, last = keys
+    target = record
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    lines[15] = json.dumps(record, separators=(",", ":")).encode() + b"\n"
+    Path("probe.jsonl").write_bytes(b"".join(lines))
+    reseal("probe.jsonl")
+    rc = main([argv[0], "--episode", "probe.jsonl", *argv[1:]])
+    assert rc == 2
+    assert f"probe.jsonl:16: bad record ({message})" in capsys.readouterr().err
+    assert not Path("docs").exists()
 
 
 @pytest.mark.parametrize("content, message", [
@@ -420,7 +461,7 @@ def test_edited_episode_header_is_usage_error(cli_workspace, tmp_path, capsys):
     # The seal covers the header: a raised event limit must not load quietly.
     head, _, body = (cli_workspace / "episode.jsonl").read_bytes().partition(b"\n")
     header = json.loads(head)
-    limits = header["calendar"]["limits"]
+    limits = header["calendar"]
     event = min(h for h, limit in limits.items() if limit < testbed.NORMAL_POWER_LIMIT_W)
     limits[event] = testbed.NORMAL_POWER_LIMIT_W
     edited = tmp_path / "edited.jsonl"

@@ -27,7 +27,7 @@ from xmpc.hub import (
     timing_report,
 )
 from xmpc.shapley import verify_additivity
-from xmpc.surrogate import digest, predict
+from xmpc.surrogate import FX_SCHEMA, FY_SCHEMA, digest, predict
 from xmpc.testbed import (
     NORMAL_POWER_LIMIT_W,
     ZoneState,
@@ -156,6 +156,24 @@ class TestEpisodeFile:
                     orig.attributions[key].shapley_values,
                 )
 
+    def test_record_keys_are_the_fields_in_order(self, mini_episode):
+        # Canonical episodes depend on this key order staying fixed.  The
+        # setpoint, the scenario label and the feature names are derived,
+        # not stored.
+        record = mini_episode.records[5]
+        data = record.to_json()
+        assert list(data) == [
+            "t", "zone_temp_c", "oa_temp_c", "oa_radiation_wm2", "occupancy", "cooling_rate_w",
+            "p_limit_t1_w", "p_limit_t2_w", "decision", "attributions", "opt_seconds",
+        ]
+        assert list(data["attributions"]) == list(ATTRIBUTION_KEYS)
+        back = TimestepRecord.from_json(json.loads(json.dumps(data)))
+        assert back.to_json() == data
+        assert back.setpoint_c == record.decision.u1_c
+        assert back.scenario == record.scenario
+        assert back.attributions["fx_t1"].feature_names == FX_SCHEMA.feature_names
+        assert back.attributions["fy_t2"].feature_names == FY_SCHEMA.feature_names
+
     def test_canonical_form_strips_timing(self, mini_episode, tmp_path):
         path = tmp_path / "episode.jsonl"
         save_episode(mini_episode, path, include_timing=False)
@@ -268,12 +286,15 @@ class TestEpisodeFile:
         save_episode(mini_episode, path, include_timing=False)
         head, _, body = path.read_bytes().partition(b"\n")
         header = json.loads(head)
-        assert header["version"] == EPISODE_VERSION == 3
+        assert header["version"] == EPISODE_VERSION == 4
         assert header["n_records"] == len(mini_episode)
         # The seal covers the header line, its own digest zeroed, then the records.
         unsealed = head.replace(header["records_sha256"].encode(), b"0" * 64)
         assert header["records_sha256"] == hashlib.sha256(unsealed + b"\n" + body).hexdigest()
         assert header["calendar"] == calendar_to_json(generate_dr_calendar(2, 1.0, seed=5))
+        # Event hours only: every other hour has the normal limit.
+        assert len(header["calendar"]) == 2
+        assert all(limit < NORMAL_POWER_LIMIT_W for limit in header["calendar"].values())
 
     def test_edited_header_breaks_the_seal(self, mini_episode, tmp_path):
         path = tmp_path / "episode.jsonl"
@@ -281,7 +302,7 @@ class TestEpisodeFile:
         event = min(h for h, limit in mini_episode.calendar.items() if limit < NORMAL_POWER_LIMIT_W)
 
         def limit(header):
-            header["calendar"]["limits"][str(event)] += 100.0
+            header["calendar"][str(event)] += 100.0
 
         def model_digest(header):
             header["model_digests"]["fx"] = "0" * 64
@@ -298,23 +319,27 @@ class TestEpisodeFile:
 
     @pytest.mark.parametrize("relabel, message", [
         (lambda header, body: header.update(version=1) or header.pop("records_sha256"),
-         "episode format version 1 is not 3; re-run `xmpc run`"),
+         "episode format version 1 is not 4; re-run `xmpc run`"),
         (lambda header, body: header.update(
             version=2, records_sha256=hashlib.sha256(body).hexdigest()),
-         "episode format version 2 is not 3"),
+         "episode format version 2 is not 4"),
+        (lambda header, body: header.update(version=3),
+         "episode format version 3 is not 4; re-run `xmpc run`"),
         (lambda header, body: header.pop("records_sha256"),
          ":1: header lacks its seal, records_sha256"),
-    ], ids=["v1", "v2", "v3-unsealed"])
+    ], ids=["v1", "v2", "v3", "unsealed"])
     def test_legacy_or_unsealed_file_refused(self, mini_episode, tmp_path, relabel, message):
         # Version 1 had no seal and version 2 sealed the records only, so with
         # either label, or without its digest, an edited event limit loaded.
+        # Version 3 records stored the scenario label and setpoint beside the
+        # facts they follow from, and its header every normal hour's limit.
         path = tmp_path / "episode.jsonl"
         save_episode(mini_episode, path)
         body = path.read_bytes().partition(b"\n")[2]
         event = min(h for h, limit in mini_episode.calendar.items() if limit < NORMAL_POWER_LIMIT_W)
 
         def edit(header):
-            header["calendar"]["limits"][str(event)] = NORMAL_POWER_LIMIT_W
+            header["calendar"][str(event)] = NORMAL_POWER_LIMIT_W
             relabel(header, body)
 
         edited = tmp_path / "edited.jsonl"
@@ -405,7 +430,7 @@ class TestEpisodeFile:
         path = tmp_path / "episode.jsonl"
         save_episode(mini_episode, path)
         bad = tmp_path / "bad_calendar.jsonl"
-        rewrite_header(path, bad, lambda header: header["calendar"]["limits"].update({"03": 1e3}))
+        rewrite_header(path, bad, lambda header: header["calendar"].update({"03": 1e3}))
         reseal(bad)
         with pytest.raises(DeserializationError, match="calendar: hour '03'"):
             load_episode(bad, timesteps=[0])

@@ -47,7 +47,6 @@ def worked_attribution() -> Attribution:
         shapley_values=phis,
         base_value=base,
         prediction=base + float(np.sum(phis)),
-        background_size=0,
     )
 
 

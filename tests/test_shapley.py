@@ -5,6 +5,7 @@ from __future__ import annotations
 import importlib
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -304,7 +305,6 @@ class TestVerifyAdditivity:
             shapley_values=np.array([680.369781, 33.052102, 18.838554, -113.826475, -98.523013]),
             base_value=1544.673602,
             prediction=2064.584564,
-            background_size=256,
         )
         ok, residual = verify_additivity(attr)
         assert ok
@@ -317,7 +317,6 @@ class TestVerifyAdditivity:
             shapley_values=np.array([0.4, -0.3, 0.1, 0.1]),
             base_value=0.1,
             prediction=0.4,
-            background_size=1,
         )
         ok, residual = verify_additivity(attr)
         assert ok
@@ -330,7 +329,6 @@ class TestVerifyAdditivity:
             shapley_values=np.array([1.0]),
             base_value=0.0,
             prediction=5.0,
-            background_size=1,
         )
         ok, residual = verify_additivity(attr)
         assert not ok
@@ -344,10 +342,30 @@ class TestSerialization:
         background = rng.normal(size=(4, 5))
         attr = shapley(nonlinear_fn, instance, background)
         data = attr.to_json()
-        assert set(data) == {"features", "base_value", "prediction", "background_size", "method"}
-        assert [f["name"] for f in data["features"]] == [f"f{i}" for i in range(5)]
-        back = Attribution.from_json(data)
-        assert back.feature_names == attr.feature_names
+        # Canonical episodes depend on this key order staying fixed; the
+        # names come from the model schema, not the JSON.
+        assert list(data) == ["values", "phi", "base_value", "prediction"]
+        back = Attribution.from_json(data, attr.feature_names)
+        assert back.feature_names == attr.feature_names == tuple(f"f{i}" for i in range(5))
+        assert np.array_equal(back.feature_values, attr.feature_values)
         assert np.array_equal(back.shapley_values, attr.shapley_values)
         assert back.base_value == attr.base_value
-        assert data["method"] == "exact"
+        assert back.prediction == attr.prediction
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda data: data["values"].pop(), "values must list 5 numbers"),
+        (lambda data: data["phi"].append(0.0), "phi must list 5 numbers"),
+        (lambda data: data.update(phi=1.0), "phi must list 5 numbers"),
+        (lambda data: data["phi"].__setitem__(2, "0.5"), "phi must be a finite number, got '0.5'"),
+        (lambda data: data["values"].__setitem__(0, True), "values must be a finite number"),
+        (lambda data: data.update(base_value=float("nan")), "base_value must be a finite number"),
+        (lambda data: data.update(prediction=None), "prediction must be a finite number"),
+    ], ids=["values-short", "phi-long", "phi-scalar", "phi-string", "value-bool", "base-nan",
+            "prediction-null"])
+    def test_from_json_refuses_malformed_numbers(self, edit, message):
+        rng = np.random.default_rng(10)
+        attr = shapley(nonlinear_fn, rng.normal(size=5), rng.normal(size=(4, 5)))
+        data = attr.to_json()
+        edit(data)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Attribution.from_json(data, attr.feature_names)

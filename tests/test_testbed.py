@@ -185,8 +185,9 @@ def event_hours(calendar: dict[int, float]) -> list[int]:
 class TestDrCalendar:
     def test_probability_zero_means_no_events(self):
         cal = generate_dr_calendar(10, 0.0, seed=1)
-        assert len(cal) == 240
-        assert all(v == NORMAL_POWER_LIMIT_W for v in cal.values())
+        # The calendar lists event hours only; every hour gets the normal limit.
+        assert cal == {}
+        assert all(power_limit_at(cal, h) == NORMAL_POWER_LIMIT_W for h in range(240))
         assert event_hours(cal) == []
 
     def test_probability_one_means_one_event_per_day(self):
@@ -197,7 +198,8 @@ class TestDrCalendar:
         for h in events:
             assert EVENT_HOUR_MIN <= h % 24 <= EVENT_HOUR_MAX
             assert EVENT_LIMIT_MIN_W <= cal[h] <= EVENT_LIMIT_MAX_W
-            assert cal[h + 1] == NORMAL_POWER_LIMIT_W  # lasts one hour
+            assert power_limit_at(cal, h + 1) == NORMAL_POWER_LIMIT_W  # lasts one hour
+        assert sorted(cal) == events  # and only events are listed
 
     def test_event_bounds_across_seeds(self):
         for seed in range(20):
@@ -224,24 +226,24 @@ class TestDrCalendar:
         assert calendar_from_json(json.loads(json.dumps(calendar_to_json(cal))), "header") == cal
 
     def test_calendar_integer_limits_load_as_floats(self):
-        cal = calendar_from_json(json.loads('{"limits": {"0": 5000, "13": 1200.5}}'), "header")
+        cal = calendar_from_json(json.loads('{"0": 5000, "13": 1200.5}'), "header")
         assert cal == {0: 5000.0, 13: 1200.5}
         assert all(type(limit) is float for limit in cal.values())
 
     @pytest.mark.parametrize("content, message", [
         (b"5", "expected a JSON object"),
-        (b'{"limits": [1, 2]}', "'limits' must be a JSON object"),
-        (b'{"limits": {"x": 1000}}', "hour 'x'"),
-        (b'{"limits": {"-1": 1000}}', "hour '-1'"),
-        (b'{"limits": {"3": 1000, "03": 2000}}', "hour '03'"),
-        (b'{"limits": {"00": 1000}}', "hour '00'"),
-        (b'{"limits": {"3": "nan"}}', "limit for hour 3"),
-        (b'{"limits": {"3": NaN}}', "limit for hour 3"),
-        (b'{"limits": {"3": Infinity}}', "limit for hour 3"),
-        (b'{"limits": {"3": -5}}', "limit for hour 3"),
-        (b'{"limits": {"3": 0}}', "limit for hour 3"),
-        (b'{"limits": {"3": true}}', "limit for hour 3"),
-        (b'{"limits": {"3": 1' + b"0" * 400 + b"}}", "limit for hour 3"),
+        (b"[1, 2]", "expected a JSON object"),
+        (b'{"x": 1000}', "hour 'x'"),
+        (b'{"-1": 1000}', "hour '-1'"),
+        (b'{"3": 1000, "03": 2000}', "hour '03'"),
+        (b'{"00": 1000}', "hour '00'"),
+        (b'{"3": "nan"}', "limit for hour 3"),
+        (b'{"3": NaN}', "limit for hour 3"),
+        (b'{"3": Infinity}', "limit for hour 3"),
+        (b'{"3": -5}', "limit for hour 3"),
+        (b'{"3": 0}', "limit for hour 3"),
+        (b'{"3": true}', "limit for hour 3"),
+        (b'{"3": 1' + b"0" * 400 + b"}", "limit for hour 3"),
     ], ids=["top-level-number", "limits-list", "hour-word", "hour-negative",
             "hour-leading-zero", "hour-double-zero", "limit-string", "limit-nan", "limit-inf",
             "limit-negative", "limit-zero", "limit-bool", "limit-oversized-int"])
