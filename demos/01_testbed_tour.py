@@ -12,6 +12,10 @@ Run from the repository root:  python3 demos/01_testbed_tour.py
 import numpy as np
 
 from xmpc.testbed import (
+    COOLING_CAPACITY_W,
+    HEATING_SETPOINT_C,
+    THERMAL_CAPACITANCE,
+    THERMAL_RESISTANCE,
     Disturbance,
     TestbedConfig,
     ZoneState,
@@ -21,10 +25,10 @@ from xmpc.testbed import (
     synth_disturbances,
 )
 
-cfg = TestbedConfig()
+cfg = TestbedConfig()  # the weather seed; the building is fixed
 print("zone parameters:")
-print(f"  R = {cfg.thermal_resistance} K/W, C = {cfg.thermal_capacitance:.0f} J/K")
-print(f"  cooling capacity {cfg.cooling_capacity:.0f} W, heating setpoint {cfg.heating_setpoint} degC")
+print(f"  R = {THERMAL_RESISTANCE} K/W, C = {THERMAL_CAPACITANCE:.0f} J/K")
+print(f"  cooling capacity {COOLING_CAPACITY_W:.0f} W, heating setpoint {HEATING_SETPOINT_C} degC")
 
 # A single step at a hot afternoon operating point.  Holding 24 degC against
 # 35 degC outdoors, 300 W/m2 of sun on 0.7 m2 of glazing, and three occupants

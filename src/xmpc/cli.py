@@ -206,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--days", type=_positive_int, default=31)
     p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--out", default="data.csv")
-    p.add_argument("--config", help="JSON file with testbed config overrides")
+    p.add_argument("--config", help="JSON file holding the weather seed, rng_seed")
     p.set_defaults(func=cmd_excite)
 
     p = sub.add_parser("train", help="train one surrogate from the excitation CSV")
@@ -226,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--out", default="episode.jsonl")
     p.add_argument("--no-timing", action="store_true", help="canonical form: omit wall-clock fields")
-    p.add_argument("--config", help="JSON file with testbed config overrides")
+    p.add_argument("--config", help="JSON file holding the weather seed, rng_seed")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("explain", help="render explanation documents from an episode")

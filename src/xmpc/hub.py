@@ -29,25 +29,29 @@ attribution's feature values, phi, base value and prediction, and the
 optimization wall-clock.  The rest is derived, not stored: the applied
 setpoint is ``decision.u1_c``, the scenario label is ``classify(record)``,
 and an attribution's feature names are its model schema's.  The header
-carries the format version (4, the only one that loads), the seeds, model
-digests, testbed configuration, the DR calendar's event hours, the record
-count, and ``records_sha256``, a digest that seals the file: it covers the
-header line (with its own digest field zeroed) and every record line.  The
-wall-clock can be omitted at save time (canonical form), which makes reruns
-with equal seeds byte-identical.
+carries the format version (4, the only one that loads), the run and
+weather seeds, model digests, the day count, the DR calendar's event hours,
+the record count, and ``records_sha256``, a digest that seals the file: it
+covers the header line (with its own digest field zeroed) and every record
+line.  The wall-clock can be omitted at save time (canonical form), which
+makes reruns with equal seeds byte-identical.
 
 ``load_episode`` hashes every line but decodes only the records it is asked
 for: the seal, which every file must carry, vouches for the lines it skips.
-A decoded record must hold exactly the format's keys, and every number in
-it must be a finite JSON number (a candidate's cost may be null).
+A decoded record must hold exactly the format's keys, every number in it
+must be a finite JSON number (a candidate's cost may be null), and its
+parts must agree: positive limits, a physical disturbance and cooling rate,
+a decision that is the minimum of its candidate table, attributions of the
+feature vectors that decision costed, and additive attributions.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -55,9 +59,10 @@ import numpy as np
 from .errors import EpisodeIntegrityError, InvalidInputError, SchemaError
 from .fileio import atomic_write, finite_number
 from .mpc import MpcDecision, MpcProblem, features, optimize
-from .shapley import Attribution, shapley
+from .shapley import Attribution, shapley, verify_additivity
 from .surrogate import SCHEMAS, SurrogateModel, background_of, digest, predict
 from .testbed import (
+    COOLING_CAPACITY_W,
     INITIAL_ZONE_TEMP_C,
     NORMAL_POWER_LIMIT_W,
     SETPOINT_GRID_C,
@@ -120,7 +125,7 @@ class TimestepRecord:
         attributions = data["attributions"]
         if not isinstance(attributions, dict) or set(attributions) != set(ATTRIBUTION_KEYS):
             raise ValueError(f"attributions must be exactly {list(ATTRIBUTION_KEYS)}")
-        return cls(
+        record = cls(
             t=data["t"],
             **{name: finite_number(data[name], name) for name in _SCALAR_RECORD_FIELDS[1:]},
             decision=MpcDecision.from_json(data["decision"]),
@@ -132,6 +137,38 @@ class TimestepRecord:
                 finite_number(data["opt_seconds"], "opt_seconds") if "opt_seconds" in data else None
             ),
         )
+        record._check_consistent()
+        return record
+
+    def _check_consistent(self) -> None:
+        """Raise ``ValueError`` unless the record's parts agree as ``run_episode`` made them."""
+        for name in ("p_limit_t1_w", "p_limit_t2_w"):
+            if getattr(self, name) <= 0.0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)!r}")
+        disturbance = self.disturbance  # refuses negative radiation or occupancy
+        if not 0.0 <= self.cooling_rate_w <= COOLING_CAPACITY_W:
+            raise ValueError(
+                f"cooling_rate_w must be in [0, {COOLING_CAPACITY_W}], got {self.cooling_rate_w!r}"
+            )
+        d = self.decision
+        # A null cost decodes as inf, so the table's minimum needs no finiteness filter.
+        if (d.u1_c, d.u2_c, d.cost) not in d.candidates or d.cost != min(
+            cost for _, _, cost in d.candidates
+        ):
+            raise ValueError(
+                "decision is not the cheapest pair in its candidate table: "
+                f"({d.u1_c}, {d.u2_c}) at cost {d.cost!r}"
+            )
+        h1 = features(d.u1_c, self.zone_temp_c, disturbance).tolist()
+        h2 = self.attributions["fx_t2"].feature_values.tolist()
+        if h2[:2] != [d.u2_c, d.x1_c]:
+            raise ValueError("fx_t2 values must start with the decision's (u2_c, x1_c)")
+        for key, values in zip(ATTRIBUTION_KEYS, (h1, h1, h2, h2)):
+            attribution = self.attributions[key]
+            if attribution.feature_values.tolist() != values:
+                raise ValueError(f"{key} values are not the feature vector the decision costed")
+            if not verify_additivity(attribution)[0]:
+                raise ValueError(f"{key} base_value + sum(phi) does not meet its prediction")
 
     @property
     def setpoint_c(self) -> float:
@@ -275,7 +312,7 @@ def run_episode(
     return Episode(
         seeds={"run": seed, "testbed": cfg.rng_seed},
         model_digests={"fx": digest(fx_model), "fy": digest(fy_model)},
-        config={"n_days": n_days, "testbed": asdict(cfg)},
+        config={"n_days": n_days},
         records=records,
         calendar=dict(dr_calendar),
     )

@@ -237,7 +237,7 @@ def verify_additivity(
     Returns (ok, residual).  The tolerance is relative to
     max(1, |prediction|) so it behaves sensibly near zero.
     """
-    implied = attribution.base_value + float(np.sum(attribution.shapley_values))
+    implied = attribution.base_value + float(attribution.shapley_values.sum())
     residual = abs(implied - attribution.prediction)
     ok = residual <= rel_tol * max(1.0, abs(attribution.prediction))
     return ok, residual

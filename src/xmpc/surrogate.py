@@ -24,6 +24,12 @@ buffers once and keeps parameters, gradients and Adam moments in one flat
 vector each, so every epoch runs in place: allocating the per-epoch
 (rows, hidden) temporaries afresh made the allocator hand them back to the
 kernel and page-fault them in again, which cost more than the arithmetic.
+
+A model file is one JSON object: ``target`` names the model's schema by its
+key in ``SCHEMAS`` ("fx" or "fy"), ``layers`` holds each layer's weights and
+bias, ``norm`` the z-score statistics, and ``meta`` the training settings,
+loss curve and the background sample for attribution.  The schemas and the
+network shape are fixed here, so the file does not repeat them.
 """
 
 from __future__ import annotations
@@ -353,8 +359,6 @@ def train(dataset, schema: FeatureSchema, cfg: TrainConfig | None = None) -> Sur
     meta = {
         "epochs": cfg.epochs,
         "learning_rate": cfg.learning_rate,
-        "hidden_dim": HIDDEN_DIM,
-        "hidden_layers": 1,
         "rng_seed": cfg.rng_seed,
         "n_rows": n,
         "n_train": n_train,
@@ -422,28 +426,9 @@ def background_of(model: SurrogateModel) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _schema_to_json(schema: FeatureSchema) -> dict:
-    return {
-        "features": [{"name": f.name, "unit": f.unit, "column": f.column} for f in schema.features],
-        "target": {
-            "name": schema.target.name,
-            "unit": schema.target.unit,
-            "column": schema.target.column,
-        },
-    }
-
-
-def _schema_from_json(data: dict) -> FeatureSchema:
-    return FeatureSchema(
-        features=tuple(SchemaField(f["name"], f["unit"], f["column"]) for f in data["features"]),
-        target=SchemaField(data["target"]["name"], data["target"]["unit"], data["target"]["column"]),
-    )
-
-
 def model_to_json(model: SurrogateModel) -> dict:
     return {
-        "schema": _schema_to_json(model.schema),
-        "activation": "relu",
+        "target": next(role for role, schema in SCHEMAS.items() if schema == model.schema),
         "layers": [{"w": w.tolist(), "b": b.tolist()} for w, b in model.layers],
         "norm": {
             "means": model.norm.means.tolist(),
@@ -468,12 +453,13 @@ def load(path: str | Path) -> SurrogateModel:
         raise DeserializationError(f"{path}: cannot parse model file ({exc})") from None
     if not isinstance(data, dict):
         raise DeserializationError(f"{path}: expected a JSON object, got {type(data).__name__}")
-    for key in ("schema", "activation", "layers", "norm", "meta"):
+    for key in ("target", "layers", "norm", "meta"):
         if key not in data:
             raise DeserializationError(f"{path}: missing required field {key!r}")
-    if data["activation"] != "relu":
+    schema = SCHEMAS.get(data["target"]) if isinstance(data["target"], str) else None
+    if schema is None:
         raise DeserializationError(
-            f"{path}: unsupported activation {data['activation']!r} (only 'relu' is implemented)"
+            f"{path}: target must be one of {sorted(SCHEMAS)}, got {data['target']!r}"
         )
     if not (isinstance(data["layers"], list) and len(data["layers"]) == 2):
         raise DeserializationError(
@@ -482,7 +468,6 @@ def load(path: str | Path) -> SurrogateModel:
     if not isinstance(data["meta"], dict):
         raise DeserializationError(f"{path}: 'meta' must be a JSON object")
     try:
-        schema = _schema_from_json(data["schema"])
         layers = [
             (np.asarray(layer["w"], dtype=float), np.asarray(layer["b"], dtype=float))
             for layer in data["layers"]

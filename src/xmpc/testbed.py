@@ -10,7 +10,7 @@ Cooling is ideal and setpoint-tracking: each hour the HVAC delivers exactly
 the power needed to land the zone on the cooling setpoint, up to its rated
 capacity, and delivers nothing when the zone would free-float at or below
 the setpoint.  A heating setpoint exists as a lower comfort bound but never
-engages under the default summer weather.
+engages under the summer weather.
 
 Time conventions used throughout the package:
 
@@ -27,9 +27,10 @@ Time conventions used throughout the package:
 
 Synthetic weather is a deterministic function of (seed, day): a sinusoidal
 dry-bulb profile peaking at 14:00, a daytime half-sine direct solar profile,
-and a weekday office occupancy schedule.  Default parameters are sized so
-that holding 26 degC through the hottest afternoons takes roughly 2 to 3 kW,
-which makes the 750 to 1750 W event limits bind.
+and a weekday office occupancy schedule.  The building and the shape of its
+weather are fixed module constants, sized so that holding 26 degC through
+the hottest afternoons takes roughly 2 to 3 kW, which makes the 750 to
+1750 W event limits bind; ``TestbedConfig`` holds only the weather seed.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -65,6 +66,28 @@ EVENT_HOUR_MAX = 18
 # Zone air temperature at hour 0 of every simulation.
 INITIAL_ZONE_TEMP_C = 24.0
 
+# The building: envelope resistance in K/W, zone capacitance in J/K (R*C is
+# about 11 h), the area in m2 that turns W/m2 of sun into W, the gain per
+# occupant, the cooling coil's capacity and the heating floor.
+THERMAL_RESISTANCE = 0.005
+THERMAL_CAPACITANCE = 8.0e6
+SOLAR_GAIN_AREA_M2 = 0.7
+INTERNAL_GAIN_PER_PERSON_W = 100.0
+COOLING_CAPACITY_W = 6000.0
+HEATING_SETPOINT_C = 20.0
+
+# The weather: dry-bulb peaks at 14:00 and is OA_TEMP_SWING_K lower at 02:00,
+# each day's peak jittered within +-OA_TEMP_JITTER_K; a daily clearness in
+# [CLEARNESS_MIN, 1] scales solar; occupants are in during weekday office hours.
+OA_TEMP_MAX_C = 35.0
+OA_TEMP_SWING_K = 10.0
+OA_TEMP_JITTER_K = 2.0
+RADIATION_PEAK_WM2 = 600.0
+CLEARNESS_MIN = 0.7
+OCCUPANTS = 3
+OCCUPIED_START_HOUR = 8
+OCCUPIED_END_HOUR = 17
+
 # The 1 K cooling-setpoint grid: the excitation draws from it, the MPC costs
 # every pair on it, and its top is the comfort ceiling of the scenario rubric.
 SETPOINT_GRID_C = (22.0, 23.0, 24.0, 25.0, 26.0)
@@ -83,48 +106,11 @@ CSV_COLUMNS = (
 
 @dataclass
 class TestbedConfig:
-    """Physical parameters plus the synthetic weather/occupancy generator knobs.
+    """The weather seed, the testbed's one setting: the building is fixed above."""
 
-    ``thermal_resistance`` is the envelope resistance in K/W and
-    ``thermal_capacitance`` the lumped zone capacitance in J/K, so the open
-    loop time constant is R*C (about 11 h with the defaults).
-    ``solar_gain_area`` converts direct radiation in W/m2 to a heat gain in W.
-    """
-
-    thermal_resistance: float = 0.005
-    thermal_capacitance: float = 8.0e6
-    solar_gain_area: float = 0.7
-    internal_gain_per_person: float = 100.0
-    cooling_capacity: float = 6000.0
-    heating_setpoint: float = 20.0
     rng_seed: int = 0
 
-    # Weather shape: dry-bulb peaks at peak - swing/2 + swing/2 = peak at
-    # 14:00 and bottoms out 'swing' lower at 02:00.  Each day's maximum is
-    # jittered within +-oa_temp_jitter, and solar is scaled by a per-day
-    # clearness factor in [clearness_min, 1].
-    oa_temp_max: float = 35.0
-    oa_temp_swing: float = 10.0
-    oa_temp_jitter: float = 2.0
-    radiation_peak_wm2: float = 600.0
-    clearness_min: float = 0.7
-    occupants: int = 3
-    occupied_start_hour: int = 8
-    occupied_end_hour: int = 17
-
     def __post_init__(self):
-        for name in (
-            "thermal_resistance",
-            "thermal_capacitance",
-            "solar_gain_area",
-            "internal_gain_per_person",
-            "cooling_capacity",
-        ):
-            value = getattr(self, name)
-            if not math.isfinite(value) or value <= 0.0:
-                raise InvalidInputError(f"{name} must be a positive finite number, got {value!r}")
-        if not 0 <= self.occupied_start_hour <= self.occupied_end_hour <= 24:
-            raise InvalidInputError("occupied hours must satisfy 0 <= start <= end <= 24")
         if self.rng_seed < 0:
             raise InvalidInputError(f"rng_seed must be >= 0, got {self.rng_seed}")
 
@@ -174,9 +160,9 @@ def step(
 
     The free-float temperature after one Euler step is computed first; the
     HVAC then removes exactly enough heat to land on the cooling setpoint
-    (capped at ``cooling_capacity``), or nothing if the zone stays at or
+    (capped at ``COOLING_CAPACITY_W``), or nothing if the zone stays at or
     below the setpoint on its own.  The returned cooling rate is the hour
-    average in W.
+    average in W.  ``cfg`` is unused (the building is fixed), kept for callers.
     """
     values = (state.zone_temp_c, disturbance.oa_temp_c, disturbance.oa_radiation_wm2,
               disturbance.occupancy, cooling_setpoint_c)
@@ -189,26 +175,26 @@ def step(
         )
 
     gains_w = (
-        disturbance.oa_radiation_wm2 * cfg.solar_gain_area
-        + disturbance.occupancy * cfg.internal_gain_per_person
+        disturbance.oa_radiation_wm2 * SOLAR_GAIN_AREA_M2
+        + disturbance.occupancy * INTERNAL_GAIN_PER_PERSON_W
     )
-    conduction_w = (disturbance.oa_temp_c - state.zone_temp_c) / cfg.thermal_resistance
-    free_float_c = state.zone_temp_c + DT_SECONDS / cfg.thermal_capacitance * (
+    conduction_w = (disturbance.oa_temp_c - state.zone_temp_c) / THERMAL_RESISTANCE
+    free_float_c = state.zone_temp_c + DT_SECONDS / THERMAL_CAPACITANCE * (
         conduction_w + gains_w
     )
 
     if free_float_c <= cooling_setpoint_c:
         cooling_w = 0.0
-        # Lower comfort bound; inert under the default summer weather.
-        next_temp_c = max(free_float_c, cfg.heating_setpoint)
+        # Lower comfort bound; inert under the summer weather.
+        next_temp_c = max(free_float_c, HEATING_SETPOINT_C)
     else:
-        hold_w = cfg.thermal_capacitance * (free_float_c - cooling_setpoint_c) / DT_SECONDS
-        if hold_w <= cfg.cooling_capacity:
+        hold_w = THERMAL_CAPACITANCE * (free_float_c - cooling_setpoint_c) / DT_SECONDS
+        if hold_w <= COOLING_CAPACITY_W:
             cooling_w = hold_w
             next_temp_c = cooling_setpoint_c
         else:
-            cooling_w = cfg.cooling_capacity
-            next_temp_c = free_float_c - DT_SECONDS / cfg.thermal_capacitance * cooling_w
+            cooling_w = COOLING_CAPACITY_W
+            next_temp_c = free_float_c - DT_SECONDS / THERMAL_CAPACITANCE * cooling_w
 
     if not TEMP_PLAUSIBLE_MIN_C <= next_temp_c <= TEMP_PLAUSIBLE_MAX_C:
         raise SimulationDivergedError(
@@ -232,23 +218,23 @@ def synth_disturbances(day: int, cfg: TestbedConfig) -> list[Disturbance]:
     (day 0 is a Monday; days 5 and 6 of each week are empty).
     """
     rng = np.random.default_rng([cfg.rng_seed, day])
-    day_max_c = cfg.oa_temp_max + rng.uniform(-cfg.oa_temp_jitter, cfg.oa_temp_jitter)
-    clearness = rng.uniform(cfg.clearness_min, 1.0)
+    day_max_c = OA_TEMP_MAX_C + rng.uniform(-OA_TEMP_JITTER_K, OA_TEMP_JITTER_K)
+    clearness = rng.uniform(CLEARNESS_MIN, 1.0)
     weekday = day % 7 < 5
 
     out = []
     for hour in range(24):
-        oa_temp = day_max_c - cfg.oa_temp_swing / 2.0 * (
+        oa_temp = day_max_c - OA_TEMP_SWING_K / 2.0 * (
             1.0 - math.sin(2.0 * math.pi * (hour - 8) / 24.0)
         )
         if 6 <= hour <= 18:
-            radiation = clearness * cfg.radiation_peak_wm2 * math.sin(
+            radiation = clearness * RADIATION_PEAK_WM2 * math.sin(
                 math.pi * (hour - 6) / 12.0
             )
         else:
             radiation = 0.0
-        occupied = weekday and cfg.occupied_start_hour <= hour < cfg.occupied_end_hour
-        occupancy = float(cfg.occupants) if occupied else 0.0
+        occupied = weekday and OCCUPIED_START_HOUR <= hour < OCCUPIED_END_HOUR
+        occupancy = float(OCCUPANTS) if occupied else 0.0
         out.append(Disturbance(oa_temp, max(radiation, 0.0), occupancy))
     return out
 
@@ -399,9 +385,9 @@ def save_config(cfg: TestbedConfig, path: str | Path) -> None:
 
 
 def load_config(path: str | Path, rng_seed: int = 0) -> TestbedConfig:
-    """Read a config written by ``save_config``, or a subset of its fields.
+    """Read a config written by ``save_config``: at most the weather seed.
 
-    Omitted fields keep their defaults; ``rng_seed`` stands in for a missing seed.
+    ``rng_seed`` stands in for a missing seed.
     """
     try:
         data = json.loads(Path(path).read_text())
@@ -409,17 +395,13 @@ def load_config(path: str | Path, rng_seed: int = 0) -> TestbedConfig:
         raise DeserializationError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(data, dict):
         raise DeserializationError(f"{path}: expected a JSON object, got {type(data).__name__}")
-    kinds = {f.name: type(f.default) for f in fields(TestbedConfig)}
-    unknown = set(data) - set(kinds)
+    unknown = set(data) - {"rng_seed"}
     if unknown:
         raise DeserializationError(f"{path}: unknown config fields {sorted(unknown)}")
-    for name, value in data.items():
-        allowed = (int, float) if kinds[name] is float else kinds[name]
-        if isinstance(value, bool) or not isinstance(value, allowed):
-            raise DeserializationError(
-                f"{path}: {name} must be of type {kinds[name].__name__}, got {value!r}"
-            )
-    return TestbedConfig(**{"rng_seed": rng_seed, **data})
+    seed = data.get("rng_seed", rng_seed)
+    if type(seed) is not int:  # not isinstance: a bool is an int there
+        raise DeserializationError(f"{path}: rng_seed must be of type int, got {seed!r}")
+    return TestbedConfig(rng_seed=seed)
 
 
 def calendar_to_json(calendar: dict[int, float]) -> dict:

@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 import shutil
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ import requests
 from xmpc import testbed
 from xmpc.cli import main
 from xmpc.explain import default_template_dir
+from xmpc.surrogate import SCHEMAS
 
 
 @pytest.fixture(scope="session")
@@ -61,8 +63,8 @@ class TestExcite:
 
     @pytest.mark.parametrize("text, message", [
         ('{"thermal_resistance": ', "invalid JSON"),
-        ('{"thermal_resistance": "x"}', "thermal_resistance must be of type float"),
-        ('{"occupants": 2.5}', "occupants must be of type int"),
+        ('{"rng_seed": "3"}', "rng_seed must be of type int, got '3'"),
+        ('{"rng_seed": true}', "rng_seed must be of type int, got True"),
         ("[1, 2]", "expected a JSON object"),
     ])
     def test_malformed_config_is_usage_error(self, tmp_path, capsys, text, message):
@@ -83,14 +85,25 @@ class TestExcite:
         assert "rng_seed must be >= 0" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
-    def test_config_without_seed_takes_seed_flag(self, tmp_path):
+    def test_retired_config_field_is_usage_error(self, tmp_path, capsys):
+        # The building is a set of constants now; a file setting part of it is refused.
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"occupants": 4}))
+        rc = main(["excite", "--days", "1", "--out", str(tmp_path / "x.csv"),
+                   "--config", str(cfg_path)])
+        assert rc == 2
+        assert "unknown config fields ['occupants']" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_config_without_seed_takes_seed_flag(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({}))
         out = tmp_path / "x.csv"
         assert main(["excite", "--days", "1", "--seed", "3", "--out", str(out),
                      "--config", str(cfg_path)]) == 0
-        cfg = testbed.load_config(str(out) + ".config.json")
-        assert (cfg.rng_seed, cfg.occupants) == (3, 4)
+        sidecar = Path(str(out) + ".config.json")
+        assert json.loads(sidecar.read_text()) == {"rng_seed": 3}
+        assert testbed.load_config(sidecar).rng_seed == 3
 
 
 class TestTrain:
@@ -138,6 +151,14 @@ class TestTrain:
         assert not (tmp_path / "m.json").exists()
 
 
+def copied_schema(model: dict) -> None:
+    """Turn a model file back into the older shape that copied its schema."""
+    schema = SCHEMAS[model.pop("target")]
+    model["schema"] = {"features": [asdict(f) for f in schema.features],
+                       "target": asdict(schema.target)}
+    model["activation"] = "relu"
+
+
 class TestRun:
     def test_episode_file_written(self, cli_workspace):
         from xmpc.hub import load_episode
@@ -172,6 +193,8 @@ class TestRun:
         assert not out.exists()
 
     @pytest.mark.parametrize("edit, message", [
+        (copied_schema, "missing required field 'target'"),
+        (lambda m: m.update(target="fz"), "target must be one of ['fx', 'fy'], got 'fz'"),
         (lambda m: m.update(layers=[]), "'layers' must list 2 layers"),
         (lambda m: m.update(layers=m["layers"][:1]), "'layers' must list 2 layers"),
         (lambda m: m.update(layers=m["layers"][:1] + m["layers"]), "'layers' must list 2 layers"),
@@ -182,7 +205,8 @@ class TestRun:
          "meta.background must be a finite (k >= 1, 5) array"),
         (lambda m: m["meta"]["background"][3].__setitem__(1, float("nan")),
          "meta.background must be a finite"),
-    ], ids=["no-layers", "one-layer", "three-layers", "meta-array", "short-norm-means",
+    ], ids=["copied-schema", "unknown-target", "no-layers", "one-layer", "three-layers",
+            "meta-array", "short-norm-means",
             "string-background", "narrow-background", "nan-background"])
     def test_malformed_model_is_usage_error(self, cli_workspace, tmp_path, capsys, edit, message):
         model = json.loads((cli_workspace / "fx.json").read_text())
@@ -388,16 +412,32 @@ def test_hour_not_at_its_record_is_usage_error(
 
 
 # Edits to record 14 that a recomputed seal vouches for: (path to the value,
-# new value, the loader's complaint).  Each left ask or explain with a
-# traceback or a document written from a record that contradicts itself.
+# new value, the start of the loader's complaint).  Each left ask or explain
+# with a traceback or a document written from a record that contradicts itself.
 MALFORMED_RECORDS = {
-    "temp-string": (["zone_temp_c"], "26.0", "zone_temp_c must be a finite number, got '26.0'"),
-    "temp-nan": (["zone_temp_c"], math.nan, "zone_temp_c must be a finite number, got nan"),
-    "limit-string": (["p_limit_t2_w"], "900", "p_limit_t2_w must be a finite number, got '900'"),
-    "setpoint-string": (["decision", "u1_c"], "24.0", "u1_c must be a finite number, got '24.0'"),
-    "prediction-null": (["decision", "y2_w"], None, "y2_w must be a finite number, got None"),
-    "timing-string": (["opt_seconds"], "fast", "opt_seconds must be a finite number, got 'fast'"),
-    "stale-scenario": (["scenario"], 9, "unexpected or missing keys ['scenario']"),
+    "temp-string": (["zone_temp_c"], "26.0", "zone_temp_c must be a finite number, got '26.0')"),
+    "temp-nan": (["zone_temp_c"], math.nan, "zone_temp_c must be a finite number, got nan)"),
+    "limit-string": (["p_limit_t2_w"], "900", "p_limit_t2_w must be a finite number, got '900')"),
+    "setpoint-string": (["decision", "u1_c"], "24.0", "u1_c must be a finite number, got '24.0')"),
+    "prediction-null": (["decision", "y2_w"], None, "y2_w must be a finite number, got None)"),
+    "timing-string": (["opt_seconds"], "fast", "opt_seconds must be a finite number, got 'fast')"),
+    "stale-scenario": (["scenario"], 9, "unexpected or missing keys ['scenario'])"),
+    "setpoint-off-grid": (["decision", "u1_c"], 99.0,
+                          "decision is not the cheapest pair in its candidate table: (99.0, "),
+    "negative-limit": (["p_limit_t2_w"], -5, "p_limit_t2_w must be > 0, got -5.0)"),
+    "negative-occupancy": (["occupancy"], -3, "occupancy must be >= 0, got -3.0)"),
+    "negative-cooling": (["cooling_rate_w"], -1e9,
+                         "cooling_rate_w must be in [0, 6000.0], got -1000000000.0)"),
+    "cost-not-minimum": (["decision", "cost"], 1,
+                         "decision is not the cheapest pair in its candidate table: ("),
+    "phi-not-additive": (["attributions", "fy_t1", "phi", 0], 1e6,
+                         "fy_t1 base_value + sum(phi) does not meet its prediction)"),
+    "t1-values-not-costed": (["attributions", "fx_t1", "values", 1], 99.0,
+                             "fx_t1 values are not the feature vector the decision costed)"),
+    "t2-values-not-costed": (["attributions", "fx_t2", "values", 0], 99.0,
+                             "fx_t2 values must start with the decision's (u2_c, x1_c))"),
+    "t2-values-differ": (["attributions", "fy_t2", "values", 4], 99.0,
+                         "fy_t2 values are not the feature vector the decision costed)"),
 }
 
 
@@ -422,7 +462,7 @@ def test_malformed_record_is_usage_error(
     reseal("probe.jsonl")
     rc = main([argv[0], "--episode", "probe.jsonl", *argv[1:]])
     assert rc == 2
-    assert f"probe.jsonl:16: bad record ({message})" in capsys.readouterr().err
+    assert f"probe.jsonl:16: bad record ({message}" in capsys.readouterr().err
     assert not Path("docs").exists()
 
 

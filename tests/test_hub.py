@@ -61,9 +61,9 @@ class TestRunEpisode:
     def test_header_provenance(self, mini_episode, mini_models):
         fx, fy = mini_models
         assert mini_episode.model_digests == {"fx": digest(fx), "fy": digest(fy)}
+        # The weather seed is the testbed's one setting; the building is fixed.
         assert mini_episode.seeds == {"run": 5, "testbed": 0}
-        assert mini_episode.config["n_days"] == 2
-        assert mini_episode.config["testbed"]["thermal_capacitance"] == 8.0e6
+        assert mini_episode.config == {"n_days": 2}
 
     def test_limits_follow_calendar(self, mini_episode):
         calendar = generate_dr_calendar(2, 1.0, seed=5)
@@ -142,6 +142,7 @@ class TestEpisodeFile:
         assert len(loaded) == len(mini_episode)
         assert loaded.seeds == mini_episode.seeds
         assert loaded.model_digests == mini_episode.model_digests
+        assert loaded.config == mini_episode.config
         assert loaded.calendar == mini_episode.calendar
         for orig, back in zip(mini_episode.records, loaded.records):
             assert back.t == orig.t

@@ -520,14 +520,13 @@ class TestPersistence:
         with pytest.raises(DeserializationError, match="width 1"):
             load(path)
 
-    def test_activation_other_than_relu_rejected(self, tmp_path, fx_model):
-        # forward() is relu-only, so a tanh model must not load as a relu one.
-        path = tmp_path / "model.json"
-        payload = model_to_json(fx_model)
-        payload["activation"] = "tanh"
-        path.write_text(json.dumps(payload))
-        with pytest.raises(DeserializationError, match="tanh"):
-            load(path)
+    def test_file_names_its_target(self, fx_model, fy_model):
+        # The schema and network shape are code; the file says which schema it fits.
+        for model, target in ((fx_model, "fx"), (fy_model, "fy")):
+            payload = model_to_json(model)
+            assert list(payload) == ["target", "layers", "norm", "meta"]
+            assert payload["target"] == target
+            assert "hidden_dim" not in payload["meta"] and "hidden_layers" not in payload["meta"]
 
     @pytest.mark.parametrize("n_layers", [0, 1, 3])
     def test_only_one_hidden_layer_loads(self, tmp_path, fx_model, n_layers):
@@ -551,9 +550,13 @@ class TestPersistence:
             ("meta", "background", None, "meta.background must be a finite"),
             ("meta", "background", [], "meta.background must be a finite"),
             ("meta", "background", [[1.0, 2.0], [3.0]], "meta.background must be a finite"),
+            (None, "target", "fz", r"target must be one of \['fx', 'fy'\], got 'fz'"),
+            (None, "target", ["fx"], "target must be one of"),
+            (None, "target", None, "target must be one of"),
         ],
         ids=["short-means", "zero-std", "nan-std", "negative-target-std", "inf-target-mean",
-             "meta-array", "no-background", "empty-background", "ragged-background"],
+             "meta-array", "no-background", "empty-background", "ragged-background",
+             "unknown-target", "list-target", "null-target"],
     )
     def test_malformed_norm_or_meta_rejected(self, tmp_path, fx_model, section, key, value, message):
         path = tmp_path / "model.json"

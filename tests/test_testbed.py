@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
@@ -10,15 +11,28 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from xmpc import testbed
 from xmpc.errors import DeserializationError, InvalidInputError, SimulationDivergedError
 from xmpc.testbed import (
+    COOLING_CAPACITY_W,
     CSV_COLUMNS,
     DT_SECONDS,
     EVENT_HOUR_MAX,
     EVENT_HOUR_MIN,
     EVENT_LIMIT_MAX_W,
     EVENT_LIMIT_MIN_W,
+    HEATING_SETPOINT_C,
+    INTERNAL_GAIN_PER_PERSON_W,
     NORMAL_POWER_LIMIT_W,
+    OA_TEMP_MAX_C,
+    OA_TEMP_SWING_K,
+    OCCUPANTS,
+    OCCUPIED_END_HOUR,
+    OCCUPIED_START_HOUR,
+    RADIATION_PEAK_WM2,
+    SOLAR_GAIN_AREA_M2,
+    THERMAL_CAPACITANCE,
+    THERMAL_RESISTANCE,
     Disturbance,
     ExcitationData,
     TestbedConfig,
@@ -37,10 +51,10 @@ from xmpc.testbed import (
 CFG = TestbedConfig()
 
 
-def heat_input_w(temp_c: float, d: Disturbance, cfg: TestbedConfig = CFG) -> float:
+def heat_input_w(temp_c: float, d: Disturbance) -> float:
     """Independent restatement of the zone heat balance for oracle use."""
-    conduction = (d.oa_temp_c - temp_c) / cfg.thermal_resistance
-    gains = d.oa_radiation_wm2 * cfg.solar_gain_area + d.occupancy * cfg.internal_gain_per_person
+    conduction = (d.oa_temp_c - temp_c) / THERMAL_RESISTANCE
+    gains = d.oa_radiation_wm2 * SOLAR_GAIN_AREA_M2 + d.occupancy * INTERNAL_GAIN_PER_PERSON_W
     return conduction + gains
 
 
@@ -49,7 +63,7 @@ class TestStep:
         # oa below zone, no gains: the zone drifts down and the coil stays off.
         d = Disturbance(20.0, 0.0, 0.0)
         nxt, hvac = step(ZoneState(0, 24.0), d, 26.0, CFG)
-        expected = 24.0 + DT_SECONDS / CFG.thermal_capacitance * (20.0 - 24.0) / CFG.thermal_resistance
+        expected = 24.0 + DT_SECONDS / THERMAL_CAPACITANCE * (20.0 - 24.0) / THERMAL_RESISTANCE
         assert hvac.cooling_rate_w == 0.0
         assert nxt.zone_temp_c == pytest.approx(expected, rel=1e-12)
         assert nxt.hour == 1
@@ -67,10 +81,10 @@ class TestStep:
         # A 4 K pull-down in one hour needs far more than the coil can deliver.
         d = Disturbance(35.0, 300.0, 3.0)
         nxt, hvac = step(ZoneState(0, 26.0), d, 22.0, CFG)
-        free_float = 26.0 + DT_SECONDS / CFG.thermal_capacitance * heat_input_w(26.0, d)
-        assert hvac.cooling_rate_w == CFG.cooling_capacity
+        free_float = 26.0 + DT_SECONDS / THERMAL_CAPACITANCE * heat_input_w(26.0, d)
+        assert hvac.cooling_rate_w == COOLING_CAPACITY_W
         assert nxt.zone_temp_c == pytest.approx(
-            free_float - DT_SECONDS / CFG.thermal_capacitance * CFG.cooling_capacity, rel=1e-12
+            free_float - DT_SECONDS / THERMAL_CAPACITANCE * COOLING_CAPACITY_W, rel=1e-12
         )
         assert nxt.zone_temp_c > 22.0
 
@@ -78,7 +92,7 @@ class TestStep:
         d = Disturbance(0.0, 0.0, 0.0)
         nxt, hvac = step(ZoneState(0, 20.5), d, 26.0, CFG)
         assert hvac.cooling_rate_w == 0.0
-        assert nxt.zone_temp_c == CFG.heating_setpoint
+        assert nxt.zone_temp_c == HEATING_SETPOINT_C
 
     def test_setpoint_out_of_range(self):
         d = Disturbance(30.0, 0.0, 0.0)
@@ -94,10 +108,10 @@ class TestStep:
             step(ZoneState(0, 24.0), Disturbance(math.inf, 0.0, 0.0), 24.0, CFG)
 
     def test_divergence_guard(self):
-        # A tiny capacitance makes one Euler step overshoot the plausible band.
-        cfg = TestbedConfig(thermal_capacitance=1e3)
+        # 1000 degC outdoors drives one Euler step far past the plausible band,
+        # even with the coil at capacity.
         with pytest.raises(SimulationDivergedError):
-            step(ZoneState(0, 26.0), Disturbance(59.0, 0.0, 0.0), 26.0, cfg)
+            step(ZoneState(0, 26.0), Disturbance(1000.0, 0.0, 0.0), 26.0, CFG)
 
     @given(
         temp=st.floats(18.0, 32.0),
@@ -110,17 +124,17 @@ class TestStep:
     def test_energy_balance_property(self, temp, oa, radiation, occupancy, setpoint):
         d = Disturbance(oa, radiation, occupancy)
         q_in = heat_input_w(temp, d)
-        free_float = temp + DT_SECONDS / CFG.thermal_capacitance * q_in
-        assume(free_float >= CFG.heating_setpoint)  # floor clamp breaks the balance
+        free_float = temp + DT_SECONDS / THERMAL_CAPACITANCE * q_in
+        assume(free_float >= HEATING_SETPOINT_C)  # floor clamp breaks the balance
 
         nxt, hvac = step(ZoneState(0, temp), d, setpoint, CFG)
         q = hvac.cooling_rate_w
-        assert 0.0 <= q <= CFG.cooling_capacity
+        assert 0.0 <= q <= COOLING_CAPACITY_W
         # C * dT/dt must equal heat input minus cooling in every branch.
-        lhs = CFG.thermal_capacitance * (nxt.zone_temp_c - temp) / DT_SECONDS
+        lhs = THERMAL_CAPACITANCE * (nxt.zone_temp_c - temp) / DT_SECONDS
         assert lhs == pytest.approx(q_in - q, abs=1e-6 * max(1.0, abs(q_in)))
         # When the coil modulates (neither off nor saturated) it lands on the setpoint.
-        if 0.0 < q < CFG.cooling_capacity:
+        if 0.0 < q < COOLING_CAPACITY_W:
             assert nxt.zone_temp_c == pytest.approx(setpoint, abs=1e-9)
 
     @given(
@@ -139,28 +153,29 @@ class TestStep:
 
 
 class TestSynthDisturbances:
-    def test_profile_shape_and_peaks(self):
-        cfg = TestbedConfig(oa_temp_jitter=0.0, clearness_min=1.0)
-        profile = synth_disturbances(0, cfg)
+    def test_profile_shape_and_peaks(self, monkeypatch):
+        monkeypatch.setattr(testbed, "OA_TEMP_JITTER_K", 0.0)
+        monkeypatch.setattr(testbed, "CLEARNESS_MIN", 1.0)
+        profile = synth_disturbances(0, CFG)
         assert len(profile) == 24
         oa = [d.oa_temp_c for d in profile]
         rad = [d.oa_radiation_wm2 for d in profile]
         # Sinusoid peaks at 14:00 at the configured max, bottoms 10 K lower at 02:00.
-        assert oa[14] == pytest.approx(cfg.oa_temp_max, abs=1e-9)
-        assert oa[2] == pytest.approx(cfg.oa_temp_max - cfg.oa_temp_swing, abs=1e-9)
+        assert oa[14] == pytest.approx(OA_TEMP_MAX_C, abs=1e-9)
+        assert oa[2] == pytest.approx(OA_TEMP_MAX_C - OA_TEMP_SWING_K, abs=1e-9)
         assert max(oa) == oa[14]
         # Radiation: zero outside 06..18, half-sine peak at noon.
         assert all(r == 0.0 for r in rad[:6])
         assert all(r == 0.0 for r in rad[19:])
-        assert rad[12] == pytest.approx(cfg.radiation_peak_wm2, abs=1e-9)
+        assert rad[12] == pytest.approx(RADIATION_PEAK_WM2, abs=1e-9)
         assert all(r >= 0.0 for r in rad)
 
     def test_occupancy_schedule(self):
         profile = synth_disturbances(0, CFG)  # day 0 is a Monday
         occ = [d.occupancy for d in profile]
-        assert occ[CFG.occupied_start_hour] == CFG.occupants
-        assert occ[CFG.occupied_end_hour - 1] == CFG.occupants
-        assert occ[CFG.occupied_end_hour] == 0.0
+        assert occ[OCCUPIED_START_HOUR] == OCCUPANTS
+        assert occ[OCCUPIED_END_HOUR - 1] == OCCUPANTS
+        assert occ[OCCUPIED_END_HOUR] == 0.0
         assert occ[0] == 0.0
         weekend = synth_disturbances(5, CFG)
         assert all(d.occupancy == 0.0 for d in weekend)
@@ -354,9 +369,10 @@ class TestAtomicOutputs:
 
 class TestConfigPersistence:
     def test_roundtrip(self, tmp_path):
-        cfg = TestbedConfig(rng_seed=5, occupants=7)
+        cfg = TestbedConfig(rng_seed=5)
         path = tmp_path / "cfg.json"
         save_config(cfg, path)
+        assert json.loads(path.read_text()) == {"rng_seed": 5}
         assert load_config(path) == cfg
 
     def test_unknown_field_rejected(self, tmp_path):
@@ -365,13 +381,8 @@ class TestConfigPersistence:
         with pytest.raises(DeserializationError, match="wall_color"):
             load_config(path)
 
-    def test_invalid_values_rejected(self):
-        with pytest.raises(InvalidInputError):
-            TestbedConfig(thermal_resistance=0.0)
-        with pytest.raises(InvalidInputError):
-            TestbedConfig(cooling_capacity=-10.0)
-        with pytest.raises(InvalidInputError):
-            TestbedConfig(occupied_start_hour=18, occupied_end_hour=9)
+    def test_only_field_is_the_weather_seed(self):
+        assert [f.name for f in dataclasses.fields(TestbedConfig)] == ["rng_seed"]
 
     def test_negative_seed_rejected(self, tmp_path):
         with pytest.raises(InvalidInputError, match="rng_seed"):
