@@ -148,7 +148,6 @@ def _llm_config(args) -> llm_mod.LlmConfig:
 
 def cmd_explain(args) -> int:
     llm_config = _llm_config(args) if args.mode == "llm" else None
-    templates = explain_mod.load_templates(args.templates)
     if args.t == "all":
         timesteps = None
     else:
@@ -158,7 +157,7 @@ def cmd_explain(args) -> int:
             raise InvalidInputError(f"--t must be an hour index or 'all', got {args.t!r}") from None
     episode = hub_mod.load_episode(args.episode, timesteps)
     written = explain_mod.write_documents(
-        episode.records, args.out, mode=args.mode, llm_config=llm_config, templates=templates
+        episode.records, args.out, mode=args.mode, llm_config=llm_config
     )
     docs = sum(1 for p in written if p.suffix == ".md")
     print(f"wrote {docs} documents ({len(written)} files) to {args.out}")
@@ -172,7 +171,7 @@ def cmd_ask(args) -> int:
     [record] = hub_mod.load_episode(args.episode, [args.t]).records
 
     def answer(question: str) -> None:
-        context = explain_mod.build_qa_context(record, question, budget_chars=args.context_budget)
+        context = explain_mod.build_qa_context(record, question)
         exchange = llm_mod.answer_question(cfg, context)
         print(exchange.response)
 
@@ -238,7 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--endpoint", help="chat-completions endpoint for the online gateway")
     p.add_argument("--model", default=llm_mod.DEFAULT_MODEL)
     p.add_argument("--temperature", type=float, default=0.5)
-    p.add_argument("--templates", help="directory with scenario templates")
     p.add_argument("--out", default="docs")
     p.set_defaults(func=cmd_explain)
 
@@ -251,7 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--endpoint")
     p.add_argument("--model", default=llm_mod.DEFAULT_MODEL)
     p.add_argument("--temperature", type=float, default=0.5)
-    p.add_argument("--context-budget", type=_positive_int, default=12000)
     p.set_defaults(func=cmd_ask)
 
     return parser

@@ -28,7 +28,7 @@ class EpisodeIntegrityError(ValueError):
 
 
 class RenderError(ValueError):
-    """A document template cannot be rendered completely."""
+    """A rendered document still holds an unfilled placeholder token."""
 
 
 class SimulationDivergedError(RuntimeError):

@@ -2,10 +2,12 @@
 
 Every control interval gets one Markdown document describing what the
 controller saw, what it chose, and why, plus four SVG bar charts showing the
-Shapley attribution of each horizon prediction.  The narrative skeleton
-comes from per-scenario template files with ``{name}`` placeholders; the
-attribution paragraphs are produced either by the deterministic narrator
-here or, in llm mode, by a chat model prompted with the same numbers.
+Shapley attribution of each horizon prediction.  The narrative is the
+scenario's template, ``TEMPLATES``, read once from the package's
+``templates/scenario<n>.txt`` with ``{name}`` placeholders; the attribution
+paragraphs are produced either by the deterministic narrator here or, in llm
+mode, by a chat model prompted with the same numbers.  A question about one
+interval is asked over that whole document (``build_qa_context``).
 
 The scenario rubric, ``classify``, lives in ``hub`` next to the record it
 reads (see that module's docstring); every document is rendered under the
@@ -18,7 +20,6 @@ noted in the footer.
 from __future__ import annotations
 
 import re
-import string
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -29,6 +30,12 @@ from .shapley import Attribution
 from .testbed import NORMAL_POWER_LIMIT_W, SETPOINT_GRID_C
 
 SCENARIO_NAMES = {1: "Precool", 2: "Normal", 3: "EventNoPrecool"}
+
+# Each scenario's narrative with the ``{name}`` placeholders ``render_document`` fills.
+TEMPLATES = {
+    s: (Path(__file__).parent / "templates" / f"scenario{s}.txt").read_text(encoding="utf-8")
+    for s in SCENARIO_NAMES
+}
 
 # Plain-language descriptions for the feature names the surrogates expose.
 VARIABLE_DICTIONARY = {
@@ -118,21 +125,24 @@ def narrate_attribution(attribution: Attribution, target_desc: str | None = None
 
 
 def build_shap_prompt(attribution: Attribution, target_desc: str | None = None) -> str:
-    """The narration request sent to the chat model in llm mode."""
+    """The narration request sent to the chat model in llm mode.
+
+    Numbers are written with ``!r``, so the stub reads back the exact attribution.
+    """
     target = target_desc or "the model output"
     shap_items = "; ".join(
-        f"{name} {float(phi):.6f}"
+        f"{name} {float(phi)!r}"
         for name, phi in zip(attribution.feature_names, attribution.shapley_values)
     )
     value_items = "; ".join(
-        f"{name} {float(v):g}"
+        f"{name} {float(v)!r}"
         for name, v in zip(attribution.feature_names, attribution.feature_values)
     )
     dict_items = ", ".join(f"{k}: {v}" for k, v in VARIABLE_DICTIONARY.items())
     return (
         "Based on the Shapley values and variable values, please help me generate a "
         "descriptive paragraph:\n\n"
-        f"Shapley values: {shap_items}; expected_value {attribution.base_value:.6f}\n\n"
+        f"Shapley values: {shap_items}; expected_value {float(attribution.base_value)!r}\n\n"
         f"Variable values: {value_items}\n\n"
         "Only introduce the largest 3 impactful features plus the expected value. "
         f"Also, explain the potential reason why these features are impactful to {target}.\n\n"
@@ -168,57 +178,6 @@ def parse_scenario(text: str) -> int | None:
 
 
 # ---------------------------------------------------------------------------
-# Templates
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PromptTemplate:
-    """One scenario's narrative skeleton with ``{name}`` placeholders."""
-
-    scenario: int
-    text: str
-
-    @property
-    def placeholders(self) -> tuple[str, ...]:
-        names = []
-        for _, name, _, _ in string.Formatter().parse(self.text):
-            if name and name not in names:
-                names.append(name)
-        return tuple(names)
-
-    def render(self, mapping: dict[str, str]) -> str:
-        """The filled-in text; a malformed or unfillable template is a ``RenderError``."""
-        try:
-            missing = [name for name in self.placeholders if name not in mapping]
-            if not missing:
-                return self.text.format(**mapping).strip()
-        except (ValueError, LookupError) as exc:  # a stray brace, conversion or format spec
-            raise RenderError(f"scenario {self.scenario} template is malformed ({exc})") from None
-        raise RenderError(f"scenario {self.scenario} template is missing values for {missing}")
-
-
-def default_template_dir() -> Path:
-    return Path(__file__).parent / "templates"
-
-
-def load_templates(directory: str | Path | None = None) -> dict[int, PromptTemplate]:
-    """Load scenario1.txt .. scenario3.txt; a missing or non-UTF-8 file is a startup error."""
-    directory = Path(directory) if directory is not None else default_template_dir()
-    templates = {}
-    for scenario in (1, 2, 3):
-        path = directory / f"scenario{scenario}.txt"
-        if not path.is_file():
-            raise ConfigError(f"missing template file {path}")
-        try:
-            text = path.read_text(encoding="utf-8")
-        except UnicodeDecodeError as exc:
-            raise ConfigError(f"template file {path} is not UTF-8 text ({exc})") from None
-        templates[scenario] = PromptTemplate(scenario=scenario, text=text)
-    return templates
-
-
-# ---------------------------------------------------------------------------
 # Document rendering
 # ---------------------------------------------------------------------------
 
@@ -232,7 +191,6 @@ class ExplanationDoc:
     mode: str
     header_block: str
     scenario_paragraph: str
-    attribution_paragraphs: list[str]
     rationale: str
     llm_agreement: bool | None = None
     figure_names: list[str] = field(default_factory=list)
@@ -313,20 +271,17 @@ def _rationale(record: TimestepRecord, scenario: int) -> str:
 
 
 def render_document(
-    record: TimestepRecord,
-    templates: dict[int, PromptTemplate] | None = None,
-    mode: str = "deterministic",
-    llm_config=None,
+    record: TimestepRecord, mode: str = "deterministic", llm_config=None
 ) -> ExplanationDoc:
     """Render one interval's document in deterministic or llm mode.
 
     In llm mode the four narration paragraphs and the scenario judgment come
     from the chat gateway (which may itself be its offline stub); the
-    deterministic rubric still decides the displayed scenario.
+    deterministic rubric still decides the displayed scenario.  A narration
+    that still holds a ``[placeholder]`` token is a ``RenderError``.
     """
     if mode not in ("deterministic", "llm"):
         raise ConfigError(f"unknown rendering mode {mode!r}")
-    templates = templates if templates is not None else load_templates()
     scenario = classify(record)
     d = record.decision
 
@@ -374,7 +329,7 @@ def render_document(
     for k in range(1, 5):
         mapping[f"fig_ref_{k}"] = f"[attribution chart {k}]({figure_name(record.t, k)})"
 
-    paragraph = templates[scenario].render(mapping)
+    paragraph = TEMPLATES[scenario].format(**mapping).strip()
     if "[placeholder]" in paragraph:
         raise RenderError(f"unfilled placeholder token survived in scenario {scenario} template")
 
@@ -384,7 +339,6 @@ def render_document(
         mode=mode,
         header_block=_header_block(record),
         scenario_paragraph=paragraph,
-        attribution_paragraphs=[narrations[key] for key in ATTRIBUTION_KEYS],
         rationale=_rationale(record, scenario),
         llm_agreement=agreement,
         figure_names=[figure_name(record.t, k) for k in range(1, 5)],
@@ -396,7 +350,6 @@ def write_documents(
     out_dir: str | Path,
     mode: str = "deterministic",
     llm_config=None,
-    templates: dict[int, PromptTemplate] | None = None,
 ) -> list[Path]:
     """Render documents and charts for the given records.
 
@@ -405,11 +358,10 @@ def write_documents(
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    templates = templates if templates is not None else load_templates()
 
     written: list[Path] = []
     for record in records:
-        doc = render_document(record, templates, mode=mode, llm_config=llm_config)
+        doc = render_document(record, mode=mode, llm_config=llm_config)
         md_path = out_dir / f"ts_{record.t}.md"
         md_path.write_text(doc.markdown())
         written.append(md_path)
@@ -426,25 +378,16 @@ def write_documents(
 # ---------------------------------------------------------------------------
 
 
-def build_qa_context(record: TimestepRecord, question: str, budget_chars: int = 12000) -> str:
-    """Assemble the QA prompt about one record: formulation summary, document, question.
+def build_qa_context(record: TimestepRecord, question: str) -> str:
+    """The QA prompt about one record: formulation summary, whole document, question.
 
-    If the assembled context exceeds the budget, attribution paragraphs are
-    dropped from the document text last-first until it fits; the decision
-    numbers and scenario logic always survive.
+    The record's deterministic document is included whole, every
+    attribution paragraph with it.
     """
     if not question or not question.strip():
         raise InvalidInputError("question must be a non-empty string")
-    doc = render_document(record, mode="deterministic")
-
-    doc_text = doc.markdown()
-    context = f"{MPC_FORMULATION_SUMMARY}\n\n{doc_text}\nQuestion: {question.strip()}\n"
-    for paragraph in reversed(doc.attribution_paragraphs):
-        if len(context) <= budget_chars:
-            break
-        doc_text = doc_text.replace(paragraph, "", 1)
-        context = f"{MPC_FORMULATION_SUMMARY}\n\n{doc_text}\nQuestion: {question.strip()}\n"
-    return context
+    doc_text = render_document(record, mode="deterministic").markdown()
+    return f"{MPC_FORMULATION_SUMMARY}\n\n{doc_text}\nQuestion: {question.strip()}\n"
 
 
 NARRATOR_SYSTEM_PROMPT = (

@@ -181,6 +181,10 @@ def _complete_online(
             content = data["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise GatewayError(f"malformed chat-completions response ({exc})") from None
+        if not isinstance(content, str):
+            raise GatewayError(
+                f"malformed chat-completions response (content is {type(content).__name__})"
+            )
         return ChatExchange(
             system_prompt=system_prompt,
             user_prompt=user_prompt,

@@ -330,7 +330,8 @@ class ExcitationData:
                             f"{path}:{lineno}: expected {len(CSV_COLUMNS)} fields, got {len(row)}"
                         )
                     try:
-                        rows.append([float(v) for v in row])
+                        rows.append([finite_number(float(v), name)
+                                     for name, v in zip(CSV_COLUMNS, row)])
                     except ValueError as exc:
                         raise DeserializationError(f"{path}:{lineno}: {exc}") from None
         except UnicodeDecodeError as exc:

@@ -5,7 +5,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import shutil
 from dataclasses import asdict
 from pathlib import Path
 
@@ -14,7 +13,6 @@ import requests
 
 from xmpc import testbed
 from xmpc.cli import main
-from xmpc.explain import default_template_dir
 from xmpc.surrogate import SCHEMAS
 
 
@@ -135,11 +133,12 @@ class TestTrain:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergent_training_is_runtime_error(self, cli_workspace, tmp_path, capsys):
-        # A NaN measurement poisons the loss on the first epoch.
+        # Finite outdoor temperatures too large to standardize poison the loss on the first epoch.
         lines = (cli_workspace / "data.csv").read_text().splitlines()
-        fields = lines[1].split(",")
-        fields[2] = "nan"
-        lines[1] = ",".join(fields)
+        for i in range(1, len(lines)):
+            fields = lines[i].split(",")
+            fields[3] = "1e308"
+            lines[i] = ",".join(fields)
         bad = tmp_path / "bad.csv"
         bad.write_text("\n".join(lines) + "\n")
         rc = main([
@@ -148,6 +147,25 @@ class TestTrain:
         ])
         assert rc == 3
         assert "runtime error:" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("column, value", [
+        (3, "nan"), (7, "inf"), (7, "-inf"),
+    ], ids=["nan-oa-temp", "inf-cooling", "minus-inf-cooling"])
+    def test_non_finite_field_is_usage_error(self, cli_workspace, tmp_path, capsys, column, value):
+        lines = (cli_workspace / "data.csv").read_text().splitlines()
+        fields = lines[5].split(",")
+        fields[column] = value
+        lines[5] = ",".join(fields)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        rc = main([
+            "train", "--data", str(bad), "--target", "fx",
+            "--epochs", "50", "--out", str(tmp_path / "m.json"),
+        ])
+        assert rc == 2
+        name = testbed.CSV_COLUMNS[column]
+        assert f"bad.csv:6: {name} must be a finite number, got {value}" in capsys.readouterr().err
         assert not (tmp_path / "m.json").exists()
 
 
@@ -341,6 +359,30 @@ class TestAsk:
 
 
 @pytest.mark.parametrize("argv", [
+    ["ask", "--t", "0", "--question", "Why precool?", "--mode", "online"],
+    ["explain", "--t", "0", "--mode", "llm", "--gateway", "online", "--out", "docs"],
+], ids=["ask", "explain"])
+def test_null_message_content_is_runtime_error(
+    cli_workspace, tmp_path, capsys, monkeypatch, no_network, argv
+):
+    class NullContent:
+        status_code = 200
+
+        def json(self):
+            return {"choices": [{"message": {"role": "assistant", "content": None}}]}
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(requests, "post", lambda url, **kwargs: NullContent())
+    monkeypatch.setenv("LLM_API_KEY", "sk-test")
+    rc = main([argv[0], "--episode", str(cli_workspace / "episode.jsonl"), *argv[1:],
+               "--endpoint", "https://gateway.example"])
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert "runtime error: malformed chat-completions response" in captured.err
+    assert "None" not in captured.out
+
+
+@pytest.mark.parametrize("argv", [
     ["explain", "--t", "0", "--out", "docs"],
     ["ask", "--t", "0", "--question", "Why precool?"],
 ])
@@ -466,22 +508,6 @@ def test_malformed_record_is_usage_error(
     assert not Path("docs").exists()
 
 
-@pytest.mark.parametrize("content, message", [
-    (b"{P_limit_t1\n", "scenario 1 template is malformed"),
-    (b"{P_limit_t1!x}\n", "scenario 1 template is malformed"),
-    (b"{P_limit_t1:d}\n", "scenario 1 template is malformed"),
-    (b"caf\xe9 {P_limit_t1}\n", "scenario1.txt is not UTF-8 text"),
-], ids=["unbalanced-brace", "unknown-conversion", "bad-format-spec", "not-utf8"])
-def test_bad_template_is_usage_error(cli_workspace, tmp_path, capsys, content, message):
-    templates = tmp_path / "templates"
-    shutil.copytree(default_template_dir(), templates)
-    (templates / "scenario1.txt").write_bytes(content)
-    rc = main(["explain", "--episode", str(cli_workspace / "episode.jsonl"),
-               "--templates", str(templates), "--out", str(tmp_path / "docs")])
-    assert rc == 2
-    assert message in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("argv", [
     ["ask", "--t", "3", "--question", "Why precool?"],
     ["explain", "--t", "3", "--out", "docs"],
@@ -561,6 +587,19 @@ class TestParser:
         with pytest.raises(SystemExit) as info:
             main(["excite", "--days", "0"])
         assert info.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["explain", "--out", "docs", "--templates", "d"],
+        ["ask", "--t", "0", "--question", "Why precool?", "--context-budget", "5"],
+    ], ids=["explain-templates", "ask-context-budget"])
+    def test_retired_option_is_usage_error(self, cli_workspace, tmp_path, monkeypatch, capsys,
+                                           argv):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as info:
+            main([argv[0], "--episode", str(cli_workspace / "episode.jsonl"), *argv[1:]])
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv", [
         ["excite", "--days", "1", "--seed", "-1", "--out", "bad.csv"],

@@ -4,28 +4,28 @@ from __future__ import annotations
 
 import dataclasses
 import re
+import string
 
 import numpy as np
 import pytest
 
+from xmpc import llm as llm_mod
 from xmpc.errors import ConfigError, InvalidInputError, RenderError
 from xmpc.explain import (
     ATTRIBUTION_TARGETS,
     COMFORT_CEILING_C,
     MPC_FORMULATION_SUMMARY,
     SCENARIO_NAMES,
+    TEMPLATES,
     VARIABLE_DICTIONARY,
-    PromptTemplate,
     build_qa_context,
     build_scenario_prompt,
     build_shap_prompt,
     classify,
-    default_template_dir,
     figure_name,
     fmt_mean,
     fmt_phi,
     fmt_value,
-    load_templates,
     narrate_attribution,
     parse_scenario,
     render_document,
@@ -211,35 +211,27 @@ class TestPrompts:
 
 class TestTemplates:
     def test_default_templates_load(self):
-        templates = load_templates()
-        assert set(templates) == {1, 2, 3}
-        assert "pre-cooled to T_spt(t+1) = {T_spt_t1}°C" in templates[1].text
-        assert "{shap_para_fy2}" in templates[2].text
+        assert set(TEMPLATES) == {1, 2, 3}
+        assert "pre-cooled to T_spt(t+1) = {T_spt_t1}°C" in TEMPLATES[1]
+        assert "{shap_para_fy2}" in TEMPLATES[2]
 
-    def test_missing_file_is_config_error(self, tmp_path):
-        (tmp_path / "scenario1.txt").write_text("one {P_limit_t2}")
-        (tmp_path / "scenario3.txt").write_text("three")
-        with pytest.raises(ConfigError, match="scenario2"):
-            load_templates(tmp_path)
-
-    def test_placeholder_listing(self):
-        template = PromptTemplate(1, "{a} then {b} then {a}")
-        assert template.placeholders == ("a", "b")
-
-    def test_missing_placeholder_value(self):
-        template = PromptTemplate(2, "needs {bogus_name}")
-        with pytest.raises(RenderError, match="bogus_name"):
-            template.render({"other": "x"})
-
-    def test_custom_template_directory(self, tmp_path, mini_episode):
-        for k in (1, 2, 3):
-            (tmp_path / f"scenario{k}.txt").write_text(f"Scenario {k}: limit {{P_limit_t2}}W.")
-        templates = load_templates(tmp_path)
-        record = mini_episode.records[0]
-        doc = render_document(record, templates)
-        assert doc.scenario_paragraph == (
-            f"Scenario {doc.scenario}: limit {fmt_value(record.p_limit_t2_w)}W."
-        )
+    def test_every_placeholder_is_filled(self, episode):
+        # The keys render_document fills.
+        filled = {
+            "P_limit_t1", "P_limit_t2", "P_limit_threshold", "comfort_ceiling",
+            "T_spt_t1", "T_spt_t2", "T_z_t1", "T_z_t2", "P_t1", "P_t2",
+            "P_t2_vs_limit", "penalty_outcome", "shap_para_fx1", "shap_para_fy1",
+            "shap_para_fx2", "shap_para_fy2", "fig_ref_1", "fig_ref_2", "fig_ref_3", "fig_ref_4",
+        }
+        for scenario, text in TEMPLATES.items():
+            fields = [(name, spec, conv) for _, name, spec, conv in string.Formatter().parse(text)
+                      if name is not None]
+            assert fields, f"scenario {scenario}"
+            for name, spec, conv in fields:
+                assert name in filled and not spec and not conv, f"scenario {scenario}: {name!r}"
+            paragraph = render_document(first_of(episode, scenario)).scenario_paragraph
+            assert paragraph.startswith(f"Scenario {scenario} criteria:")
+            assert "{" not in paragraph and "}" not in paragraph
 
 
 class TestRenderDocument:
@@ -312,15 +304,26 @@ class TestLlmModeRendering:
         doc = render_document(record, mode="llm")  # default gateway config is the stub
         assert doc.mode == "llm"
         assert doc.llm_agreement is True
-        assert "agrees with the rubric" in doc.markdown()
-        assert len(doc.attribution_paragraphs) == 4
-        for paragraph in doc.attribution_paragraphs:
-            assert "Shapley value" in paragraph
+        text = doc.markdown()
+        assert "agrees with the rubric" in text
+        for key in ATTRIBUTION_KEYS:
+            paragraph = narrate_attribution(record.attributions[key], ATTRIBUTION_TARGETS[key])
+            assert paragraph in text, key
 
     def test_stub_agreement_across_scenarios(self, episode, no_network):
         for scenario in (1, 2, 3):
             doc = render_document(first_of(episode, scenario), mode="llm")
             assert doc.llm_agreement is True, f"scenario {scenario}"
+
+    def test_placeholder_token_in_a_narration_is_render_error(self, episode, monkeypatch):
+        # An online model's reply is outside input; a "[placeholder]" it echoes must not ship.
+        def fake_complete(cfg, system_prompt, user_prompt):
+            return llm_mod.ChatExchange(system_prompt, user_prompt, "See [placeholder].",
+                                        cfg.model, "online")
+
+        monkeypatch.setattr(llm_mod, "complete", fake_complete)
+        with pytest.raises(RenderError, match="placeholder"):
+            render_document(first_of(episode, 2), mode="llm")
 
 
 class TestWriteDocuments:
@@ -347,25 +350,9 @@ class TestQaContext:
         assert "# Timestep 5" in context
         assert context.rstrip().endswith("Question: Why this setpoint?")
 
-    def test_budget_drops_attribution_paragraphs_last_first(self, mini_episode):
-        record = mini_episode.records[5]
-        doc = render_document(record)
-        full = build_qa_context(record, "Why?")
-        trimmed = build_qa_context(record, "Why?", budget_chars=len(full) - 1)
-        assert doc.attribution_paragraphs[3] not in trimmed  # second-hour cooling dropped first
-        assert doc.attribution_paragraphs[0] in trimmed
-        assert len(trimmed) < len(full)
-
-        tiny = build_qa_context(record, "Why?", budget_chars=200)
-        for paragraph in doc.attribution_paragraphs:
-            assert paragraph not in tiny
-        assert MPC_FORMULATION_SUMMARY in tiny  # the summary always survives
-        assert "Question: Why?" in tiny
-
     def test_invalid_inputs(self, mini_episode):
         with pytest.raises(InvalidInputError, match="question"):
             build_qa_context(mini_episode.records[5], "   ")
 
     def test_targets_cover_attribution_keys(self):
         assert set(ATTRIBUTION_TARGETS) == set(ATTRIBUTION_KEYS)
-        assert default_template_dir().is_dir()

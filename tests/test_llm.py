@@ -38,7 +38,7 @@ SYSTEM = "test system prompt"
 
 
 def worked_attribution() -> Attribution:
-    # Values round-trip exactly through the prompt's 6-decimal formatting.
+    # The prediction is base + sum(phi), as the stub rebuilds it from the prompt.
     phis = np.array([680.369781, 33.052102, 18.838554, -113.826475, -98.523013])
     base = 1544.673602
     return Attribution(
@@ -121,6 +121,21 @@ class TestStub:
         expected = narrate_attribution(attr, target_desc="the cooling power P(t+1)")
         assert "zone temperature setpoint" in expected
         assert exchange.response == expected
+
+    def test_narration_matches_just_above_a_rounding_boundary(self, no_network):
+        # 359.6500004 narrates as 359.7; a prompt that rounds it first to 359.65
+        # would narrate 359.6.  Radiation takes the largest phi so it is narrated.
+        attr = worked_attribution()
+        attr = dataclasses.replace(
+            attr,
+            feature_names=FY_SCHEMA.feature_names,
+            feature_values=np.array([32.7, 359.6500004, 23.5, 25.0, 3.0]),
+            shapley_values=attr.shapley_values[[1, 0, 2, 3, 4]],
+        )
+        prompt = build_shap_prompt(attr, "the cooling power P(t+1)")
+        expected = narrate_attribution(attr, target_desc="the cooling power P(t+1)")
+        assert "= 359.7)" in expected
+        assert complete(LlmConfig(), SYSTEM, prompt).response == expected
 
     def test_scenario_judgment_agrees_with_rubric(self, no_network, mini_episode):
         cfg = LlmConfig()
@@ -241,6 +256,13 @@ class TestOnline:
         monkeypatch.setattr(requests, "post", lambda url, **kwargs: FakeResponse(bad_json=True))
         with pytest.raises(GatewayError, match="malformed"):
             complete(online_cfg, SYSTEM, "user")
+
+        for content in (None, 42, ["text"]):
+            monkeypatch.setattr(
+                requests, "post", lambda url, **kwargs: FakeResponse(payload=ok_payload(content))
+            )
+            with pytest.raises(GatewayError, match="malformed chat-completions response"):
+                complete(online_cfg, SYSTEM, "user")
 
     def test_missing_endpoint_or_key(self, monkeypatch):
         monkeypatch.setenv("LLM_API_KEY", "sk-x")
