@@ -357,11 +357,11 @@ def write_documents(
     returns every path written.
     """
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     written: list[Path] = []
     for record in records:
         doc = render_document(record, mode=mode, llm_config=llm_config)
+        if not written:  # only once a document has rendered, so a failed first one leaves no dir
+            out_dir.mkdir(parents=True, exist_ok=True)
         md_path = out_dir / f"ts_{record.t}.md"
         md_path.write_text(doc.markdown())
         written.append(md_path)

@@ -1,4 +1,4 @@
-"""Atomic replacement of output files, and a strict reader for JSON numbers.
+"""Atomic replacement of output files, and strict readers for JSON objects and numbers.
 
 Model, episode, excitation and config files are written to a
 temporary file in the target's directory and renamed over the target only
@@ -44,3 +44,10 @@ def finite_number(value, name: str) -> float:
         if math.isfinite(number):
             return number
     raise ValueError(f"{name} must be a finite number, got {value!r}")
+
+
+def check_keys(data: dict, keys, optional=()) -> None:
+    """Raise ``ValueError`` unless ``data`` holds exactly ``keys``, plus any of ``optional``."""
+    stray = sorted(set(data).symmetric_difference(keys) - set(optional))
+    if stray:
+        raise ValueError(f"unexpected or missing keys {stray}")

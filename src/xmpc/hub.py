@@ -23,33 +23,33 @@ Scenario rubric (deterministic, ``classify`` applied to a record):
 
 Episodes serialize to JSON lines: a header object, then one record per line,
 hour t on record line t.  Each fact is stored once.  A record holds the
-hour, the zone temperature and boundary conditions, the realized cooling
-rate, the two limits ahead, the decision with its candidate table, each
-attribution's feature values, phi, base value and prediction, and the
-optimization wall-clock.  The rest is derived, not stored: the applied
-setpoint is ``decision.u1_c``, the scenario label is ``classify(record)``,
-and an attribution's feature names are its model schema's.  The header
-carries the format version (4, the only one that loads), the run and
-weather seeds, model digests, the day count, the DR calendar's event hours,
-the record count, and ``records_sha256``, a digest that seals the file: it
-covers the header line (with its own digest field zeroed) and every record
-line.  The wall-clock can be omitted at save time (canonical form), which
-makes reruns with equal seeds byte-identical.
+hour, the zone temperature, both hours' boundary conditions, the realized
+cooling rate, the two limits ahead, the decision's four predictions and the
+costs of its 25 pairs, each attribution's phi, base value and prediction,
+and the optimization wall-clock.  The rest is derived: the chosen pair is
+the first cheapest and its penalties follow from the limits (the setpoint
+is ``decision.u1_c``), the scenario label is ``classify(record)``, and an
+attribution's feature names are its model schema's and its values the
+vector the decision costed for that hour.  The header carries the format
+version (5, the only one that loads), the run and weather seeds, model
+digests, the DR calendar's event hours, the record count, and
+``records_sha256``, a digest that seals the file: it covers the header line
+(with its own digest field zeroed) and every record line.  The wall-clock
+can be omitted at save time (canonical form), which makes reruns with equal
+seeds byte-identical.
 
 ``load_episode`` hashes every line but decodes only the records it is asked
 for: the seal, which every file must carry, vouches for the lines it skips.
 A decoded record must hold exactly the format's keys, every number in it
-must be a finite JSON number (a candidate's cost may be null), and its
-parts must agree: positive limits, a physical disturbance and cooling rate,
-a decision that is the minimum of its candidate table, attributions of the
-feature vectors that decision costed, and additive attributions.
+must be a finite JSON number (a pair's cost may be null), and its parts
+must agree: positive limits, physical disturbances and cooling rate, a
+chosen cost equal to its predictions plus penalties, additive attributions.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import math
 import time
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -57,7 +57,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EpisodeIntegrityError, InvalidInputError, SchemaError
-from .fileio import atomic_write, finite_number
+from .fileio import atomic_write, check_keys, finite_number
 from .mpc import MpcDecision, MpcProblem, features, optimize
 from .shapley import Attribution, shapley, verify_additivity
 from .surrogate import SCHEMAS, SurrogateModel, background_of, digest, predict
@@ -76,7 +76,7 @@ from .testbed import (
     synth_disturbances,
 )
 
-EPISODE_VERSION = 4
+EPISODE_VERSION = 5
 
 # Reference per-interval optimization time that timing reports quote.
 REFERENCE_OPT_SECONDS = 4.19
@@ -100,6 +100,9 @@ class TimestepRecord:
     oa_temp_c: float
     oa_radiation_wm2: float
     occupancy: float
+    oa_temp_t2_c: float
+    oa_radiation_t2_wm2: float
+    occupancy_t2: float
     cooling_rate_w: float
     p_limit_t1_w: float
     p_limit_t2_w: float
@@ -117,58 +120,33 @@ class TimestepRecord:
 
     @classmethod
     def from_json(cls, data: dict) -> "TimestepRecord":
-        stray = sorted(set(data).symmetric_difference(_RECORD_KEYS) - {"opt_seconds"})
-        if stray:
-            raise ValueError(f"unexpected or missing keys {stray}")
+        """Decode ``to_json`` output; raise ``ValueError`` unless its parts agree."""
+        check_keys(data, _RECORD_KEYS, optional=("opt_seconds",))
         if type(data["t"]) is not int:  # not isinstance: a bool is an int there
             raise ValueError(f"hour t must be an integer, got {data['t']!r}")
         attributions = data["attributions"]
         if not isinstance(attributions, dict) or set(attributions) != set(ATTRIBUTION_KEYS):
             raise ValueError(f"attributions must be exactly {list(ATTRIBUTION_KEYS)}")
-        record = cls(
-            t=data["t"],
-            **{name: finite_number(data[name], name) for name in _SCALAR_RECORD_FIELDS[1:]},
-            decision=MpcDecision.from_json(data["decision"]),
-            attributions={
-                k: Attribution.from_json(attributions[k], SCHEMAS[k[:2]].feature_names)
-                for k in ATTRIBUTION_KEYS
-            },
-            opt_seconds=(
-                finite_number(data["opt_seconds"], "opt_seconds") if "opt_seconds" in data else None
-            ),
-        )
-        record._check_consistent()
-        return record
-
-    def _check_consistent(self) -> None:
-        """Raise ``ValueError`` unless the record's parts agree as ``run_episode`` made them."""
+        scalars = {name: finite_number(data[name], name)
+                   for name in (*_SCALAR_RECORD_FIELDS[1:], "opt_seconds") if name in data}
         for name in ("p_limit_t1_w", "p_limit_t2_w"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be > 0, got {getattr(self, name)!r}")
-        disturbance = self.disturbance  # refuses negative radiation or occupancy
-        if not 0.0 <= self.cooling_rate_w <= COOLING_CAPACITY_W:
-            raise ValueError(
-                f"cooling_rate_w must be in [0, {COOLING_CAPACITY_W}], got {self.cooling_rate_w!r}"
-            )
-        d = self.decision
-        # A null cost decodes as inf, so the table's minimum needs no finiteness filter.
-        if (d.u1_c, d.u2_c, d.cost) not in d.candidates or d.cost != min(
-            cost for _, _, cost in d.candidates
-        ):
-            raise ValueError(
-                "decision is not the cheapest pair in its candidate table: "
-                f"({d.u1_c}, {d.u2_c}) at cost {d.cost!r}"
-            )
-        h1 = features(d.u1_c, self.zone_temp_c, disturbance).tolist()
-        h2 = self.attributions["fx_t2"].feature_values.tolist()
-        if h2[:2] != [d.u2_c, d.x1_c]:
-            raise ValueError("fx_t2 values must start with the decision's (u2_c, x1_c)")
+            if scalars[name] <= 0.0:
+                raise ValueError(f"{name} must be > 0, got {scalars[name]!r}")
+        rate = scalars["cooling_rate_w"]
+        if not 0.0 <= rate <= COOLING_CAPACITY_W:
+            raise ValueError(f"cooling_rate_w must be in [0, {COOLING_CAPACITY_W}], got {rate!r}")
+        d = MpcDecision.from_json(data["decision"], scalars["p_limit_t1_w"], scalars["p_limit_t2_w"])
+        record = cls(t=data["t"], **scalars, decision=d, attributions={})
+        # Each Disturbance refuses negative radiation or occupancy.
+        h1 = features(d.u1_c, record.zone_temp_c, record.disturbance)
+        h2 = features(d.u2_c, d.x1_c, record.disturbance_t2)
         for key, values in zip(ATTRIBUTION_KEYS, (h1, h1, h2, h2)):
-            attribution = self.attributions[key]
-            if attribution.feature_values.tolist() != values:
-                raise ValueError(f"{key} values are not the feature vector the decision costed")
+            names = SCHEMAS[key[:2]].feature_names
+            attribution = Attribution.from_json(attributions[key], names, values)
             if not verify_additivity(attribution)[0]:
                 raise ValueError(f"{key} base_value + sum(phi) does not meet its prediction")
+            record.attributions[key] = attribution
+        return record
 
     @property
     def setpoint_c(self) -> float:
@@ -181,6 +159,10 @@ class TimestepRecord:
     @property
     def disturbance(self) -> Disturbance:
         return Disturbance(self.oa_temp_c, self.oa_radiation_wm2, self.occupancy)
+
+    @property
+    def disturbance_t2(self) -> Disturbance:
+        return Disturbance(self.oa_temp_t2_c, self.oa_radiation_t2_wm2, self.occupancy_t2)
 
 
 # Serialized in field order, hour t first, ahead of the three fields with
@@ -209,7 +191,6 @@ class Episode:
 
     seeds: dict
     model_digests: dict
-    config: dict
     records: list[TimestepRecord] = field(default_factory=list)
     # The DR calendar the episode ran under: event hour -> power limit in W.
     calendar: dict[int, float] = field(default_factory=dict)
@@ -300,6 +281,9 @@ def run_episode(
             oa_temp_c=d1.oa_temp_c,
             oa_radiation_wm2=d1.oa_radiation_wm2,
             occupancy=d1.occupancy,
+            oa_temp_t2_c=d2.oa_temp_c,
+            oa_radiation_t2_wm2=d2.oa_radiation_wm2,
+            occupancy_t2=d2.occupancy,
             cooling_rate_w=hvac.cooling_rate_w,
             p_limit_t1_w=problem.p_limit_t1_w,
             p_limit_t2_w=problem.p_limit_t2_w,
@@ -312,7 +296,6 @@ def run_episode(
     return Episode(
         seeds={"run": seed, "testbed": cfg.rng_seed},
         model_digests={"fx": digest(fx_model), "fy": digest(fy_model)},
-        config={"n_days": n_days},
         records=records,
         calendar=dict(dr_calendar),
     )
@@ -340,7 +323,6 @@ def save_episode(episode: Episode, path: str | Path, include_timing: bool = True
         "records_sha256": _UNSEALED.decode(),  # overwritten in place once the records are out
         "seeds": episode.seeds,
         "model_digests": episode.model_digests,
-        "config": episode.config,
         "calendar": calendar_to_json(episode.calendar),
     }
     head = (json.dumps(header, separators=(",", ":")) + "\n").encode()
@@ -381,7 +363,6 @@ def load_episode(path: str | Path, timesteps: list[int] | None = None) -> Episod
     return Episode(
         seeds=header.get("seeds", {}),
         model_digests=header.get("model_digests", {}),
-        config=header.get("config", {}),
         records=records,
         calendar=calendar_from_json(header.get("calendar"), f"{path}:1 calendar"),
     )

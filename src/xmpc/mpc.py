@@ -37,7 +37,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvalidInputError, OptimizationFailedError
-from .fileio import finite_number
+from .fileio import check_keys, finite_number
 from .testbed import SETPOINT_GRID_C, Disturbance
 
 Predictor = Callable[[np.ndarray], float]
@@ -80,7 +80,8 @@ class MpcDecision:
     """One costed setpoint pair: its predictions, penalties and total cost.
 
     ``rollout`` returns a pair with an empty ``candidates`` table; ``optimize``
-    returns the cheapest pair with the table of every pair it costed.
+    returns the cheapest pair with the table of every pair it costed.  Its
+    JSON form holds only the four predictions and the table's costs.
     """
 
     u1_c: float
@@ -95,24 +96,26 @@ class MpcDecision:
     candidates: list[tuple[float, float, float]] = field(default_factory=list)
 
     def to_json(self) -> dict:
-        data = {name: getattr(self, name) for name in _SCALAR_DECISION_FIELDS}
-        data["candidates"] = [
-            {"u1": u1, "u2": u2, "cost": cost if math.isfinite(cost) else None}
-            for u1, u2, cost in self.candidates
-        ]
+        data = {name: getattr(self, name) for name in _DECISION_KEYS[:-1]}
+        data["costs"] = [cost if math.isfinite(cost) else None for _, _, cost in self.candidates]
         return data
 
     @classmethod
-    def from_json(cls, data: dict) -> "MpcDecision":
-        """Decode ``to_json`` output; every number must be finite but a null cost."""
-        return cls(
-            **{name: finite_number(data[name], name) for name in _SCALAR_DECISION_FIELDS},
-            candidates=[
-                (finite_number(c["u1"], "candidate u1"), finite_number(c["u2"], "candidate u2"),
-                 math.inf if c["cost"] is None else finite_number(c["cost"], "candidate cost"))
-                for c in data["candidates"]
-            ],
-        )
+    def from_json(cls, data: dict, p_limit_t1_w: float, p_limit_t2_w: float) -> "MpcDecision":
+        """Decode ``to_json`` output: the chosen pair is the first cheapest, the tie-break."""
+        check_keys(data, _DECISION_KEYS)
+        x1, x2, y1, y2 = (finite_number(data[name], name) for name in _DECISION_KEYS[:-1])
+        pairs = _pairs()
+        if not isinstance(data["costs"], list) or len(data["costs"]) != len(pairs):
+            raise ValueError(f"costs must list {len(pairs)} entries, one per setpoint pair")
+        table = [(u1, u2, math.inf if c is None else finite_number(c, "cost"))
+                 for (u1, u2), c in zip(pairs, data["costs"])]
+        u1, u2, cost = min(table, key=lambda candidate: candidate[2])
+        v1, v2 = penalty(y1, p_limit_t1_w), penalty(y2, p_limit_t2_w)
+        # optimize's own sum, bit for bit; this also refuses a table of nulls (cost inf).
+        if cost != y1 + v1 + y2 + v2:
+            raise ValueError(f"chosen cost {cost!r} is not y1_w + v1 + y2_w + v2")
+        return cls(u1, u2, x1, x2, y1, y2, v1, v2, cost, table)
 
     def candidate_cost(self, u1: float, u2: float) -> float:
         for cu1, cu2, cost in self.candidates:
@@ -121,8 +124,8 @@ class MpcDecision:
         raise KeyError(f"pair ({u1}, {u2}) not in candidate table")
 
 
-# Serialized in field order; only the candidate table needs its own encoding.
-_SCALAR_DECISION_FIELDS = tuple(f.name for f in fields(MpcDecision) if f.name != "candidates")
+# The serialized decision: the chosen pair, its penalties and its cost are derived.
+_DECISION_KEYS = ("x1_c", "x2_c", "y1_w", "y2_w", "costs")
 
 
 def penalty(power_w: float, p_limit_w: float) -> float:
@@ -137,6 +140,12 @@ def penalty(power_w: float, p_limit_w: float) -> float:
 def setpoint_grid(problem: MpcProblem) -> list[float]:
     """Candidate setpoints, ascending: the same grid for every interval."""
     return list(SETPOINT_GRID_C)
+
+
+def _pairs() -> list[tuple[float, float]]:
+    """The setpoint pairs in the order ``optimize`` costs them: u1, then u2, from the top down."""
+    grid = SETPOINT_GRID_C[::-1]
+    return [(u1, u2) for u1 in grid for u2 in grid]
 
 
 def features(setpoint: float, zone_temp: float, d: Disturbance) -> np.ndarray:
@@ -187,17 +196,15 @@ def optimize(problem: MpcProblem) -> MpcDecision:
     (prefer larger u1, then larger u2) without a separate comparison pass.
     The returned candidate table lists all pairs in that evaluation order.
     """
-    grid = setpoint_grid(problem)
     best: MpcDecision | None = None
     candidates: list[tuple[float, float, float]] = []
-    for u1 in reversed(grid):
-        # Hour one depends on u1 alone: predict it once for all of u1's pairs.
-        x1, y1 = _first_hour(problem, u1)
-        for u2 in reversed(grid):
-            pair = _second_hour(problem, u1, x1, y1, u2)
-            candidates.append((u1, u2, pair.cost))
-            if math.isfinite(pair.cost) and (best is None or pair.cost < best.cost):
-                best = pair
+    # Hour one depends on u1 alone: predict it once for all of u1's pairs.
+    first_hours = {u1: _first_hour(problem, u1) for u1 in SETPOINT_GRID_C}
+    for u1, u2 in _pairs():
+        pair = _second_hour(problem, u1, *first_hours[u1], u2)
+        candidates.append((u1, u2, pair.cost))
+        if math.isfinite(pair.cost) and (best is None or pair.cost < best.cost):
+            best = pair
     if best is None:
         raise OptimizationFailedError(
             f"all {len(candidates)} setpoint candidates evaluated to non-finite cost"

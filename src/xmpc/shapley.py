@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, SchemaError
-from .fileio import finite_number
+from .fileio import check_keys, finite_number
 from .surrogate import SurrogateModel, _standardized
 
 # Refuse exact enumeration above this many features: 2^20 coalitions is
@@ -74,21 +74,20 @@ class Attribution:
 
     def to_json(self) -> dict:
         return {
-            "values": [float(v) for v in self.feature_values],
             "phi": [float(p) for p in self.shapley_values],
             "base_value": self.base_value,
             "prediction": self.prediction,
         }
 
     @classmethod
-    def from_json(cls, data: dict, names: tuple[str, ...]) -> "Attribution":
-        """Decode ``to_json`` output, which leaves out the names: the model's schema holds them."""
-        for key in ("values", "phi"):
-            if not isinstance(data[key], list) or len(data[key]) != len(names):
-                raise ValueError(f"{key} must list {len(names)} numbers, one per feature")
+    def from_json(cls, data: dict, names: tuple[str, ...], values) -> "Attribution":
+        """Decode ``to_json`` output, which leaves out the feature ``names`` and ``values``."""
+        check_keys(data, ("phi", "base_value", "prediction"))
+        if not isinstance(data["phi"], list) or len(data["phi"]) != len(names):
+            raise ValueError(f"phi must list {len(names)} numbers, one per feature")
         return cls(
             feature_names=tuple(names),
-            feature_values=np.array([finite_number(v, "values") for v in data["values"]]),
+            feature_values=np.array(values, dtype=float),
             shapley_values=np.array([finite_number(p, "phi") for p in data["phi"]]),
             base_value=finite_number(data["base_value"], "base_value"),
             prediction=finite_number(data["prediction"], "prediction"),

@@ -325,11 +325,16 @@ def train(dataset, schema: FeatureSchema, cfg: TrainConfig | None = None) -> Sur
     x_train, x_val = x[: n - n_val], x[n - n_val :]
     y_train, y_val = y[: n - n_val], y[n - n_val :]
 
-    means = x_train.mean(axis=0)
-    stds = x_train.std(axis=0)
-    stds[stds == 0.0] = 1.0
-    t_mean = float(y_train.mean())
-    t_std = float(y_train.std()) or 1.0
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result is refused below
+        means = x_train.mean(axis=0)
+        stds = x_train.std(axis=0)
+        stds[stds == 0.0] = 1.0
+        t_mean = float(y_train.mean())
+        t_std = float(y_train.std()) or 1.0
+    columns = [f.column for f in schema.features] + [schema.target.column]
+    for column, mean, std in zip(columns, [*means, t_mean], [*stds, t_std]):
+        if not (math.isfinite(mean) and math.isfinite(std)):
+            raise InvalidInputError(f"{column} cannot be standardized (mean {mean}, std {std})")
 
     xs = (x_train - means) / stds
     ys = (y_train - t_mean) / t_std

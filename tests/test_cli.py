@@ -133,11 +133,28 @@ class TestTrain:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergent_training_is_runtime_error(self, cli_workspace, tmp_path, capsys):
-        # Finite outdoor temperatures too large to standardize poison the loss on the first epoch.
+        # A finite learning rate this large throws the weights past the float range at once.
+        rc = main([
+            "train", "--data", str(cli_workspace / "data.csv"), "--target", "fx",
+            "--epochs", "50", "--lr", "1e300", "--out", str(tmp_path / "m.json"),
+        ])
+        assert rc == 3
+        assert "runtime error: non-finite training loss at epoch 1" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("column, rows, message", [
+        (2, [5], "zone_temp_c cannot be standardized (mean 1."),
+        (3, None, "oa_temp_c cannot be standardized (mean inf"),
+    ], ids=["one-zone-temp", "every-oa-temp"])
+    def test_field_too_large_to_standardize_is_usage_error(
+        self, cli_workspace, tmp_path, capsys, column, rows, message
+    ):
+        # Finite fields, yet their mean or spread overflows: such a model would
+        # store an infinite norm and standardize every input to 0 or NaN.
         lines = (cli_workspace / "data.csv").read_text().splitlines()
-        for i in range(1, len(lines)):
+        for i in rows or range(1, len(lines)):
             fields = lines[i].split(",")
-            fields[3] = "1e308"
+            fields[column] = "1e308"
             lines[i] = ",".join(fields)
         bad = tmp_path / "bad.csv"
         bad.write_text("\n".join(lines) + "\n")
@@ -145,8 +162,8 @@ class TestTrain:
             "train", "--data", str(bad), "--target", "fx",
             "--epochs", "50", "--out", str(tmp_path / "m.json"),
         ])
-        assert rc == 3
-        assert "runtime error:" in capsys.readouterr().err
+        assert rc == 2
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "m.json").exists()
 
     @pytest.mark.parametrize("column, value", [
@@ -380,6 +397,7 @@ def test_null_message_content_is_runtime_error(
     captured = capsys.readouterr()
     assert "runtime error: malformed chat-completions response" in captured.err
     assert "None" not in captured.out
+    assert not Path("docs").exists()  # the first document failed, so no output directory
 
 
 @pytest.mark.parametrize("argv", [
@@ -390,7 +408,7 @@ def test_timestep_of_empty_episode_is_usage_error(tmp_path, capsys, monkeypatch,
     from xmpc.hub import Episode, save_episode
 
     monkeypatch.chdir(tmp_path)
-    save_episode(Episode(seeds={}, model_digests={}, config={}), "empty.jsonl")
+    save_episode(Episode(seeds={}, model_digests={}), "empty.jsonl")
     rc = main([argv[0], "--episode", "empty.jsonl", *argv[1:]])
     assert rc == 2
     assert "episode has no records" in capsys.readouterr().err
@@ -409,13 +427,15 @@ def test_timestep_out_of_range_is_usage_error(cli_workspace, tmp_path, capsys, m
 
 @pytest.mark.parametrize("relabel, message", [
     (lambda header, body: header.update(version=1) or header.pop("records_sha256"),
-     "episode format version 1 is not 4; re-run `xmpc run`"),
+     "episode format version 1 is not 5; re-run `xmpc run`"),
     (lambda header, body: header.update(
         version=2, records_sha256=hashlib.sha256(body).hexdigest()),
-     "episode format version 2 is not 4"),
-    (lambda header, body: header.update(version=3), "episode format version 3 is not 4"),
+     "episode format version 2 is not 5"),
+    (lambda header, body: header.update(version=3), "episode format version 3 is not 5"),
+    (lambda header, body: header.update(version=4),
+     "episode format version 4 is not 5; re-run `xmpc run` to rebuild the episode"),
     (lambda header, body: header.pop("records_sha256"), "header lacks its seal, records_sha256"),
-], ids=["v1", "v2", "v3", "unsealed"])
+], ids=["v1", "v2", "v3", "v4", "unsealed"])
 def test_legacy_or_unsealed_episode_is_usage_error(
     cli_workspace, tmp_path, capsys, relabel, message
 ):
@@ -456,30 +476,42 @@ def test_hour_not_at_its_record_is_usage_error(
 # Edits to record 14 that a recomputed seal vouches for: (path to the value,
 # new value, the start of the loader's complaint).  Each left ask or explain
 # with a traceback or a document written from a record that contradicts itself.
+# Format 5 derives the chosen pair, its cost and the attributed feature
+# vectors, so the probes that set them (setpoint-string, setpoint-off-grid,
+# cost-not-minimum and the three *-values-* probes) now write a key the format
+# does not hold.
+FIVE_VALUES = [24.0, 99.0, 30.0, 400.0, 3.0]
 MALFORMED_RECORDS = {
     "temp-string": (["zone_temp_c"], "26.0", "zone_temp_c must be a finite number, got '26.0')"),
     "temp-nan": (["zone_temp_c"], math.nan, "zone_temp_c must be a finite number, got nan)"),
     "limit-string": (["p_limit_t2_w"], "900", "p_limit_t2_w must be a finite number, got '900')"),
-    "setpoint-string": (["decision", "u1_c"], "24.0", "u1_c must be a finite number, got '24.0')"),
+    "setpoint-string": (["decision", "u1_c"], "24.0", "unexpected or missing keys ['u1_c'])"),
     "prediction-null": (["decision", "y2_w"], None, "y2_w must be a finite number, got None)"),
     "timing-string": (["opt_seconds"], "fast", "opt_seconds must be a finite number, got 'fast')"),
     "stale-scenario": (["scenario"], 9, "unexpected or missing keys ['scenario'])"),
-    "setpoint-off-grid": (["decision", "u1_c"], 99.0,
-                          "decision is not the cheapest pair in its candidate table: (99.0, "),
+    "setpoint-off-grid": (["decision", "u1_c"], 99.0, "unexpected or missing keys ['u1_c'])"),
     "negative-limit": (["p_limit_t2_w"], -5, "p_limit_t2_w must be > 0, got -5.0)"),
     "negative-occupancy": (["occupancy"], -3, "occupancy must be >= 0, got -3.0)"),
+    "negative-occupancy-t2": (["occupancy_t2"], -3, "occupancy must be >= 0, got -3.0)"),
     "negative-cooling": (["cooling_rate_w"], -1e9,
                          "cooling_rate_w must be in [0, 6000.0], got -1000000000.0)"),
-    "cost-not-minimum": (["decision", "cost"], 1,
-                         "decision is not the cheapest pair in its candidate table: ("),
+    "cost-not-minimum": (["decision", "cost"], 1, "unexpected or missing keys ['cost'])"),
+    # (26, 26) is the first pair, so a cost of 0 makes it the chosen one.
+    "cost-not-predictions-plus-penalties": (["decision", "costs", 0], 0.0,
+                                            "chosen cost 0.0 is not y1_w + v1 + y2_w + v2)"),
+    "costs-short": (["decision", "costs"], [900.0] * 24,
+                    "costs must list 25 entries, one per setpoint pair)"),
+    "costs-all-null": (["decision", "costs"], [None] * 25,
+                       "chosen cost inf is not y1_w + v1 + y2_w + v2)"),
+    "cost-string": (["decision", "costs", 3], "900", "cost must be a finite number, got '900')"),
     "phi-not-additive": (["attributions", "fy_t1", "phi", 0], 1e6,
                          "fy_t1 base_value + sum(phi) does not meet its prediction)"),
-    "t1-values-not-costed": (["attributions", "fx_t1", "values", 1], 99.0,
-                             "fx_t1 values are not the feature vector the decision costed)"),
-    "t2-values-not-costed": (["attributions", "fx_t2", "values", 0], 99.0,
-                             "fx_t2 values must start with the decision's (u2_c, x1_c))"),
-    "t2-values-differ": (["attributions", "fy_t2", "values", 4], 99.0,
-                         "fy_t2 values are not the feature vector the decision costed)"),
+    "t1-values-not-costed": (["attributions", "fx_t1", "values"], FIVE_VALUES,
+                             "unexpected or missing keys ['values'])"),
+    "t2-values-not-costed": (["attributions", "fx_t2", "values"], FIVE_VALUES,
+                             "unexpected or missing keys ['values'])"),
+    "t2-values-differ": (["attributions", "fy_t2", "values"], FIVE_VALUES,
+                         "unexpected or missing keys ['values'])"),
 }
 
 

@@ -52,7 +52,7 @@ def fake_record(p_limit_t2: float, u1: float, t: int = 0) -> TimestepRecord:
     )
     return TimestepRecord(
         t=t, zone_temp_c=25.0, oa_temp_c=33.0, oa_radiation_wm2=400.0, occupancy=3.0,
-        cooling_rate_w=1100.0, p_limit_t1_w=5000.0, p_limit_t2_w=p_limit_t2,
+        oa_temp_t2_c=33.5, oa_radiation_t2_wm2=350.0, occupancy_t2=3.0, cooling_rate_w=1100.0, p_limit_t1_w=5000.0, p_limit_t2_w=p_limit_t2,
         decision=decision, attributions={},
     )
 

@@ -63,13 +63,21 @@ class TestRunEpisode:
         assert mini_episode.model_digests == {"fx": digest(fx), "fy": digest(fy)}
         # The weather seed is the testbed's one setting; the building is fixed.
         assert mini_episode.seeds == {"run": 5, "testbed": 0}
-        assert mini_episode.config == {"n_days": 2}
 
     def test_limits_follow_calendar(self, mini_episode):
         calendar = generate_dr_calendar(2, 1.0, seed=5)
         for record in mini_episode.records:
             assert record.p_limit_t1_w == power_limit_at(calendar, record.t + 1)
             assert record.p_limit_t2_w == power_limit_at(calendar, record.t + 2)
+
+    def test_second_hour_conditions_are_the_next_hours(self, mini_episode):
+        # Stored once per record, they are what the next record holds as its own.
+        records = mini_episode.records
+        for prev, nxt in zip(records[:-1], records[1:]):
+            assert prev.disturbance_t2 == nxt.disturbance
+            assert prev.attributions["fy_t2"].feature_values[2:].tolist() == [
+                nxt.oa_temp_c, nxt.oa_radiation_wm2, nxt.occupancy
+            ]
 
     def test_closed_loop_replays_through_testbed(self, mini_episode, testbed_cfg):
         # Re-stepping the plant from each record's state must reproduce the
@@ -142,32 +150,36 @@ class TestEpisodeFile:
         assert len(loaded) == len(mini_episode)
         assert loaded.seeds == mini_episode.seeds
         assert loaded.model_digests == mini_episode.model_digests
-        assert loaded.config == mini_episode.config
         assert loaded.calendar == mini_episode.calendar
         for orig, back in zip(mini_episode.records, loaded.records):
-            assert back.t == orig.t
-            assert back.zone_temp_c == orig.zone_temp_c
+            assert back.to_json() == orig.to_json()
             assert back.setpoint_c == orig.setpoint_c
             assert back.scenario == orig.scenario
-            assert back.opt_seconds == orig.opt_seconds
-            assert back.decision.cost == orig.decision.cost
+            # Derived on load, bit for bit: the chosen pair, its penalties and
+            # cost, the candidate table and every attributed feature vector.
+            assert back.decision == orig.decision
             for key in ATTRIBUTION_KEYS:
-                assert np.array_equal(
-                    back.attributions[key].shapley_values,
-                    orig.attributions[key].shapley_values,
-                )
+                for name in ("feature_values", "shapley_values"):
+                    assert np.array_equal(
+                        getattr(back.attributions[key], name), getattr(orig.attributions[key], name)
+                    )
 
     def test_record_keys_are_the_fields_in_order(self, mini_episode):
         # Canonical episodes depend on this key order staying fixed.  The
-        # setpoint, the scenario label and the feature names are derived,
-        # not stored.
+        # setpoint, the scenario label, the chosen pair with its penalties and
+        # cost, and the feature names and values are derived, not stored.
         record = mini_episode.records[5]
         data = record.to_json()
         assert list(data) == [
-            "t", "zone_temp_c", "oa_temp_c", "oa_radiation_wm2", "occupancy", "cooling_rate_w",
+            "t", "zone_temp_c", "oa_temp_c", "oa_radiation_wm2", "occupancy",
+            "oa_temp_t2_c", "oa_radiation_t2_wm2", "occupancy_t2", "cooling_rate_w",
             "p_limit_t1_w", "p_limit_t2_w", "decision", "attributions", "opt_seconds",
         ]
+        assert list(data["decision"]) == ["x1_c", "x2_c", "y1_w", "y2_w", "costs"]
+        assert len(data["decision"]["costs"]) == 25
         assert list(data["attributions"]) == list(ATTRIBUTION_KEYS)
+        for attribution in data["attributions"].values():
+            assert list(attribution) == ["phi", "base_value", "prediction"]
         back = TimestepRecord.from_json(json.loads(json.dumps(data)))
         assert back.to_json() == data
         assert back.setpoint_c == record.decision.u1_c
@@ -287,8 +299,9 @@ class TestEpisodeFile:
         save_episode(mini_episode, path, include_timing=False)
         head, _, body = path.read_bytes().partition(b"\n")
         header = json.loads(head)
-        assert header["version"] == EPISODE_VERSION == 4
+        assert header["version"] == EPISODE_VERSION == 5
         assert header["n_records"] == len(mini_episode)
+        assert "config" not in header  # its day count is n_records / 24
         # The seal covers the header line, its own digest zeroed, then the records.
         unsealed = head.replace(header["records_sha256"].encode(), b"0" * 64)
         assert header["records_sha256"] == hashlib.sha256(unsealed + b"\n" + body).hexdigest()
@@ -320,20 +333,24 @@ class TestEpisodeFile:
 
     @pytest.mark.parametrize("relabel, message", [
         (lambda header, body: header.update(version=1) or header.pop("records_sha256"),
-         "episode format version 1 is not 4; re-run `xmpc run`"),
+         "episode format version 1 is not 5; re-run `xmpc run`"),
         (lambda header, body: header.update(
             version=2, records_sha256=hashlib.sha256(body).hexdigest()),
-         "episode format version 2 is not 4"),
+         "episode format version 2 is not 5"),
         (lambda header, body: header.update(version=3),
-         "episode format version 3 is not 4; re-run `xmpc run`"),
+         "episode format version 3 is not 5; re-run `xmpc run`"),
+        (lambda header, body: header.update(version=4),
+         "episode format version 4 is not 5; re-run `xmpc run`"),
         (lambda header, body: header.pop("records_sha256"),
          ":1: header lacks its seal, records_sha256"),
-    ], ids=["v1", "v2", "v3", "unsealed"])
+    ], ids=["v1", "v2", "v3", "v4", "unsealed"])
     def test_legacy_or_unsealed_file_refused(self, mini_episode, tmp_path, relabel, message):
         # Version 1 had no seal and version 2 sealed the records only, so with
         # either label, or without its digest, an edited event limit loaded.
         # Version 3 records stored the scenario label and setpoint beside the
         # facts they follow from, and its header every normal hour's limit.
+        # Version 4 records stored the chosen pair, its cost and penalties
+        # beside the candidate table, and every attributed feature vector.
         path = tmp_path / "episode.jsonl"
         save_episode(mini_episode, path)
         body = path.read_bytes().partition(b"\n")[2]
@@ -416,7 +433,7 @@ class TestEpisodeFile:
                                   (records[::-1], "record 0 holds hour 47, not 0"),
                                   (records[:5] + records[6:], "record 5 holds hour 6, not 5")):
             with pytest.raises(InvalidInputError, match=message):
-                save_episode(Episode(seeds={}, model_digests={}, config={}, records=shuffled), path)
+                save_episode(Episode(seeds={}, model_digests={}, records=shuffled), path)
         assert list(tmp_path.iterdir()) == []
 
     def test_out_of_range_timestep_message(self, mini_episode, tmp_path):

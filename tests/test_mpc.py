@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -388,28 +389,33 @@ class TestDecisionSerialization:
         fy = lambda f: 100.0 * (26.0 - f[0])
         decision = optimize(make_problem(lambda f: f[1], fy))
         data = decision.to_json()
-        back = MpcDecision.from_json(data)
+        back = MpcDecision.from_json(data, 5000.0, 5000.0)
         assert back.u1_c == decision.u1_c
         assert back.u2_c == decision.u2_c
         assert back.cost == decision.cost
         assert back.candidates == decision.candidates
+        assert back == decision
 
     def test_keys_are_the_fields_in_order(self):
-        # Canonical episodes depend on this key order staying fixed.
-        fy = lambda f: 100.0 * (26.0 - f[0])
+        # Canonical episodes depend on this key order staying fixed.  The
+        # chosen pair, its penalties and its cost are derived on decode.
+        fy = lambda f: 200.0 + 100.0 * (26.0 - f[0])
         decision = optimize(make_problem(lambda f: f[1], fy, limit2=150.0))
         data = decision.to_json()
-        assert list(data) == [f.name for f in dataclasses.fields(MpcDecision)]
-        assert MpcDecision.from_json(data) == decision
+        assert list(data) == ["x1_c", "x2_c", "y1_w", "y2_w", "costs"]
+        assert data["costs"] == [cost for _, _, cost in decision.candidates]
+        back = MpcDecision.from_json(data, 5000.0, 150.0)
+        assert back == decision and back.v2 > 0.0
 
     def test_non_finite_candidates_serialize_as_null(self):
         fy = lambda f: math.nan if f[0] < 26.0 else 10.0
         decision = optimize(make_problem(lambda f: f[1], fy))
         data = decision.to_json()
         # Every pair except (26, 26) hits the NaN in one of its two hours.
-        nulls = [c for c in data["candidates"] if c["cost"] is None]
+        nulls = [c for c in data["costs"] if c is None]
         assert len(nulls) == 24
-        back = MpcDecision.from_json(data)
+        back = MpcDecision.from_json(data, 5000.0, 5000.0)
+        assert (back.u1_c, back.u2_c, back.cost) == (26.0, 26.0, decision.cost)
         assert all(
             math.isinf(c) for _, u, c in back.candidates if not math.isfinite(c)
         )
@@ -418,3 +424,37 @@ class TestDecisionSerialization:
         decision = optimize(make_problem(lambda f: f[1], lambda f: 0.0))
         with pytest.raises(KeyError):
             decision.candidate_cost(30.0, 30.0)
+
+    def test_ties_decode_to_the_first_cheapest(self):
+        # A flat cooling prediction ties every pair; optimize keeps the comfort ceiling.
+        decision = optimize(make_problem(lambda f: f[1], lambda f: 300.0))
+        assert len(set(decision.to_json()["costs"])) == 1
+        back = MpcDecision.from_json(decision.to_json(), 5000.0, 5000.0)
+        assert (back.u1_c, back.u2_c) == (decision.u1_c, decision.u2_c) == (26.0, 26.0)
+
+    def test_pairs_follow_the_grid(self, monkeypatch):
+        patch_grid(monkeypatch, 0.5)
+        fy = lambda f: 100.0 * (f[1] - 20.0) + 10.0 * f[0]
+        decision = optimize(make_problem(lambda f: f[1] - 0.2 * (26.0 - f[0]), fy))
+        back = MpcDecision.from_json(decision.to_json(), 5000.0, 5000.0)
+        assert len(back.candidates) == 81
+        assert back == decision
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda data: data.update(u1_c=24.0), "unexpected or missing keys ['u1_c']"),
+        (lambda data: data.pop("x2_c"), "unexpected or missing keys ['x2_c']"),
+        (lambda data: data["costs"].pop(), "costs must list 25 entries, one per setpoint pair"),
+        (lambda data: data.update(costs=900.0), "costs must list 25 entries"),
+        (lambda data: data["costs"].__setitem__(7, "900"), "cost must be a finite number, got '900'"),
+        (lambda data: data["costs"].__setitem__(7, True), "cost must be a finite number, got True"),
+        (lambda data: data.update(costs=[None] * 25), "chosen cost inf is not y1_w + v1 + y2_w + v2"),
+        (lambda data: data.update(y1_w=data["y1_w"] + 1.0), "is not y1_w + v1 + y2_w + v2"),
+        (lambda data: data["costs"].__setitem__(24, 0.0), "chosen cost 0.0 is not y1_w + v1"),
+    ], ids=["stray-key", "missing-key", "short-costs", "scalar-costs", "string-cost",
+            "bool-cost", "all-null", "prediction-off", "cheaper-pair"])
+    def test_from_json_refuses(self, edit, message):
+        fy = lambda f: 100.0 * (f[1] - 20.0) + 10.0 * f[0]
+        data = optimize(make_problem(lambda f: f[1] - 0.2 * (26.0 - f[0]), fy)).to_json()
+        edit(data)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            MpcDecision.from_json(data, 5000.0, 5000.0)

@@ -343,9 +343,10 @@ class TestSerialization:
         attr = shapley(nonlinear_fn, instance, background)
         data = attr.to_json()
         # Canonical episodes depend on this key order staying fixed; the
-        # names come from the model schema, not the JSON.
-        assert list(data) == ["values", "phi", "base_value", "prediction"]
-        back = Attribution.from_json(data, attr.feature_names)
+        # names come from the model schema and the values from the record
+        # that holds the attribution, not from its JSON.
+        assert list(data) == ["phi", "base_value", "prediction"]
+        back = Attribution.from_json(data, attr.feature_names, instance)
         assert back.feature_names == attr.feature_names == tuple(f"f{i}" for i in range(5))
         assert np.array_equal(back.feature_values, attr.feature_values)
         assert np.array_equal(back.shapley_values, attr.shapley_values)
@@ -353,14 +354,14 @@ class TestSerialization:
         assert back.prediction == attr.prediction
 
     @pytest.mark.parametrize("edit, message", [
-        (lambda data: data["values"].pop(), "values must list 5 numbers"),
+        (lambda data: data.update(values=[0.0] * 5), "unexpected or missing keys ['values']"),
         (lambda data: data["phi"].append(0.0), "phi must list 5 numbers"),
         (lambda data: data.update(phi=1.0), "phi must list 5 numbers"),
         (lambda data: data["phi"].__setitem__(2, "0.5"), "phi must be a finite number, got '0.5'"),
-        (lambda data: data["values"].__setitem__(0, True), "values must be a finite number"),
+        (lambda data: data["phi"].__setitem__(0, True), "phi must be a finite number, got True"),
         (lambda data: data.update(base_value=float("nan")), "base_value must be a finite number"),
         (lambda data: data.update(prediction=None), "prediction must be a finite number"),
-    ], ids=["values-short", "phi-long", "phi-scalar", "phi-string", "value-bool", "base-nan",
+    ], ids=["values-stored", "phi-long", "phi-scalar", "phi-string", "phi-bool", "base-nan",
             "prediction-null"])
     def test_from_json_refuses_malformed_numbers(self, edit, message):
         rng = np.random.default_rng(10)
@@ -368,4 +369,4 @@ class TestSerialization:
         data = attr.to_json()
         edit(data)
         with pytest.raises(ValueError, match=re.escape(message)):
-            Attribution.from_json(data, attr.feature_names)
+            Attribution.from_json(data, attr.feature_names, attr.feature_values)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -218,13 +219,25 @@ class TestTraining:
         with pytest.raises(InvalidInputError):
             train(data, FX_SCHEMA, TrainConfig(epochs=1))
 
-    def test_non_finite_data_raises_diverged(self):
+    def test_huge_learning_rate_raises_diverged(self):
         data = make_dataset(40, seed=7, target_fn=lambda c: c["setpoint_c"])
-        data["oa_temp_c"] = np.full(40, 1e308)
         with np.errstate(invalid="ignore", over="ignore"):
             with pytest.raises(TrainingDivergedError) as info:
-                train(data, FX_SCHEMA, TrainConfig(epochs=10))
-        assert info.value.epoch == 0
+                train(data, FX_SCHEMA, TrainConfig(epochs=10, learning_rate=1e300))
+        assert info.value.epoch == 1
+
+    @pytest.mark.parametrize("column, value, message", [
+        ("oa_temp_c", np.full(40, 1e308), "oa_temp_c cannot be standardized (mean inf"),
+        ("zone_temp_c", np.r_[1e308, np.zeros(39)], "zone_temp_c cannot be standardized (mean"),
+        ("next_zone_temp_c", np.r_[-1e308, np.zeros(39)],
+         "next_zone_temp_c cannot be standardized (mean"),
+        ("occupancy", np.r_[np.nan, np.zeros(39)], "occupancy cannot be standardized (mean nan"),
+    ], ids=["all-oa-temp", "one-zone-temp", "one-target", "nan-occupancy"])
+    def test_data_too_large_to_standardize_refused(self, column, value, message):
+        data = make_dataset(40, seed=7, target_fn=lambda c: c["setpoint_c"])
+        data[column] = value
+        with pytest.raises(InvalidInputError, match=re.escape(message)):
+            train(data, FX_SCHEMA, TrainConfig(epochs=10))
 
     def test_config_validation(self):
         with pytest.raises(InvalidInputError):
