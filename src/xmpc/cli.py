@@ -3,7 +3,7 @@
 Subcommands mirror the package pipeline:
 
 * ``excite``: simulate the testbed under a random setpoint schedule and
-  write the excitation dataset CSV (plus a config sidecar).
+  write the excitation dataset CSV.
 * ``train``: fit one surrogate (``fx`` or ``fy``) from the CSV and write the
   model JSON.
 * ``run``: closed-loop episode with the MPC and per-step attributions,
@@ -11,52 +11,26 @@ Subcommands mirror the package pipeline:
 * ``explain``: render per-timestep Markdown documents and SVG charts.
 * ``ask``: answer an operator question about one timestep, one-shot or REPL.
 
-Exit codes: 0 success, 2 usage or configuration problems, 3 runtime
-failures.  Every command is deterministic given identical flags and seeds;
-``run --no-timing`` writes the canonical episode form (no wall-clock
-fields), which reruns reproduce byte for byte.
+Exit codes: 0 success, 2 for a bad input or file (an ``errors.UsageError``
+or an ``OSError``), 3 for a runtime failure (an ``errors.FailureError``);
+``main`` reads the code off the error's base class.  Every command is
+deterministic given identical flags and seeds; ``run --no-timing`` writes
+the canonical episode form (no wall-clock fields), which reruns reproduce
+byte for byte.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
-from .errors import (
-    ConfigError,
-    DeserializationError,
-    EpisodeIntegrityError,
-    GatewayError,
-    InvalidInputError,
-    OptimizationFailedError,
-    RenderError,
-    SchemaError,
-    SimulationDivergedError,
-    TrainingDivergedError,
-)
+from .errors import FailureError, InvalidInputError, UsageError
 from . import explain as explain_mod
 from . import hub as hub_mod
 from . import llm as llm_mod
 from . import surrogate as surrogate_mod
 from . import testbed as testbed_mod
 from .shapley import ADDITIVITY_TOLERANCE, verify_additivity
-
-_USAGE_ERRORS = (
-    ConfigError,
-    DeserializationError,
-    EpisodeIntegrityError,
-    InvalidInputError,
-    RenderError,
-    SchemaError,
-    OSError,
-)
-_RUNTIME_ERRORS = (
-    GatewayError,
-    OptimizationFailedError,
-    SimulationDivergedError,
-    TrainingDivergedError,
-)
 
 
 def _int_at_least(low: int, kind: str):
@@ -80,11 +54,8 @@ def cmd_excite(args) -> int:
     cfg = (testbed_mod.load_config(args.config, rng_seed=args.seed) if args.config
            else testbed_mod.TestbedConfig(rng_seed=args.seed))
     data = testbed_mod.run_excitation(args.days, cfg, seed=args.seed)
-    out = Path(args.out)
-    data.to_csv(out)
-    config_path = Path(str(out) + ".config.json")
-    testbed_mod.save_config(cfg, config_path)
-    print(f"wrote {len(data)} rows to {out} (config: {config_path})")
+    data.to_csv(args.out)
+    print(f"wrote {len(data)} rows to {args.out}")
     return 0
 
 
@@ -182,7 +153,7 @@ def cmd_ask(args) -> int:
         while True:
             try:
                 line = input("? ")
-            except EOFError:
+            except (EOFError, KeyboardInterrupt):
                 print()
                 break
             line = line.strip()
@@ -259,10 +230,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _USAGE_ERRORS as exc:
+    except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except _RUNTIME_ERRORS as exc:
+    except FailureError as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 3
 

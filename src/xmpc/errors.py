@@ -1,41 +1,50 @@
 """Exception types shared across the package.
 
-Grouping rule: subclasses of ValueError indicate bad inputs or bad files
-(caller mistakes, usually detectable before any real work starts), while
-subclasses of RuntimeError indicate failures that surface mid-computation.
-The CLI maps the former to exit code 2 and the latter to exit code 3.
+Every class derives from one of two bases, and the base decides the CLI's
+exit code.  A ``UsageError`` (a ``ValueError``) is a bad input or a bad
+file, a caller mistake usually detectable before any real work starts:
+exit code 2.  A ``FailureError`` (a ``RuntimeError``) is a failure that
+surfaces mid-computation: exit code 3.
 """
 
 
-class InvalidInputError(ValueError):
+class UsageError(ValueError):
+    """A bad input or file; the CLI exits with code 2."""
+
+
+class FailureError(RuntimeError):
+    """A failure mid-computation; the CLI exits with code 3."""
+
+
+class InvalidInputError(UsageError):
     """A numeric argument is out of range or non-finite."""
 
 
-class SchemaError(ValueError):
+class SchemaError(UsageError):
     """A feature vector does not match the model's feature schema."""
 
 
-class ConfigError(ValueError):
+class ConfigError(UsageError):
     """A configuration value or required setting is missing or invalid."""
 
 
-class DeserializationError(ValueError):
+class DeserializationError(UsageError):
     """A persisted file is truncated, corrupt, or has the wrong shape."""
 
 
-class EpisodeIntegrityError(ValueError):
+class EpisodeIntegrityError(UsageError):
     """An episode file fails its internal consistency checks."""
 
 
-class RenderError(ValueError):
+class RenderError(UsageError):
     """A rendered document still holds an unfilled placeholder token."""
 
 
-class SimulationDivergedError(RuntimeError):
+class SimulationDivergedError(FailureError):
     """The thermal simulation left its physically plausible range."""
 
 
-class TrainingDivergedError(RuntimeError):
+class TrainingDivergedError(FailureError):
     """Training produced a non-finite loss."""
 
     def __init__(self, epoch: int, message: str | None = None):
@@ -43,11 +52,11 @@ class TrainingDivergedError(RuntimeError):
         super().__init__(message or f"non-finite training loss at epoch {epoch}")
 
 
-class OptimizationFailedError(RuntimeError):
+class OptimizationFailedError(FailureError):
     """Every candidate in the setpoint grid evaluated to a non-finite cost."""
 
 
-class GatewayError(RuntimeError):
+class GatewayError(FailureError):
     """The chat-completions service returned an error or malformed response."""
 
 

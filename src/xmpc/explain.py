@@ -2,12 +2,14 @@
 
 Every control interval gets one Markdown document describing what the
 controller saw, what it chose, and why, plus four SVG bar charts showing the
-Shapley attribution of each horizon prediction.  The narrative is the
-scenario's template, ``TEMPLATES``, read once from the package's
-``templates/scenario<n>.txt`` with ``{name}`` placeholders; the attribution
-paragraphs are produced either by the deterministic narrator here or, in llm
-mode, by a chat model prompted with the same numbers.  A question about one
-interval is asked over that whole document (``build_qa_context``).
+Shapley attribution of each horizon prediction.  ``render_document``
+returns the document as its Markdown text, which ``write_documents`` writes
+and ``build_qa_context`` quotes.  The narrative is the scenario's template,
+``TEMPLATES``, read once from the package's ``templates/scenario<n>.txt``
+with ``{name}`` placeholders; the attribution paragraphs are produced either
+by the deterministic narrator here or, in llm mode, by a chat model prompted
+with the same numbers.  A question about one interval is asked over that
+whole document (``build_qa_context``).
 
 The scenario rubric, ``classify``, lives in ``hub`` next to the record it
 reads (see that module's docstring); every document is rendered under the
@@ -20,7 +22,6 @@ noted in the footer.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .charts import attribution_chart_svg, fmt_mean, fmt_phi, fmt_value, ranking_order
@@ -182,37 +183,6 @@ def parse_scenario(text: str) -> int | None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ExplanationDoc:
-    """One interval's rendered explanation and its chart file names."""
-
-    t: int
-    scenario: int
-    mode: str
-    header_block: str
-    scenario_paragraph: str
-    rationale: str
-    llm_agreement: bool | None = None
-    figure_names: list[str] = field(default_factory=list)
-
-    def markdown(self) -> str:
-        footer = f"Rendering mode: {self.mode}."
-        if self.llm_agreement is True:
-            footer += " The language model's scenario judgment agrees with the rubric."
-        elif self.llm_agreement is False:
-            footer += (
-                " The language model's scenario judgment disagrees with the rubric; "
-                "the rubric label is shown."
-            )
-        return (
-            f"# Timestep {self.t}: Scenario {self.scenario} ({SCENARIO_NAMES[self.scenario]})\n\n"
-            f"{self.header_block}\n\n"
-            f"{self.scenario_paragraph}\n\n"
-            f"{self.rationale}\n\n"
-            f"{footer}\n"
-        )
-
-
 def figure_name(t: int, k: int) -> str:
     return f"ts_{t}_attr{k}.svg"
 
@@ -270,10 +240,8 @@ def _rationale(record: TimestepRecord, scenario: int) -> str:
     )
 
 
-def render_document(
-    record: TimestepRecord, mode: str = "deterministic", llm_config=None
-) -> ExplanationDoc:
-    """Render one interval's document in deterministic or llm mode.
+def render_document(record: TimestepRecord, mode: str = "deterministic", llm_config=None) -> str:
+    """One interval's Markdown document, rendered in deterministic or llm mode.
 
     In llm mode the four narration paragraphs and the scenario judgment come
     from the chat gateway (which may itself be its offline stub); the
@@ -286,7 +254,7 @@ def render_document(
     d = record.decision
 
     narrations: dict[str, str] = {}
-    agreement: bool | None = None
+    footer = f"Rendering mode: {mode}."
     if mode == "llm":
         from .llm import LlmConfig, complete
 
@@ -297,7 +265,13 @@ def render_document(
             )
             narrations[key] = complete(cfg, NARRATOR_SYSTEM_PROMPT, prompt).response.strip()
         judgment = complete(cfg, NARRATOR_SYSTEM_PROMPT, build_scenario_prompt(record))
-        agreement = parse_scenario(judgment.response) == scenario
+        if parse_scenario(judgment.response) == scenario:
+            footer += " The language model's scenario judgment agrees with the rubric."
+        else:
+            footer += (
+                " The language model's scenario judgment disagrees with the rubric; "
+                "the rubric label is shown."
+            )
     else:
         for key in ATTRIBUTION_KEYS:
             narrations[key] = narrate_attribution(
@@ -333,15 +307,10 @@ def render_document(
     if "[placeholder]" in paragraph:
         raise RenderError(f"unfilled placeholder token survived in scenario {scenario} template")
 
-    return ExplanationDoc(
-        t=record.t,
-        scenario=scenario,
-        mode=mode,
-        header_block=_header_block(record),
-        scenario_paragraph=paragraph,
-        rationale=_rationale(record, scenario),
-        llm_agreement=agreement,
-        figure_names=[figure_name(record.t, k) for k in range(1, 5)],
+    return (
+        f"# Timestep {record.t}: Scenario {scenario} ({SCENARIO_NAMES[scenario]})\n\n"
+        f"{_header_block(record)}\n\n{paragraph}\n\n{_rationale(record, scenario)}\n\n"
+        f"{footer}\n"
     )
 
 
@@ -359,11 +328,11 @@ def write_documents(
     out_dir = Path(out_dir)
     written: list[Path] = []
     for record in records:
-        doc = render_document(record, mode=mode, llm_config=llm_config)
+        text = render_document(record, mode=mode, llm_config=llm_config)
         if not written:  # only once a document has rendered, so a failed first one leaves no dir
             out_dir.mkdir(parents=True, exist_ok=True)
         md_path = out_dir / f"ts_{record.t}.md"
-        md_path.write_text(doc.markdown())
+        md_path.write_text(text)
         written.append(md_path)
         for k, key in enumerate(ATTRIBUTION_KEYS, start=1):
             svg_path = out_dir / figure_name(record.t, k)
@@ -386,7 +355,7 @@ def build_qa_context(record: TimestepRecord, question: str) -> str:
     """
     if not question or not question.strip():
         raise InvalidInputError("question must be a non-empty string")
-    doc_text = render_document(record, mode="deterministic").markdown()
+    doc_text = render_document(record)
     return f"{MPC_FORMULATION_SUMMARY}\n\n{doc_text}\nQuestion: {question.strip()}\n"
 
 

@@ -48,7 +48,7 @@ from .errors import (
     SchemaError,
     TrainingDivergedError,
 )
-from .fileio import atomic_write
+from .fileio import atomic_write, finite_number
 
 
 @dataclass(frozen=True)
@@ -450,6 +450,15 @@ def save(model: SurrogateModel, path: str | Path) -> None:
         fh.write(json.dumps(model_to_json(model)) + "\n")
 
 
+def _numbers(value, name: str) -> np.ndarray:
+    """A JSON number, or nested lists of them, as a float array; each read by ``finite_number``."""
+
+    def read(item):
+        return [read(x) for x in item] if isinstance(item, list) else finite_number(item, name)
+
+    return np.array(read(value), dtype=float)
+
+
 def load(path: str | Path) -> SurrogateModel:
     path = Path(path)
     try:
@@ -473,18 +482,24 @@ def load(path: str | Path) -> SurrogateModel:
     if not isinstance(data["meta"], dict):
         raise DeserializationError(f"{path}: 'meta' must be a JSON object")
     try:
-        layers = [
-            (np.asarray(layer["w"], dtype=float), np.asarray(layer["b"], dtype=float))
-            for layer in data["layers"]
-        ]
+        layers = [(_numbers(layer["w"], "weight"), _numbers(layer["b"], "bias"))
+                  for layer in data["layers"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DeserializationError(
+            f"{path}: malformed layer or non-finite layer weight ({exc})"
+        ) from None
+    try:
+        stats = data["norm"]
         norm = Normalization(
-            means=np.asarray(data["norm"]["means"], dtype=float),
-            stds=np.asarray(data["norm"]["stds"], dtype=float),
-            target_mean=float(data["norm"]["target_mean"]),
-            target_std=float(data["norm"]["target_std"]),
+            means=_numbers(stats["means"], "means"),
+            stds=_numbers(stats["stds"], "stds"),
+            target_mean=finite_number(stats["target_mean"], "target_mean"),
+            target_std=finite_number(stats["target_std"], "target_std"),
         )
     except (KeyError, TypeError, ValueError) as exc:
-        raise DeserializationError(f"{path}: malformed model content ({exc})") from None
+        raise DeserializationError(
+            f"{path}: malformed norm; its statistics must be finite, with stds > 0 ({exc})"
+        ) from None
     n_in = schema.n_features
     for i, (w, b) in enumerate(layers):
         if w.ndim != 2 or w.shape[1] != n_in or b.shape != (w.shape[0],):
@@ -495,26 +510,18 @@ def load(path: str | Path) -> SurrogateModel:
         n_in = w.shape[0]
     if layers[-1][0].shape[0] != 1:
         raise DeserializationError(f"{path}: output layer must have width 1")
-    if not all(np.isfinite(a).all() for layer in layers for a in layer):
-        raise DeserializationError(f"{path}: non-finite layer weight")
     if norm.means.shape != (schema.n_features,) or norm.stds.shape != (schema.n_features,):
         raise DeserializationError(
             f"{path}: norm means shape {norm.means.shape} / stds shape {norm.stds.shape} "
             f"do not match {schema.n_features} features"
         )
-    stats = np.concatenate([norm.means, norm.stds, [norm.target_mean, norm.target_std]])
-    if not np.isfinite(stats).all() or (norm.stds <= 0.0).any() or norm.target_std <= 0.0:
+    if (norm.stds <= 0.0).any() or norm.target_std <= 0.0:
         raise DeserializationError(f"{path}: norm statistics must be finite, with stds > 0")
     try:
-        background = np.asarray(data["meta"].get("background"), dtype=float)
-    except (TypeError, ValueError):
+        background = _numbers(data["meta"].get("background"), "meta.background")
+    except ValueError:
         background = np.empty(0)
-    if not (
-        background.ndim == 2
-        and background.shape[0] >= 1
-        and background.shape[1] == schema.n_features
-        and np.isfinite(background).all()
-    ):
+    if background.ndim != 2 or len(background) < 1 or background.shape[1] != schema.n_features:
         raise DeserializationError(
             f"{path}: meta.background must be a finite (k >= 1, {schema.n_features}) array "
             "of training rows"

@@ -386,7 +386,7 @@ def test_10_offline_guarantee(criterion, episode, no_network):
         judged = parse_scenario(
             complete(cfg, "scenario judge", build_scenario_prompt(record)).response
         )
-        doc = render_document(record, mode="llm", llm_config=cfg).markdown()
+        doc = render_document(record, mode="llm", llm_config=cfg)
         answer = answer_question(
             cfg, build_qa_context(record, "Why precool this hour?")
         ).response

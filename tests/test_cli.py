@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 import requests
 
-from xmpc import testbed
+from xmpc import errors, testbed
 from xmpc.cli import main
 from xmpc.surrogate import SCHEMAS
 
@@ -37,14 +37,11 @@ def cli_workspace(tmp_path_factory):
 
 
 class TestExcite:
-    def test_writes_csv_and_config_sidecar(self, cli_workspace):
+    def test_writes_only_the_csv(self, cli_workspace):
         csv = cli_workspace / "data.csv"
-        sidecar = cli_workspace / "data.csv.config.json"
-        assert csv.exists() and sidecar.exists()
+        assert not (cli_workspace / "data.csv.config.json").exists()
         data = testbed.ExcitationData.from_csv(csv)
         assert len(data) == 4 * 24
-        cfg = testbed.load_config(sidecar)
-        assert cfg.rng_seed == 3
 
     def test_reports_row_count(self, tmp_path, capsys):
         out = tmp_path / "tiny.csv"
@@ -96,12 +93,11 @@ class TestExcite:
     def test_config_without_seed_takes_seed_flag(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({}))
-        out = tmp_path / "x.csv"
+        out, flag_only = tmp_path / "x.csv", tmp_path / "y.csv"
         assert main(["excite", "--days", "1", "--seed", "3", "--out", str(out),
                      "--config", str(cfg_path)]) == 0
-        sidecar = Path(str(out) + ".config.json")
-        assert json.loads(sidecar.read_text()) == {"rng_seed": 3}
-        assert testbed.load_config(sidecar).rng_seed == 3
+        assert main(["excite", "--days", "1", "--seed", "3", "--out", str(flag_only)]) == 0
+        assert out.read_bytes() == flag_only.read_bytes()
 
 
 class TestTrain:
@@ -266,6 +262,17 @@ class TestRun:
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_string_in_model_number_is_usage_error(self, cli_workspace, tmp_path, capsys):
+        model = json.loads((cli_workspace / "fx.json").read_text())
+        model["norm"]["target_std"] = "1.7"
+        bad = tmp_path / "fx.json"
+        bad.write_text(json.dumps(model))
+        rc = main(["run", "--days", "1", "--fx", str(bad), "--fy", str(cli_workspace / "fy.json"),
+                   "--out", str(tmp_path / "e.jsonl")])
+        assert rc == 2
+        assert "target_std must be a finite number, got '1.7'" in capsys.readouterr().err
+        assert not (tmp_path / "e.jsonl").exists()
+
 
 class TestExplain:
     def test_single_timestep_deterministic(self, cli_workspace, tmp_path, capsys):
@@ -373,6 +380,19 @@ class TestAsk:
                    "--t", "2", "--repl"])
         assert rc == 0
         assert "P_limit(t+2)" in capsys.readouterr().out
+
+    def test_repl_ctrl_c_leaves_like_ctrl_d(self, cli_workspace, capsys, monkeypatch):
+        def interrupted(prompt=""):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr("builtins.input", interrupted)
+        try:
+            rc = main(["ask", "--episode", str(cli_workspace / "episode.jsonl"),
+                       "--t", "2", "--repl"])
+        except KeyboardInterrupt:  # re-raised, it would stop the whole test session
+            pytest.fail("Ctrl-C at the prompt escaped main()")
+        assert rc == 0
+        assert capsys.readouterr().out.endswith("'quit' to leave\n\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -602,6 +622,25 @@ def test_bad_path_or_file_is_usage_error(cli_workspace, tmp_path, capsys, monkey
     rc = main([arg.format(**names) for arg in argv])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+ERROR_CLASSES = [obj for obj in vars(errors).values()
+                 if isinstance(obj, type) and issubclass(obj, Exception)]
+
+
+@pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda cls: cls.__name__)
+def test_error_base_class_is_exit_code(tmp_path, capsys, monkeypatch, cls):
+    # Every error is a UsageError (exit 2) or a FailureError (exit 3), never both.
+    assert issubclass(cls, errors.UsageError) != issubclass(cls, errors.FailureError)
+    expected = 2 if issubclass(cls, errors.UsageError) else 3
+
+    def raising(*args, **kwargs):
+        raise cls("probe failure")
+
+    monkeypatch.setattr(testbed, "run_excitation", raising)
+    rc = main(["excite", "--days", "1", "--out", str(tmp_path / "x.csv")])
+    assert rc == expected
+    assert "probe failure" in capsys.readouterr().err
 
 
 class TestParser:

@@ -229,17 +229,15 @@ class TestTemplates:
             assert fields, f"scenario {scenario}"
             for name, spec, conv in fields:
                 assert name in filled and not spec and not conv, f"scenario {scenario}: {name!r}"
-            paragraph = render_document(first_of(episode, scenario)).scenario_paragraph
-            assert paragraph.startswith(f"Scenario {scenario} criteria:")
-            assert "{" not in paragraph and "}" not in paragraph
+            text = render_document(first_of(episode, scenario))
+            assert f"\n\nScenario {scenario} criteria:" in text  # the paragraph's start
+            assert "{" not in text and "}" not in text
 
 
 class TestRenderDocument:
     def test_scenario1_document(self, episode):
         record = first_of(episode, 1)
-        doc = render_document(record)
-        assert doc.scenario == 1
-        text = doc.markdown()
+        text = render_document(record)
         d = record.decision
         assert text.startswith(f"# Timestep {record.t}: Scenario 1 (Precool)")
         assert f"pre-cooled to T_spt(t+1) = {fmt_value(d.u1_c)}°C" in text
@@ -247,22 +245,20 @@ class TestRenderDocument:
         assert "[placeholder]" not in text
         for k in range(1, 5):
             assert figure_name(record.t, k) in text
-        assert doc.figure_names == [figure_name(record.t, k) for k in range(1, 5)]
-        assert "Rationale: pre-cooling ahead of the event was the cheapest plan" in doc.rationale
-        assert f"{d.cost:.1f}" in doc.rationale
+        rationale = text.split("\n\n")[-2]  # the block ahead of the footer
+        assert rationale.startswith("Rationale: pre-cooling ahead of the event was the cheapest")
+        assert f"{d.cost:.1f}" in rationale
 
     def test_scenario2_document(self, episode):
         record = first_of(episode, 2)
-        doc = render_document(record)
-        text = doc.markdown()
+        text = render_document(record)
         assert "Scenario 2 criteria" in text
         assert "no demand response event is expected" in text
         assert "[placeholder]" not in text
 
     def test_scenario3_document(self, episode):
         record = first_of(episode, 3)
-        doc = render_document(record)
-        text = doc.markdown()
+        text = render_document(record)
         assert "Scenario 3 criteria" in text
         assert "pre-cooling is not engaged" in text
         assert f"T_spt(t+1) = {fmt_value(26.0)}°C" in text
@@ -270,12 +266,14 @@ class TestRenderDocument:
 
     def test_header_block_content(self, episode):
         record = episode.records[40]
-        doc = render_document(record)
+        text = render_document(record)
         day, hod = divmod(record.t, 24)
-        assert f"In timestep {record.t} (day {day}, {hod:02d}:00)" in doc.header_block
-        assert f"P_limit(t+2) = {fmt_value(record.p_limit_t2_w)}W" in doc.header_block
-        assert f"T_z(t) = {fmt_value(record.zone_temp_c)}°C" in doc.header_block
-        assert f"Realized cooling this hour: {fmt_value(record.cooling_rate_w)}W" in doc.header_block
+        # The header block runs from the title to the scenario paragraph.
+        header_block = text[text.index("\n\n"):text.index("\n\nScenario ")]
+        assert f"In timestep {record.t} (day {day}, {hod:02d}:00)" in header_block
+        assert f"P_limit(t+2) = {fmt_value(record.p_limit_t2_w)}W" in header_block
+        assert f"T_z(t) = {fmt_value(record.zone_temp_c)}°C" in header_block
+        assert f"Realized cooling this hour: {fmt_value(record.cooling_rate_w)}W" in header_block
 
     def test_unknown_mode(self, mini_episode):
         with pytest.raises(ConfigError, match="mode"):
@@ -283,7 +281,7 @@ class TestRenderDocument:
 
     def test_rendering_is_deterministic(self, episode):
         record = first_of(episode, 1)
-        assert render_document(record).markdown() == render_document(record).markdown()
+        assert render_document(record) == render_document(record)
 
 
 class TestNumeralFaithfulness:
@@ -292,7 +290,7 @@ class TestNumeralFaithfulness:
     @pytest.mark.parametrize("scenario", [1, 2, 3])
     def test_documents_only_use_record_numbers(self, episode, scenario):
         record = first_of(episode, scenario)
-        text = render_document(record).markdown()
+        text = render_document(record)
         allowed = expected_numerals(record)
         for numeral in re.findall(r"\d+(?:\.\d+)?", text):
             assert numeral in allowed, f"untraceable numeral {numeral!r} in scenario {scenario}"
@@ -301,19 +299,32 @@ class TestNumeralFaithfulness:
 class TestLlmModeRendering:
     def test_stub_narrations_and_agreement(self, episode, no_network):
         record = first_of(episode, 1)
-        doc = render_document(record, mode="llm")  # default gateway config is the stub
-        assert doc.mode == "llm"
-        assert doc.llm_agreement is True
-        text = doc.markdown()
-        assert "agrees with the rubric" in text
+        text = render_document(record, mode="llm")  # default gateway config is the stub
+        assert text.endswith(
+            "Rendering mode: llm. The language model's scenario judgment agrees with the rubric.\n"
+        )
         for key in ATTRIBUTION_KEYS:
             paragraph = narrate_attribution(record.attributions[key], ATTRIBUTION_TARGETS[key])
             assert paragraph in text, key
 
     def test_stub_agreement_across_scenarios(self, episode, no_network):
         for scenario in (1, 2, 3):
-            doc = render_document(first_of(episode, scenario), mode="llm")
-            assert doc.llm_agreement is True, f"scenario {scenario}"
+            text = render_document(first_of(episode, scenario), mode="llm")
+            assert "judgment agrees with the rubric" in text, f"scenario {scenario}"
+
+    def test_disagreeing_judgment_keeps_the_rubric_label(self, episode, monkeypatch):
+        def fake_complete(cfg, system_prompt, user_prompt):
+            return llm_mod.ChatExchange(system_prompt, user_prompt, "Scenario 3.",
+                                        cfg.model, "online")
+
+        monkeypatch.setattr(llm_mod, "complete", fake_complete)
+        record = first_of(episode, 1)
+        text = render_document(record, mode="llm")
+        assert text.startswith(f"# Timestep {record.t}: Scenario 1 (Precool)")
+        assert text.endswith(
+            "The language model's scenario judgment disagrees with the rubric; "
+            "the rubric label is shown.\n"
+        )
 
     def test_placeholder_token_in_a_narration_is_render_error(self, episode, monkeypatch):
         # An online model's reply is outside input; a "[placeholder]" it echoes must not ship.

@@ -559,24 +559,41 @@ class TestPersistence:
             ("norm", "stds", [1.0, 1.0, math.nan, 1.0, 1.0], "stds > 0"),
             ("norm", "target_std", -1.0, "stds > 0"),
             ("norm", "target_mean", math.inf, "must be finite"),
+            ("norm", "target_std", "1.7", "target_std must be a finite number, got '1.7'"),
+            ("norm", "target_mean", True, "target_mean must be a finite number, got True"),
+            ("norm", "stds", [1.0, 1.0, "1.0", 1.0, 1.0], "stds must be a finite number"),
             (None, "meta", [], "'meta' must be a JSON object"),
             ("meta", "background", None, "meta.background must be a finite"),
             ("meta", "background", [], "meta.background must be a finite"),
             ("meta", "background", [[1.0, 2.0], [3.0]], "meta.background must be a finite"),
+            ("meta", "background", [["26.0", 30.0, 0.0, 0.0, 0.0]],
+             "meta.background must be a finite"),
             (None, "target", "fz", r"target must be one of \['fx', 'fy'\], got 'fz'"),
             (None, "target", ["fx"], "target must be one of"),
             (None, "target", None, "target must be one of"),
         ],
         ids=["short-means", "zero-std", "nan-std", "negative-target-std", "inf-target-mean",
+             "string-target-std", "bool-target-mean", "string-std",
              "meta-array", "no-background", "empty-background", "ragged-background",
+             "string-background",
              "unknown-target", "list-target", "null-target"],
     )
     def test_malformed_norm_or_meta_rejected(self, tmp_path, fx_model, section, key, value, message):
         path = tmp_path / "model.json"
-        payload = model_to_json(fx_model)
+        payload = json.loads(json.dumps(model_to_json(fx_model)))  # a copy: meta is the model's
         (payload[section] if section else payload)[key] = value
         path.write_text(json.dumps(payload))
         with pytest.raises(DeserializationError, match=message):
+            load(path)
+
+    @pytest.mark.parametrize("value", ["0.5", False, 10**400], ids=["string", "bool", "too-big"])
+    def test_weight_must_be_a_json_number(self, tmp_path, fx_model, value):
+        # float() and numpy read "0.5" and False as numbers; a model file holds JSON numbers.
+        path = tmp_path / "model.json"
+        payload = model_to_json(fx_model)
+        payload["layers"][0]["w"][3][1] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DeserializationError, match="weight must be a finite number"):
             load(path)
 
     def test_non_finite_weight_rejected(self, tmp_path, fx_model):
