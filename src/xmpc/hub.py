@@ -7,10 +7,16 @@
    synthetic profiles), and the demand-response limits at the two reporting
    ticks ahead,
 2. times ``optimize()``, applies the chosen first-hour setpoint to the
-   plant, and discards the second (receding horizon),
-3. computes exact Shapley attributions for all four horizon predictions
-   (temperature and cooling for each hour) on the same feature vectors the
-   winning rollout evaluated.
+   plant, discards the second (receding horizon), and keeps the two
+   feature vectors the winning rollout evaluated.
+
+After the last tick it
+
+3. computes exact Shapley attributions for all four horizon predictions of
+   every hour (temperature and cooling for each hour) on those vectors, in
+   one ``shapley`` call per model over the whole episode.  Attribution
+   never feeds back into control, and a row's attribution does not depend
+   on the batch it is in.
 
 Scenario rubric (deterministic, ``classify`` applied to a record):
 
@@ -249,6 +255,9 @@ def run_episode(
 
     state = ZoneState(0, INITIAL_ZONE_TEMP_C)
     records: list[TimestepRecord] = []
+    # The feature vectors each decision costed, attributed once control is done.
+    hours_h1: list[np.ndarray] = []
+    hours_h2: list[np.ndarray] = []
     for t in range(24 * n_days):
         d1 = disturbance_at(t)
         d2 = disturbance_at(t + 1)
@@ -264,15 +273,8 @@ def run_episode(
         started = time.perf_counter()
         decision = optimize(problem)
         opt_seconds = time.perf_counter() - started
-
-        features_h1 = features(decision.u1_c, state.zone_temp_c, d1)
-        features_h2 = features(decision.u2_c, decision.x1_c, d2)
-        attributions = {
-            "fx_t1": shapley(fx_model, features_h1, fx_bg),
-            "fy_t1": shapley(fy_model, features_h1, fy_bg),
-            "fx_t2": shapley(fx_model, features_h2, fx_bg),
-            "fy_t2": shapley(fy_model, features_h2, fy_bg),
-        }
+        hours_h1.append(features(decision.u1_c, state.zone_temp_c, d1))
+        hours_h2.append(features(decision.u2_c, decision.x1_c, d2))
 
         next_state, hvac = step(state, d1, decision.u1_c, cfg)
         records.append(TimestepRecord(
@@ -288,10 +290,20 @@ def run_episode(
             p_limit_t1_w=problem.p_limit_t1_w,
             p_limit_t2_w=problem.p_limit_t2_w,
             decision=decision,
-            attributions=attributions,
+            attributions={},
             opt_seconds=opt_seconds,
         ))
         state = next_state
+
+    # One attribution call per model over the whole episode: [h1 rows; h2 rows].
+    hours = np.array(hours_h1 + hours_h2)
+    fx_attributions = shapley(fx_model, hours, fx_bg)
+    fy_attributions = shapley(fy_model, hours, fy_bg)
+    n = len(records)
+    for t, record in enumerate(records):
+        record.attributions = dict(zip(ATTRIBUTION_KEYS, (
+            fx_attributions[t], fy_attributions[t], fx_attributions[n + t], fy_attributions[n + t]
+        )))
 
     return Episode(
         seeds={"run": seed, "testbed": cfg.rng_seed},
@@ -382,7 +394,7 @@ def _read_episode(path: Path, positions: set[int] | None) -> tuple[dict, dict]:
             raise EpisodeIntegrityError(f"{path}: empty episode file")
         try:
             header = json.loads(first)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
             raise EpisodeIntegrityError(f"{path}:1: bad header ({exc})") from None
         if not isinstance(header, dict):
             raise EpisodeIntegrityError(f"{path}:1: header is not a JSON object")
@@ -410,7 +422,7 @@ def _read_episode(path: Path, positions: set[int] | None) -> tuple[dict, dict]:
             if positions is None or position in positions:
                 try:
                     record = TimestepRecord.from_json(json.loads(line))
-                except (KeyError, TypeError, ValueError) as exc:
+                except (KeyError, TypeError, ValueError, RecursionError) as exc:
                     raise EpisodeIntegrityError(f"{path}:{lineno}: bad record ({exc})") from None
                 if record.t != position:
                     raise EpisodeIntegrityError(

@@ -179,7 +179,7 @@ def _complete_online(
         try:
             data = resp.json()
             content = data["choices"][0]["message"]["content"]
-        except (ValueError, KeyError, IndexError, TypeError) as exc:
+        except (ValueError, KeyError, IndexError, TypeError, RecursionError) as exc:
             raise GatewayError(f"malformed chat-completions response ({exc})") from None
         if not isinstance(content, str):
             raise GatewayError(

@@ -463,7 +463,7 @@ def load(path: str | Path) -> SurrogateModel:
     path = Path(path)
     try:
         data = json.loads(path.read_text())
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, RecursionError) as exc:  # RecursionError: nested too deep
         raise DeserializationError(f"{path}: cannot parse model file ({exc})") from None
     if not isinstance(data, dict):
         raise DeserializationError(f"{path}: expected a JSON object, got {type(data).__name__}")

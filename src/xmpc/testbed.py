@@ -392,7 +392,7 @@ def load_config(path: str | Path, rng_seed: int = 0) -> TestbedConfig:
     """
     try:
         data = json.loads(Path(path).read_text())
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
         raise DeserializationError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(data, dict):
         raise DeserializationError(f"{path}: expected a JSON object, got {type(data).__name__}")

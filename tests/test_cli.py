@@ -624,6 +624,20 @@ def test_bad_path_or_file_is_usage_error(cli_workspace, tmp_path, capsys, monkey
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--days", "1", "--fx", "nested.json", "--fy", "{ws}/fy.json", "--out", "e.jsonl"],
+    ["excite", "--days", "1", "--config", "nested.json", "--out", "x.csv"],
+    ["ask", "--episode", "nested.json", "--t", "0", "--question", "Why?"],
+], ids=["run-fx", "excite-config", "ask-episode"])
+def test_deeply_nested_json_is_usage_error(cli_workspace, tmp_path, capsys, monkeypatch, argv):
+    # json raises RecursionError, not ValueError, on nesting this deep.
+    monkeypatch.chdir(tmp_path)
+    Path("nested.json").write_text("[" * 100_000 + "]" * 100_000)
+    rc = main([arg.format(ws=cli_workspace) for arg in argv])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: nested.json")
+
+
 ERROR_CLASSES = [obj for obj in vars(errors).values()
                  if isinstance(obj, type) and issubclass(obj, Exception)]
 

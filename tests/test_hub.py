@@ -26,8 +26,10 @@ from xmpc.hub import (
     save_episode,
     timing_report,
 )
-from xmpc.shapley import verify_additivity
-from xmpc.surrogate import FX_SCHEMA, FY_SCHEMA, digest, predict
+from xmpc import hub
+from xmpc.mpc import features
+from xmpc.shapley import shapley, verify_additivity
+from xmpc.surrogate import FX_SCHEMA, FY_SCHEMA, background_of, digest, predict
 from xmpc.testbed import (
     NORMAL_POWER_LIMIT_W,
     ZoneState,
@@ -130,6 +132,30 @@ class TestRunEpisode:
             run_episode(1, testbed_cfg, fy, fx, {})
         with pytest.raises(SchemaError, match="fy model predicts 'zone_temp'"):
             run_episode(1, testbed_cfg, fx, fx, {})
+
+    def test_one_shapley_call_per_model_after_control(self, testbed_cfg, mini_models, monkeypatch):
+        fx, fy = mini_models
+        calls = []
+
+        def spy(model, instances, background):
+            calls.append((model, np.array(instances)))
+            return shapley(model, instances, background)
+
+        monkeypatch.setattr(hub, "shapley", spy)
+        episode = run_episode(1, testbed_cfg, fx, fy, generate_dr_calendar(1, 1.0, seed=9), seed=9)
+        assert len(calls) == 2 and calls[0][0] is fx and calls[1][0] is fy
+        assert all(rows.shape == (48, 5) for _, rows in calls)
+        # Each record's four attributions are its own h1 and h2 attributed alone.
+        for record in episode.records:
+            d = record.decision
+            h1 = features(d.u1_c, record.zone_temp_c, record.disturbance)
+            h2 = features(d.u2_c, d.x1_c, record.disturbance_t2)
+            for key, model, h in zip(ATTRIBUTION_KEYS, (fx, fy, fx, fy), (h1, h1, h2, h2)):
+                alone = shapley(model, h, background_of(model))
+                got = record.attributions[key]
+                assert np.array_equal(got.feature_values, h)
+                assert got.shapley_values.tobytes() == alone.shapley_values.tobytes()
+                assert (got.base_value, got.prediction) == (alone.base_value, alone.prediction)
 
     def test_rerun_is_identical(self, testbed_cfg, mini_models, tmp_path):
         fx, fy = mini_models
@@ -408,6 +434,17 @@ class TestEpisodeFile:
                                    ([3], ":5: bad record (hour 2 at record 3)")):
             with pytest.raises(EpisodeIntegrityError, match=re.escape(message)):
                 load_episode(swapped, timesteps=timesteps)
+
+    def test_deeply_nested_record_is_a_bad_record(self, mini_episode, tmp_path, reseal):
+        # json raises RecursionError, not ValueError, on nesting this deep.
+        path = tmp_path / "episode.jsonl"
+        save_episode(mini_episode, path)
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[4] = b"[" * 100_000 + b"]" * 100_000 + b"\n"
+        path.write_bytes(b"".join(lines))
+        reseal(path)
+        with pytest.raises(EpisodeIntegrityError, match=":5: bad record"):
+            load_episode(path, timesteps=[3])
 
     @pytest.mark.parametrize("hour, edited", [
         (5, b"5.7"), (5, b"5.0"), (5, b'"5"'), (1, b"true"),

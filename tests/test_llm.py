@@ -257,6 +257,14 @@ class TestOnline:
         with pytest.raises(GatewayError, match="malformed"):
             complete(online_cfg, SYSTEM, "user")
 
+        # A body nested too deep for json raises RecursionError, not ValueError.
+        nested = requests.Response()
+        nested.status_code = 200
+        nested._content = b"[" * 100_000 + b"]" * 100_000
+        monkeypatch.setattr(requests, "post", lambda url, **kwargs: nested)
+        with pytest.raises(GatewayError, match="malformed"):
+            complete(online_cfg, SYSTEM, "user")
+
         for content in (None, 42, ["text"]):
             monkeypatch.setattr(
                 requests, "post", lambda url, **kwargs: FakeResponse(payload=ok_payload(content))

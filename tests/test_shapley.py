@@ -20,7 +20,7 @@ from xmpc.shapley import (
     shapley,
     verify_additivity,
 )
-from xmpc.surrogate import background_of, predict_batch
+from xmpc.surrogate import FX_SCHEMA, Normalization, SurrogateModel, background_of, predict_batch
 
 
 def coalition_value(fn, instance, background, members) -> float:
@@ -54,6 +54,19 @@ def permutation_oracle(fn, instance, background) -> np.ndarray:
 
 def nonlinear_fn(x: np.ndarray) -> np.ndarray:
     return x[:, 0] * x[:, 1] + np.maximum(x[:, 2] - 0.5, 0.0) ** 2 + 0.3 * x[:, 3] - x[:, 4]
+
+
+def assert_matches_callable(model, instances, background) -> None:
+    """The closed form on a batch agrees with ``predict_batch`` attributed as a callable."""
+    oracle = lambda x: predict_batch(model, x)
+    batch = shapley(model, instances, background)
+    assert len(batch) == len(instances)
+    for fast, instance in zip(batch, instances):
+        slow = shapley(oracle, instance, background)
+        scale = 1e-12 * max(1.0, abs(slow.prediction))
+        assert np.max(np.abs(fast.shapley_values - slow.shapley_values)) <= scale
+        assert abs(fast.base_value - slow.base_value) <= scale
+        assert abs(fast.prediction - slow.prediction) <= scale
 
 
 class TestCoalitionWeight:
@@ -132,7 +145,9 @@ class TestExact:
     def test_input_validation(self):
         fn = lambda x: x.sum(axis=1)
         with pytest.raises(SchemaError):
-            shapley(fn, np.zeros((2, 2)), np.zeros((2, 2)))
+            shapley(fn, np.zeros((2, 2, 2)), np.zeros((2, 2)))
+        with pytest.raises(InvalidInputError):
+            shapley(fn, np.array([[0.0, 1.0], [np.nan, 1.0]]), np.zeros((2, 2)))
         with pytest.raises(SchemaError):
             shapley(fn, np.zeros(3), np.zeros((2, 2)))
         with pytest.raises(InvalidInputError):
@@ -158,20 +173,24 @@ class TestExact:
             shapley(fx_model, np.zeros(4), np.ones((1, 4)))
 
     def test_surrogate_path_matches_predict_batch_callable(self, fx_model, fy_model):
-        # The z-space kernel folds the first bias into its product and the
-        # output bias and unscaling into the coalition means; against the
-        # plain x-space path that moves values at round-off level only.
+        # The closed form sums each hidden unit over the sorted background and
+        # folds the output bias and unscaling into the coalition means;
+        # against the plain x-space path that moves values at round-off level
+        # only, one instance at a time or all 200 in one batch.
         rng = np.random.default_rng(14)
         for model in (fx_model, fy_model):
             background = background_of(model)
             oracle = lambda x, model=model: predict_batch(model, x)
-            for row in rng.choice(len(background), size=200):
-                instance = background[row] * rng.uniform(0.9, 1.1, size=5)
+            instances = [background[row] * rng.uniform(0.9, 1.1, size=5)
+                         for row in rng.choice(len(background), size=200)]
+            batch = shapley(model, np.array(instances), background)
+            for instance, whole in zip(instances, batch):
                 fast, slow = shapley(model, instance, background), shapley(oracle, instance, background)
                 scale = 1e-12 * max(1.0, abs(slow.prediction))
-                assert np.max(np.abs(fast.shapley_values - slow.shapley_values)) <= scale
-                assert abs(fast.base_value - slow.base_value) <= scale
-                assert abs(fast.prediction - slow.prediction) <= scale
+                for attr in (fast, whole):
+                    assert np.max(np.abs(attr.shapley_values - slow.shapley_values)) <= scale
+                    assert abs(attr.base_value - slow.base_value) <= scale
+                    assert abs(attr.prediction - slow.prediction) <= scale
 
     def test_surrogate_feature_pinned_in_background_gets_zero(self, fy_model):
         background = background_of(fy_model).copy()
@@ -250,19 +269,6 @@ class TestCoalitionBatching:
         assert np.array_equal(whole.shapley_values, chunked.shapley_values)
         assert (whole.base_value, whole.prediction) == (chunked.base_value, chunked.prediction)
 
-    def test_surrogate_attribution_is_four_model_calls(self, fx_model, monkeypatch):
-        shapley_mod = importlib.import_module("xmpc.shapley")
-
-        rows: list[int] = []
-        kernel = shapley_mod._surrogate_kernel
-        monkeypatch.setattr(shapley_mod, "_surrogate_kernel",
-                            lambda x, **weights: rows.append(len(x)) or kernel(x, **weights))
-        background = background_of(fx_model)
-        assert len(background) == 256
-        shapley(fx_model, np.array([23.0, 26.0, 34.0, 450.0, 3.0]), background)
-        # 32 coalitions of 256 background rows, 8 coalitions per call.
-        assert rows == [2048] * 4
-
     def test_surrogate_chunks_match_one_call(self, fx_model, fy_model, monkeypatch):
         rng = np.random.default_rng(13)
         cases = []
@@ -290,9 +296,66 @@ class TestCoalitionBatching:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # One 2,048-row chunk's (2048, 50) hidden buffer is 0.82 MB; a single
-        # 8,192-row call peaked at 3.9 MB.
+        # One coalition's sorted table at a time: (50, 512) float64 values and
+        # (50, 257) long-double suffix sums, about 0.4 MB together.
         assert peak < 1.5e6
+
+
+class TestClosedForm:
+    """The sorted-background closed form that attributes a surrogate."""
+
+    @given(data=st.data())
+    @settings(max_examples=8, deadline=None)
+    def test_rows_independent_of_batch_position_and_block(self, fx_model, fy_model, data):
+        model = data.draw(st.sampled_from([fx_model, fy_model]))
+        background = background_of(model)
+        m = data.draw(st.integers(1, 24))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        instances = background[rng.choice(len(background), size=m)] * rng.uniform(0.9, 1.1, (m, 5))
+        alone = [shapley(model, instance, background) for instance in instances]
+        order = data.draw(st.permutations(range(m)))
+        for block in (1, 7, m):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(importlib.import_module("xmpc.shapley"), "_BLOCK_ROWS", block)
+                batch = shapley(model, instances[order], background)
+            for attr, i in zip(batch, order):
+                assert np.array_equal(attr.feature_values, instances[i])
+                assert attr.shapley_values.tobytes() == alone[i].shapley_values.tobytes()
+                assert (attr.base_value, attr.prediction) == (alone[i].base_value, alone[i].prediction)
+
+    def test_pinned_background_columns_tie_the_sorted_values(self, fy_model):
+        background = background_of(fy_model).copy()
+        background[:, 1] = 25.0
+        background[:, 3] = 450.0
+        rng = np.random.default_rng(15)
+        instances = background[rng.choice(len(background), size=20)] * rng.uniform(0.9, 1.1, (20, 5))
+        assert_matches_callable(fy_model, instances, background)
+
+    def test_instance_on_a_relu_kink(self):
+        # Integer weights and inputs make u + v_b exactly 0 for some rows.
+        rng = np.random.default_rng(16)
+        model = SurrogateModel(
+            schema=FX_SCHEMA,
+            layers=[(rng.integers(-1, 2, (50, 5)).astype(float), rng.integers(-2, 3, 50).astype(float)),
+                    (rng.integers(-3, 4, (1, 50)).astype(float), np.array([1.0]))],
+            norm=Normalization(means=np.zeros(5), stds=np.ones(5), target_mean=24.0, target_std=2.0),
+        )
+        background = rng.integers(-2, 3, (16, 5)).astype(float)
+        instances = rng.integers(-2, 3, (10, 5)).astype(float)
+        (w1, b1), _ = model.layers
+        members = (np.arange(32)[:, None] >> np.arange(5) & 1).astype(bool)
+        for instance in instances:
+            hybrids = np.where(members[:, None, :], instance, background[None, :, :])
+            assert np.any(hybrids @ w1.T + b1 == 0.0)
+        assert_matches_callable(model, instances, background)
+
+    @pytest.mark.parametrize("rows", [1, 7, 255])
+    def test_background_sizes_off_a_power_of_two(self, fx_model, fy_model, rows):
+        rng = np.random.default_rng(rows)
+        for model in (fx_model, fy_model):
+            background = background_of(model)[:rows]
+            instances = background_of(model)[rng.choice(256, size=10)] * rng.uniform(0.9, 1.1, (10, 5))
+            assert_matches_callable(model, instances, background)
 
 
 class TestVerifyAdditivity:

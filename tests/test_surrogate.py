@@ -379,9 +379,10 @@ class TestInPlaceForward:
     """The numeric hot paths work in place without changing a single bit."""
 
     def test_forward_peak_is_one_hidden_buffer(self):
-        # A shapley call on a surrogate forwards 32 coalitions x 256 background
-        # rows.  Working in place keeps the traced peak near the one
-        # (8192, 50) hidden buffer; the expression form peaks at two of them.
+        # An 8,192-row forward (32 coalitions x 256 background rows, as a
+        # callable attribution of a surrogate evaluates).  Working in place
+        # keeps the traced peak near the one (8192, 50) hidden buffer; the
+        # expression form peaks at two of them.
         rng = np.random.default_rng(0)
         layers = random_model(rng).layers
         x = rng.normal(size=(8192, 5))
