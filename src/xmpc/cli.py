@@ -120,13 +120,13 @@ def _llm_config(args) -> llm_mod.LlmConfig:
 def cmd_explain(args) -> int:
     llm_config = _llm_config(args) if args.mode == "llm" else None
     if args.t == "all":
-        timesteps = None
+        hour = None
     else:
         try:
-            timesteps = [int(args.t)]
+            hour = int(args.t)
         except ValueError:
             raise InvalidInputError(f"--t must be an hour index or 'all', got {args.t!r}") from None
-    episode = hub_mod.load_episode(args.episode, timesteps)
+    episode = hub_mod.load_episode(args.episode, hour)
     written = explain_mod.write_documents(
         episode.records, args.out, mode=args.mode, llm_config=llm_config
     )
@@ -139,7 +139,7 @@ def cmd_ask(args) -> int:
     if not args.question and not args.repl:
         raise InvalidInputError("provide --question or --repl")
     cfg = _llm_config(args)
-    [record] = hub_mod.load_episode(args.episode, [args.t]).records
+    [record] = hub_mod.load_episode(args.episode, args.t).records
 
     def answer(question: str) -> None:
         context = explain_mod.build_qa_context(record, question)

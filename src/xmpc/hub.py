@@ -27,29 +27,30 @@ Scenario rubric (deterministic, ``classify`` applied to a record):
   stays at the ceiling.
 * Scenario 2, "Normal": everything else.
 
-Episodes serialize to JSON lines: a header object, then one record per line,
-hour t on record line t.  Each fact is stored once.  A record holds the
-hour, the zone temperature, both hours' boundary conditions, the realized
-cooling rate, the two limits ahead, the decision's four predictions and the
-costs of its 25 pairs, each attribution's phi, base value and prediction,
-and the optimization wall-clock.  The rest is derived: the chosen pair is
-the first cheapest and its penalties follow from the limits (the setpoint
-is ``decision.u1_c``), the scenario label is ``classify(record)``, and an
+Episodes serialize to JSON lines: a header object, then one record per line.
+Each fact is stored once.  A record holds the zone temperature, both hours'
+boundary conditions, the realized cooling rate, the decision's four
+predictions and the costs of its 25 pairs, each attribution's phi, base
+value and prediction, and the optimization wall-clock.  The rest is derived:
+the hour is the record's line (hour t on record line t), the two limits
+ahead are the header calendar's at t + 1 and t + 2, the chosen pair is the
+first cheapest and its penalties follow from those limits (the setpoint is
+``decision.u1_c``), the scenario label is ``classify(record)``, and an
 attribution's feature names are its model schema's and its values the
 vector the decision costed for that hour.  The header carries the format
-version (5, the only one that loads), the run and weather seeds, model
+version (6, the only one that loads), the run and weather seeds, model
 digests, the DR calendar's event hours, the record count, and
 ``records_sha256``, a digest that seals the file: it covers the header line
 (with its own digest field zeroed) and every record line.  The wall-clock
 can be omitted at save time (canonical form), which makes reruns with equal
 seeds byte-identical.
 
-``load_episode`` hashes every line but decodes only the records it is asked
+``load_episode`` hashes every line but decodes only the record it is asked
 for: the seal, which every file must carry, vouches for the lines it skips.
 A decoded record must hold exactly the format's keys, every number in it
 must be a finite JSON number (a pair's cost may be null), and its parts
-must agree: positive limits, physical disturbances and cooling rate, a
-chosen cost equal to its predictions plus penalties, additive attributions.
+must agree: physical disturbances and cooling rate, a chosen cost equal to
+its predictions plus penalties, additive attributions.
 """
 
 from __future__ import annotations
@@ -82,7 +83,7 @@ from .testbed import (
     synth_disturbances,
 )
 
-EPISODE_VERSION = 5
+EPISODE_VERSION = 6
 
 # Reference per-interval optimization time that timing reports quote.
 REFERENCE_OPT_SECONDS = 4.19
@@ -125,24 +126,23 @@ class TimestepRecord:
         return data
 
     @classmethod
-    def from_json(cls, data: dict) -> "TimestepRecord":
-        """Decode ``to_json`` output; raise ``ValueError`` unless its parts agree."""
+    def from_json(cls, data: dict, t: int, calendar: dict[int, float]) -> "TimestepRecord":
+        """Decode ``to_json`` output as hour ``t`` of an episode run under ``calendar``.
+
+        Raise ``ValueError`` unless its parts agree.
+        """
         check_keys(data, _RECORD_KEYS, optional=("opt_seconds",))
-        if type(data["t"]) is not int:  # not isinstance: a bool is an int there
-            raise ValueError(f"hour t must be an integer, got {data['t']!r}")
         attributions = data["attributions"]
         if not isinstance(attributions, dict) or set(attributions) != set(ATTRIBUTION_KEYS):
             raise ValueError(f"attributions must be exactly {list(ATTRIBUTION_KEYS)}")
         scalars = {name: finite_number(data[name], name)
-                   for name in (*_SCALAR_RECORD_FIELDS[1:], "opt_seconds") if name in data}
-        for name in ("p_limit_t1_w", "p_limit_t2_w"):
-            if scalars[name] <= 0.0:
-                raise ValueError(f"{name} must be > 0, got {scalars[name]!r}")
+                   for name in (*_SCALAR_RECORD_FIELDS, "opt_seconds") if name in data}
         rate = scalars["cooling_rate_w"]
         if not 0.0 <= rate <= COOLING_CAPACITY_W:
             raise ValueError(f"cooling_rate_w must be in [0, {COOLING_CAPACITY_W}], got {rate!r}")
-        d = MpcDecision.from_json(data["decision"], scalars["p_limit_t1_w"], scalars["p_limit_t2_w"])
-        record = cls(t=data["t"], **scalars, decision=d, attributions={})
+        p1, p2 = power_limit_at(calendar, t + 1), power_limit_at(calendar, t + 2)
+        d = MpcDecision.from_json(data["decision"], p1, p2)
+        record = cls(t, **scalars, p_limit_t1_w=p1, p_limit_t2_w=p2, decision=d, attributions={})
         # Each Disturbance refuses negative radiation or occupancy.
         h1 = features(d.u1_c, record.zone_temp_c, record.disturbance)
         h2 = features(d.u2_c, d.x1_c, record.disturbance_t2)
@@ -171,12 +171,14 @@ class TimestepRecord:
         return Disturbance(self.oa_temp_t2_c, self.oa_radiation_t2_wm2, self.occupancy_t2)
 
 
-# Serialized in field order, hour t first, ahead of the three fields with
-# their own encoding; every record holds these keys and may hold opt_seconds.
+# Serialized in field order, ahead of the three fields with their own encoding,
+# but for the hour and the limits, which are the line's and the calendar's;
+# every record holds these keys and may hold opt_seconds.
 _SCALAR_RECORD_FIELDS = tuple(
     f.name
     for f in fields(TimestepRecord)
-    if f.name not in ("decision", "attributions", "opt_seconds")
+    if f.name not in ("t", "p_limit_t1_w", "p_limit_t2_w", "decision", "attributions",
+                      "opt_seconds")
 )
 _RECORD_KEYS = frozenset(_SCALAR_RECORD_FIELDS + ("decision", "attributions"))
 
@@ -321,12 +323,13 @@ def run_episode(
 def save_episode(episode: Episode, path: str | Path, include_timing: bool = True) -> None:
     """Write header plus one record per line, sealed with the lines' sha256.
 
-    Record p must be hour p, as ``run_episode`` builds it, because the
-    loader finds hours by position.  ``include_timing=False`` writes the
-    canonical form: identical runs produce byte-identical files because
-    per-step wall-clock is omitted.  The digest is known only after the last
-    record, so the header is written, and hashed, with a placeholder of the
-    same width that is then overwritten.
+    Record p must be hour p under the calendar's limits, as ``run_episode``
+    builds it, because the loader takes both from the line and the header.
+    ``include_timing=False`` writes the canonical form: identical runs
+    produce byte-identical files because per-step wall-clock is omitted.  The
+    digest is known only after the last record, so the header is written,
+    and hashed, with a placeholder of the same width that is then
+    overwritten.
     """
     header = {
         "version": EPISODE_VERSION,
@@ -344,6 +347,10 @@ def save_episode(episode: Episode, path: str | Path, include_timing: bool = True
         for position, record in enumerate(episode.records):
             if record.t != position:
                 raise InvalidInputError(f"record {position} holds hour {record.t}, not {position}")
+            stored = [record.p_limit_t1_w, record.p_limit_t2_w]
+            limits = [power_limit_at(episode.calendar, position + k) for k in (1, 2)]
+            if stored != limits:
+                raise InvalidInputError(f"record {position} holds limits {stored}, not {limits}")
             line = json.dumps(record.to_json(include_timing), separators=(",", ":")) + "\n"
             line = line.encode()
             seal.update(line)
@@ -352,42 +359,38 @@ def save_episode(episode: Episode, path: str | Path, include_timing: bool = True
         fh.write(seal.hexdigest().encode())
 
 
-def load_episode(path: str | Path, timesteps: list[int] | None = None) -> Episode:
-    """Read an episode file; with ``timesteps``, only the records at those hours.
+def load_episode(path: str | Path, hour: int | None = None) -> Episode:
+    """Read an episode file: every record, or with ``hour`` only the one at that hour.
 
     Every line is hashed, and the record count and ``records_sha256`` are
     checked against the header.  A matching digest means every line is
-    as written, so only the requested records are decoded: hour t is record
-    t, which the loader checks for every record it decodes.
+    as written, so only the requested record is decoded: hour t is record t.
     """
     path = Path(path)
-    header, decoded = _read_episode(path, None if timesteps is None else set(timesteps))
-    records = list(decoded.values())
-    if timesteps is not None:
+    header, calendar, records = _read_episode(path, hour)
+    if hour is not None and not records:
         if not header["n_records"]:
             raise InvalidInputError("episode has no records")
-        unknown = [t for t in timesteps if t not in decoded]
-        if unknown:
-            raise InvalidInputError(
-                f"timesteps {unknown} not in episode (valid range 0..{header['n_records'] - 1})"
-            )
-        records = [decoded[t] for t in timesteps]
+        raise InvalidInputError(
+            f"hour {hour} not in episode (valid range 0..{header['n_records'] - 1})"
+        )
     return Episode(
         seeds=header.get("seeds", {}),
         model_digests=header.get("model_digests", {}),
         records=records,
-        calendar=calendar_from_json(header.get("calendar"), f"{path}:1 calendar"),
+        calendar=calendar,
     )
 
 
-def _read_episode(path: Path, positions: set[int] | None) -> tuple[dict, dict]:
-    """The header and the decoded records by position, after one checked pass.
+def _read_episode(path: Path, hour: int | None) -> tuple[dict, dict, list[TimestepRecord]]:
+    """The header, its calendar and the decoded records, after one checked pass.
 
-    ``positions=None`` decodes every record.  The digest covers the header
-    line, its CR/LF ending replaced by one ``\\n`` and its own digest zeroed,
-    then each non-blank record line, ended the same way.
+    ``hour=None`` decodes every record, otherwise only the one at ``hour``.
+    The digest covers the header line, its CR/LF ending replaced by one
+    ``\\n`` and its own digest zeroed, then each non-blank record line,
+    ended the same way.
     """
-    records: dict[int, TimestepRecord] = {}
+    records: list[TimestepRecord] = []
     with path.open("rb") as fh:
         first = fh.readline()
         if not first:
@@ -409,6 +412,7 @@ def _read_episode(path: Path, positions: set[int] | None) -> tuple[dict, dict]:
             )
         if "records_sha256" not in header:
             raise EpisodeIntegrityError(f"{path}:1: header lacks its seal, records_sha256")
+        calendar = calendar_from_json(header.get("calendar"), f"{path}:1 calendar")
         sealed = str(header["records_sha256"])
         head = first.rstrip(b"\r\n") + b"\n"
         seal = hashlib.sha256(head.replace(_SEAL_KEY + sealed.encode(), _SEAL_KEY + _UNSEALED, 1))
@@ -419,16 +423,11 @@ def _read_episode(path: Path, positions: set[int] | None) -> tuple[dict, dict]:
                 continue
             seal.update(line)
             seal.update(b"\n")
-            if positions is None or position in positions:
+            if hour is None or position == hour:
                 try:
-                    record = TimestepRecord.from_json(json.loads(line))
+                    records.append(TimestepRecord.from_json(json.loads(line), position, calendar))
                 except (KeyError, TypeError, ValueError, RecursionError) as exc:
                     raise EpisodeIntegrityError(f"{path}:{lineno}: bad record ({exc})") from None
-                if record.t != position:
-                    raise EpisodeIntegrityError(
-                        f"{path}:{lineno}: bad record (hour {record.t} at record {position})"
-                    )
-                records[position] = record
             position += 1
     declared = header.get("n_records")
     if declared != position:
@@ -439,7 +438,7 @@ def _read_episode(path: Path, positions: set[int] | None) -> tuple[dict, dict]:
         raise EpisodeIntegrityError(
             f"{path}: lines do not match the header's records_sha256 (edited since written?)"
         )
-    return header, records
+    return header, calendar, records
 
 
 def timing_report(episode: Episode) -> TimingReport:

@@ -19,10 +19,11 @@ produce.
 
 Exact enumeration visits all 2^n coalitions.  The surrogates use five
 features (32 coalitions), far under the guard; anything wider is refused.
-The coalition tables are built once per feature count, and phi is one
-weighted sum of differences per feature, so an ignored feature gets exactly 0.
+The coalition tables are built per call, and phi is one weighted sum of
+differences per feature, so an ignored feature gets exactly 0.
 
-A callable is evaluated on every hybrid row.  A surrogate, f(z) = w2 .
+A callable is evaluated on every hybrid row, one coalition's |B| rows per
+call.  A surrogate, f(z) = w2 .
 relu(W1 z + b1) + b2 on standardized features, has a closed form instead.
 For coalition S and hidden unit k the pre-activation of background row b
 splits into an instance part u_k = b1_k + sum over j in S of W1_kj z_j and a
@@ -56,7 +57,6 @@ does not depend on the batch it arrives in or its position there.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -69,12 +69,6 @@ from .surrogate import SurrogateModel, _standardized
 # Refuse exact enumeration above this many features: 2^20 coalitions is
 # already minutes of work.
 MAX_EXACT_FEATURES = 20
-
-# Coalitions reach a callable in chunks of at most this many hybrid rows, so
-# memory stays bounded however many coalitions one call asks for.  Chunking
-# never changes the values: each coalition's rows stay together in one
-# chunk and are averaged alone.
-_BATCH_ROW_LIMIT = 2048
 
 # Instances go through a surrogate's sorted background, and into the phi
 # reduction, in blocks of this many rows, however long the episode.  A
@@ -168,9 +162,8 @@ def _prepare(model, instances, background):
     return names, instances, background
 
 
-@functools.lru_cache(maxsize=4)
 def _coalition_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only (members, with_i, without_i, weights) for ``n`` features.
+    """(members, with_i, without_i, weights) for ``n`` features.
 
     Row ``mask`` of ``members`` holds coalition ``mask``: feature i is a
     member iff bit i is set.  Row i of ``without_i`` lists, in ascending
@@ -183,30 +176,20 @@ def _coalition_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nd
     with_i = without_i | (1 << np.arange(n))[:, None]
     size_weights = np.array([coalition_weight(s, n) for s in range(n)])
     weights = size_weights[members.sum(axis=1)[without_i]]
-    for table in (members, with_i, without_i, weights):
-        table.flags.writeable = False
     return members, with_i, without_i, weights
 
 
 def _callable_values(fn, point: np.ndarray, background: np.ndarray, members: np.ndarray) -> np.ndarray:
-    """v(S) of one instance for every coalition, by evaluating ``fn`` on the hybrids.
+    """v(S) of one instance for every coalition: the mean of ``fn`` over its hybrids.
 
-    Every coalition gets its own copy of the background in which the member
-    columns are pinned to the instance.  Coalitions go to ``fn`` in chunks
-    of at most ``_BATCH_ROW_LIMIT`` rows (one coalition per call if the
-    background alone is larger).
+    Each coalition is one call of ``fn`` on a copy of the background whose
+    member columns are pinned to the instance.
     """
-    b, n = background.shape
-    per_call = max(1, _BATCH_ROW_LIMIT // b)
     values = np.empty(len(members))
-    for start in range(0, len(members), per_call):
-        chunk = members[start : start + per_call]
-        hybrids = np.tile(background, (len(chunk), 1))
-        blocks = hybrids.reshape(len(chunk), b, n)
-        for i in range(n):
-            blocks[chunk[:, i], :, i] = point[i]
-        preds = np.asarray(fn(hybrids), dtype=float)
-        values[start : start + len(chunk)] = preds.reshape(len(chunk), b).mean(axis=1)
+    for mask, inside in enumerate(members):
+        hybrids = background.copy()
+        hybrids[:, inside] = point[inside]
+        values[mask] = np.mean(np.asarray(fn(hybrids), dtype=float))
     return values
 
 
@@ -266,7 +249,8 @@ def shapley(model, instances, background):
     ``instances`` is one feature vector, which returns an ``Attribution``,
     or an (m, n) matrix, which returns m of them in row order.  A surrogate
     takes the closed form of the module docstring for every row at once; a
-    callable is evaluated on the hybrids of one row at a time.
+    callable is evaluated on the hybrids of one row and one coalition at a
+    time.
     Deterministic: the same inputs always produce bit-identical output, and
     a row's result does not depend on the other rows.
     """

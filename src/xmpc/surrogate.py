@@ -500,16 +500,12 @@ def load(path: str | Path) -> SurrogateModel:
         raise DeserializationError(
             f"{path}: malformed norm; its statistics must be finite, with stds > 0 ({exc})"
         ) from None
-    n_in = schema.n_features
-    for i, (w, b) in enumerate(layers):
-        if w.ndim != 2 or w.shape[1] != n_in or b.shape != (w.shape[0],):
-            raise DeserializationError(
-                f"{path}: layer {i} weight shape {w.shape} / bias shape {b.shape} "
-                f"inconsistent with input width {n_in}"
-            )
-        n_in = w.shape[0]
-    if layers[-1][0].shape[0] != 1:
-        raise DeserializationError(f"{path}: output layer must have width 1")
+    shapes = [(w.shape, b.shape) for w, b in layers]
+    expected = [((HIDDEN_DIM, schema.n_features), (HIDDEN_DIM,)), ((1, HIDDEN_DIM), (1,))]
+    if shapes != expected:
+        raise DeserializationError(
+            f"{path}: layer (weight, bias) shapes {shapes} are not the fixed network's {expected}"
+        )
     if norm.means.shape != (schema.n_features,) or norm.stds.shape != (schema.n_features,):
         raise DeserializationError(
             f"{path}: norm means shape {norm.means.shape} / stds shape {norm.stds.shape} "

@@ -442,20 +442,22 @@ def test_timestep_out_of_range_is_usage_error(cli_workspace, tmp_path, capsys, m
     monkeypatch.chdir(tmp_path)
     rc = main([argv[0], "--episode", str(cli_workspace / "episode.jsonl"), *argv[1:]])
     assert rc == 2
-    assert "timesteps [9999] not in episode (valid range 0..47)" in capsys.readouterr().err
+    assert "hour 9999 not in episode (valid range 0..47)" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("relabel, message", [
     (lambda header, body: header.update(version=1) or header.pop("records_sha256"),
-     "episode format version 1 is not 5; re-run `xmpc run`"),
+     "episode format version 1 is not 6; re-run `xmpc run`"),
     (lambda header, body: header.update(
         version=2, records_sha256=hashlib.sha256(body).hexdigest()),
-     "episode format version 2 is not 5"),
-    (lambda header, body: header.update(version=3), "episode format version 3 is not 5"),
+     "episode format version 2 is not 6"),
+    (lambda header, body: header.update(version=3), "episode format version 3 is not 6"),
     (lambda header, body: header.update(version=4),
-     "episode format version 4 is not 5; re-run `xmpc run` to rebuild the episode"),
+     "episode format version 4 is not 6; re-run `xmpc run` to rebuild the episode"),
+    (lambda header, body: header.update(version=5),
+     "episode format version 5 is not 6; re-run `xmpc run` to rebuild the episode"),
     (lambda header, body: header.pop("records_sha256"), "header lacks its seal, records_sha256"),
-], ids=["v1", "v2", "v3", "v4", "unsealed"])
+], ids=["v1", "v2", "v3", "v4", "v5", "unsealed"])
 def test_legacy_or_unsealed_episode_is_usage_error(
     cli_workspace, tmp_path, capsys, relabel, message
 ):
@@ -475,42 +477,31 @@ def test_legacy_or_unsealed_episode_is_usage_error(
     assert message in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv", [
-    ["ask", "--t", "5", "--question", "Why?"],
-    ["explain", "--t", "5", "--out", "docs"],
-], ids=["ask", "explain"])
-def test_hour_not_at_its_record_is_usage_error(
-    cli_workspace, tmp_path, capsys, monkeypatch, reseal, argv
-):
-    # Hour t is record t; with a recomputed seal only the loader's check catches a swap.
-    monkeypatch.chdir(tmp_path)
-    lines = (cli_workspace / "episode.jsonl").read_bytes().splitlines(keepends=True)
-    lines[6], lines[7] = lines[7], lines[6]  # records 5 and 6
-    Path("swapped.jsonl").write_bytes(b"".join(lines))
-    reseal("swapped.jsonl")
-    rc = main([argv[0], "--episode", "swapped.jsonl", *argv[1:]])
-    assert rc == 2
-    assert "swapped.jsonl:7: bad record (hour 6 at record 5)" in capsys.readouterr().err
-
-
 # Edits to record 14 that a recomputed seal vouches for: (path to the value,
 # new value, the start of the loader's complaint).  Each left ask or explain
 # with a traceback or a document written from a record that contradicts itself.
 # Format 5 derives the chosen pair, its cost and the attributed feature
 # vectors, so the probes that set them (setpoint-string, setpoint-off-grid,
 # cost-not-minimum and the three *-values-* probes) now write a key the format
-# does not hold.
+# does not hold.  Format 6 derives the hour from the line and the limits from
+# the header calendar, so limit-string, negative-limit, a limit ahead that the
+# calendar does not hold, and an hour key do too.
 FIVE_VALUES = [24.0, 99.0, 30.0, 400.0, 3.0]
 MALFORMED_RECORDS = {
     "temp-string": (["zone_temp_c"], "26.0", "zone_temp_c must be a finite number, got '26.0')"),
     "temp-nan": (["zone_temp_c"], math.nan, "zone_temp_c must be a finite number, got nan)"),
-    "limit-string": (["p_limit_t2_w"], "900", "p_limit_t2_w must be a finite number, got '900')"),
+    "limit-string": (["p_limit_t2_w"], "900", "unexpected or missing keys ['p_limit_t2_w'])"),
     "setpoint-string": (["decision", "u1_c"], "24.0", "unexpected or missing keys ['u1_c'])"),
     "prediction-null": (["decision", "y2_w"], None, "y2_w must be a finite number, got None)"),
     "timing-string": (["opt_seconds"], "fast", "opt_seconds must be a finite number, got 'fast')"),
     "stale-scenario": (["scenario"], 9, "unexpected or missing keys ['scenario'])"),
     "setpoint-off-grid": (["decision", "u1_c"], 99.0, "unexpected or missing keys ['u1_c'])"),
-    "negative-limit": (["p_limit_t2_w"], -5, "p_limit_t2_w must be > 0, got -5.0)"),
+    "negative-limit": (["p_limit_t2_w"], -5, "unexpected or missing keys ['p_limit_t2_w'])"),
+    # Hour 16 has the normal limit, and y2_w stays under this one, so format 5
+    # loaded the record as facing an event and rendered it as one.
+    "limit-contradicts-calendar": (["p_limit_t2_w"], 2500.0,
+                                   "unexpected or missing keys ['p_limit_t2_w'])"),
+    "hour-key": (["t"], 14, "unexpected or missing keys ['t'])"),
     "negative-occupancy": (["occupancy"], -3, "occupancy must be >= 0, got -3.0)"),
     "negative-occupancy-t2": (["occupancy_t2"], -3, "occupancy must be >= 0, got -3.0)"),
     "negative-cooling": (["cooling_rate_w"], -1e9,

@@ -192,22 +192,26 @@ class TestEpisodeFile:
 
     def test_record_keys_are_the_fields_in_order(self, mini_episode):
         # Canonical episodes depend on this key order staying fixed.  The
-        # setpoint, the scenario label, the chosen pair with its penalties and
-        # cost, and the feature names and values are derived, not stored.
+        # hour, the limits, the setpoint, the scenario label, the chosen pair
+        # with its penalties and cost, and the feature names and values are
+        # derived, not stored.
         record = mini_episode.records[5]
         data = record.to_json()
         assert list(data) == [
-            "t", "zone_temp_c", "oa_temp_c", "oa_radiation_wm2", "occupancy",
+            "zone_temp_c", "oa_temp_c", "oa_radiation_wm2", "occupancy",
             "oa_temp_t2_c", "oa_radiation_t2_wm2", "occupancy_t2", "cooling_rate_w",
-            "p_limit_t1_w", "p_limit_t2_w", "decision", "attributions", "opt_seconds",
+            "decision", "attributions", "opt_seconds",
         ]
         assert list(data["decision"]) == ["x1_c", "x2_c", "y1_w", "y2_w", "costs"]
         assert len(data["decision"]["costs"]) == 25
         assert list(data["attributions"]) == list(ATTRIBUTION_KEYS)
         for attribution in data["attributions"].values():
             assert list(attribution) == ["phi", "base_value", "prediction"]
-        back = TimestepRecord.from_json(json.loads(json.dumps(data)))
+        back = TimestepRecord.from_json(json.loads(json.dumps(data)), 5, mini_episode.calendar)
         assert back.to_json() == data
+        assert (back.t, back.p_limit_t1_w, back.p_limit_t2_w) == (
+            5, record.p_limit_t1_w, record.p_limit_t2_w
+        )
         assert back.setpoint_c == record.decision.u1_c
         assert back.scenario == record.scenario
         assert back.attributions["fx_t1"].feature_names == FX_SCHEMA.feature_names
@@ -305,19 +309,21 @@ class TestEpisodeFile:
         save_episode(mini_episode, path)
         full = load_episode(path)
         for record in full.records:
-            [alone] = load_episode(path, timesteps=[record.t]).records
+            [alone] = load_episode(path, record.t).records
+            assert alone.t == record.t
             assert alone.to_json() == record.to_json()
+            assert alone.decision == record.decision
         decoded = []
         from_json = TimestepRecord.from_json
 
-        def counting(data):
-            decoded.append(data["t"])
-            return from_json(data)
+        def counting(data, t, calendar):
+            decoded.append(t)
+            return from_json(data, t, calendar)
 
         monkeypatch.setattr(TimestepRecord, "from_json", counting)
-        picked = load_episode(path, timesteps=[30, 4, 30])
-        assert [r.t for r in picked.records] == [30, 4, 30]
-        assert sorted(decoded) == [4, 30]
+        picked = load_episode(path, 30)
+        assert [r.t for r in picked.records] == [30]
+        assert decoded == [30]
         assert picked.calendar == full.calendar == mini_episode.calendar
 
     def test_header_seal_and_calendar(self, mini_episode, tmp_path):
@@ -325,7 +331,7 @@ class TestEpisodeFile:
         save_episode(mini_episode, path, include_timing=False)
         head, _, body = path.read_bytes().partition(b"\n")
         header = json.loads(head)
-        assert header["version"] == EPISODE_VERSION == 5
+        assert header["version"] == EPISODE_VERSION == 6
         assert header["n_records"] == len(mini_episode)
         assert "config" not in header  # its day count is n_records / 24
         # The seal covers the header line, its own digest zeroed, then the records.
@@ -353,23 +359,25 @@ class TestEpisodeFile:
         for edit in (limit, model_digest):
             edited = tmp_path / f"{edit.__name__}.jsonl"
             rewrite_header(path, edited, edit)
-            for timesteps in (None, [3]):
+            for hour in (None, 3):
                 with pytest.raises(EpisodeIntegrityError, match="records_sha256"):
-                    load_episode(edited, timesteps=timesteps)
+                    load_episode(edited, hour)
 
     @pytest.mark.parametrize("relabel, message", [
         (lambda header, body: header.update(version=1) or header.pop("records_sha256"),
-         "episode format version 1 is not 5; re-run `xmpc run`"),
+         "episode format version 1 is not 6; re-run `xmpc run`"),
         (lambda header, body: header.update(
             version=2, records_sha256=hashlib.sha256(body).hexdigest()),
-         "episode format version 2 is not 5"),
+         "episode format version 2 is not 6"),
         (lambda header, body: header.update(version=3),
-         "episode format version 3 is not 5; re-run `xmpc run`"),
+         "episode format version 3 is not 6; re-run `xmpc run`"),
         (lambda header, body: header.update(version=4),
-         "episode format version 4 is not 5; re-run `xmpc run`"),
+         "episode format version 4 is not 6; re-run `xmpc run`"),
+        (lambda header, body: header.update(version=5),
+         "episode format version 5 is not 6; re-run `xmpc run`"),
         (lambda header, body: header.pop("records_sha256"),
          ":1: header lacks its seal, records_sha256"),
-    ], ids=["v1", "v2", "v3", "v4", "unsealed"])
+    ], ids=["v1", "v2", "v3", "v4", "v5", "unsealed"])
     def test_legacy_or_unsealed_file_refused(self, mini_episode, tmp_path, relabel, message):
         # Version 1 had no seal and version 2 sealed the records only, so with
         # either label, or without its digest, an edited event limit loaded.
@@ -377,6 +385,8 @@ class TestEpisodeFile:
         # facts they follow from, and its header every normal hour's limit.
         # Version 4 records stored the chosen pair, its cost and penalties
         # beside the candidate table, and every attributed feature vector.
+        # Version 5 records stored their hour and the two limits ahead beside
+        # the line and the calendar they follow from.
         path = tmp_path / "episode.jsonl"
         save_episode(mini_episode, path)
         body = path.read_bytes().partition(b"\n")[2]
@@ -388,9 +398,9 @@ class TestEpisodeFile:
 
         edited = tmp_path / "edited.jsonl"
         rewrite_header(path, edited, edit)
-        for timesteps in (None, [event - 2]):
+        for hour in (None, event - 2):
             with pytest.raises(EpisodeIntegrityError, match=re.escape(message)):
-                load_episode(edited, timesteps=timesteps)
+                load_episode(edited, hour)
 
     def test_record_must_hold_the_four_attributions(self, mini_episode, tmp_path, reseal):
         path = tmp_path / "episode.jsonl"
@@ -405,9 +415,9 @@ class TestEpisodeFile:
             bad = tmp_path / f"{change}.jsonl"
             bad.write_text("".join(lines[:6]) + json.dumps(record) + "\n" + "".join(lines[7:]))
             reseal(bad)
-            for timesteps in (None, [5]):
+            for hour in (None, 5):
                 with pytest.raises(EpisodeIntegrityError, match=r":7: bad record .*fy_t2"):
-                    load_episode(bad, timesteps=timesteps)
+                    load_episode(bad, hour)
 
     def test_edited_digit_breaks_the_seal(self, mini_episode, tmp_path, edit_digit):
         path = tmp_path / "episode.jsonl"
@@ -415,25 +425,32 @@ class TestEpisodeFile:
         edited = tmp_path / "edited.jsonl"
         edit_digit(path, edited, 20)
         line = edited.read_text().splitlines()[21]
-        assert TimestepRecord.from_json(json.loads(line)).cooling_rate_w != (
-            mini_episode.records[20].cooling_rate_w
-        )
-        for timesteps in (None, [3], [20]):
+        decoded = TimestepRecord.from_json(json.loads(line), 20, mini_episode.calendar)
+        assert decoded.cooling_rate_w != mini_episode.records[20].cooling_rate_w
+        for hour in (None, 3, 20):
             with pytest.raises(EpisodeIntegrityError, match="records_sha256"):
-                load_episode(edited, timesteps=timesteps)
+                load_episode(edited, hour)
 
-    def test_hour_not_at_its_record_is_a_bad_record(self, mini_episode, tmp_path, reseal):
+    @pytest.mark.parametrize("key", ["t", "p_limit_t1_w", "p_limit_t2_w"])
+    def test_record_stating_its_hour_or_a_limit_is_a_bad_record(
+        self, mini_episode, tmp_path, reseal, key
+    ):
+        # The hour is the record's line and its limits are the calendar's, so
+        # a record that states one, here the normal limit ahead of an event,
+        # is refused behind a new seal.
         path = tmp_path / "episode.jsonl"
         save_episode(mini_episode, path)
+        event = min(h for h, limit in mini_episode.calendar.items() if limit < NORMAL_POWER_LIMIT_W)
         lines = path.read_bytes().splitlines(keepends=True)
-        lines[3], lines[4] = lines[4], lines[3]  # hours 2 and 3 trade places
-        swapped = tmp_path / "swapped.jsonl"
-        swapped.write_bytes(b"".join(lines))
-        reseal(swapped)
-        for timesteps, message in ((None, ":4: bad record (hour 3 at record 2)"),
-                                   ([3], ":5: bad record (hour 2 at record 3)")):
+        record = json.loads(lines[event - 1])  # hour event - 2
+        record[key] = {"t": event - 2}.get(key, NORMAL_POWER_LIMIT_W)
+        lines[event - 1] = json.dumps(record, separators=(",", ":")).encode() + b"\n"
+        path.write_bytes(b"".join(lines))
+        reseal(path)
+        message = f":{event}: bad record (unexpected or missing keys ['{key}'])"
+        for hour in (None, event - 2):
             with pytest.raises(EpisodeIntegrityError, match=re.escape(message)):
-                load_episode(swapped, timesteps=timesteps)
+                load_episode(path, hour)
 
     def test_deeply_nested_record_is_a_bad_record(self, mini_episode, tmp_path, reseal):
         # json raises RecursionError, not ValueError, on nesting this deep.
@@ -444,24 +461,7 @@ class TestEpisodeFile:
         path.write_bytes(b"".join(lines))
         reseal(path)
         with pytest.raises(EpisodeIntegrityError, match=":5: bad record"):
-            load_episode(path, timesteps=[3])
-
-    @pytest.mark.parametrize("hour, edited", [
-        (5, b"5.7"), (5, b"5.0"), (5, b'"5"'), (1, b"true"),
-    ], ids=["fraction", "float", "string", "bool"])
-    def test_hour_must_be_an_integer(self, mini_episode, tmp_path, reseal, hour, edited):
-        path = tmp_path / "episode.jsonl"
-        save_episode(mini_episode, path)
-        lines = path.read_bytes().splitlines(keepends=True)
-        prefix = b'{"t":%d,' % hour
-        assert lines[hour + 1].startswith(prefix)
-        lines[hour + 1] = b'{"t":' + edited + b"," + lines[hour + 1][len(prefix):]
-        path.write_bytes(b"".join(lines))
-        reseal(path)
-        message = f":{hour + 2}: bad record (hour t must be an integer, got "
-        for timesteps in (None, [hour]):
-            with pytest.raises(EpisodeIntegrityError, match=re.escape(message)):
-                load_episode(path, timesteps=timesteps)
+            load_episode(path, 3)
 
     def test_save_refuses_records_out_of_hour_order(self, mini_episode, tmp_path):
         path = tmp_path / "shuffled.jsonl"
@@ -473,13 +473,28 @@ class TestEpisodeFile:
                 save_episode(Episode(seeds={}, model_digests={}, records=shuffled), path)
         assert list(tmp_path.iterdir()) == []
 
+    def test_save_refuses_limits_not_the_calendars(self, mini_episode, tmp_path):
+        # The file stores no limits: the loader takes them from the calendar.
+        path = tmp_path / "moved.jsonl"
+        event = min(h for h, limit in mini_episode.calendar.items() if limit < NORMAL_POWER_LIMIT_W)
+        moved = {**mini_episode.calendar, event: mini_episode.calendar[event] + 100.0}
+        with pytest.raises(InvalidInputError, match=re.escape(
+            f"record {event - 2} holds limits [5000.0, {mini_episode.calendar[event]!r}], "
+            f"not [5000.0, {moved[event]!r}]"
+        )):
+            save_episode(Episode(seeds={}, model_digests={}, records=mini_episode.records,
+                                 calendar=moved), path)
+        with pytest.raises(InvalidInputError, match=f"record {event - 2} holds limits"):
+            save_episode(Episode(seeds={}, model_digests={}, records=mini_episode.records), path)
+        assert list(tmp_path.iterdir()) == []
+
     def test_out_of_range_timestep_message(self, mini_episode, tmp_path):
         path = tmp_path / "episode.jsonl"
         save_episode(mini_episode, path)
         for t in (48, 9999, -1):
             with pytest.raises(InvalidInputError) as info:
-                load_episode(path, timesteps=[t])
-            assert str(info.value) == f"timesteps [{t}] not in episode (valid range 0..47)"
+                load_episode(path, t)
+            assert str(info.value) == f"hour {t} not in episode (valid range 0..47)"
 
     def test_bad_header_calendar_rejected(self, mini_episode, tmp_path, reseal):
         path = tmp_path / "episode.jsonl"
@@ -488,7 +503,23 @@ class TestEpisodeFile:
         rewrite_header(path, bad, lambda header: header["calendar"].update({"03": 1e3}))
         reseal(bad)
         with pytest.raises(DeserializationError, match="calendar: hour '03'"):
-            load_episode(bad, timesteps=[0])
+            load_episode(bad, 0)
+
+    def test_month_limits_are_the_calendars(self, episode, tmp_path):
+        # A record line holds neither its hour nor a limit; loaded, its limits
+        # are the header calendar's at the two reporting ticks ahead.
+        path = tmp_path / "episode.jsonl"
+        save_episode(episode, path, include_timing=False)
+        for line in path.read_text().splitlines()[1:]:
+            assert not {"t", "p_limit_t1_w", "p_limit_t2_w"} & set(json.loads(line))
+        loaded = load_episode(path)
+        assert loaded.calendar == episode.calendar
+        assert [r.t for r in loaded.records] == list(range(len(episode)))
+        for record in loaded.records:
+            assert record.p_limit_t1_w == power_limit_at(loaded.calendar, record.t + 1)
+            assert record.p_limit_t2_w == power_limit_at(loaded.calendar, record.t + 2)
+        events = [r for r in loaded.records if r.p_limit_t2_w < NORMAL_POWER_LIMIT_W]
+        assert len(events) == len(loaded.calendar)
 
     def test_month_episode_shape(self, episode):
         # The month-long fixture: 31 days of hourly records, every scenario

@@ -251,38 +251,24 @@ class TestAxioms:
 
 
 class TestCoalitionBatching:
-    @pytest.mark.parametrize("per_call", [1, 5, 24])
-    def test_chunked_calls_match_single_call(self, monkeypatch, per_call):
+    @pytest.mark.parametrize("rows", [1, 5, 24])
+    def test_chunked_calls_match_single_call(self, rows):
+        # One call per coalition, in mask order, of the background's rows with
+        # the coalition's columns pinned to the instance; their means are what
+        # one call over all 64 * rows hybrids gives.
         fn = lambda x: x[:, 0] * x[:, 5] + np.sin(x[:, 1]) - x[:, 2] * x[:, 3] ** 2 + x[:, 4]
         rng = np.random.default_rng(11)
         instance = rng.normal(size=6)
-        background = rng.normal(size=(9, 6))
-        whole = shapley(fn, instance, background)
-        # Room for per_call coalitions of 9 rows, but not one more.
-        monkeypatch.setattr(importlib.import_module("xmpc.shapley"), "_BATCH_ROW_LIMIT",
-                            per_call * 9 + 8)
-        sizes: list[int] = []
-        spy = lambda x: sizes.append(len(x)) or fn(x)
-        chunked = shapley(spy, instance, background)
-        assert len(sizes) == -(-64 // per_call)
-        assert sum(sizes) == 64 * 9 and max(sizes) == per_call * 9
-        assert np.array_equal(whole.shapley_values, chunked.shapley_values)
-        assert (whole.base_value, whole.prediction) == (chunked.base_value, chunked.prediction)
-
-    def test_surrogate_chunks_match_one_call(self, fx_model, fy_model, monkeypatch):
-        rng = np.random.default_rng(13)
-        cases = []
-        for model in (fx_model, fy_model):
-            background = background_of(model)
-            for row in rng.choice(len(background), size=20, replace=False):
-                instance = background[row] * rng.uniform(0.9, 1.1, size=5)
-                cases.append((model, instance, background))
-        chunked = [shapley(*case) for case in cases]
-        monkeypatch.setattr(importlib.import_module("xmpc.shapley"), "_BATCH_ROW_LIMIT", 10**9)
-        for case, a in zip(cases, chunked):
-            b = shapley(*case)
-            assert a.shapley_values.tobytes() == b.shapley_values.tobytes()
-            assert (a.base_value, a.prediction) == (b.base_value, b.prediction)
+        background = rng.normal(size=(rows, 6))
+        calls: list[np.ndarray] = []
+        spy = lambda x: calls.append(x.copy()) or fn(x)
+        got = shapley(spy, instance, background)
+        assert [len(x) for x in calls] == [rows] * 64
+        for mask, hybrids in enumerate(calls):
+            pinned = np.array([mask >> i & 1 for i in range(6)], dtype=bool)
+            assert np.array_equal(hybrids, np.where(pinned, instance, background))
+        means = fn(np.concatenate(calls)).reshape(64, rows).mean(axis=1)
+        assert (got.base_value, got.prediction) == (means[0], means[-1])
 
     def test_surrogate_attribution_peak_memory(self, fy_model):
         import tracemalloc

@@ -521,7 +521,23 @@ class TestPersistence:
         payload = model_to_json(fx_model)
         payload["layers"][0]["b"] = payload["layers"][0]["b"][:-1]
         path.write_text(json.dumps(payload))
-        with pytest.raises(DeserializationError, match="layer 0"):
+        with pytest.raises(DeserializationError, match=re.escape(
+            "shapes [((50, 5), (49,)), ((1, 50), (1,))] are not the fixed network's "
+            "[((50, 5), (50,)), ((1, 50), (1,))]"
+        )):
+            load(path)
+
+    def test_hidden_width_must_be_fifty(self, tmp_path, fx_model):
+        # A consistent net of 30 hidden units is still not the fixed design.
+        path = tmp_path / "model.json"
+        payload = model_to_json(fx_model)
+        hidden, output = payload["layers"]
+        hidden["w"], hidden["b"] = hidden["w"][:30], hidden["b"][:30]
+        output["w"] = [row[:30] for row in output["w"]]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DeserializationError, match=re.escape(
+            "shapes [((30, 5), (30,)), ((1, 30), (1,))] are not the fixed network's"
+        )):
             load(path)
 
     def test_output_width_must_be_one(self, tmp_path, fx_model):
@@ -531,7 +547,7 @@ class TestPersistence:
         last["w"] = last["w"] * 2  # duplicate the output row -> width 2
         last["b"] = last["b"] * 2
         path.write_text(json.dumps(payload))
-        with pytest.raises(DeserializationError, match="width 1"):
+        with pytest.raises(DeserializationError, match=re.escape("((2, 50), (2,))]")):
             load(path)
 
     def test_file_names_its_target(self, fx_model, fy_model):
