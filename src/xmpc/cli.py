@@ -22,9 +22,10 @@ byte for byte.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
-from .errors import FailureError, InvalidInputError, UsageError
+from .errors import AttributionError, FailureError, InvalidInputError, UsageError
 from . import explain as explain_mod
 from . import hub as hub_mod
 from . import llm as llm_mod
@@ -84,18 +85,20 @@ def cmd_run(args) -> int:
     episode = hub_mod.run_episode(
         args.days, cfg, fx_model, fy_model, calendar, seed=args.seed
     )
+    attributions = [a for record in episode.records for a in record.attributions.values()]
+    worst = max(
+        (verify_additivity(a)[1] / max(1.0, abs(a.prediction)) for a in attributions),
+        key=lambda residual: math.inf if math.isnan(residual) else residual,
+    )
+    additivity = (f"worst residual {worst:.1e} of max(1, |prediction|) "
+                  f"(tolerance {ADDITIVITY_TOLERANCE:.0e})")
+    # The loader's own check: an episode that fails it is not written.
+    if not all(verify_additivity(a)[0] for a in attributions):
+        raise AttributionError(f"additivity: {additivity}; {args.out} not written")
     hub_mod.save_episode(episode, args.out, include_timing=not args.no_timing)
     print(f"wrote {len(episode)} records to {args.out}")
     print(str(hub_mod.timing_report(episode)))
-    worst = max(
-        verify_additivity(a)[1] / max(1.0, abs(a.prediction))
-        for record in episode.records
-        for a in record.attributions.values()
-    )
-    print(
-        f"additivity: worst residual {worst:.1e} of max(1, |prediction|) "
-        f"(tolerance {ADDITIVITY_TOLERANCE:.0e})"
-    )
+    print(f"additivity: {additivity}")
     census = explain_mod.scenario_census(episode)
     names = explain_mod.SCENARIO_NAMES
     print(

@@ -56,6 +56,10 @@ class OptimizationFailedError(FailureError):
     """Every candidate in the setpoint grid evaluated to a non-finite cost."""
 
 
+class AttributionError(FailureError):
+    """An episode's attributions do not add up to the outputs they explain."""
+
+
 class GatewayError(FailureError):
     """The chat-completions service returned an error or malformed response."""
 

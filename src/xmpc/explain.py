@@ -9,7 +9,10 @@ and ``build_qa_context`` quotes.  The narrative is the scenario's template,
 with ``{name}`` placeholders; the attribution paragraphs are produced either
 by the deterministic narrator here or, in llm mode, by a chat model prompted
 with the same numbers.  A question about one interval is asked over that
-whole document (``build_qa_context``).
+whole document (``build_qa_context``).  A cooling prediction is quoted as
+the controller costed it, clamped at zero; where the surrogate's output was
+negative the summary adds it, as in "P(t+1) = 0.0W (the surrogate's -281.6W,
+clamped at zero)", because that raw output is what the attribution explains.
 
 The scenario rubric, ``classify``, lives in ``hub`` next to the record it
 reads (see that module's docstring); every document is rendered under the
@@ -27,6 +30,7 @@ from pathlib import Path
 from .charts import attribution_chart_svg, fmt_mean, fmt_phi, fmt_value, ranking_order
 from .errors import ConfigError, InvalidInputError, RenderError
 from .hub import ATTRIBUTION_KEYS, COMFORT_CEILING_C, Episode, TimestepRecord, classify
+from .mpc import clamp_power
 from .shapley import Attribution
 from .testbed import NORMAL_POWER_LIMIT_W, SETPOINT_GRID_C
 
@@ -187,6 +191,14 @@ def figure_name(t: int, k: int) -> str:
     return f"ts_{t}_attr{k}.svg"
 
 
+def _power(raw: float) -> str:
+    """A cooling prediction as the controller costed it, naming a surrogate output it clamped."""
+    costed = f"{fmt_value(clamp_power(raw))}W"
+    if raw >= 0.0:
+        return costed
+    return f"{costed} (the surrogate's {fmt_value(raw)}W, clamped at zero)"
+
+
 def _header_block(record: TimestepRecord) -> str:
     day, hod = divmod(record.t, 24)
     d = record.decision
@@ -203,8 +215,8 @@ def _header_block(record: TimestepRecord) -> str:
         f"T_spt(t+1) = {fmt_value(d.u1_c)}°C, "
         f"T_spt(t+2) = {fmt_value(d.u2_c)}°C.\n\n"
         "Model predictions: "
-        f"T_z(t+1) = {fmt_value(d.x1_c)}°C, P(t+1) = {fmt_value(d.y1_w)}W, "
-        f"T_z(t+2) = {fmt_value(d.x2_c)}°C, P(t+2) = {fmt_value(d.y2_w)}W. "
+        f"T_z(t+1) = {fmt_value(d.x1_c)}°C, P(t+1) = {_power(d.y1_w)}, "
+        f"T_z(t+2) = {fmt_value(d.x2_c)}°C, P(t+2) = {_power(d.y2_w)}. "
         f"Realized cooling this hour: {fmt_value(record.cooling_rate_w)}W."
     )
 
@@ -287,8 +299,8 @@ def render_document(record: TimestepRecord, mode: str = "deterministic", llm_con
         "T_spt_t2": fmt_value(d.u2_c),
         "T_z_t1": fmt_value(d.x1_c),
         "T_z_t2": fmt_value(d.x2_c),
-        "P_t1": fmt_value(d.y1_w),
-        "P_t2": fmt_value(d.y2_w),
+        "P_t1": fmt_value(clamp_power(d.y1_w)),
+        "P_t2": fmt_value(clamp_power(d.y2_w)),
         "P_t2_vs_limit": _comparative(d.y2_w, record.p_limit_t2_w),
         "penalty_outcome": (
             "which avoids the penalty from the demand response event."

@@ -28,37 +28,38 @@ Scenario rubric (deterministic, ``classify`` applied to a record):
 * Scenario 2, "Normal": everything else.
 
 Episodes serialize to JSON lines: a header object, then one record per line.
-Each fact is stored once.  A record holds the zone temperature, both hours'
-boundary conditions, the realized cooling rate, the decision's four
-predictions and the costs of its 25 pairs, each attribution's phi, base
-value and prediction, and the optimization wall-clock.  The rest is derived:
-the hour is the record's line (hour t on record line t), the two limits
-ahead are the header calendar's at t + 1 and t + 2, the chosen pair is the
-first cheapest and its penalties follow from those limits (the setpoint is
-``decision.u1_c``), the scenario label is ``classify(record)``, and an
-attribution's feature names are its model schema's and its values the
-vector the decision costed for that hour.  The header carries the format
-version (6, the only one that loads), the run and weather seeds, model
-digests, the DR calendar's event hours, the record count, and
-``records_sha256``, a digest that seals the file: it covers the header line
-(with its own digest field zeroed) and every record line.  The wall-clock
-can be omitted at save time (canonical form), which makes reruns with equal
-seeds byte-identical.
+Each number is stored once.  A record holds the zone temperature, the
+hour's boundary conditions, the realized cooling rate, the decision's four
+raw network outputs and its 25 pair costs, each attribution's phi, and the
+optimization wall-clock.  The rest is derived: the hour is the record's
+line, its limits are the header calendar's at t + 1 and t + 2, its second
+hour's boundary conditions the next line's (the last record's are the
+header's ``after_last``), the chosen pair is the first cheapest, the
+scenario is ``classify(record)``, and an attribution's feature names,
+values, base value and prediction are its schema's, the vector the decision
+costed, the header's for its model and the decision's output it explains.
+The header also carries the format version (7, the only one that loads),
+the run and weather seeds, model digests, the DR calendar's event hours,
+the record count and ``records_sha256``, a digest over the header line (its
+own digest zeroed) and every record line that seals the file.  Without the
+wall-clock (canonical form), reruns with equal seeds are byte-identical.
 
-``load_episode`` hashes every line but decodes only the record it is asked
-for: the seal, which every file must carry, vouches for the lines it skips.
-A decoded record must hold exactly the format's keys, every number in it
-must be a finite JSON number (a pair's cost may be null), and its parts
-must agree: physical disturbances and cooling rate, a chosen cost equal to
-its predictions plus penalties, additive attributions.
+``load_episode`` checks the seal before it decodes a record, then decodes
+only the requested record and the next line: the seal vouches for the rest.
+A record must hold exactly the format's keys and finite JSON numbers (a
+pair's cost may be null), and its parts must agree: physical boundary
+conditions and cooling rate, a chosen cost equal to its clamped powers plus
+penalties, and attributions that add up from the header's base values to
+the decision's outputs.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import re
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -83,7 +84,7 @@ from .testbed import (
     synth_disturbances,
 )
 
-EPISODE_VERSION = 6
+EPISODE_VERSION = 7
 
 # Reference per-interval optimization time that timing reports quote.
 REFERENCE_OPT_SECONDS = 4.19
@@ -92,8 +93,8 @@ REFERENCE_OPT_SECONDS = 4.19
 _SEAL_KEY = b'"records_sha256":"'
 _UNSEALED = b"0" * 64
 
-# One attribution per horizon prediction, keyed by model and reporting tick.
-ATTRIBUTION_KEYS = ("fx_t1", "fy_t1", "fx_t2", "fy_t2")
+# One attribution per horizon prediction, by model and reporting tick: the output it explains.
+ATTRIBUTION_KEYS = {"fx_t1": "x1_c", "fy_t1": "y1_w", "fx_t2": "x2_c", "fy_t2": "y2_w"}
 
 COMFORT_CEILING_C = SETPOINT_GRID_C[-1]
 
@@ -126,15 +127,15 @@ class TimestepRecord:
         return data
 
     @classmethod
-    def from_json(cls, data: dict, t: int, calendar: dict[int, float]) -> "TimestepRecord":
-        """Decode ``to_json`` output as hour ``t`` of an episode run under ``calendar``.
+    def from_json(cls, data: dict, t: int, calendar: dict, base_values: dict,
+                  after: Disturbance) -> "TimestepRecord":
+        """Decode hour ``t`` given the header's calendar and base values and hour t + 1's ``after``.
 
         Raise ``ValueError`` unless its parts agree.
         """
         check_keys(data, _RECORD_KEYS, optional=("opt_seconds",))
         attributions = data["attributions"]
-        if not isinstance(attributions, dict) or set(attributions) != set(ATTRIBUTION_KEYS):
-            raise ValueError(f"attributions must be exactly {list(ATTRIBUTION_KEYS)}")
+        check_keys(attributions, ATTRIBUTION_KEYS)
         scalars = {name: finite_number(data[name], name)
                    for name in (*_SCALAR_RECORD_FIELDS, "opt_seconds") if name in data}
         rate = scalars["cooling_rate_w"]
@@ -142,15 +143,17 @@ class TimestepRecord:
             raise ValueError(f"cooling_rate_w must be in [0, {COOLING_CAPACITY_W}], got {rate!r}")
         p1, p2 = power_limit_at(calendar, t + 1), power_limit_at(calendar, t + 2)
         d = MpcDecision.from_json(data["decision"], p1, p2)
-        record = cls(t, **scalars, p_limit_t1_w=p1, p_limit_t2_w=p2, decision=d, attributions={})
+        record = cls(t, **scalars, oa_temp_t2_c=after.oa_temp_c,
+                     oa_radiation_t2_wm2=after.oa_radiation_wm2, occupancy_t2=after.occupancy,
+                     p_limit_t1_w=p1, p_limit_t2_w=p2, decision=d, attributions={})
         # Each Disturbance refuses negative radiation or occupancy.
         h1 = features(d.u1_c, record.zone_temp_c, record.disturbance)
-        h2 = features(d.u2_c, d.x1_c, record.disturbance_t2)
-        for key, values in zip(ATTRIBUTION_KEYS, (h1, h1, h2, h2)):
-            names = SCHEMAS[key[:2]].feature_names
-            attribution = Attribution.from_json(attributions[key], names, values)
+        h2 = features(d.u2_c, d.x1_c, after)
+        for (key, output), values in zip(ATTRIBUTION_KEYS.items(), (h1, h1, h2, h2)):
+            attribution = Attribution.from_json(attributions[key], SCHEMAS[key[:2]].feature_names,
+                                                values, base_values[key[:2]], getattr(d, output))
             if not verify_additivity(attribution)[0]:
-                raise ValueError(f"{key} base_value + sum(phi) does not meet its prediction")
+                raise ValueError(f"{key} base value + sum(phi) is not the decision's {output}")
             record.attributions[key] = attribution
         return record
 
@@ -171,16 +174,27 @@ class TimestepRecord:
         return Disturbance(self.oa_temp_t2_c, self.oa_radiation_t2_wm2, self.occupancy_t2)
 
 
-# Serialized in field order, ahead of the three fields with their own encoding,
-# but for the hour and the limits, which are the line's and the calendar's;
-# every record holds these keys and may hold opt_seconds.
-_SCALAR_RECORD_FIELDS = tuple(
-    f.name
-    for f in fields(TimestepRecord)
-    if f.name not in ("t", "p_limit_t1_w", "p_limit_t2_w", "decision", "attributions",
-                      "opt_seconds")
-)
+# A record line's numbers, in order, and its other keys; the hour, the limits
+# and the second hour are the line's, the calendar's and the next line's.
+_SCALAR_RECORD_FIELDS = ("zone_temp_c", "oa_temp_c", "oa_radiation_wm2", "occupancy",
+                         "cooling_rate_w")
 _RECORD_KEYS = frozenset(_SCALAR_RECORD_FIELDS + ("decision", "attributions"))
+
+
+def _disturbance(data: dict) -> Disturbance:
+    """A record line's, or the header's ``after_last``, boundary conditions."""
+    return Disturbance(*(finite_number(data[f.name], f.name) for f in fields(Disturbance)))
+
+
+def _provenance_problem(seeds, digests) -> str | None:
+    """What is wrong with an episode's seeds or model digests, if anything."""
+    if not (isinstance(seeds, dict) and set(seeds) == {"run", "testbed"}
+            and all(type(seed) is int and seed >= 0 for seed in seeds.values())):
+        return f"seeds must be {{run, testbed}}, each a non-negative integer, got {seeds!r}"
+    if not (isinstance(digests, dict) and set(digests) == set(SCHEMAS) and all(
+            isinstance(d, str) and re.fullmatch("[0-9a-f]{64}", d) for d in digests.values())):
+        return f"model_digests must be {{fx, fy}}, each a sha256 hex digest, got {digests!r}"
+    return None
 
 
 def classify(record: TimestepRecord) -> int:
@@ -299,13 +313,14 @@ def run_episode(
 
     # One attribution call per model over the whole episode: [h1 rows; h2 rows].
     hours = np.array(hours_h1 + hours_h2)
-    fx_attributions = shapley(fx_model, hours, fx_bg)
-    fy_attributions = shapley(fy_model, hours, fy_bg)
+    fx_attrs = shapley(fx_model, hours, fx_bg)
+    fy_attrs = shapley(fy_model, hours, fy_bg)
     n = len(records)
     for t, record in enumerate(records):
-        record.attributions = dict(zip(ATTRIBUTION_KEYS, (
-            fx_attributions[t], fy_attributions[t], fx_attributions[n + t], fy_attributions[n + t]
-        )))
+        at_t = (fx_attrs[t], fy_attrs[t], fx_attrs[n + t], fy_attrs[n + t])
+        for (key, output), attribution in zip(ATTRIBUTION_KEYS.items(), at_t):
+            attribution.prediction = getattr(record.decision, output)
+            record.attributions[key] = attribution
 
     return Episode(
         seeds={"run": seed, "testbed": cfg.rng_seed},
@@ -323,34 +338,47 @@ def run_episode(
 def save_episode(episode: Episode, path: str | Path, include_timing: bool = True) -> None:
     """Write header plus one record per line, sealed with the lines' sha256.
 
-    Record p must be hour p under the calendar's limits, as ``run_episode``
-    builds it, because the loader takes both from the line and the header.
-    ``include_timing=False`` writes the canonical form: identical runs
-    produce byte-identical files because per-step wall-clock is omitted.  The
-    digest is known only after the last record, so the header is written,
-    and hashed, with a placeholder of the same width that is then
-    overwritten.
+    Record p must be hour p under the calendar's limits, its second hour
+    record p + 1's first and its base values record 0's, as ``run_episode``
+    builds them, because the loader derives them.  ``include_timing=False``
+    writes the canonical form: identical runs produce byte-identical files
+    because per-step wall-clock is omitted.  The digest is known only after
+    the last record, so the header is written, and hashed, with a
+    placeholder of the same width that is then overwritten.
     """
+    records = episode.records
+    problem = _provenance_problem(episode.seeds, episode.model_digests)
+    if problem:
+        raise InvalidInputError(problem)
+    base_values = ({role: records[0].attributions[f"{role}_t1"].base_value for role in SCHEMAS}
+                   if records else None)
+    seconds = [r.disturbance for r in records[1:]] + [r.disturbance_t2 for r in records[-1:]]
     header = {
         "version": EPISODE_VERSION,
         "kind": "episode",
-        "n_records": len(episode.records),
+        "n_records": len(records),
         "records_sha256": _UNSEALED.decode(),  # overwritten in place once the records are out
         "seeds": episode.seeds,
         "model_digests": episode.model_digests,
+        "base_values": base_values,
         "calendar": calendar_to_json(episode.calendar),
+        "after_last": asdict(seconds[-1]) if records else None,
     }
     head = (json.dumps(header, separators=(",", ":")) + "\n").encode()
     seal = hashlib.sha256(head)
     with atomic_write(path, binary=True) as fh:
         fh.write(head)
-        for position, record in enumerate(episode.records):
-            if record.t != position:
-                raise InvalidInputError(f"record {position} holds hour {record.t}, not {position}")
-            stored = [record.p_limit_t1_w, record.p_limit_t2_w]
-            limits = [power_limit_at(episode.calendar, position + k) for k in (1, 2)]
-            if stored != limits:
-                raise InvalidInputError(f"record {position} holds limits {stored}, not {limits}")
+        for p, record in enumerate(records):
+            for name, stored, derived in (
+                ("hour", record.t, p),
+                ("limits", [record.p_limit_t1_w, record.p_limit_t2_w],
+                 [power_limit_at(episode.calendar, p + k) for k in (1, 2)]),
+                ("second hour", record.disturbance_t2, seconds[p]),
+                ("base values", {k: a.base_value for k, a in record.attributions.items()},
+                 {k: base_values[k[:2]] for k in record.attributions}),
+            ):
+                if stored != derived:
+                    raise InvalidInputError(f"record {p} holds {name} {stored}, not {derived}")
             line = json.dumps(record.to_json(include_timing), separators=(",", ":")) + "\n"
             line = line.encode()
             seal.update(line)
@@ -363,34 +391,15 @@ def load_episode(path: str | Path, hour: int | None = None) -> Episode:
     """Read an episode file: every record, or with ``hour`` only the one at that hour.
 
     Every line is hashed, and the record count and ``records_sha256`` are
-    checked against the header.  A matching digest means every line is
-    as written, so only the requested record is decoded: hour t is record t.
+    checked against the header, before any record is decoded.  A matching
+    digest means every line is as written, so only the requested record
+    (hour t is record t) and the next line, which holds its second hour's
+    boundary conditions, are decoded, from the last back.  The digest covers
+    the header line, its CR/LF ending replaced by one ``\\n`` and its own
+    digest zeroed, then each non-blank record line, ended the same way.
     """
     path = Path(path)
-    header, calendar, records = _read_episode(path, hour)
-    if hour is not None and not records:
-        if not header["n_records"]:
-            raise InvalidInputError("episode has no records")
-        raise InvalidInputError(
-            f"hour {hour} not in episode (valid range 0..{header['n_records'] - 1})"
-        )
-    return Episode(
-        seeds=header.get("seeds", {}),
-        model_digests=header.get("model_digests", {}),
-        records=records,
-        calendar=calendar,
-    )
-
-
-def _read_episode(path: Path, hour: int | None) -> tuple[dict, dict, list[TimestepRecord]]:
-    """The header, its calendar and the decoded records, after one checked pass.
-
-    ``hour=None`` decodes every record, otherwise only the one at ``hour``.
-    The digest covers the header line, its CR/LF ending replaced by one
-    ``\\n`` and its own digest zeroed, then each non-blank record line,
-    ended the same way.
-    """
-    records: list[TimestepRecord] = []
+    held: list[tuple[int, bytes]] = []  # (line number, line) of the records to decode and the next
     with path.open("rb") as fh:
         first = fh.readline()
         if not first:
@@ -412,7 +421,6 @@ def _read_episode(path: Path, hour: int | None) -> tuple[dict, dict, list[Timest
             )
         if "records_sha256" not in header:
             raise EpisodeIntegrityError(f"{path}:1: header lacks its seal, records_sha256")
-        calendar = calendar_from_json(header.get("calendar"), f"{path}:1 calendar")
         sealed = str(header["records_sha256"])
         head = first.rstrip(b"\r\n") + b"\n"
         seal = hashlib.sha256(head.replace(_SEAL_KEY + sealed.encode(), _SEAL_KEY + _UNSEALED, 1))
@@ -423,11 +431,8 @@ def _read_episode(path: Path, hour: int | None) -> tuple[dict, dict, list[Timest
                 continue
             seal.update(line)
             seal.update(b"\n")
-            if hour is None or position == hour:
-                try:
-                    records.append(TimestepRecord.from_json(json.loads(line), position, calendar))
-                except (KeyError, TypeError, ValueError, RecursionError) as exc:
-                    raise EpisodeIntegrityError(f"{path}:{lineno}: bad record ({exc})") from None
+            if hour is None or position - hour in (0, 1):
+                held.append((lineno, line))
             position += 1
     declared = header.get("n_records")
     if declared != position:
@@ -438,7 +443,31 @@ def _read_episode(path: Path, hour: int | None) -> tuple[dict, dict, list[Timest
         raise EpisodeIntegrityError(
             f"{path}: lines do not match the header's records_sha256 (edited since written?)"
         )
-    return header, calendar, records
+    calendar = calendar_from_json(header.get("calendar"), f"{path}:1 calendar")
+    problem = _provenance_problem(header.get("seeds"), header.get("model_digests"))
+    if problem:
+        raise EpisodeIntegrityError(f"{path}:1: {problem}")
+    if hour is not None and not 0 <= hour < position:
+        if not position:
+            raise InvalidInputError("episode has no records")
+        raise InvalidInputError(f"hour {hour} not in episode (valid range 0..{position - 1})")
+    records: list[TimestepRecord] = []
+    try:
+        if held:
+            base_values = {role: finite_number(header["base_values"][role], f"{role} base value")
+                           for role in SCHEMAS}
+            after = _disturbance(header["after_last"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise EpisodeIntegrityError(f"{path}:1: bad header ({exc})") from None
+    for t, (lineno, line) in reversed(list(enumerate(held, start=hour or 0))):
+        try:
+            data = json.loads(line)
+            if hour in (None, t):
+                records.append(TimestepRecord.from_json(data, t, calendar, base_values, after))
+            after = _disturbance(data)
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:
+            raise EpisodeIntegrityError(f"{path}:{lineno}: bad record ({exc})") from None
+    return Episode(header["seeds"], header["model_digests"], records[::-1], calendar)
 
 
 def timing_report(episode: Episode) -> TimingReport:

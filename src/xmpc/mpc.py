@@ -13,9 +13,9 @@ The rollout chains the surrogates hour by hour.  Both models read the same
 per-hour feature vector (the hour's setpoint, the zone temperature entering
 the hour, and that hour's boundary conditions): the temperature model
 returns the zone temperature an hour later, the cooling model that hour's
-average power.  Predicted cooling rates are clamped at zero from below
-before costing, since a slightly negative network output is a model
-artifact, not a real power.
+average power.  A decision keeps the raw network outputs, and cooling
+rates are clamped at zero from below wherever they are costed, since a
+slightly negative output is a model artifact, not a real power.
 
 Predictors must be deterministic: the same feature vector must always give
 the same prediction.  ``optimize`` relies on it to predict the first hour
@@ -77,11 +77,11 @@ class MpcProblem:
 
 @dataclass
 class MpcDecision:
-    """One costed setpoint pair: its predictions, penalties and total cost.
+    """One costed setpoint pair: its raw predictions, penalties and total cost.
 
     ``rollout`` returns a pair with an empty ``candidates`` table; ``optimize``
     returns the cheapest pair with the table of every pair it costed.  Its
-    JSON form holds only the four predictions and the table's costs.
+    JSON form holds only the four network outputs and the table's costs.
     """
 
     u1_c: float
@@ -111,10 +111,10 @@ class MpcDecision:
         table = [(u1, u2, math.inf if c is None else finite_number(c, "cost"))
                  for (u1, u2), c in zip(pairs, data["costs"])]
         u1, u2, cost = min(table, key=lambda candidate: candidate[2])
-        v1, v2 = penalty(y1, p_limit_t1_w), penalty(y2, p_limit_t2_w)
+        v1, v2 = penalty(clamp_power(y1), p_limit_t1_w), penalty(clamp_power(y2), p_limit_t2_w)
         # optimize's own sum, bit for bit; this also refuses a table of nulls (cost inf).
-        if cost != y1 + v1 + y2 + v2:
-            raise ValueError(f"chosen cost {cost!r} is not y1_w + v1 + y2_w + v2")
+        if cost != clamp_power(y1) + v1 + clamp_power(y2) + v2:
+            raise ValueError(f"chosen cost {cost!r} is not max(0, y1_w) + v1 + max(0, y2_w) + v2")
         return cls(u1, u2, x1, x2, y1, y2, v1, v2, cost, table)
 
     def candidate_cost(self, u1: float, u2: float) -> float:
@@ -133,7 +133,10 @@ def penalty(power_w: float, p_limit_w: float) -> float:
     if not math.isfinite(p_limit_w) or p_limit_w <= 0.0:
         raise InvalidInputError(f"power limit must be positive and finite, got {p_limit_w!r}")
     if power_w > p_limit_w:
-        return (power_w - p_limit_w) ** 2
+        try:
+            return (power_w - p_limit_w) ** 2
+        except OverflowError:  # float ** raises where * would give inf
+            return math.inf
     return 0.0
 
 
@@ -153,18 +156,15 @@ def features(setpoint: float, zone_temp: float, d: Disturbance) -> np.ndarray:
     return np.array([setpoint, zone_temp, d.oa_temp_c, d.oa_radiation_wm2, d.occupancy])
 
 
-def _clamp_power(value: float) -> float:
-    # max() would silently swallow a NaN prediction; keep it visible so the
-    # candidate's cost stays non-finite and optimize() can skip or refuse it.
-    if math.isnan(value):
-        return math.nan
+def clamp_power(value: float) -> float:
+    """A finite cooling prediction as costed: a negative network output is no power."""
     return max(0.0, value)
 
 
 def _first_hour(problem: MpcProblem, u1: float) -> tuple[float, float]:
-    """Predicted zone temperature and clamped cooling rate after hour one."""
+    """Predicted zone temperature and cooling rate after hour one."""
     f1 = features(u1, problem.zone_temp_c, problem.d1)
-    return float(problem.fx(f1)), _clamp_power(float(problem.fy(f1)))
+    return float(problem.fx(f1)), float(problem.fy(f1))
 
 
 def _second_hour(problem: MpcProblem, u1: float, x1: float, y1: float, u2: float) -> MpcDecision:
@@ -173,11 +173,11 @@ def _second_hour(problem: MpcProblem, u1: float, x1: float, y1: float, u2: float
     if math.isfinite(x1) and math.isfinite(y1):
         f2 = features(u2, x1, problem.d2)
         x2 = float(problem.fx(f2))
-        y2 = _clamp_power(float(problem.fy(f2)))
-        v1 = penalty(y1, problem.p_limit_t1_w)
+        y2 = float(problem.fy(f2))
         if math.isfinite(x2) and math.isfinite(y2):
-            v2 = penalty(y2, problem.p_limit_t2_w)
-            cost = y1 + v1 + y2 + v2
+            p1, p2 = clamp_power(y1), clamp_power(y2)
+            v1, v2 = penalty(p1, problem.p_limit_t1_w), penalty(p2, problem.p_limit_t2_w)
+            cost = p1 + v1 + p2 + v2
     return MpcDecision(
         u1_c=u1, u2_c=u2, x1_c=x1, x2_c=x2, y1_w=y1, y2_w=y2, v1=v1, v2=v2, cost=cost
     )

@@ -93,25 +93,17 @@ class Attribution:
     prediction: float
 
     def to_json(self) -> dict:
-        return {
-            "phi": [float(p) for p in self.shapley_values],
-            "base_value": self.base_value,
-            "prediction": self.prediction,
-        }
+        return {"phi": [float(p) for p in self.shapley_values]}
 
     @classmethod
-    def from_json(cls, data: dict, names: tuple[str, ...], values) -> "Attribution":
-        """Decode ``to_json`` output, which leaves out the feature ``names`` and ``values``."""
-        check_keys(data, ("phi", "base_value", "prediction"))
+    def from_json(cls, data: dict, names: tuple[str, ...], values, base_value: float,
+                  prediction: float) -> "Attribution":
+        """Decode ``to_json`` output, phi alone, completed by the caller's other four fields."""
+        check_keys(data, ("phi",))
         if not isinstance(data["phi"], list) or len(data["phi"]) != len(names):
             raise ValueError(f"phi must list {len(names)} numbers, one per feature")
-        return cls(
-            feature_names=tuple(names),
-            feature_values=np.array(values, dtype=float),
-            shapley_values=np.array([finite_number(p, "phi") for p in data["phi"]]),
-            base_value=finite_number(data["base_value"], "base_value"),
-            prediction=finite_number(data["prediction"], "prediction"),
-        )
+        phi = np.array([finite_number(p, "phi") for p in data["phi"]])
+        return cls(tuple(names), np.array(values, dtype=float), phi, base_value, prediction)
 
 
 def coalition_weight(s_size: int, n: int) -> float:
@@ -213,10 +205,11 @@ def _surrogate_values(
     w2_long = w2[0].astype(np.longdouble)
     b = len(rows)
     hidden = np.arange(len(b1))
-    # Each unit's sorted v, padded with +inf to a power of two above b so
-    # that the branchless search below takes log2(width) equal steps.
+    # Each unit's sorted v, padded with NaN to a power of two above b so
+    # that the branchless search below takes log2(width) equal steps and,
+    # since NaN <= x is false even for x = +inf, never counts the padding.
     width = 1 << b.bit_length()
-    ordered = np.full((len(hidden), width), np.inf)
+    ordered = np.full((len(hidden), width), np.nan)
     flat, offsets = ordered.ravel(), hidden * width
     suffix = np.zeros((len(hidden), b + 1), dtype=np.longdouble)  # suffix[k, i] = sum of v[k, i:]
 

@@ -522,6 +522,13 @@ def load(path: str | Path) -> SurrogateModel:
             f"{path}: meta.background must be a finite (k >= 1, {schema.n_features}) array "
             "of training rows"
         )
+    (w1, b1), _ = layers
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result is refused below
+        hidden = ((background - norm.means) / norm.stds) @ w1.T + b1
+    if not np.isfinite(hidden).all():
+        raise DeserializationError(
+            f"{path}: the hidden layer's pre-activations on meta.background are not finite"
+        )
     return SurrogateModel(schema=schema, layers=layers, norm=norm, meta=data["meta"])
 
 

@@ -428,7 +428,8 @@ def test_timestep_of_empty_episode_is_usage_error(tmp_path, capsys, monkeypatch,
     from xmpc.hub import Episode, save_episode
 
     monkeypatch.chdir(tmp_path)
-    save_episode(Episode(seeds={}, model_digests={}), "empty.jsonl")
+    save_episode(Episode(seeds={"run": 0, "testbed": 0},
+                         model_digests={"fx": "0" * 64, "fy": "f" * 64}), "empty.jsonl")
     rc = main([argv[0], "--episode", "empty.jsonl", *argv[1:]])
     assert rc == 2
     assert "episode has no records" in capsys.readouterr().err
@@ -447,17 +448,19 @@ def test_timestep_out_of_range_is_usage_error(cli_workspace, tmp_path, capsys, m
 
 @pytest.mark.parametrize("relabel, message", [
     (lambda header, body: header.update(version=1) or header.pop("records_sha256"),
-     "episode format version 1 is not 6; re-run `xmpc run`"),
+     "episode format version 1 is not 7; re-run `xmpc run`"),
     (lambda header, body: header.update(
         version=2, records_sha256=hashlib.sha256(body).hexdigest()),
-     "episode format version 2 is not 6"),
-    (lambda header, body: header.update(version=3), "episode format version 3 is not 6"),
+     "episode format version 2 is not 7"),
+    (lambda header, body: header.update(version=3), "episode format version 3 is not 7"),
     (lambda header, body: header.update(version=4),
-     "episode format version 4 is not 6; re-run `xmpc run` to rebuild the episode"),
+     "episode format version 4 is not 7; re-run `xmpc run` to rebuild the episode"),
     (lambda header, body: header.update(version=5),
-     "episode format version 5 is not 6; re-run `xmpc run` to rebuild the episode"),
+     "episode format version 5 is not 7; re-run `xmpc run` to rebuild the episode"),
+    (lambda header, body: header.update(version=6),
+     "episode format version 6 is not 7; re-run `xmpc run` to rebuild the episode"),
     (lambda header, body: header.pop("records_sha256"), "header lacks its seal, records_sha256"),
-], ids=["v1", "v2", "v3", "v4", "v5", "unsealed"])
+], ids=["v1", "v2", "v3", "v4", "v5", "v6", "unsealed"])
 def test_legacy_or_unsealed_episode_is_usage_error(
     cli_workspace, tmp_path, capsys, relabel, message
 ):
@@ -485,7 +488,12 @@ def test_legacy_or_unsealed_episode_is_usage_error(
 # cost-not-minimum and the three *-values-* probes) now write a key the format
 # does not hold.  Format 6 derives the hour from the line and the limits from
 # the header calendar, so limit-string, negative-limit, a limit ahead that the
-# calendar does not hold, and an hour key do too.
+# calendar does not hold, and an hour key do too.  Format 7 takes the second
+# hour's boundary conditions from the next line and each attribution's base
+# value from the header, and explains the decision's own outputs, so
+# negative-occupancy-t2, a second-hour outdoor temperature 3 K above the next
+# record's, and a stored base value or prediction write a key the format does
+# not hold.
 FIVE_VALUES = [24.0, 99.0, 30.0, 400.0, 3.0]
 MALFORMED_RECORDS = {
     "temp-string": (["zone_temp_c"], "26.0", "zone_temp_c must be a finite number, got '26.0')"),
@@ -503,20 +511,27 @@ MALFORMED_RECORDS = {
                                    "unexpected or missing keys ['p_limit_t2_w'])"),
     "hour-key": (["t"], 14, "unexpected or missing keys ['t'])"),
     "negative-occupancy": (["occupancy"], -3, "occupancy must be >= 0, got -3.0)"),
-    "negative-occupancy-t2": (["occupancy_t2"], -3, "occupancy must be >= 0, got -3.0)"),
+    "negative-occupancy-t2": (["occupancy_t2"], -3, "unexpected or missing keys ['occupancy_t2'])"),
+    "t2-conditions-not-the-next-hours": (["oa_temp_t2_c"], 38.3,
+                                         "unexpected or missing keys ['oa_temp_t2_c'])"),
+    "base-value-key": (["attributions", "fx_t2", "base_value"], 23.0,
+                       "unexpected or missing keys ['base_value'])"),
+    "prediction-key": (["attributions", "fy_t1", "prediction"], 4584.0,
+                       "unexpected or missing keys ['prediction'])"),
     "negative-cooling": (["cooling_rate_w"], -1e9,
                          "cooling_rate_w must be in [0, 6000.0], got -1000000000.0)"),
     "cost-not-minimum": (["decision", "cost"], 1, "unexpected or missing keys ['cost'])"),
     # (26, 26) is the first pair, so a cost of 0 makes it the chosen one.
     "cost-not-predictions-plus-penalties": (["decision", "costs", 0], 0.0,
-                                            "chosen cost 0.0 is not y1_w + v1 + y2_w + v2)"),
+                                            "chosen cost 0.0 is not max(0, y1_w) + v1 + "
+                                            "max(0, y2_w) + v2)"),
     "costs-short": (["decision", "costs"], [900.0] * 24,
                     "costs must list 25 entries, one per setpoint pair)"),
     "costs-all-null": (["decision", "costs"], [None] * 25,
-                       "chosen cost inf is not y1_w + v1 + y2_w + v2)"),
+                       "chosen cost inf is not max(0, y1_w) + v1 + max(0, y2_w) + v2)"),
     "cost-string": (["decision", "costs", 3], "900", "cost must be a finite number, got '900')"),
     "phi-not-additive": (["attributions", "fy_t1", "phi", 0], 1e6,
-                         "fy_t1 base_value + sum(phi) does not meet its prediction)"),
+                         "fy_t1 base value + sum(phi) is not the decision's y1_w)"),
     "t1-values-not-costed": (["attributions", "fx_t1", "values"], FIVE_VALUES,
                              "unexpected or missing keys ['values'])"),
     "t2-values-not-costed": (["attributions", "fx_t2", "values"], FIVE_VALUES,
@@ -549,6 +564,131 @@ def test_malformed_record_is_usage_error(
     assert rc == 2
     assert f"probe.jsonl:16: bad record ({message}" in capsys.readouterr().err
     assert not Path("docs").exists()
+
+
+def rewrite_record(src: Path, dst: Path, t: int, edit, reseal) -> None:
+    """Copy an episode file with ``edit`` applied to record ``t``, behind a recomputed seal."""
+    lines = src.read_bytes().splitlines(keepends=True)
+    record = json.loads(lines[t + 1])
+    edit(record)
+    lines[t + 1] = json.dumps(record, separators=(",", ":")).encode() + b"\n"
+    dst.write_bytes(b"".join(lines))
+    reseal(dst)
+
+
+def _raise(record, keys, amount):
+    *parents, last = keys
+    for key in parents:
+        record = record[key]
+    record[last] += amount
+
+
+# Each attribution explains the decision's output beside it: a phi raised by
+# 500 W (with or without a stated prediction raised to match, as format 6
+# stored one) and a predicted zone temperature of -1 or 1e11 degC, all of
+# which format 6 loaded and rendered, no longer add up.
+UNEXPLAINED = {
+    "phi-plus-500": (lambda r: _raise(r, ["attributions", "fy_t1", "phi", 0], 500.0),
+                     "fy_t1 base value + sum(phi) is not the decision's y1_w)"),
+    "prediction-and-phi-plus-500": (
+        lambda r: _raise(r, ["attributions", "fy_t1", "phi", 0], 500.0)
+        or r["attributions"]["fy_t1"].update(prediction=r["decision"]["y1_w"] + 500.0),
+        "unexpected or missing keys ['prediction'])"),
+    "x1-negative": (lambda r: r["decision"].update(x1_c=-1.0),
+                    "fx_t1 base value + sum(phi) is not the decision's x1_c)"),
+    "x1-huge": (lambda r: r["decision"].update(x1_c=1e11),
+                "fx_t1 base value + sum(phi) is not the decision's x1_c)"),
+}
+
+
+@pytest.mark.parametrize("edit, message", UNEXPLAINED.values(), ids=UNEXPLAINED)
+@pytest.mark.parametrize("argv", [
+    ["ask", "--t", "14", "--question", "Why?"],
+    ["explain", "--t", "14", "--out", "docs"],
+    ["explain", "--out", "docs"],
+], ids=["ask", "explain", "explain-all"])
+def test_attribution_not_explaining_its_decision_is_usage_error(
+    cli_workspace, tmp_path, capsys, monkeypatch, reseal, argv, edit, message
+):
+    monkeypatch.chdir(tmp_path)
+    rewrite_record(cli_workspace / "episode.jsonl", tmp_path / "probe.jsonl", 14, edit, reseal)
+    rc = main([argv[0], "--episode", "probe.jsonl", *argv[1:]])
+    assert rc == 2
+    assert f"probe.jsonl:16: bad record ({message}" in capsys.readouterr().err
+    assert not Path("docs").exists()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("seeds", {"run": 5}),
+    ("seeds", {"run": 5, "testbed": -1}),
+    ("model_digests", {"fx": "0" * 64, "fy": "not a digest"}),
+    ("model_digests", [0, 1]),
+], ids=["seeds-missing-testbed", "seeds-negative", "digest-not-hex", "digests-list"])
+@pytest.mark.parametrize("argv", [
+    ["ask", "--t", "14", "--question", "Why?"],
+    ["explain", "--out", "docs"],
+], ids=["ask", "explain"])
+def test_malformed_provenance_is_usage_error(
+    cli_workspace, tmp_path, capsys, monkeypatch, reseal, argv, field, value
+):
+    monkeypatch.chdir(tmp_path)
+    head, _, body = (cli_workspace / "episode.jsonl").read_bytes().partition(b"\n")
+    header = json.loads(head)
+    header[field] = value
+    Path("probe.jsonl").write_bytes(json.dumps(header, separators=(",", ":")).encode()
+                                    + b"\n" + body)
+    reseal("probe.jsonl")
+    rc = main([argv[0], "--episode", "probe.jsonl", *argv[1:]])
+    assert rc == 2
+    assert f"probe.jsonl:1: {field} must be " in capsys.readouterr().err
+    assert not Path("docs").exists()
+
+
+@pytest.mark.parametrize("hour", [lambda event: event - 2, lambda event: event - 3, lambda _: 0],
+                         ids=["event-2", "event-3", "hour-0"])
+@pytest.mark.parametrize("argv", [
+    ["ask", "--question", "Why?"],
+    ["explain", "--out", "docs"],
+], ids=["ask", "explain"])
+def test_unsealed_header_limit_edit_names_the_seal(
+    cli_workspace, tmp_path, capsys, monkeypatch, argv, hour
+):
+    # Lowering an event's limit in the header changes the limits the record
+    # two hours ahead of it derives; the seal, checked before any record is
+    # decoded, is what every hour reports.
+    monkeypatch.chdir(tmp_path)
+    head, _, body = (cli_workspace / "episode.jsonl").read_bytes().partition(b"\n")
+    header = json.loads(head)
+    event = min(int(h) for h, limit in header["calendar"].items()
+                if limit < testbed.NORMAL_POWER_LIMIT_W)
+    header["calendar"][str(event)] = 500.0
+    Path("edited.jsonl").write_bytes(json.dumps(header, separators=(",", ":")).encode()
+                                     + b"\n" + body)
+    rc = main([argv[0], "--episode", "edited.jsonl", "--t", str(hour(event)), *argv[1:]])
+    assert rc == 2
+    assert "records_sha256" in capsys.readouterr().err
+    assert not Path("docs").exists()
+
+
+@pytest.mark.parametrize("unit, feature, code, message", [
+    (5, 1, 2, "error: fx.json: the hidden layer's pre-activations on meta.background"),
+    (0, 0, 3, "runtime error: additivity: worst residual"),
+], ids=["overflows-on-its-background", "attributions-not-additive"])
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_model_with_a_huge_finite_weight(
+    cli_workspace, tmp_path, capsys, monkeypatch, unit, feature, code, message
+):
+    # Neither a traceback nor an episode file that fails to load.
+    monkeypatch.chdir(tmp_path)
+    model = json.loads((cli_workspace / "fx.json").read_text())
+    model["layers"][0]["w"][unit][feature] = -1e308
+    Path("fx.json").write_text(json.dumps(model))
+    rc = main(["run", "--days", "1", "--fx", "fx.json", "--fy", str(cli_workspace / "fy.json"),
+               "--out", "e.jsonl"])
+    assert rc == code
+    assert message in capsys.readouterr().err
+    assert not Path("e.jsonl").exists()
 
 
 @pytest.mark.parametrize("argv", [

@@ -33,7 +33,7 @@ from xmpc.explain import (
     write_documents,
 )
 from xmpc.hub import ATTRIBUTION_KEYS, TimestepRecord
-from xmpc.mpc import MpcDecision
+from xmpc.mpc import MpcDecision, clamp_power
 from xmpc.shapley import Attribution
 
 WORKED_ATTR = Attribution(
@@ -61,13 +61,20 @@ def first_of(episode, scenario: int) -> TimestepRecord:
     return next(r for r in episode.records if r.scenario == scenario)
 
 
+def first_clamped(episode, output: str) -> TimestepRecord:
+    """The first record whose cooling surrogate gave ``output`` ("y1_w" or "y2_w") below zero."""
+    return next(r for r in episode.records if getattr(r.decision, output) < 0.0)
+
+
 def expected_numerals(record: TimestepRecord, threshold_w: float = 5000.0) -> set[str]:
     """Every numeral a rendered document may cite, from the record alone.
 
     Built with the same fmt helpers the renderer documents as its contract,
     so any numeral outside this set cannot trace back to the record.  Tokens
     are stored unsigned because the extraction regex never captures a minus
-    sign (negative cooling predictions render as e.g. "-99.04").
+    sign (negative cooling predictions render as e.g. "-99.04").  A cooling
+    prediction is cited as costed, clamped at zero, and where it was
+    negative also as the surrogate's raw output.
     """
     d = record.decision
     day, hod = divmod(record.t, 24)
@@ -80,6 +87,7 @@ def expected_numerals(record: TimestepRecord, threshold_w: float = 5000.0) -> se
         fmt_value(record.oa_radiation_wm2), fmt_value(record.occupancy),
         fmt_value(d.u1_c), fmt_value(d.u2_c), fmt_value(d.x1_c), fmt_value(d.x2_c),
         fmt_value(d.y1_w), fmt_value(d.y2_w),
+        fmt_value(clamp_power(d.y1_w)), fmt_value(clamp_power(d.y2_w)),
         fmt_value(record.cooling_rate_w),
         fmt_value(COMFORT_CEILING_C),
         f"{d.cost:.1f}",
@@ -294,6 +302,29 @@ class TestNumeralFaithfulness:
         allowed = expected_numerals(record)
         for numeral in re.findall(r"\d+(?:\.\d+)?", text):
             assert numeral in allowed, f"untraceable numeral {numeral!r} in scenario {scenario}"
+
+    @pytest.mark.parametrize("output", ["y1_w", "y2_w"])
+    @pytest.mark.parametrize("mode", ["deterministic", "llm"])
+    def test_clamped_cooling_prediction(self, episode, no_network, output, mode):
+        # The document quotes the costed 0.0 W and the negative output that
+        # the attribution paragraph explains, both traceable to the record.
+        record = first_clamped(episode, output)
+        raw = getattr(record.decision, output)
+        text = render_document(record, mode=mode)
+        hour = {"y1_w": "t+1", "y2_w": "t+2"}[output]
+        assert f"P({hour}) = 0.0W (the surrogate's {fmt_value(raw)}W, clamped at zero)" in text
+        key = {"y1_w": "fy_t1", "y2_w": "fy_t2"}[output]
+        assert record.attributions[key].prediction == raw
+        if mode == "deterministic":
+            assert f"P({hour}) at {fmt_mean(raw)}, against" in text
+        allowed = expected_numerals(record)
+        for numeral in re.findall(r"\d+(?:\.\d+)?", text):
+            assert numeral in allowed, f"untraceable numeral {numeral!r}"
+
+    def test_unclamped_prediction_has_no_clause(self, episode):
+        record = first_of(episode, 1)
+        assert min(record.decision.y1_w, record.decision.y2_w) >= 0.0
+        assert "clamped at zero" not in render_document(record)
 
 
 class TestLlmModeRendering:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import re
@@ -39,6 +40,12 @@ from xmpc.testbed import (
     step,
 )
 
+
+
+def base_values_of(episode) -> dict[str, float]:
+    """Each model's base value, which every attribution of the episode starts from."""
+    first = episode.records[0].attributions
+    return {"fx": first["fx_t1"].base_value, "fy": first["fy_t1"].base_value}
 
 
 def rewrite_header(src, dst, edit) -> None:
@@ -150,12 +157,18 @@ class TestRunEpisode:
             d = record.decision
             h1 = features(d.u1_c, record.zone_temp_c, record.disturbance)
             h2 = features(d.u2_c, d.x1_c, record.disturbance_t2)
-            for key, model, h in zip(ATTRIBUTION_KEYS, (fx, fy, fx, fy), (h1, h1, h2, h2)):
+            outputs = (d.x1_c, d.y1_w, d.x2_c, d.y2_w)
+            for key, model, h, output in zip(ATTRIBUTION_KEYS, (fx, fy, fx, fy), (h1, h1, h2, h2),
+                                             outputs):
                 alone = shapley(model, h, background_of(model))
                 got = record.attributions[key]
                 assert np.array_equal(got.feature_values, h)
                 assert got.shapley_values.tobytes() == alone.shapley_values.tobytes()
-                assert (got.base_value, got.prediction) == (alone.base_value, alone.prediction)
+                assert got.base_value == alone.base_value
+                # What is attributed is the decision's raw output, which the
+                # closed form's own v(all features) meets within round-off.
+                assert got.prediction == output
+                assert got.prediction == pytest.approx(alone.prediction, rel=1e-11, abs=1e-9)
 
     def test_rerun_is_identical(self, testbed_cfg, mini_models, tmp_path):
         fx, fy = mini_models
@@ -198,20 +211,24 @@ class TestEpisodeFile:
         record = mini_episode.records[5]
         data = record.to_json()
         assert list(data) == [
-            "zone_temp_c", "oa_temp_c", "oa_radiation_wm2", "occupancy",
-            "oa_temp_t2_c", "oa_radiation_t2_wm2", "occupancy_t2", "cooling_rate_w",
+            "zone_temp_c", "oa_temp_c", "oa_radiation_wm2", "occupancy", "cooling_rate_w",
             "decision", "attributions", "opt_seconds",
         ]
         assert list(data["decision"]) == ["x1_c", "x2_c", "y1_w", "y2_w", "costs"]
         assert len(data["decision"]["costs"]) == 25
         assert list(data["attributions"]) == list(ATTRIBUTION_KEYS)
         for attribution in data["attributions"].values():
-            assert list(attribution) == ["phi", "base_value", "prediction"]
-        back = TimestepRecord.from_json(json.loads(json.dumps(data)), 5, mini_episode.calendar)
+            assert list(attribution) == ["phi"]
+        base_values = base_values_of(mini_episode)
+        back = TimestepRecord.from_json(json.loads(json.dumps(data)), 5, mini_episode.calendar,
+                                        base_values, mini_episode.records[6].disturbance)
         assert back.to_json() == data
-        assert (back.t, back.p_limit_t1_w, back.p_limit_t2_w) == (
-            5, record.p_limit_t1_w, record.p_limit_t2_w
+        assert (back.t, back.p_limit_t1_w, back.p_limit_t2_w, back.disturbance_t2) == (
+            5, record.p_limit_t1_w, record.p_limit_t2_w, record.disturbance_t2
         )
+        for key, output in zip(ATTRIBUTION_KEYS, ("x1_c", "y1_w", "x2_c", "y2_w")):
+            assert back.attributions[key].base_value == base_values[key[:2]]
+            assert back.attributions[key].prediction == getattr(record.decision, output)
         assert back.setpoint_c == record.decision.u1_c
         assert back.scenario == record.scenario
         assert back.attributions["fx_t1"].feature_names == FX_SCHEMA.feature_names
@@ -252,7 +269,7 @@ class TestEpisodeFile:
         text = str(report)
         assert "mean" in text and "4.19" in text
 
-    def test_missing_file_line_errors(self, mini_episode, tmp_path):
+    def test_missing_file_line_errors(self, mini_episode, tmp_path, reseal):
         path = tmp_path / "episode.jsonl"
         save_episode(mini_episode, path)
         lines = path.read_text().splitlines()
@@ -266,11 +283,16 @@ class TestEpisodeFile:
         bad_lines = list(lines)
         bad_lines[5] = bad_lines[5][:40]
         corrupt.write_text("\n".join(bad_lines) + "\n")
-        with pytest.raises(EpisodeIntegrityError, match=":6"):
+        with pytest.raises(EpisodeIntegrityError, match="records_sha256"):
+            load_episode(corrupt)
+        reseal(corrupt)
+        with pytest.raises(EpisodeIntegrityError, match=":6: bad record"):
             load_episode(corrupt)
 
     @pytest.mark.parametrize("newline", ["\n", "\r\n"])
-    def test_line_numbers_and_messages_while_streaming(self, mini_episode, tmp_path, newline):
+    def test_line_numbers_and_messages_while_streaming(
+        self, mini_episode, tmp_path, reseal, newline
+    ):
         path = tmp_path / "episode.jsonl"
         save_episode(mini_episode, path)
         lines = path.read_text().splitlines()
@@ -280,13 +302,20 @@ class TestEpisodeFile:
         spaced.write_bytes((text + newline).encode())
         assert len(load_episode(spaced)) == len(mini_episode)
 
+        # The last record truncated, behind a seal over the truncated line,
+        # which the loader hashes the same without the blank line and with
+        # either line ending.
         cut = tmp_path / "cut.jsonl"
-        cut.write_bytes(text[:-10].encode())  # last record truncated, no line end
+        cut.write_text("\n".join(lines)[:-10] + "\n")
+        reseal(cut)
+        sealed = cut.read_text().splitlines()
+        cut.write_bytes(newline.join([sealed[0], "", *sealed[1:]]).encode())  # no line end
         with pytest.raises(json.JSONDecodeError) as expected:
             json.loads(lines[-1][:-10])
-        with pytest.raises(EpisodeIntegrityError) as info:
-            load_episode(cut)
-        assert str(info.value) == f"{cut}:{len(lines) + 1}: bad record ({expected.value})"
+        for hour in (None, len(lines) - 2):
+            with pytest.raises(EpisodeIntegrityError) as info:
+                load_episode(cut, hour)
+            assert str(info.value) == f"{cut}:{len(lines) + 1}: bad record ({expected.value})"
 
     def test_wrong_kind_and_empty(self, tmp_path):
         empty = tmp_path / "empty.jsonl"
@@ -316,9 +345,9 @@ class TestEpisodeFile:
         decoded = []
         from_json = TimestepRecord.from_json
 
-        def counting(data, t, calendar):
+        def counting(data, t, *header_parts):
             decoded.append(t)
-            return from_json(data, t, calendar)
+            return from_json(data, t, *header_parts)
 
         monkeypatch.setattr(TimestepRecord, "from_json", counting)
         picked = load_episode(path, 30)
@@ -331,9 +360,15 @@ class TestEpisodeFile:
         save_episode(mini_episode, path, include_timing=False)
         head, _, body = path.read_bytes().partition(b"\n")
         header = json.loads(head)
-        assert header["version"] == EPISODE_VERSION == 6
+        assert header["version"] == EPISODE_VERSION == 7
         assert header["n_records"] == len(mini_episode)
         assert "config" not in header  # its day count is n_records / 24
+        # Each model's base value, and the last hour's second-hour conditions.
+        last = mini_episode.records[-1]
+        assert header["base_values"] == base_values_of(mini_episode)
+        assert header["after_last"] == {"oa_temp_c": last.oa_temp_t2_c,
+                                        "oa_radiation_wm2": last.oa_radiation_t2_wm2,
+                                        "occupancy": last.occupancy_t2}
         # The seal covers the header line, its own digest zeroed, then the records.
         unsealed = head.replace(header["records_sha256"].encode(), b"0" * 64)
         assert header["records_sha256"] == hashlib.sha256(unsealed + b"\n" + body).hexdigest()
@@ -365,19 +400,21 @@ class TestEpisodeFile:
 
     @pytest.mark.parametrize("relabel, message", [
         (lambda header, body: header.update(version=1) or header.pop("records_sha256"),
-         "episode format version 1 is not 6; re-run `xmpc run`"),
+         "episode format version 1 is not 7; re-run `xmpc run`"),
         (lambda header, body: header.update(
             version=2, records_sha256=hashlib.sha256(body).hexdigest()),
-         "episode format version 2 is not 6"),
+         "episode format version 2 is not 7"),
         (lambda header, body: header.update(version=3),
-         "episode format version 3 is not 6; re-run `xmpc run`"),
+         "episode format version 3 is not 7; re-run `xmpc run`"),
         (lambda header, body: header.update(version=4),
-         "episode format version 4 is not 6; re-run `xmpc run`"),
+         "episode format version 4 is not 7; re-run `xmpc run`"),
         (lambda header, body: header.update(version=5),
-         "episode format version 5 is not 6; re-run `xmpc run`"),
+         "episode format version 5 is not 7; re-run `xmpc run`"),
+        (lambda header, body: header.update(version=6),
+         "episode format version 6 is not 7; re-run `xmpc run`"),
         (lambda header, body: header.pop("records_sha256"),
          ":1: header lacks its seal, records_sha256"),
-    ], ids=["v1", "v2", "v3", "v4", "v5", "unsealed"])
+    ], ids=["v1", "v2", "v3", "v4", "v5", "v6", "unsealed"])
     def test_legacy_or_unsealed_file_refused(self, mini_episode, tmp_path, relabel, message):
         # Version 1 had no seal and version 2 sealed the records only, so with
         # either label, or without its digest, an edited event limit loaded.
@@ -386,7 +423,10 @@ class TestEpisodeFile:
         # Version 4 records stored the chosen pair, its cost and penalties
         # beside the candidate table, and every attributed feature vector.
         # Version 5 records stored their hour and the two limits ahead beside
-        # the line and the calendar they follow from.
+        # the line and the calendar they follow from.  Version 6 records
+        # stored each attribution's base value and prediction beside the
+        # decision's output, and the second hour's boundary conditions beside
+        # the next record's.
         path = tmp_path / "episode.jsonl"
         save_episode(mini_episode, path)
         body = path.read_bytes().partition(b"\n")[2]
@@ -415,8 +455,11 @@ class TestEpisodeFile:
             bad = tmp_path / f"{change}.jsonl"
             bad.write_text("".join(lines[:6]) + json.dumps(record) + "\n" + "".join(lines[7:]))
             reseal(bad)
+            key = {"drop": "fy_t2", "add": "fy_t3"}[change]
             for hour in (None, 5):
-                with pytest.raises(EpisodeIntegrityError, match=r":7: bad record .*fy_t2"):
+                with pytest.raises(EpisodeIntegrityError, match=re.escape(
+                    f":7: bad record (unexpected or missing keys ['{key}'])"
+                )):
                     load_episode(bad, hour)
 
     def test_edited_digit_breaks_the_seal(self, mini_episode, tmp_path, edit_digit):
@@ -425,7 +468,9 @@ class TestEpisodeFile:
         edited = tmp_path / "edited.jsonl"
         edit_digit(path, edited, 20)
         line = edited.read_text().splitlines()[21]
-        decoded = TimestepRecord.from_json(json.loads(line), 20, mini_episode.calendar)
+        decoded = TimestepRecord.from_json(json.loads(line), 20, mini_episode.calendar,
+                                           base_values_of(mini_episode),
+                                           mini_episode.records[21].disturbance)
         assert decoded.cooling_rate_w != mini_episode.records[20].cooling_rate_w
         for hour in (None, 3, 20):
             with pytest.raises(EpisodeIntegrityError, match="records_sha256"):
@@ -468,9 +513,10 @@ class TestEpisodeFile:
         records = mini_episode.records
         for shuffled, message in ((records[10:], "record 0 holds hour 10, not 0"),
                                   (records[::-1], "record 0 holds hour 47, not 0"),
-                                  (records[:5] + records[6:], "record 5 holds hour 6, not 5")):
+                                  # Hour 4's second hour is hour 5's first, not hour 6's.
+                                  (records[:5] + records[6:], "record 4 holds second hour")):
             with pytest.raises(InvalidInputError, match=message):
-                save_episode(Episode(seeds={}, model_digests={}, records=shuffled), path)
+                save_episode(Episode(mini_episode.seeds, mini_episode.model_digests, shuffled), path)
         assert list(tmp_path.iterdir()) == []
 
     def test_save_refuses_limits_not_the_calendars(self, mini_episode, tmp_path):
@@ -482,10 +528,11 @@ class TestEpisodeFile:
             f"record {event - 2} holds limits [5000.0, {mini_episode.calendar[event]!r}], "
             f"not [5000.0, {moved[event]!r}]"
         )):
-            save_episode(Episode(seeds={}, model_digests={}, records=mini_episode.records,
-                                 calendar=moved), path)
+            save_episode(Episode(mini_episode.seeds, mini_episode.model_digests,
+                                 mini_episode.records, moved), path)
         with pytest.raises(InvalidInputError, match=f"record {event - 2} holds limits"):
-            save_episode(Episode(seeds={}, model_digests={}, records=mini_episode.records), path)
+            save_episode(Episode(mini_episode.seeds, mini_episode.model_digests,
+                                 mini_episode.records), path)
         assert list(tmp_path.iterdir()) == []
 
     def test_out_of_range_timestep_message(self, mini_episode, tmp_path):
@@ -505,6 +552,104 @@ class TestEpisodeFile:
         with pytest.raises(DeserializationError, match="calendar: hour '03'"):
             load_episode(bad, 0)
 
+    @pytest.mark.parametrize("part", ["second-hour", "base-value"])
+    def test_save_refuses_what_the_file_derives(self, mini_episode, tmp_path, part):
+        # The file stores neither a record's second hour nor an attribution's
+        # base value, so a record that disagrees with the next record or with
+        # the first record's base value is refused.
+        records = list(mini_episode.records)
+        record = records[5]
+        attributions = dict(record.attributions)
+        if part == "second-hour":
+            record = dataclasses.replace(record, oa_temp_t2_c=record.oa_temp_t2_c + 3.0)
+            message = "record 5 holds second hour Disturbance(oa_temp_c="
+        else:
+            base = attributions["fy_t2"].base_value
+            attributions["fy_t2"] = dataclasses.replace(attributions["fy_t2"], base_value=base + 1)
+            record = dataclasses.replace(record, attributions=attributions)
+            message = f"record 5 holds base values {{'fx_t1': "
+        records[5] = record
+        path = tmp_path / "episode.jsonl"
+        with pytest.raises(InvalidInputError, match=re.escape(message)):
+            save_episode(dataclasses.replace(mini_episode, records=records), path)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("seeds, digests", [
+        ({}, None),
+        ({"run": 5}, None),
+        ({"run": 5, "testbed": -1}, None),
+        ({"run": 5, "testbed": True}, None),
+        ({"run": "5", "testbed": 0}, None),
+        ([5, 0], None),
+        (None, {}),
+        (None, {"fx": "0" * 64}),
+        (None, {"fx": "0" * 64, "fy": "0" * 63}),
+        (None, {"fx": "0" * 64, "fy": "G" * 64}),
+        (None, {"fx": "0" * 64, "fy": 7}),
+        (None, {"fx": "0" * 64, "fy": "0" * 64, "fz": "0" * 64}),
+    ])
+    def test_malformed_provenance_refused(self, mini_episode, tmp_path, reseal, seeds, digests):
+        seeds = mini_episode.seeds if seeds is None else seeds
+        digests = mini_episode.model_digests if digests is None else digests
+        field = "seeds" if seeds is not mini_episode.seeds else "model_digests"
+        path = tmp_path / "episode.jsonl"
+        with pytest.raises(InvalidInputError, match=f"^{field} must be "):
+            save_episode(dataclasses.replace(mini_episode, seeds=seeds, model_digests=digests),
+                         path)
+        assert not path.exists()
+        save_episode(mini_episode, path)
+        rewrite_header(path, path, lambda header: header.update(seeds=seeds, model_digests=digests))
+        reseal(path)
+        for hour in (None, 3):
+            with pytest.raises(EpisodeIntegrityError, match=f":1: {field} must be "):
+                load_episode(path, hour)
+
+    def test_second_hour_is_the_next_line(self, mini_episode, tmp_path, reseal):
+        path = tmp_path / "episode.jsonl"
+        save_episode(mini_episode, path)
+        [record] = load_episode(path, 20).records
+        assert record.disturbance_t2 == mini_episode.records[21].disturbance
+        [last] = load_episode(path, 47).records
+        assert last.disturbance_t2 == mini_episode.records[47].disturbance_t2
+        # Hour 21's occupancy, on line 23, is hour 20's second hour's too.
+        lines = path.read_bytes().splitlines(keepends=True)
+        data = json.loads(lines[22])
+        data["occupancy"] = -3
+        lines[22] = json.dumps(data, separators=(",", ":")).encode() + b"\n"
+        path.write_bytes(b"".join(lines))
+        reseal(path)
+        for hour in (None, 20, 21):
+            with pytest.raises(EpisodeIntegrityError,
+                               match=re.escape(":23: bad record (occupancy must be >= 0")):
+                load_episode(path, hour)
+        assert load_episode(path, 19).records[0].t == 19
+        # The last hour's second hour is the header's, checked with the rest
+        # of the header whenever a record is decoded.
+        save_episode(mini_episode, path)
+        rewrite_header(path, path, lambda header: header["after_last"].update(occupancy=-1))
+        reseal(path)
+        for hour in (None, 0, 47):
+            with pytest.raises(EpisodeIntegrityError,
+                               match=re.escape(":1: bad header (occupancy must be >= 0")):
+                load_episode(path, hour)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda header: header.update(base_values=None), "'NoneType' object is not subscriptable"),
+        (lambda header: header["base_values"].pop("fy"), "'fy'"),
+        (lambda header: header["base_values"].update(fy="1.0"),
+         "fy base value must be a finite number, got '1.0'"),
+        (lambda header: header.pop("after_last"), "'after_last'"),
+        (lambda header: header["after_last"].pop("occupancy"), "'occupancy'"),
+    ], ids=["base-null", "base-missing-fy", "base-string", "after-missing", "after-missing-key"])
+    def test_malformed_header_numbers_refused(self, mini_episode, tmp_path, reseal, edit, message):
+        path = tmp_path / "episode.jsonl"
+        save_episode(mini_episode, path)
+        rewrite_header(path, path, edit)
+        reseal(path)
+        for hour in (None, 0, 47):
+            with pytest.raises(EpisodeIntegrityError, match=re.escape(f":1: bad header ({message}")):
+                load_episode(path, hour)
+
     def test_month_limits_are_the_calendars(self, episode, tmp_path):
         # A record line holds neither its hour nor a limit; loaded, its limits
         # are the header calendar's at the two reporting ticks ahead.
@@ -512,6 +657,10 @@ class TestEpisodeFile:
         save_episode(episode, path, include_timing=False)
         for line in path.read_text().splitlines()[1:]:
             assert not {"t", "p_limit_t1_w", "p_limit_t2_w"} & set(json.loads(line))
+            # Nor the second hour's conditions, nor an attribution's base value or prediction.
+            data = json.loads(line)
+            assert not [key for key in data if key.endswith("_t2") or "_t2_" in key]
+            assert all(list(a) == ["phi"] for a in data["attributions"].values())
         loaded = load_episode(path)
         assert loaded.calendar == episode.calendar
         assert [r.t for r in loaded.records] == list(range(len(episode)))
@@ -520,6 +669,17 @@ class TestEpisodeFile:
             assert record.p_limit_t2_w == power_limit_at(loaded.calendar, record.t + 2)
         events = [r for r in loaded.records if r.p_limit_t2_w < NORMAL_POWER_LIMIT_W]
         assert len(events) == len(loaded.calendar)
+        # One base value per model, bitwise, as run_episode attributed it; each
+        # attribution explains the decision's raw output, clamped or not.
+        header = json.loads(path.read_text().partition("\n")[0])
+        for orig, back in zip(episode.records, loaded.records):
+            d = back.decision
+            assert back.disturbance_t2 == orig.disturbance_t2
+            for key, output in zip(ATTRIBUTION_KEYS, (d.x1_c, d.y1_w, d.x2_c, d.y2_w)):
+                assert back.attributions[key].base_value == header["base_values"][key[:2]]
+                assert back.attributions[key].base_value == orig.attributions[key].base_value
+                assert back.attributions[key].prediction == output
+        assert any(r.decision.y1_w < 0.0 or r.decision.y2_w < 0.0 for r in loaded.records)
 
     def test_month_episode_shape(self, episode):
         # The month-long fixture: 31 days of hourly records, every scenario

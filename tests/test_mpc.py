@@ -18,6 +18,7 @@ from xmpc.explain import COMFORT_CEILING_C
 from xmpc.mpc import (
     MpcDecision,
     MpcProblem,
+    clamp_power,
     optimize,
     penalty,
     rollout,
@@ -89,6 +90,10 @@ class TestPenalty:
 
     def test_just_over_limit(self):
         assert penalty(1750.5, 1750.0) == pytest.approx(0.25)
+
+    def test_overflow_is_infinite(self):
+        # float ** raises OverflowError where the penalty is merely infinite.
+        assert penalty(1e200, 1750.0) == math.inf
 
     @given(
         limit=st.floats(100.0, 5000.0),
@@ -175,10 +180,11 @@ class TestRollout:
         assert result.cost == 65000.0
 
     def test_negative_cooling_clamped(self):
+        # The pair keeps the raw network outputs; its cost clamps them at zero.
         result = rollout(make_problem(lambda f: 24.0, lambda f: -750.0), 25.0, 25.0)
-        assert result.y1_w == 0.0
-        assert result.y2_w == 0.0
-        assert result.cost == 0.0
+        assert result.y1_w == result.y2_w == -750.0
+        assert (result.v1, result.v2, result.cost) == (0.0, 0.0, 0.0)
+        assert (clamp_power(-750.0), clamp_power(750.0)) == (0.0, 750.0)
 
     def test_nan_prediction_poisons_cost(self):
         result = rollout(make_problem(lambda f: 24.0, lambda f: math.nan), 25.0, 25.0)
@@ -279,7 +285,8 @@ class TestOptimize:
         decision = optimize(problem)
         assert 22.0 <= decision.u1_c <= 26.0
         assert 22.0 <= decision.u2_c <= 26.0
-        assert decision.y1_w >= 0.0 and decision.y2_w >= 0.0
+        powers = clamp_power(decision.y1_w), clamp_power(decision.y2_w)
+        assert decision.cost == powers[0] + decision.v1 + powers[1] + decision.v2
         assert math.isfinite(decision.cost)
 
 
@@ -407,6 +414,15 @@ class TestDecisionSerialization:
         back = MpcDecision.from_json(data, 5000.0, 150.0)
         assert back == decision and back.v2 > 0.0
 
+    def test_raw_outputs_round_trip(self):
+        # A negative cooling output is stored as the network gave it; the
+        # decoder clamps it to check the chosen cost, as optimize costed it.
+        decision = optimize(make_problem(lambda f: f[1], lambda f: -40.0 * f[0]))
+        data = decision.to_json()
+        assert (decision.u1_c, decision.u2_c, decision.cost) == (26.0, 26.0, 0.0)
+        assert (data["y1_w"], data["y2_w"]) == (-1040.0, -1040.0)
+        assert MpcDecision.from_json(data, 5000.0, 5000.0) == decision
+
     def test_non_finite_candidates_serialize_as_null(self):
         fy = lambda f: math.nan if f[0] < 26.0 else 10.0
         decision = optimize(make_problem(lambda f: f[1], fy))
@@ -447,9 +463,9 @@ class TestDecisionSerialization:
         (lambda data: data.update(costs=900.0), "costs must list 25 entries"),
         (lambda data: data["costs"].__setitem__(7, "900"), "cost must be a finite number, got '900'"),
         (lambda data: data["costs"].__setitem__(7, True), "cost must be a finite number, got True"),
-        (lambda data: data.update(costs=[None] * 25), "chosen cost inf is not y1_w + v1 + y2_w + v2"),
-        (lambda data: data.update(y1_w=data["y1_w"] + 1.0), "is not y1_w + v1 + y2_w + v2"),
-        (lambda data: data["costs"].__setitem__(24, 0.0), "chosen cost 0.0 is not y1_w + v1"),
+        (lambda data: data.update(costs=[None] * 25), "chosen cost inf is not max(0, y1_w) + v1"),
+        (lambda data: data.update(y1_w=data["y1_w"] + 1.0), "is not max(0, y1_w) + v1 + max(0, y2_w) + v2"),
+        (lambda data: data["costs"].__setitem__(24, 0.0), "chosen cost 0.0 is not max(0, y1_w) + v1"),
     ], ids=["stray-key", "missing-key", "short-costs", "scalar-costs", "string-cost",
             "bool-cost", "all-null", "prediction-off", "cheaper-pair"])
     def test_from_json_refuses(self, edit, message):

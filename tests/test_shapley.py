@@ -335,6 +335,27 @@ class TestClosedForm:
             assert np.any(hybrids @ w1.T + b1 == 0.0)
         assert_matches_callable(model, instances, background)
 
+    def test_instance_part_beyond_the_float_range(self):
+        # A huge finite weight can put an instance's pre-activation, held in
+        # long double, below -DBL_MAX while every background row's stays
+        # finite; the search then compares against +inf and must stop at the
+        # background's end, not in the padding past it.
+        model = SurrogateModel(
+            schema=FX_SCHEMA,
+            layers=[(np.eye(50, 5) * [-1e308, 1.0, 1.0, 1.0, 1.0], np.zeros(50)),
+                    (np.ones((1, 50)), np.array([0.0]))],
+            norm=Normalization(means=np.zeros(5), stds=np.ones(5), target_mean=0.0, target_std=1.0),
+        )
+        background = np.linspace(-0.5, 0.5, 10)[:, None] * np.ones(5)
+        instance = np.array([4.0, 1.0, 2.0, 3.0, 0.5])
+        with np.errstate(over="ignore"):
+            slow = shapley(lambda x: predict_batch(model, x), instance, background)
+            attr = shapley(model, instance, background)
+        # Unit 0 is off on every hybrid that pins the first feature.
+        assert attr.prediction == slow.prediction == 6.5
+        assert attr.base_value == pytest.approx(slow.base_value, rel=1e-12)
+        assert np.allclose(attr.shapley_values, slow.shapley_values, rtol=1e-12, atol=0.0)
+
     @pytest.mark.parametrize("rows", [1, 7, 255])
     def test_background_sizes_off_a_power_of_two(self, fx_model, fy_model, rows):
         rng = np.random.default_rng(rows)
@@ -391,11 +412,12 @@ class TestSerialization:
         background = rng.normal(size=(4, 5))
         attr = shapley(nonlinear_fn, instance, background)
         data = attr.to_json()
-        # Canonical episodes depend on this key order staying fixed; the
-        # names come from the model schema and the values from the record
-        # that holds the attribution, not from its JSON.
-        assert list(data) == ["phi", "base_value", "prediction"]
-        back = Attribution.from_json(data, attr.feature_names, instance)
+        # The JSON holds phi alone: the names come from the model schema, and
+        # the values, the base value and the prediction from the episode that
+        # holds the attribution.
+        assert list(data) == ["phi"]
+        back = Attribution.from_json(data, attr.feature_names, instance, attr.base_value,
+                                     attr.prediction)
         assert back.feature_names == attr.feature_names == tuple(f"f{i}" for i in range(5))
         assert np.array_equal(back.feature_values, attr.feature_values)
         assert np.array_equal(back.shapley_values, attr.shapley_values)
@@ -408,8 +430,8 @@ class TestSerialization:
         (lambda data: data.update(phi=1.0), "phi must list 5 numbers"),
         (lambda data: data["phi"].__setitem__(2, "0.5"), "phi must be a finite number, got '0.5'"),
         (lambda data: data["phi"].__setitem__(0, True), "phi must be a finite number, got True"),
-        (lambda data: data.update(base_value=float("nan")), "base_value must be a finite number"),
-        (lambda data: data.update(prediction=None), "prediction must be a finite number"),
+        (lambda data: data.update(base_value=float("nan")), "unexpected or missing keys ['base_value']"),
+        (lambda data: data.update(prediction=None), "unexpected or missing keys ['prediction']"),
     ], ids=["values-stored", "phi-long", "phi-scalar", "phi-string", "phi-bool", "base-nan",
             "prediction-null"])
     def test_from_json_refuses_malformed_numbers(self, edit, message):
@@ -418,4 +440,5 @@ class TestSerialization:
         data = attr.to_json()
         edit(data)
         with pytest.raises(ValueError, match=re.escape(message)):
-            Attribution.from_json(data, attr.feature_names, attr.feature_values)
+            Attribution.from_json(data, attr.feature_names, attr.feature_values, attr.base_value,
+                                  attr.prediction)

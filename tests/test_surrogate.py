@@ -527,6 +527,21 @@ class TestPersistence:
         )):
             load(path)
 
+    def test_hidden_layer_must_be_finite_on_the_background(self, tmp_path, fx_model):
+        # One huge finite weight on a feature whose standardized background
+        # reaches past 1.8 overflows a hidden unit there.
+        path = tmp_path / "model.json"
+        payload = model_to_json(fx_model)
+        z = (background_of(fx_model) - fx_model.norm.means) / fx_model.norm.stds
+        feature = int(np.abs(z).max(axis=0).argmax())
+        assert np.abs(z[:, feature]).max() > 1.8
+        payload["layers"][0]["w"][5][feature] = -1e308
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DeserializationError, match=re.escape(
+            "the hidden layer's pre-activations on meta.background are not finite"
+        )):
+            load(path)
+
     def test_hidden_width_must_be_fifty(self, tmp_path, fx_model):
         # A consistent net of 30 hidden units is still not the fixed design.
         path = tmp_path / "model.json"
