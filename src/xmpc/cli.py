@@ -24,6 +24,9 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import time
+
+import numpy as np
 
 from .errors import AttributionError, FailureError, InvalidInputError, UsageError
 from . import explain as explain_mod
@@ -66,11 +69,14 @@ def cmd_train(args) -> int:
     cfg = surrogate_mod.TrainConfig(
         epochs=args.epochs, learning_rate=args.lr, rng_seed=args.seed
     )
+    started = time.perf_counter()
     model = surrogate_mod.train(data, schema, cfg)
+    seconds = time.perf_counter() - started
     surrogate_mod.save(model, args.out)
     val_rmse = (model.meta["final_val_mse"] ** 0.5) * model.norm.target_std
     print(
-        f"trained {args.target} on {model.meta['n_train']} rows for {cfg.epochs} epochs: "
+        f"trained {args.target} on {model.meta['n_train']} rows for {cfg.epochs} epochs "
+        f"in {seconds:.2f} s ({cfg.epochs / seconds:.0f} epochs/s): "
         f"validation RMSE {val_rmse:.4f} {model.schema.target.unit} -> {args.out}"
     )
     return 0
@@ -232,7 +238,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # A non-finite result is the checks' to report, as one line, not numpy's.
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

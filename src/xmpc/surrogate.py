@@ -24,6 +24,12 @@ buffers once and keeps parameters, gradients and Adam moments in one flat
 vector each, so every epoch runs in place: allocating the per-epoch
 (rows, hidden) temporaries afresh made the allocator hand them back to the
 kernel and page-fault them in again, which cost more than the arithmetic.
+The vector holds ``[W1 | b1]`` transposed, one (features + 1, hidden)
+block, then ``w2`` and ``b2``; the fit gives the standardized rows a ones
+column once, so the hidden pre-activation is one product with the bias as
+its last term.  The back-propagated ``d_out @ w2`` is an elementwise outer product,
+one multiplication per element as in the rank-1 product it replaces, and
+Adam is elementwise, so the packing changes no bit of the trained model.
 
 A model file is one JSON object: ``target`` names the model's schema by its
 key in ``SCHEMAS`` ("fx" or "fy"), ``layers`` holds each layer's weights and
@@ -113,11 +119,12 @@ VALIDATION_FRACTION = 0.2
 class TrainConfig:
     """The training schedule; the network shape and Adam's constants are fixed.
 
-    Defaults are desk scale: 2000 full-batch epochs train either surrogate in
-    about a second.  Longer schedules (for example 10000 epochs) are selected
-    by raising ``epochs``.  ``train`` reuses one set of buffers across all
-    epochs of a fit (see the module docstring), so the epoch count costs time
-    but no memory traffic through the allocator.
+    Defaults are desk scale: 2000 full-batch epochs on a 31-day excitation
+    train either surrogate in about a third of a second on one core of a
+    2-vCPU Xeon (OpenBLAS, one thread).  Longer schedules (for example 10000
+    epochs) are selected by raising ``epochs``.  ``train`` reuses one set of
+    buffers across all epochs of a fit (see the module docstring), so the
+    epoch count costs time but no memory traffic through the allocator.
     """
 
     epochs: int = 2000
@@ -134,6 +141,8 @@ class TrainConfig:
             )
         if self.rng_seed < 0:
             raise InvalidInputError(f"rng_seed must be >= 0, got {self.rng_seed}")
+        if self.background_rows < 1:
+            raise InvalidInputError(f"background_rows must be >= 1, got {self.background_rows}")
 
 
 @dataclass
@@ -174,14 +183,17 @@ def forward(layers: list[tuple[np.ndarray, np.ndarray]], x: np.ndarray) -> np.nd
 class _Workspace:
     """Activation and gradient buffers for one input size, reused across epochs.
 
-    ``act`` holds the hidden layer's relu output and ``mask`` where its
-    pre-activation was positive; ``d_h`` receives the loss gradient there.
-    The pre-activation is built in ``act`` and rectified in place once its
-    mask is taken; the residual is built in ``out``.
+    ``x1`` is the standardized rows with a trailing ones column, so that the
+    first layer's one product adds its bias.  ``act`` holds the hidden
+    layer's relu output and ``mask`` where its pre-activation was positive;
+    ``d_h`` receives the loss gradient there.  The pre-activation is built in
+    ``act`` and rectified in place once its mask is taken; the residual is
+    built in ``out``.
     """
 
-    def __init__(self, layers: list[tuple[np.ndarray, np.ndarray]], n: int):
-        width = layers[0][0].shape[0]
+    def __init__(self, layers: list[tuple[np.ndarray, np.ndarray]], x: np.ndarray):
+        n, width = len(x), layers[0][0].shape[0]
+        self.x1 = np.column_stack([x, np.ones(n)])
         self.act = np.empty((n, width))
         self.mask = np.empty((n, width), dtype=bool)
         self.d_h = np.empty((n, width))
@@ -189,36 +201,38 @@ class _Workspace:
         self.d_out = np.empty((n, 1))
 
 
+def _packed(layers: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """``layers`` as one flat vector: ``[W1 | b1]`` transposed, then ``w2`` and ``b2``."""
+    (w1, b1), (w2, b2) = layers
+    return np.concatenate([w1.T, b1, w2, b2], axis=None)
+
+
 def _layer_views(
     flat: np.ndarray, layers: list[tuple[np.ndarray, np.ndarray]]
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """``(w, b)`` views into ``flat`` shaped like ``layers``, packed in order."""
-    views, at = [], 0
-    for w, b in layers:
-        w_view = flat[at : at + w.size].reshape(w.shape)
-        at += w.size
-        views.append((w_view, flat[at : at + b.size]))
-        at += b.size
-    return views
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Views into a ``_packed`` vector: ``[W1 | b1]`` transposed, ``w2`` and ``b2``."""
+    width, n_in = layers[0][0].shape
+    wb1t = flat[: (n_in + 1) * width].reshape(n_in + 1, width)
+    return wb1t, flat[wb1t.size : -1].reshape(1, width), flat[-1:]
 
 
 def _loss_and_grads_into(
-    layers: list[tuple[np.ndarray, np.ndarray]],
-    x: np.ndarray,
+    params: tuple[np.ndarray, ...],
     y: np.ndarray,
     ws: _Workspace,
-    grads: list[tuple[np.ndarray, np.ndarray]],
+    grads: tuple[np.ndarray, ...],
 ) -> float:
-    """Mean squared error; its gradients overwrite ``grads`` in place.
+    """Mean squared error on ``ws.x1``; its gradients overwrite ``grads`` in place.
 
-    Every intermediate lives in ``ws``, so repeated calls allocate no arrays.
+    ``params`` and ``grads`` are ``_layer_views``.  Every intermediate lives
+    in ``ws``, so repeated calls allocate no arrays.
     """
-    n = x.shape[0]
-    (w1, b1), (w2, b2) = layers
-    (dw1, db1), (dw2, db2) = grads
+    x1 = ws.x1
+    n = x1.shape[0]
+    wb1t, w2, b2 = params
+    dwb1t, dw2, db2 = grads
     h = ws.act
-    np.matmul(x, w1.T, out=h)
-    h += b1
+    np.matmul(x1, wb1t, out=h)  # b1 enters as the last term of each row's sum
     np.greater(h, 0.0, out=ws.mask)
     np.maximum(h, 0.0, out=h)
     np.matmul(h, w2.T, out=ws.out)
@@ -226,15 +240,17 @@ def _loss_and_grads_into(
     resid = ws.out[:, 0]
     resid -= y
     d_out = ws.d_out  # holds the squared residuals until the gradient overwrites them
-    loss = float(np.mean(np.square(resid, out=d_out[:, 0])))
+    loss = float(np.add.reduce(np.square(resid, out=d_out[:, 0])) / n)
 
     np.multiply(resid, 2.0 / n, out=d_out[:, 0])
     np.matmul(d_out.T, h, out=dw2)
     d_out.sum(axis=0, out=db2)
-    d_h = np.matmul(d_out, w2, out=ws.d_h)
+    d_h = np.einsum("i,j->ij", d_out[:, 0], w2[0], out=ws.d_h)  # d_out @ w2, without a K=1 GEMM
     d_h *= ws.mask  # now the gradient at the pre-activation
-    np.matmul(d_h.T, x, out=dw1)
-    d_h.sum(axis=0, out=db1)
+    # Not one x1.T @ d_h: past OpenBLAS's small-matrix size (M*N*K > 1e6) that
+    # product blocks its sums over rows, and b1's would no longer be sum(axis=0)'s.
+    np.matmul(x1[:, :-1].T, d_h, out=dwb1t[:-1])
+    np.einsum("ij->j", d_h, out=dwb1t[-1])  # d_h.sum(axis=0), also row by row, but faster
     return loss
 
 
@@ -243,13 +259,14 @@ def mse_loss_and_grads(
 ) -> tuple[float, list[tuple[np.ndarray, np.ndarray]]]:
     """Mean squared error and its analytic gradients for every weight and bias.
 
-    Runs the training loop's own kernel on a fresh workspace, so the
-    finite-difference gradient check exercises exactly the arithmetic the
-    optimizer consumes.
+    Runs the training loop's own kernel on ``layers`` packed as ``_fit``
+    packs them and a fresh workspace, so the finite-difference gradient
+    check exercises exactly the arithmetic the optimizer consumes.
     """
-    grads = _layer_views(np.empty(sum(w.size + b.size for w, b in layers)), layers)
-    loss = _loss_and_grads_into(layers, x, y, _Workspace(layers, x.shape[0]), grads)
-    return loss, grads
+    theta = _packed(layers)
+    dwb1t, dw2, db2 = grads = _layer_views(np.empty_like(theta), layers)
+    loss = _loss_and_grads_into(_layer_views(theta, layers), y, _Workspace(layers, x), grads)
+    return loss, [(dwb1t[:-1].T, dwb1t[-1]), (dw2, db2)]
 
 
 # ---------------------------------------------------------------------------
@@ -273,13 +290,13 @@ def _fit(
     update is a handful of in-place vector ops; with the reused workspace an
     epoch allocates no arrays.
     """
-    theta = np.concatenate([a.ravel() for layer in layers for a in layer])
+    theta = _packed(layers)
     grad, m, v, step, denom = (np.zeros_like(theta) for _ in range(5))
     params, grads = _layer_views(theta, layers), _layer_views(grad, layers)
-    ws = _Workspace(layers, xs.shape[0])
+    ws = _Workspace(layers, xs)
     loss_curve = []
     for epoch in range(cfg.epochs):
-        loss = _loss_and_grads_into(params, xs, ys, ws, grads)
+        loss = _loss_and_grads_into(params, ys, ws, grads)
         if not math.isfinite(loss):
             raise TrainingDivergedError(epoch)
         loss_curve.append(loss)
@@ -302,7 +319,8 @@ def _fit(
         denom += ADAM_EPS
         step /= denom
         theta -= step
-    return [(w.copy(), b.copy()) for w, b in params], loss_curve
+    wb1t, w2, b2 = params
+    return [(wb1t[:-1].T.copy(), wb1t[-1].copy()), (w2.copy(), b2.copy())], loss_curve
 
 
 def train(dataset, schema: FeatureSchema, cfg: TrainConfig | None = None) -> SurrogateModel:

@@ -5,6 +5,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import re
+import warnings
 from dataclasses import asdict
 from pathlib import Path
 
@@ -110,6 +112,17 @@ class TestTrain:
         out = capsys.readouterr().out
         assert "validation RMSE" in out
         assert "degC" in out
+
+    def test_reports_fit_time_but_does_not_store_it(self, cli_workspace, tmp_path, capsys):
+        for name in ("a.json", "b.json"):
+            rc = main([
+                "train", "--data", str(cli_workspace / "data.csv"), "--target", "fy",
+                "--epochs", "40", "--out", str(tmp_path / name),
+            ])
+            assert rc == 0
+            assert re.search(r" for 40 epochs in \d+\.\d\d s \(\d+ epochs/s\): validation RMSE ",
+                             capsys.readouterr().out)
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
     def test_missing_data_file_is_usage_error(self, tmp_path, capsys):
         rc = main(["train", "--data", str(tmp_path / "nope.csv"), "--target", "fx",
@@ -674,20 +687,23 @@ def test_unsealed_header_limit_edit_names_the_seal(
     (5, 1, 2, "error: fx.json: the hidden layer's pre-activations on meta.background"),
     (0, 0, 3, "runtime error: additivity: worst residual"),
 ], ids=["overflows-on-its-background", "attributions-not-additive"])
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                            "ignore:invalid value encountered:RuntimeWarning")
 def test_model_with_a_huge_finite_weight(
     cli_workspace, tmp_path, capsys, monkeypatch, unit, feature, code, message
 ):
-    # Neither a traceback nor an episode file that fails to load.
+    # Neither a traceback, nor numpy's overflow warnings ahead of the one
+    # message line, nor an episode file that fails to load.
     monkeypatch.chdir(tmp_path)
     model = json.loads((cli_workspace / "fx.json").read_text())
     model["layers"][0]["w"][unit][feature] = -1e308
     Path("fx.json").write_text(json.dumps(model))
-    rc = main(["run", "--days", "1", "--fx", "fx.json", "--fy", str(cli_workspace / "fy.json"),
-               "--out", "e.jsonl"])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["run", "--days", "1", "--fx", "fx.json", "--fy", str(cli_workspace / "fy.json"),
+                   "--out", "e.jsonl"])
+    assert [str(w.message) for w in caught] == []
     assert rc == code
-    assert message in capsys.readouterr().err
+    [line] = capsys.readouterr().err.splitlines()
+    assert message in line
     assert not Path("e.jsonl").exists()
 
 

@@ -14,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, seed, settings
+from hypothesis import strategies as st
 
 from xmpc import surrogate as surrogate_mod
 from xmpc.errors import (
@@ -255,6 +257,9 @@ class TestTraining:
             ("learning_rate", 0.0),
             ("learning_rate", math.nan),
             ("learning_rate", math.inf),
+            # 0 would train a model that load refuses; -1 would fail inside numpy.
+            ("background_rows", 0),
+            ("background_rows", -1),
         ],
     )
     def test_optimizer_settings_validated(self, name, value):
@@ -263,6 +268,11 @@ class TestTraining:
 
     def test_optimizer_settings_boundaries_accepted(self):
         assert TrainConfig(learning_rate=1e-12).learning_rate == 1e-12
+
+    def test_one_background_row_loads(self, tmp_path):
+        data = make_dataset(30, seed=8, target_fn=lambda c: c["setpoint_c"])
+        save(train(data, FX_SCHEMA, TrainConfig(epochs=1, background_rows=1)), tmp_path / "m.json")
+        assert background_of(load(tmp_path / "m.json")).shape == (1, 5)
 
     def test_background_sample(self, fx_model, excitation):
         bg = background_of(fx_model)
@@ -444,6 +454,26 @@ class TestReusedTrainingBuffers:
         monkeypatch.setattr(surrogate_mod, "_fit", expression_train)
         reference = train(excitation, schema, cfg)
         assert json.dumps(model_to_json(model)) == json.dumps(model_to_json(reference))
+
+    @seed(0)
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(5, 700), epochs=st.sampled_from([1, 2, 5]),
+           data_seed=st.integers(0, 2**32 - 1))
+    # Past OpenBLAS's small-matrix size: a (50, 6, n) product blocks its row
+    # sums from n = 3334 on, and a (50, 5, n) one from n = 4001.
+    @example(n=3334, epochs=2, data_seed=1)
+    @example(n=4001, epochs=2, data_seed=2)
+    def test_fit_bitwise_equal_to_expression_form(self, n, epochs, data_seed):
+        rng = np.random.default_rng(data_seed)
+        xs, ys = rng.normal(size=(n, 5)), rng.normal(size=n)
+        layers = surrogate_mod._init_layers(5, rng)
+        cfg = TrainConfig(epochs=epochs, learning_rate=3e-3)
+        fitted, curve = surrogate_mod._fit(layers, xs, ys, cfg)
+        reference, ref_curve = expression_train(layers, xs, ys, cfg)
+        assert [loss.hex() for loss in curve] == [loss.hex() for loss in ref_curve]
+        for (w, b), (ref_w, ref_b) in zip(fitted, reference):
+            assert_bitwise(w, ref_w)
+            assert_bitwise(b, ref_b)
 
     def test_epochs_do_not_page_fault(self):
         # Fixture-size data gives (595, 50) hidden buffers.  Allocated afresh
