@@ -10,6 +10,13 @@ Subcommands mirror the package pipeline:
   written as JSON lines.
 * ``explain``: render per-timestep Markdown documents and SVG charts.
 * ``ask``: answer an operator question about one timestep, one-shot or REPL.
+  ``explain --mode llm`` and ``ask`` take ``--llm-log PATH`` to append one
+  JSON line per LLM exchange.
+
+``COMMANDS`` lists each subcommand's help, argument adder and function.
+When the first argument names one, ``main`` builds the parser with that
+subcommand only; help, usage errors and exit codes are the same as with
+``build_parser()``'s five.  The parser is built anew on every call.
 
 Exit codes: 0 success, 2 for a bad input or file (an ``errors.UsageError``
 or an ``OSError``), 3 for a runtime failure (an ``errors.FailureError``);
@@ -120,6 +127,7 @@ def _llm_config(args) -> llm_mod.LlmConfig:
         endpoint=args.endpoint or "",
         model=args.model,
         temperature=args.temperature,
+        log_path=args.llm_log,
     )
     if cfg.mode == "online":
         llm_mod.online_api_key(cfg)
@@ -174,30 +182,26 @@ def cmd_ask(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="xmpc",
-        description="surrogate MPC for building demand response, with Shapley explanations",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+_LLM_LOG_HELP = "append one JSON line per LLM exchange (digests, latency, usage) to PATH"
 
-    p = sub.add_parser("excite", help="generate the excitation dataset")
+
+def _excite_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--days", type=_positive_int, default=31)
     p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--out", default="data.csv")
     p.add_argument("--config", help="JSON file holding the weather seed, rng_seed")
-    p.set_defaults(func=cmd_excite)
 
-    p = sub.add_parser("train", help="train one surrogate from the excitation CSV")
+
+def _train_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--data", required=True)
     p.add_argument("--target", choices=("fx", "fy"), required=True)
     p.add_argument("--epochs", type=_positive_int, default=2000)
     p.add_argument("--lr", type=float, default=1e-3)
     p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("run", help="closed-loop episode with MPC and attributions")
+
+def _run_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--days", type=_positive_int, default=31)
     p.add_argument("--fx", required=True, help="temperature surrogate model JSON")
     p.add_argument("--fy", required=True, help="cooling surrogate model JSON")
@@ -206,9 +210,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="episode.jsonl")
     p.add_argument("--no-timing", action="store_true", help="canonical form: omit wall-clock fields")
     p.add_argument("--config", help="JSON file holding the weather seed, rng_seed")
-    p.set_defaults(func=cmd_run)
 
-    p = sub.add_parser("explain", help="render explanation documents from an episode")
+
+def _explain_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--episode", required=True)
     p.add_argument("--t", default="all", help="hour index or 'all'")
     p.add_argument("--mode", choices=("deterministic", "llm"), default="deterministic")
@@ -217,10 +221,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--endpoint", help="chat-completions endpoint for the online gateway")
     p.add_argument("--model", default=llm_mod.DEFAULT_MODEL)
     p.add_argument("--temperature", type=float, default=0.5)
+    p.add_argument("--llm-log", metavar="PATH", help=_LLM_LOG_HELP)
     p.add_argument("--out", default="docs")
-    p.set_defaults(func=cmd_explain)
 
-    p = sub.add_parser("ask", help="answer questions about one timestep")
+
+def _ask_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--episode", required=True)
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--question")
@@ -229,18 +234,41 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--endpoint")
     p.add_argument("--model", default=llm_mod.DEFAULT_MODEL)
     p.add_argument("--temperature", type=float, default=0.5)
-    p.set_defaults(func=cmd_ask)
+    p.add_argument("--llm-log", metavar="PATH", help=_LLM_LOG_HELP)
 
+
+# name -> (help, argument adder, command function), in the order help lists them
+COMMANDS = {
+    "excite": ("generate the excitation dataset", _excite_arguments, cmd_excite),
+    "train": ("train one surrogate from the excitation CSV", _train_arguments, cmd_train),
+    "run": ("closed-loop episode with MPC and attributions", _run_arguments, cmd_run),
+    "explain": ("render explanation documents from an episode", _explain_arguments, cmd_explain),
+    "ask": ("answer questions about one timestep", _ask_arguments, cmd_ask),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``xmpc`` parser with every subcommand, or with ``command`` only."""
+    parser = argparse.ArgumentParser(
+        prog="xmpc",
+        description="surrogate MPC for building demand response, with Shapley explanations",
+    )
+    # With one command built, the metavar keeps usage lines naming all five.
+    metavar = "{" + ",".join(COMMANDS) + "}" if command else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in [command] if command else COMMANDS:
+        help_text, add_arguments, _ = COMMANDS[name]
+        add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
     try:
         # A non-finite result is the checks' to report, as one line, not numpy's.
         with np.errstate(all="ignore"):
-            return args.func(args)
+            return COMMANDS[args.command][2](args)
     except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -396,7 +396,9 @@ def load_episode(path: str | Path, hour: int | None = None) -> Episode:
     (hour t is record t) and the next line, which holds its second hour's
     boundary conditions, are decoded, from the last back.  The digest covers
     the header line, its CR/LF ending replaced by one ``\\n`` and its own
-    digest zeroed, then each non-blank record line, ended the same way.
+    digest zeroed, then each non-blank record line, ended the same way.  A
+    record line that ends in exactly ``}\\n`` is in that form already and is
+    hashed as read; only the lines held for decoding are copied.
     """
     path = Path(path)
     held: list[tuple[int, bytes]] = []  # (line number, line) of the records to decode and the next
@@ -426,13 +428,13 @@ def load_episode(path: str | Path, hour: int | None = None) -> Episode:
         seal = hashlib.sha256(head.replace(_SEAL_KEY + sealed.encode(), _SEAL_KEY + _UNSEALED, 1))
         position = 0
         for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip(b"\r\n")
-            if not line or line.isspace():
-                continue
+            if not line.endswith(b"}\n"):  # a line that does is hashed as read
+                line = line.rstrip(b"\r\n") + b"\n"
+                if line.isspace():  # a blank or whitespace-only line
+                    continue
             seal.update(line)
-            seal.update(b"\n")
             if hour is None or position - hour in (0, 1):
-                held.append((lineno, line))
+                held.append((lineno, line[:-1]))
             position += 1
     declared = header.get("n_records")
     if declared != position:

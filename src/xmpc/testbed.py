@@ -38,6 +38,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import reprlib
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -320,8 +321,13 @@ class ExcitationData:
                 except StopIteration:
                     raise DeserializationError(f"{path} is empty") from None
                 if tuple(header) != CSV_COLUMNS:
+                    # Name the first column that differs, not the whole row.
+                    i = next((i for i, (a, b) in enumerate(zip(header, CSV_COLUMNS)) if a != b),
+                             min(len(header), len(CSV_COLUMNS)))
+                    got = reprlib.repr(header[i]) if i < len(header) else "missing"
+                    want = repr(CSV_COLUMNS[i]) if i < len(CSV_COLUMNS) else "no such column"
                     raise DeserializationError(
-                        f"{path} has unexpected header {header}; expected {list(CSV_COLUMNS)}"
+                        f"{path}:1: unexpected header: column {i + 1} is {got}; expected {want}"
                     )
                 rows = []
                 for lineno, row in enumerate(reader, start=2):
@@ -336,6 +342,8 @@ class ExcitationData:
                         raise DeserializationError(f"{path}:{lineno}: {exc}") from None
         except UnicodeDecodeError as exc:
             raise DeserializationError(f"{path}: not a text file ({exc})") from None
+        except csv.Error as exc:  # e.g. a field longer than the csv module's limit
+            raise DeserializationError(f"{path}:{reader.line_num}: {exc}") from None
         if not rows:
             raise DeserializationError(f"{path} contains a header but no data rows")
         return cls(np.array(rows))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import math
@@ -14,7 +15,7 @@ import pytest
 import requests
 
 from xmpc import errors, testbed
-from xmpc.cli import main
+from xmpc.cli import build_parser, main
 from xmpc.surrogate import SCHEMAS
 
 
@@ -123,6 +124,27 @@ class TestTrain:
             assert re.search(r" for 40 epochs in \d+\.\d\d s \(\d+ epochs/s\): validation RMSE ",
                              capsys.readouterr().out)
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+    def test_field_over_the_csv_limit_is_usage_error(self, tmp_path, capsys):
+        data = tmp_path / "long.csv"
+        data.write_text("a" * 200_000 + "\n")
+        rc = main(["train", "--data", str(data), "--target", "fx",
+                   "--out", str(tmp_path / "m.json")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {data}:1: field larger than field limit (131072)\n"
+        assert not (tmp_path / "m.json").exists()
+
+    def test_episode_as_data_names_the_first_wrong_column(self, cli_workspace, tmp_path, capsys):
+        episode = cli_workspace / "episode.jsonl"
+        rc = main(["train", "--data", str(episode), "--target", "fx",
+                   "--out", str(tmp_path / "m.json")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        # The first CSV field of the header line, not the whole 700-character row.
+        assert err.startswith(f"error: {episode}:1: unexpected header: column 1 is '{{\"")
+        assert err.endswith("'; expected 'time_hour'\n")
+        assert len(err) < 120 + len(str(episode))
 
     def test_missing_data_file_is_usage_error(self, tmp_path, capsys):
         rc = main(["train", "--data", str(tmp_path / "nope.csv"), "--target", "fx",
@@ -406,6 +428,48 @@ class TestAsk:
             pytest.fail("Ctrl-C at the prompt escaped main()")
         assert rc == 0
         assert capsys.readouterr().out.endswith("'quit' to leave\n\n")
+
+
+class TestLlmLog:
+    def test_ask_appends_one_line(self, cli_workspace, tmp_path, no_network):
+        log = tmp_path / "llm.log"
+        for expected in (1, 2):
+            rc = main(["ask", "--episode", str(cli_workspace / "episode.jsonl"), "--t", "14",
+                       "--question", "Why precool?", "--llm-log", str(log)])
+            assert rc == 0
+            lines = log.read_text().splitlines()
+            assert len(lines) == expected
+        entry = json.loads(lines[-1])
+        assert entry["mode"] == "stub"
+        assert set(entry) >= {"system_digest", "user_digest", "response_digest", "usage"}
+
+    def test_explain_llm_hour_appends_five_lines(self, cli_workspace, tmp_path, no_network):
+        # One narration per attribution (four) and one scenario judgment.
+        log = tmp_path / "llm.log"
+        rc = main(["explain", "--episode", str(cli_workspace / "episode.jsonl"), "--t", "14",
+                   "--mode", "llm", "--gateway", "stub", "--out", str(tmp_path / "docs"),
+                   "--llm-log", str(log)])
+        assert rc == 0
+        lines = log.read_text().splitlines()
+        assert len(lines) == 5
+        assert all(json.loads(line)["mode"] == "stub" for line in lines)
+
+    def test_deterministic_explain_writes_no_log(self, cli_workspace, tmp_path):
+        log = tmp_path / "llm.log"
+        rc = main(["explain", "--episode", str(cli_workspace / "episode.jsonl"), "--t", "14",
+                   "--out", str(tmp_path / "docs"), "--llm-log", str(log)])
+        assert rc == 0
+        assert not log.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["ask", "--t", "14", "--question", "Why precool?"],
+        ["explain", "--t", "14", "--mode", "llm", "--gateway", "stub", "--out", "docs"],
+    ], ids=["ask", "explain"])
+    def test_unset_flag_writes_no_log(self, cli_workspace, tmp_path, monkeypatch, no_network,
+                                      argv):
+        monkeypatch.chdir(tmp_path)
+        assert main([argv[0], "--episode", str(cli_workspace / "episode.jsonl"), *argv[1:]]) == 0
+        assert [p.name for p in tmp_path.iterdir()] == (["docs"] if argv[0] == "explain" else [])
 
 
 @pytest.mark.parametrize("argv", [
@@ -845,3 +909,173 @@ class TestParser:
         assert info.value.code == 2
         assert "expected a non-negative integer, got" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+
+# argv per subcommand, valid and invalid, parsed alike with one subparser or all five.
+PARSER_CASES = {
+    "excite": [[], ["--days", "3", "--seed", "2", "--out", "d.csv", "--config", "c.json"],
+               ["--days", "0"], ["--days", "x"], ["--seed", "-1"], ["--days"], ["--bogus"],
+               ["extra"], ["--help"], ["-h", "--days", "0"]],
+    "train": [["--data", "d.csv", "--target", "fy", "--epochs", "5", "--lr", "0.01",
+               "--out", "m.json"], ["--data", "d.csv", "--target", "fz", "--out", "m.json"],
+              ["--data", "d.csv", "--out", "m.json"], ["--target", "fx"],
+              ["--data", "d.csv", "--target", "fx", "--lr", "fast", "--out", "m.json"], ["--help"]],
+    "run": [["--fx", "a.json", "--fy", "b.json"],
+            ["--days", "2", "--fx", "a", "--fy", "b", "--dr-prob", "0.5", "--no-timing"],
+            ["--fx", "a"], ["--fx", "a", "--fy", "b", "--days", "-1"],
+            ["--fx", "a", "--fy", "b", "--no-timing=1"], ["--help"]],
+    "explain": [["--episode", "e.jsonl"],
+                ["--episode", "e", "--t", "3", "--mode", "llm", "--gateway", "stub",
+                 "--llm-log", "l.log", "--out", "o"],
+                ["--episode", "e", "--mode", "chatty"], ["--t", "3"],
+                ["--episode", "e", "--templates", "d"], ["--help"]],
+    "ask": [["--episode", "e", "--t", "4", "--question", "Why?"],
+            ["--episode", "e", "--t", "4", "--repl", "--mode", "online", "--endpoint", "h",
+             "--temperature", "0", "--llm-log", "l.log"],
+            ["--episode", "e", "--t", "x"], ["--episode", "e"], ["--episode", "e", "--t", "1", "x"],
+            ["--episode", "e", "--t", "0", "--context-budget", "5"], ["--help"]],
+}
+
+
+def parse_outcome(parser, argv, capsys):
+    """The Namespace ``argv`` parses to, or its exit code with what was printed."""
+    try:
+        return parser.parse_args(argv)
+    except SystemExit as exc:
+        captured = capsys.readouterr()
+        return exc.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    [name, *args] for name, cases in PARSER_CASES.items() for args in cases
+], ids=lambda argv: " ".join(argv))
+def test_one_subcommand_parses_like_all_five(monkeypatch, capsys, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    alone = parse_outcome(build_parser(argv[0]), argv, capsys)
+    assert alone == parse_outcome(build_parser(), argv, capsys)
+    # main builds the one-subcommand parser; a usage error leaves the same way.
+    if not isinstance(alone, argparse.Namespace):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert (info.value.code, *capsys.readouterr()) == alone
+
+
+HELP_TEXTS = {
+    "": """\
+usage: xmpc [-h] {excite,train,run,explain,ask} ...
+
+surrogate MPC for building demand response, with Shapley explanations
+
+positional arguments:
+  {excite,train,run,explain,ask}
+    excite              generate the excitation dataset
+    train               train one surrogate from the excitation CSV
+    run                 closed-loop episode with MPC and attributions
+    explain             render explanation documents from an episode
+    ask                 answer questions about one timestep
+
+options:
+  -h, --help            show this help message and exit
+""",
+    "excite": """\
+usage: xmpc excite [-h] [--days DAYS] [--seed SEED] [--out OUT]
+                   [--config CONFIG]
+
+options:
+  -h, --help       show this help message and exit
+  --days DAYS
+  --seed SEED
+  --out OUT
+  --config CONFIG  JSON file holding the weather seed, rng_seed
+""",
+    "train": """\
+usage: xmpc train [-h] --data DATA --target {fx,fy} [--epochs EPOCHS]
+                  [--lr LR] [--seed SEED] --out OUT
+
+options:
+  -h, --help        show this help message and exit
+  --data DATA
+  --target {fx,fy}
+  --epochs EPOCHS
+  --lr LR
+  --seed SEED
+  --out OUT
+""",
+    "run": """\
+usage: xmpc run [-h] [--days DAYS] --fx FX --fy FY [--dr-prob DR_PROB]
+                [--seed SEED] [--out OUT] [--no-timing] [--config CONFIG]
+
+options:
+  -h, --help         show this help message and exit
+  --days DAYS
+  --fx FX            temperature surrogate model JSON
+  --fy FY            cooling surrogate model JSON
+  --dr-prob DR_PROB  per-day event probability
+  --seed SEED
+  --out OUT
+  --no-timing        canonical form: omit wall-clock fields
+  --config CONFIG    JSON file holding the weather seed, rng_seed
+""",
+    "explain": """\
+usage: xmpc explain [-h] --episode EPISODE [--t T]
+                    [--mode {deterministic,llm}] [--gateway {online,stub}]
+                    [--endpoint ENDPOINT] [--model MODEL]
+                    [--temperature TEMPERATURE] [--llm-log PATH] [--out OUT]
+
+options:
+  -h, --help            show this help message and exit
+  --episode EPISODE
+  --t T                 hour index or 'all'
+  --mode {deterministic,llm}
+  --gateway {online,stub}
+                        chat gateway used in llm mode
+  --endpoint ENDPOINT   chat-completions endpoint for the online gateway
+  --model MODEL
+  --temperature TEMPERATURE
+  --llm-log PATH        append one JSON line per LLM exchange (digests,
+                        latency, usage) to PATH
+  --out OUT
+""",
+    "ask": """\
+usage: xmpc ask [-h] --episode EPISODE --t T [--question QUESTION] [--repl]
+                [--mode {stub,online}] [--endpoint ENDPOINT] [--model MODEL]
+                [--temperature TEMPERATURE] [--llm-log PATH]
+
+options:
+  -h, --help            show this help message and exit
+  --episode EPISODE
+  --t T
+  --question QUESTION
+  --repl
+  --mode {stub,online}
+  --endpoint ENDPOINT
+  --model MODEL
+  --temperature TEMPERATURE
+  --llm-log PATH        append one JSON line per LLM exchange (digests,
+                        latency, usage) to PATH
+""",
+}
+
+
+@pytest.mark.parametrize("command", list(HELP_TEXTS), ids=lambda c: c or "xmpc")
+def test_help_bytes(monkeypatch, capsys, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as info:
+        main([command, "--help"] if command else ["--help"])
+    assert info.value.code == 0
+    assert capsys.readouterr() == (HELP_TEXTS[command], "")
+
+
+@pytest.mark.parametrize("argv", [[], ["conjure"], ["--", "ask"], ["exc", "--days", "1"]],
+                         ids=["none", "unknown", "dashdash", "prefix"])
+def test_without_a_command_name_all_five_are_built(monkeypatch, capsys, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    err = capsys.readouterr().err
+    assert info.value.code == 2
+    assert err.startswith("usage: xmpc [-h] {excite,train,run,explain,ask} ...\nxmpc: error: ")
+    if argv:
+        assert "invalid choice" in err and "'excite', 'train', 'run', 'explain', 'ask'" in err
+    else:
+        assert err.endswith("the following arguments are required: command\n")

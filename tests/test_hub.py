@@ -9,6 +9,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from xmpc.errors import (
     DeserializationError,
@@ -687,3 +689,83 @@ class TestEpisodeFile:
         assert len(episode) == 744
         labels = {r.scenario for r in episode.records}
         assert labels == {1, 2, 3}
+
+
+def sealed_by_the_rule(lines: list[bytes]) -> bytes:
+    """Join ``lines`` (the header first, its seal zeroed) under their seal.
+
+    A reference for the rule in ``load_episode``'s docstring: the header line
+    and then each non-blank record line, each with its CR/LF ending replaced
+    by one ``\\n``.
+    """
+    header, *rest = lines
+    seal = hashlib.sha256(header.rstrip(b"\r\n") + b"\n")
+    for line in rest:
+        line = line.rstrip(b"\r\n")
+        if line.strip():
+            seal.update(line + b"\n")
+    zeroed = b'"records_sha256":"' + b"0" * 64
+    sealed = b'"records_sha256":"' + seal.hexdigest().encode()
+    return b"".join([header.replace(zeroed, sealed, 1), *rest])
+
+
+# Per line: its ending, blanks before it, and blank or whitespace-only lines after it.
+LINE_LAYOUTS = st.tuples(
+    st.sampled_from([b"\n", b"\r\n"]),
+    st.sampled_from([b"", b" ", b"\t ", b"\r"]),
+    st.lists(st.sampled_from([b"", b" ", b"\t", b" \r", b"\x0c"]), max_size=2),
+)
+
+
+@pytest.fixture(scope="module")
+def canonical_episode(mini_episode, tmp_path_factory):
+    path = tmp_path_factory.mktemp("canonical") / "episode.jsonl"
+    save_episode(mini_episode, path, include_timing=False)
+    return path, load_episode(path)
+
+
+@seed(23)
+@settings(max_examples=40, deadline=None)
+@given(layouts=st.lists(LINE_LAYOUTS, min_size=49, max_size=49), final_newline=st.booleans(),
+       cut_hour=st.sampled_from([0, 23, 47]))
+def test_any_line_layout_loads_the_canonical_records(
+    canonical_episode, tmp_path_factory, layouts, final_newline, cut_hour
+):
+    canonical, expected = canonical_episode
+    header, *records = canonical.read_bytes().split(b"\n")[:-1]
+    header = re.sub(rb'("records_sha256":")[0-9a-f]{64}', rb"\g<1>" + b"0" * 64, header)
+    assert len(records) == len(expected) == 48
+
+    def layout(records: list[bytes]) -> tuple[list[bytes], list[int]]:
+        """The file's lines and each record's line number."""
+        lines, numbers = [], []
+        for line, (ending, blanks, after) in zip([header, *records], layouts):
+            lines.append(line + blanks + ending)
+            numbers.append(len(lines))
+            lines += [blank + ending for blank in after]
+        if not final_newline:
+            lines[-1] = lines[-1].rstrip(b"\r\n")
+        return lines, numbers[1:]
+
+    root = tmp_path_factory.mktemp("layout")
+    messy = root / "messy.jsonl"
+    messy.write_bytes(sealed_by_the_rule(layout(records)[0]))
+    assert [r.to_json() for r in load_episode(messy).records] == [
+        r.to_json() for r in expected.records]
+    for t in (0, 23, 47):
+        [record] = load_episode(messy, t).records
+        assert record.to_json() == expected.records[t].to_json()
+
+    # One record cut short, behind a seal over the cut line: both loads name its line.
+    cut_records = list(records)
+    cut_records[cut_hour] = records[cut_hour][: len(records[cut_hour]) // 2]
+    lines, numbers = layout(cut_records)
+    cut = root / "cut.jsonl"
+    cut.write_bytes(sealed_by_the_rule(lines))
+    line = lines[numbers[cut_hour] - 1].rstrip(b"\r\n")
+    with pytest.raises(json.JSONDecodeError) as decoding:
+        json.loads(line)
+    for hour in (None, cut_hour):
+        with pytest.raises(EpisodeIntegrityError) as info:
+            load_episode(cut, hour)
+        assert str(info.value) == f"{cut}:{numbers[cut_hour]}: bad record ({decoding.value})"

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -339,6 +340,35 @@ class TestExcitation:
         no_rows.write_text(",".join(CSV_COLUMNS) + "\n")
         with pytest.raises(DeserializationError, match="no data"):
             ExcitationData.from_csv(no_rows)
+
+    def test_field_over_the_csv_limit_names_its_line(self, tmp_path):
+        long_header = tmp_path / "long_header.csv"
+        long_header.write_text("a" * 200_000 + "\n")
+        with pytest.raises(DeserializationError, match=re.escape(
+                f"{long_header}:1: field larger than field limit (131072)")):
+            ExcitationData.from_csv(long_header)
+
+        long_field = tmp_path / "long_field.csv"
+        row = ["1"] * len(CSV_COLUMNS)
+        long_field.write_text(
+            "\n".join([",".join(CSV_COLUMNS), ",".join(row), ",".join(["a" * 200_000, *row[1:]])])
+        )
+        with pytest.raises(DeserializationError, match=f"{re.escape(str(long_field))}:3: field"):
+            ExcitationData.from_csv(long_field)
+
+    @pytest.mark.parametrize("header, message", [
+        (["time_hour", "setpoint", *CSV_COLUMNS[2:]], "column 2 is 'setpoint'; expected 'setpoint_c'"),
+        (list(CSV_COLUMNS[:5]), "column 6 is missing; expected 'occupancy'"),
+        ([*CSV_COLUMNS, "extra"], "column 9 is 'extra'; expected no such column"),
+        (["time_hour", "x" * 5000], "column 2 is 'xxxxxxxxxxxx...xxxxxxxxxxxxx'; expected 'setpoint_c'"),
+    ], ids=["renamed", "short", "long", "huge-name"])
+    def test_unexpected_header_names_the_first_column_that_differs(self, tmp_path, header,
+                                                                   message):
+        path = tmp_path / "data.csv"
+        path.write_text(",".join(header) + "\n" + ",".join(["1"] * len(header)) + "\n")
+        with pytest.raises(DeserializationError) as info:
+            ExcitationData.from_csv(path)
+        assert str(info.value) == f"{path}:1: unexpected header: {message}"
 
     def test_invalid_day_count(self, testbed_cfg):
         with pytest.raises(InvalidInputError):
