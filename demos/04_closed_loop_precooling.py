@@ -35,8 +35,8 @@ for label in sorted(census):
 record = next(r for r in episode.records if r.scenario == 1)
 d = record.decision
 print(f"\nprecool step t={record.t} (day {record.t // 24}, {record.t % 24:02d}:00):")
-print(f"  zone {record.zone_temp_c:.1f} degC, outdoor {record.oa_temp_c:.1f} degC, "
-      f"{record.occupancy:.0f} occupants")
+print(f"  zone {record.zone_temp_c:.1f} degC, outdoor {record.disturbance.oa_temp_c:.1f} degC, "
+      f"{record.disturbance.occupancy:.0f} occupants")
 print(f"  limits: P_limit(t+1) {record.p_limit_t1_w:.0f} W, "
       f"P_limit(t+2) {record.p_limit_t2_w:.0f} W")
 print(f"  chosen u = ({d.u1_c:.0f}, {d.u2_c:.0f}) degC, predicted cooling "

@@ -35,7 +35,7 @@ import time
 
 import numpy as np
 
-from .errors import AttributionError, FailureError, InvalidInputError, UsageError
+from .errors import AttributionError, ConfigError, FailureError, InvalidInputError, UsageError
 from . import explain as explain_mod
 from . import hub as hub_mod
 from . import llm as llm_mod
@@ -131,6 +131,11 @@ def _llm_config(args) -> llm_mod.LlmConfig:
     )
     if cfg.mode == "online":
         llm_mod.online_api_key(cfg)
+    if cfg.log_path:  # refused before any exchange, which may be a paid request
+        try:
+            open(cfg.log_path, "a").close()
+        except OSError as exc:
+            raise ConfigError(f"--llm-log {cfg.log_path!r} cannot be appended to: {exc.strerror}")
     return cfg
 
 

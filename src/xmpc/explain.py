@@ -201,7 +201,7 @@ def _power(raw: float) -> str:
 
 def _header_block(record: TimestepRecord) -> str:
     day, hod = divmod(record.t, 24)
-    d = record.decision
+    d, w = record.decision, record.disturbance
     return (
         f"In timestep {record.t} (day {day}, {hod:02d}:00):\n\n"
         f"Future power limits: P_limit(t+1) = {fmt_value(record.p_limit_t1_w)}W, "
@@ -209,9 +209,9 @@ def _header_block(record: TimestepRecord) -> str:
         f"P_limit(threshold) = {fmt_value(NORMAL_POWER_LIMIT_W)}W.\n\n"
         "State, boundary conditions, and decisions: "
         f"T_z(t) = {fmt_value(record.zone_temp_c)}°C, "
-        f"OAT(t) = {fmt_value(record.oa_temp_c)}°C, "
-        f"Radiation_direct(t) = {fmt_value(record.oa_radiation_wm2)}W/m2, "
-        f"OCC(t) = {fmt_value(record.occupancy)}, "
+        f"OAT(t) = {fmt_value(w.oa_temp_c)}°C, "
+        f"Radiation_direct(t) = {fmt_value(w.oa_radiation_wm2)}W/m2, "
+        f"OCC(t) = {fmt_value(w.occupancy)}, "
         f"T_spt(t+1) = {fmt_value(d.u1_c)}°C, "
         f"T_spt(t+2) = {fmt_value(d.u2_c)}°C.\n\n"
         "Model predictions: "

@@ -46,8 +46,13 @@ def finite_number(value, name: str) -> float:
     raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
-def check_keys(data: dict, keys, optional=()) -> None:
-    """Raise ``ValueError`` unless ``data`` holds exactly ``keys``, plus any of ``optional``."""
+def check_keys(data, keys, part: str, optional=()) -> None:
+    """Raise ``ValueError`` unless ``data`` is an object of ``keys`` and any of ``optional``.
+
+    ``part`` names ``data`` in the message.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(f"{part} must be a JSON object, got {type(data).__name__}")
     stray = sorted(set(data).symmetric_difference(keys) - set(optional))
     if stray:
         raise ValueError(f"unexpected or missing keys {stray}")

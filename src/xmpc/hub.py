@@ -27,10 +27,12 @@ Scenario rubric (deterministic, ``classify`` applied to a record):
   stays at the ceiling.
 * Scenario 2, "Normal": everything else.
 
-Episodes serialize to JSON lines: a header object, then one record per line.
-Each number is stored once.  A record holds the zone temperature, the
-hour's boundary conditions, the realized cooling rate, the decision's four
-raw network outputs and its 25 pair costs, each attribution's phi, and the
+Episodes serialize to JSON lines: a header object, then one record per line;
+this module alone reads and writes them.  Each number is stored once.  A
+record holds the zone temperature, the hour's boundary conditions under
+``Disturbance``'s field names, the realized cooling rate, the decision's
+four raw network outputs and its 25 pair costs in ``optimize``'s order (null
+where not finite), each attribution as an object of its phi alone, and the
 optimization wall-clock.  The rest is derived: the hour is the record's
 line, its limits are the header calendar's at t + 1 and t + 2, its second
 hour's boundary conditions the next line's (the last record's are the
@@ -39,34 +41,38 @@ scenario is ``classify(record)``, and an attribution's feature names,
 values, base value and prediction are its schema's, the vector the decision
 costed, the header's for its model and the decision's output it explains.
 The header also carries the format version (7, the only one that loads),
-the run and weather seeds, model digests, the DR calendar's event hours,
-the record count and ``records_sha256``, a digest over the header line (its
-own digest zeroed) and every record line that seals the file.  Without the
-wall-clock (canonical form), reruns with equal seeds are byte-identical.
+the run and weather seeds, model digests, the DR calendar (each event hour
+as a decimal string in canonical form, with no sign or leading zero, mapped
+to its positive limit), the record count and ``records_sha256``, a digest
+over the header line (its own digest zeroed) and every record line that
+seals the file.  Without the wall-clock (canonical form), reruns with equal
+seeds are byte-identical.
 
 ``load_episode`` checks the seal before it decodes a record, then decodes
 only the requested record and the next line: the seal vouches for the rest.
-A record must hold exactly the format's keys and finite JSON numbers (a
-pair's cost may be null), and its parts must agree: physical boundary
-conditions and cooling rate, a chosen cost equal to its clamped powers plus
-penalties, and attributions that add up from the header's base values to
-the decision's outputs.
+A record, its decision and each attribution must be JSON objects of exactly
+the format's keys, their numbers finite, and its parts must agree: physical
+boundary conditions and cooling rate, a chosen cost equal to its clamped
+powers plus penalties, and attributions that add up from the header's base
+values to the decision's outputs.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import re
+import reprlib
 import time
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
-from .errors import EpisodeIntegrityError, InvalidInputError, SchemaError
+from .errors import DeserializationError, EpisodeIntegrityError, InvalidInputError, SchemaError
 from .fileio import atomic_write, check_keys, finite_number
-from .mpc import MpcDecision, MpcProblem, features, optimize
+from .mpc import MpcDecision, MpcProblem, clamp_power, features, optimize, penalty, setpoint_pairs
 from .shapley import Attribution, shapley, verify_additivity
 from .surrogate import SCHEMAS, SurrogateModel, background_of, digest, predict
 from .testbed import (
@@ -77,8 +83,6 @@ from .testbed import (
     Disturbance,
     TestbedConfig,
     ZoneState,
-    calendar_from_json,
-    calendar_to_json,
     power_limit_at,
     step,
     synth_disturbances,
@@ -105,12 +109,8 @@ class TimestepRecord:
 
     t: int
     zone_temp_c: float
-    oa_temp_c: float
-    oa_radiation_wm2: float
-    occupancy: float
-    oa_temp_t2_c: float
-    oa_radiation_t2_wm2: float
-    occupancy_t2: float
+    disturbance: Disturbance
+    disturbance_t2: Disturbance  # the second hour's: hour t + 1's own
     cooling_rate_w: float
     p_limit_t1_w: float
     p_limit_t2_w: float
@@ -119,9 +119,11 @@ class TimestepRecord:
     opt_seconds: float | None = None
 
     def to_json(self, include_timing: bool = True) -> dict:
-        data = {name: getattr(self, name) for name in _SCALAR_RECORD_FIELDS}
-        data["decision"] = self.decision.to_json()
-        data["attributions"] = {k: self.attributions[k].to_json() for k in ATTRIBUTION_KEYS}
+        data = {"zone_temp_c": self.zone_temp_c, **asdict(self.disturbance),
+                "cooling_rate_w": self.cooling_rate_w,
+                "decision": decision_to_json(self.decision),
+                "attributions": {k: {"phi": [float(p) for p in self.attributions[k].shapley_values]}
+                                 for k in ATTRIBUTION_KEYS}}
         if include_timing and self.opt_seconds is not None:
             data["opt_seconds"] = self.opt_seconds
         return data
@@ -133,25 +135,28 @@ class TimestepRecord:
 
         Raise ``ValueError`` unless its parts agree.
         """
-        check_keys(data, _RECORD_KEYS, optional=("opt_seconds",))
+        check_keys(data, _RECORD_KEYS, "record", optional=("opt_seconds",))
         attributions = data["attributions"]
-        check_keys(attributions, ATTRIBUTION_KEYS)
+        check_keys(attributions, ATTRIBUTION_KEYS, "attributions")
         scalars = {name: finite_number(data[name], name)
-                   for name in (*_SCALAR_RECORD_FIELDS, "opt_seconds") if name in data}
+                   for name in ("zone_temp_c", "cooling_rate_w", "opt_seconds") if name in data}
         rate = scalars["cooling_rate_w"]
         if not 0.0 <= rate <= COOLING_CAPACITY_W:
             raise ValueError(f"cooling_rate_w must be in [0, {COOLING_CAPACITY_W}], got {rate!r}")
         p1, p2 = power_limit_at(calendar, t + 1), power_limit_at(calendar, t + 2)
-        d = MpcDecision.from_json(data["decision"], p1, p2)
-        record = cls(t, **scalars, oa_temp_t2_c=after.oa_temp_c,
-                     oa_radiation_t2_wm2=after.oa_radiation_wm2, occupancy_t2=after.occupancy,
-                     p_limit_t1_w=p1, p_limit_t2_w=p2, decision=d, attributions={})
-        # Each Disturbance refuses negative radiation or occupancy.
+        d = decision_from_json(data["decision"], p1, p2)
+        record = cls(t, disturbance=_disturbance(data), disturbance_t2=after, p_limit_t1_w=p1,
+                     p_limit_t2_w=p2, decision=d, attributions={}, **scalars)
         h1 = features(d.u1_c, record.zone_temp_c, record.disturbance)
         h2 = features(d.u2_c, d.x1_c, after)
         for (key, output), values in zip(ATTRIBUTION_KEYS.items(), (h1, h1, h2, h2)):
-            attribution = Attribution.from_json(attributions[key], SCHEMAS[key[:2]].feature_names,
-                                                values, base_values[key[:2]], getattr(d, output))
+            check_keys(attributions[key], ("phi",), key)
+            phi, names = attributions[key]["phi"], SCHEMAS[key[:2]].feature_names
+            if not isinstance(phi, list) or len(phi) != len(names):
+                raise ValueError(f"phi must list {len(names)} numbers, one per feature")
+            phi = np.array([finite_number(p, "phi") for p in phi])
+            attribution = Attribution(names, values.copy(), phi, base_values[key[:2]],
+                                      getattr(d, output))
             if not verify_additivity(attribution)[0]:
                 raise ValueError(f"{key} base value + sum(phi) is not the decision's {output}")
             record.attributions[key] = attribution
@@ -165,25 +170,70 @@ class TimestepRecord:
     def scenario(self) -> int:
         return classify(self)
 
-    @property
-    def disturbance(self) -> Disturbance:
-        return Disturbance(self.oa_temp_c, self.oa_radiation_wm2, self.occupancy)
 
-    @property
-    def disturbance_t2(self) -> Disturbance:
-        return Disturbance(self.oa_temp_t2_c, self.oa_radiation_t2_wm2, self.occupancy_t2)
-
-
-# A record line's numbers, in order, and its other keys; the hour, the limits
-# and the second hour are the line's, the calendar's and the next line's.
-_SCALAR_RECORD_FIELDS = ("zone_temp_c", "oa_temp_c", "oa_radiation_wm2", "occupancy",
-                         "cooling_rate_w")
-_RECORD_KEYS = frozenset(_SCALAR_RECORD_FIELDS + ("decision", "attributions"))
+# A record line's keys (the hour, the limits and the second hour are the
+# line's, the calendar's and the next line's), and a decision's stored outputs.
+_RECORD_KEYS = frozenset(("zone_temp_c", *(f.name for f in fields(Disturbance)),
+                          "cooling_rate_w", "decision", "attributions"))
+_OUTPUTS = ("x1_c", "x2_c", "y1_w", "y2_w")
 
 
 def _disturbance(data: dict) -> Disturbance:
     """A record line's, or the header's ``after_last``, boundary conditions."""
     return Disturbance(*(finite_number(data[f.name], f.name) for f in fields(Disturbance)))
+
+
+def decision_to_json(decision: MpcDecision) -> dict:
+    """The four network outputs and every pair's cost, null where it is not finite."""
+    data = {name: getattr(decision, name) for name in _OUTPUTS}
+    data["costs"] = [cost if math.isfinite(cost) else None for _, _, cost in decision.candidates]
+    return data
+
+
+def decision_from_json(data, p_limit_t1_w: float, p_limit_t2_w: float) -> MpcDecision:
+    """Decode ``decision_to_json`` output: the chosen pair is the first cheapest, the tie-break."""
+    check_keys(data, (*_OUTPUTS, "costs"), "decision")
+    x1, x2, y1, y2 = (finite_number(data[name], name) for name in _OUTPUTS)
+    pairs = setpoint_pairs()
+    if not isinstance(data["costs"], list) or len(data["costs"]) != len(pairs):
+        raise ValueError(f"costs must list {len(pairs)} entries, one per setpoint pair")
+    table = [(u1, u2, math.inf if c is None else finite_number(c, "cost"))
+             for (u1, u2), c in zip(pairs, data["costs"])]
+    u1, u2, cost = min(table, key=lambda candidate: candidate[2])
+    v1, v2 = penalty(clamp_power(y1), p_limit_t1_w), penalty(clamp_power(y2), p_limit_t2_w)
+    # optimize's own sum, bit for bit; this also refuses a table of nulls (cost inf).
+    if cost != clamp_power(y1) + v1 + clamp_power(y2) + v2:
+        raise ValueError(f"chosen cost {cost!r} is not max(0, y1_w) + v1 + max(0, y2_w) + v2")
+    return MpcDecision(u1, u2, x1, x2, y1, y2, v1, v2, cost, table)
+
+
+def calendar_to_json(calendar: dict[int, float]) -> dict:
+    """The calendar as the header holds it: hour (as a string) -> limit, hours ascending."""
+    return {str(h): calendar[h] for h in sorted(calendar)}
+
+
+def calendar_from_json(data, source: str) -> dict[int, float]:
+    """A parsed header calendar, named ``source`` in errors, as hour -> limit in W."""
+    if not isinstance(data, dict):
+        raise DeserializationError(f"{source}: expected a JSON object, got {type(data).__name__}")
+    calendar = {}
+    for hour, limit in data.items():
+        # Canonical form only, so "3" and "03" cannot both name hour 3.
+        try:
+            canonical = hour.isascii() and hour.isdigit() and hour == str(int(hour))
+        except ValueError:  # more digits than int() converts
+            canonical = False
+        if not canonical:
+            raise DeserializationError(f"{source}: hour {reprlib.repr(hour)} is not a canonical "
+                                       "non-negative integer")
+        try:
+            value = finite_number(limit, f"limit for hour {hour}")
+        except ValueError as exc:
+            raise DeserializationError(f"{source}: {exc}") from None
+        if value <= 0.0:
+            raise DeserializationError(f"{source}: limit for hour {hour} must be > 0, got {limit!r}")
+        calendar[int(hour)] = value
+    return calendar
 
 
 def _provenance_problem(seeds, digests) -> str | None:
@@ -296,12 +346,8 @@ def run_episode(
         records.append(TimestepRecord(
             t=t,
             zone_temp_c=state.zone_temp_c,
-            oa_temp_c=d1.oa_temp_c,
-            oa_radiation_wm2=d1.oa_radiation_wm2,
-            occupancy=d1.occupancy,
-            oa_temp_t2_c=d2.oa_temp_c,
-            oa_radiation_t2_wm2=d2.oa_radiation_wm2,
-            occupancy_t2=d2.occupancy,
+            disturbance=d1,
+            disturbance_t2=d2,
             cooling_rate_w=hvac.cooling_rate_w,
             p_limit_t1_w=problem.p_limit_t1_w,
             p_limit_t2_w=problem.p_limit_t2_w,

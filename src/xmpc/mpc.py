@@ -37,7 +37,6 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvalidInputError, OptimizationFailedError
-from .fileio import check_keys, finite_number
 from .testbed import SETPOINT_GRID_C, Disturbance
 
 Predictor = Callable[[np.ndarray], float]
@@ -80,8 +79,7 @@ class MpcDecision:
     """One costed setpoint pair: its raw predictions, penalties and total cost.
 
     ``rollout`` returns a pair with an empty ``candidates`` table; ``optimize``
-    returns the cheapest pair with the table of every pair it costed.  Its
-    JSON form holds only the four network outputs and the table's costs.
+    returns the cheapest pair with the table of every pair it costed.
     """
 
     u1_c: float
@@ -95,37 +93,11 @@ class MpcDecision:
     cost: float
     candidates: list[tuple[float, float, float]] = field(default_factory=list)
 
-    def to_json(self) -> dict:
-        data = {name: getattr(self, name) for name in _DECISION_KEYS[:-1]}
-        data["costs"] = [cost if math.isfinite(cost) else None for _, _, cost in self.candidates]
-        return data
-
-    @classmethod
-    def from_json(cls, data: dict, p_limit_t1_w: float, p_limit_t2_w: float) -> "MpcDecision":
-        """Decode ``to_json`` output: the chosen pair is the first cheapest, the tie-break."""
-        check_keys(data, _DECISION_KEYS)
-        x1, x2, y1, y2 = (finite_number(data[name], name) for name in _DECISION_KEYS[:-1])
-        pairs = _pairs()
-        if not isinstance(data["costs"], list) or len(data["costs"]) != len(pairs):
-            raise ValueError(f"costs must list {len(pairs)} entries, one per setpoint pair")
-        table = [(u1, u2, math.inf if c is None else finite_number(c, "cost"))
-                 for (u1, u2), c in zip(pairs, data["costs"])]
-        u1, u2, cost = min(table, key=lambda candidate: candidate[2])
-        v1, v2 = penalty(clamp_power(y1), p_limit_t1_w), penalty(clamp_power(y2), p_limit_t2_w)
-        # optimize's own sum, bit for bit; this also refuses a table of nulls (cost inf).
-        if cost != clamp_power(y1) + v1 + clamp_power(y2) + v2:
-            raise ValueError(f"chosen cost {cost!r} is not max(0, y1_w) + v1 + max(0, y2_w) + v2")
-        return cls(u1, u2, x1, x2, y1, y2, v1, v2, cost, table)
-
     def candidate_cost(self, u1: float, u2: float) -> float:
         for cu1, cu2, cost in self.candidates:
             if cu1 == u1 and cu2 == u2:
                 return cost
         raise KeyError(f"pair ({u1}, {u2}) not in candidate table")
-
-
-# The serialized decision: the chosen pair, its penalties and its cost are derived.
-_DECISION_KEYS = ("x1_c", "x2_c", "y1_w", "y2_w", "costs")
 
 
 def penalty(power_w: float, p_limit_w: float) -> float:
@@ -145,7 +117,7 @@ def setpoint_grid(problem: MpcProblem) -> list[float]:
     return list(SETPOINT_GRID_C)
 
 
-def _pairs() -> list[tuple[float, float]]:
+def setpoint_pairs() -> list[tuple[float, float]]:
     """The setpoint pairs in the order ``optimize`` costs them: u1, then u2, from the top down."""
     grid = SETPOINT_GRID_C[::-1]
     return [(u1, u2) for u1 in grid for u2 in grid]
@@ -200,7 +172,7 @@ def optimize(problem: MpcProblem) -> MpcDecision:
     candidates: list[tuple[float, float, float]] = []
     # Hour one depends on u1 alone: predict it once for all of u1's pairs.
     first_hours = {u1: _first_hour(problem, u1) for u1 in SETPOINT_GRID_C}
-    for u1, u2 in _pairs():
+    for u1, u2 in setpoint_pairs():
         pair = _second_hour(problem, u1, *first_hours[u1], u2)
         candidates.append((u1, u2, pair.cost))
         if math.isfinite(pair.cost) and (best is None or pair.cost < best.cost):

@@ -63,7 +63,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, SchemaError
-from .fileio import check_keys, finite_number
 from .surrogate import SurrogateModel, _standardized
 
 # Refuse exact enumeration above this many features: 2^20 coalitions is
@@ -91,19 +90,6 @@ class Attribution:
     shapley_values: np.ndarray
     base_value: float
     prediction: float
-
-    def to_json(self) -> dict:
-        return {"phi": [float(p) for p in self.shapley_values]}
-
-    @classmethod
-    def from_json(cls, data: dict, names: tuple[str, ...], values, base_value: float,
-                  prediction: float) -> "Attribution":
-        """Decode ``to_json`` output, phi alone, completed by the caller's other four fields."""
-        check_keys(data, ("phi",))
-        if not isinstance(data["phi"], list) or len(data["phi"]) != len(names):
-            raise ValueError(f"phi must list {len(names)} numbers, one per feature")
-        phi = np.array([finite_number(p, "phi") for p in data["phi"]])
-        return cls(tuple(names), np.array(values, dtype=float), phi, base_value, prediction)
 
 
 def coalition_weight(s_size: int, n: int) -> float:

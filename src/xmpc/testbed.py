@@ -22,8 +22,7 @@ Time conventions used throughout the package:
   ``calendar[h]`` limits the cooling rate reported at hour h (the power
   delivered during the hour ending at h).  The calendar lists the event
   hours only; ``power_limit_at`` gives every other hour the 5000 W normal
-  limit, a ceiling that normal operation does not reach.  The calendar is
-  stored only in episode headers, through ``calendar_to_json``.
+  limit, a ceiling that normal operation does not reach.
 
 Synthetic weather is a deterministic function of (seed, day): a sinusoidal
 dry-bulb profile peaking at 14:00, a daytime half-sine direct solar profile,
@@ -411,30 +410,3 @@ def load_config(path: str | Path, rng_seed: int = 0) -> TestbedConfig:
     if type(seed) is not int:  # not isinstance: a bool is an int there
         raise DeserializationError(f"{path}: rng_seed must be of type int, got {seed!r}")
     return TestbedConfig(rng_seed=seed)
-
-
-def calendar_to_json(calendar: dict[int, float]) -> dict:
-    """The calendar as episode headers hold it: hour (as a string) -> limit."""
-    return {str(h): calendar[h] for h in sorted(calendar)}
-
-
-def calendar_from_json(data, source: str) -> dict[int, float]:
-    """Check a parsed calendar object and return hour index -> power limit in W.
-
-    ``source`` names the file (and part) in error messages.
-    """
-    if not isinstance(data, dict):
-        raise DeserializationError(f"{source}: expected a JSON object, got {type(data).__name__}")
-    calendar = {}
-    for hour, limit in data.items():
-        # Canonical form only, so "3" and "03" cannot both name hour 3.
-        if not (hour.isascii() and hour.isdigit() and hour == str(int(hour))):
-            raise DeserializationError(f"{source}: hour {hour!r} is not a non-negative integer")
-        try:
-            value = finite_number(limit, f"limit for hour {hour}")
-        except ValueError as exc:
-            raise DeserializationError(f"{source}: {exc}") from None
-        if value <= 0.0:
-            raise DeserializationError(f"{source}: limit for hour {hour} must be > 0, got {limit!r}")
-        calendar[int(hour)] = value
-    return calendar

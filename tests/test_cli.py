@@ -471,6 +471,31 @@ class TestLlmLog:
         assert main([argv[0], "--episode", str(cli_workspace / "episode.jsonl"), *argv[1:]]) == 0
         assert [p.name for p in tmp_path.iterdir()] == (["docs"] if argv[0] == "explain" else [])
 
+    @pytest.mark.parametrize("gateway", ["stub", "online"])
+    @pytest.mark.parametrize("argv", [  # each ends with its command's gateway flag
+        ["ask", "--t", "14", "--question", "Why precool?", "--mode"],
+        ["explain", "--t", "14", "--mode", "llm", "--out", "docs", "--gateway"],
+    ], ids=["ask", "explain"])
+    def test_unwritable_log_refused_before_any_exchange(
+        self, cli_workspace, tmp_path, capsys, monkeypatch, no_network, argv, gateway
+    ):
+        posts = []
+
+        def counting_post(url, **kwargs):
+            posts.append(url)
+            raise requests.TooManyRedirects("counted")
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(requests, "post", counting_post)
+        monkeypatch.setenv("LLM_API_KEY", "sk-test")
+        rc = main([argv[0], "--episode", str(cli_workspace / "episode.jsonl"), *argv[1:], gateway,
+                   "--endpoint", "https://gateway.example", "--llm-log", "missing_dir/x.log"])
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert (out, posts, list(tmp_path.iterdir())) == ("", [], [])
+        assert err == ("error: --llm-log 'missing_dir/x.log' cannot be appended to: "
+                       "No such file or directory\n")
+
 
 @pytest.mark.parametrize("argv", [
     ["ask", "--t", "0", "--question", "Why precool?", "--mode", "online"],
@@ -615,6 +640,14 @@ MALFORMED_RECORDS = {
                              "unexpected or missing keys ['values'])"),
     "t2-values-differ": (["attributions", "fy_t2", "values"], FIVE_VALUES,
                          "unexpected or missing keys ['values'])"),
+    # A list of a part's own keys passed the key check, then failed on
+    # indexing with "list indices must be integers or slices, not str".
+    "decision-list": (["decision"], ["x1_c", "x2_c", "y1_w", "y2_w", "costs"],
+                      "decision must be a JSON object, got list)"),
+    "attributions-list": (["attributions"], ["fx_t1", "fy_t1", "fx_t2", "fy_t2"],
+                          "attributions must be a JSON object, got list)"),
+    "phi-object-list": (["attributions", "fy_t1"], ["phi"],
+                        "fy_t1 must be a JSON object, got list)"),
 }
 
 

@@ -35,6 +35,7 @@ from xmpc.explain import (
 from xmpc.hub import ATTRIBUTION_KEYS, TimestepRecord
 from xmpc.mpc import MpcDecision, clamp_power
 from xmpc.shapley import Attribution
+from xmpc.testbed import Disturbance
 
 WORKED_ATTR = Attribution(
     feature_names=("oa_temp", "oa_radiation", "zone_temp", "zone_clg_tstat", "zone_occ"),
@@ -51,8 +52,9 @@ def fake_record(p_limit_t2: float, u1: float, t: int = 0) -> TimestepRecord:
         v1=0.0, v2=0.0, cost=1900.0,
     )
     return TimestepRecord(
-        t=t, zone_temp_c=25.0, oa_temp_c=33.0, oa_radiation_wm2=400.0, occupancy=3.0,
-        oa_temp_t2_c=33.5, oa_radiation_t2_wm2=350.0, occupancy_t2=3.0, cooling_rate_w=1100.0, p_limit_t1_w=5000.0, p_limit_t2_w=p_limit_t2,
+        t=t, zone_temp_c=25.0, disturbance=Disturbance(33.0, 400.0, 3.0),
+        disturbance_t2=Disturbance(33.5, 350.0, 3.0), cooling_rate_w=1100.0, p_limit_t1_w=5000.0,
+        p_limit_t2_w=p_limit_t2,
         decision=decision, attributions={},
     )
 
@@ -83,8 +85,7 @@ def expected_numerals(record: TimestepRecord, threshold_w: float = 5000.0) -> se
         "1", "2", "3", "4",  # scenario labels and figure indices
         fmt_value(record.p_limit_t1_w), fmt_value(record.p_limit_t2_w),
         fmt_value(threshold_w),
-        fmt_value(record.zone_temp_c), fmt_value(record.oa_temp_c),
-        fmt_value(record.oa_radiation_wm2), fmt_value(record.occupancy),
+        fmt_value(record.zone_temp_c), *map(fmt_value, dataclasses.astuple(record.disturbance)),
         fmt_value(d.u1_c), fmt_value(d.u2_c), fmt_value(d.x1_c), fmt_value(d.x2_c),
         fmt_value(d.y1_w), fmt_value(d.y2_w),
         fmt_value(clamp_power(d.y1_w)), fmt_value(clamp_power(d.y2_w)),

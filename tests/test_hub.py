@@ -24,6 +24,7 @@ from xmpc.hub import (
     REFERENCE_OPT_SECONDS,
     Episode,
     TimestepRecord,
+    calendar_to_json,
     load_episode,
     run_episode,
     save_episode,
@@ -36,7 +37,6 @@ from xmpc.surrogate import FX_SCHEMA, FY_SCHEMA, background_of, digest, predict
 from xmpc.testbed import (
     NORMAL_POWER_LIMIT_W,
     ZoneState,
-    calendar_to_json,
     generate_dr_calendar,
     power_limit_at,
     step,
@@ -86,9 +86,9 @@ class TestRunEpisode:
         records = mini_episode.records
         for prev, nxt in zip(records[:-1], records[1:]):
             assert prev.disturbance_t2 == nxt.disturbance
-            assert prev.attributions["fy_t2"].feature_values[2:].tolist() == [
-                nxt.oa_temp_c, nxt.oa_radiation_wm2, nxt.occupancy
-            ]
+            assert prev.attributions["fy_t2"].feature_values[2:].tolist() == list(
+                dataclasses.astuple(nxt.disturbance)
+            )
 
     def test_closed_loop_replays_through_testbed(self, mini_episode, testbed_cfg):
         # Re-stepping the plant from each record's state must reproduce the
@@ -368,9 +368,8 @@ class TestEpisodeFile:
         # Each model's base value, and the last hour's second-hour conditions.
         last = mini_episode.records[-1]
         assert header["base_values"] == base_values_of(mini_episode)
-        assert header["after_last"] == {"oa_temp_c": last.oa_temp_t2_c,
-                                        "oa_radiation_wm2": last.oa_radiation_t2_wm2,
-                                        "occupancy": last.occupancy_t2}
+        assert header["after_last"] == dataclasses.asdict(last.disturbance_t2)
+        assert list(header["after_last"]) == ["oa_temp_c", "oa_radiation_wm2", "occupancy"]
         # The seal covers the header line, its own digest zeroed, then the records.
         unsealed = head.replace(header["records_sha256"].encode(), b"0" * 64)
         assert header["records_sha256"] == hashlib.sha256(unsealed + b"\n" + body).hexdigest()
@@ -563,7 +562,9 @@ class TestEpisodeFile:
         record = records[5]
         attributions = dict(record.attributions)
         if part == "second-hour":
-            record = dataclasses.replace(record, oa_temp_t2_c=record.oa_temp_t2_c + 3.0)
+            second = record.disturbance_t2
+            record = dataclasses.replace(record, disturbance_t2=dataclasses.replace(
+                second, oa_temp_c=second.oa_temp_c + 3.0))
             message = "record 5 holds second hour Disturbance(oa_temp_c="
         else:
             base = attributions["fy_t2"].base_value

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from xmpc import mpc as mpc_mod
 from xmpc.errors import InvalidInputError, OptimizationFailedError
 from xmpc.explain import COMFORT_CEILING_C
+from xmpc.hub import decision_from_json, decision_to_json
 from xmpc.mpc import (
     MpcDecision,
     MpcProblem,
@@ -392,11 +393,13 @@ class TestFirstHourOnce:
 
 
 class TestDecisionSerialization:
+    """A decision as an episode record holds it, through ``hub``'s episode codec."""
+
     def test_roundtrip(self):
         fy = lambda f: 100.0 * (26.0 - f[0])
         decision = optimize(make_problem(lambda f: f[1], fy))
-        data = decision.to_json()
-        back = MpcDecision.from_json(data, 5000.0, 5000.0)
+        data = decision_to_json(decision)
+        back = decision_from_json(data, 5000.0, 5000.0)
         assert back.u1_c == decision.u1_c
         assert back.u2_c == decision.u2_c
         assert back.cost == decision.cost
@@ -408,29 +411,29 @@ class TestDecisionSerialization:
         # chosen pair, its penalties and its cost are derived on decode.
         fy = lambda f: 200.0 + 100.0 * (26.0 - f[0])
         decision = optimize(make_problem(lambda f: f[1], fy, limit2=150.0))
-        data = decision.to_json()
+        data = decision_to_json(decision)
         assert list(data) == ["x1_c", "x2_c", "y1_w", "y2_w", "costs"]
         assert data["costs"] == [cost for _, _, cost in decision.candidates]
-        back = MpcDecision.from_json(data, 5000.0, 150.0)
+        back = decision_from_json(data, 5000.0, 150.0)
         assert back == decision and back.v2 > 0.0
 
     def test_raw_outputs_round_trip(self):
         # A negative cooling output is stored as the network gave it; the
         # decoder clamps it to check the chosen cost, as optimize costed it.
         decision = optimize(make_problem(lambda f: f[1], lambda f: -40.0 * f[0]))
-        data = decision.to_json()
+        data = decision_to_json(decision)
         assert (decision.u1_c, decision.u2_c, decision.cost) == (26.0, 26.0, 0.0)
         assert (data["y1_w"], data["y2_w"]) == (-1040.0, -1040.0)
-        assert MpcDecision.from_json(data, 5000.0, 5000.0) == decision
+        assert decision_from_json(data, 5000.0, 5000.0) == decision
 
     def test_non_finite_candidates_serialize_as_null(self):
         fy = lambda f: math.nan if f[0] < 26.0 else 10.0
         decision = optimize(make_problem(lambda f: f[1], fy))
-        data = decision.to_json()
+        data = decision_to_json(decision)
         # Every pair except (26, 26) hits the NaN in one of its two hours.
         nulls = [c for c in data["costs"] if c is None]
         assert len(nulls) == 24
-        back = MpcDecision.from_json(data, 5000.0, 5000.0)
+        back = decision_from_json(data, 5000.0, 5000.0)
         assert (back.u1_c, back.u2_c, back.cost) == (26.0, 26.0, decision.cost)
         assert all(
             math.isinf(c) for _, u, c in back.candidates if not math.isfinite(c)
@@ -444,15 +447,15 @@ class TestDecisionSerialization:
     def test_ties_decode_to_the_first_cheapest(self):
         # A flat cooling prediction ties every pair; optimize keeps the comfort ceiling.
         decision = optimize(make_problem(lambda f: f[1], lambda f: 300.0))
-        assert len(set(decision.to_json()["costs"])) == 1
-        back = MpcDecision.from_json(decision.to_json(), 5000.0, 5000.0)
+        assert len(set(decision_to_json(decision)["costs"])) == 1
+        back = decision_from_json(decision_to_json(decision), 5000.0, 5000.0)
         assert (back.u1_c, back.u2_c) == (decision.u1_c, decision.u2_c) == (26.0, 26.0)
 
     def test_pairs_follow_the_grid(self, monkeypatch):
         patch_grid(monkeypatch, 0.5)
         fy = lambda f: 100.0 * (f[1] - 20.0) + 10.0 * f[0]
         decision = optimize(make_problem(lambda f: f[1] - 0.2 * (26.0 - f[0]), fy))
-        back = MpcDecision.from_json(decision.to_json(), 5000.0, 5000.0)
+        back = decision_from_json(decision_to_json(decision), 5000.0, 5000.0)
         assert len(back.candidates) == 81
         assert back == decision
 
@@ -470,7 +473,7 @@ class TestDecisionSerialization:
             "bool-cost", "all-null", "prediction-off", "cheaper-pair"])
     def test_from_json_refuses(self, edit, message):
         fy = lambda f: 100.0 * (f[1] - 20.0) + 10.0 * f[0]
-        data = optimize(make_problem(lambda f: f[1] - 0.2 * (26.0 - f[0]), fy)).to_json()
+        data = decision_to_json(optimize(make_problem(lambda f: f[1] - 0.2 * (26.0 - f[0]), fy)))
         edit(data)
         with pytest.raises(ValueError, match=re.escape(message)):
-            MpcDecision.from_json(data, 5000.0, 5000.0)
+            decision_from_json(data, 5000.0, 5000.0)

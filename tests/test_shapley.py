@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib
 import itertools
+import json
 import math
 import re
 
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xmpc.errors import InvalidInputError, SchemaError
+from xmpc.hub import TimestepRecord
 from xmpc.shapley import (
     MAX_EXACT_FEATURES,
     Attribution,
@@ -20,7 +22,14 @@ from xmpc.shapley import (
     shapley,
     verify_additivity,
 )
-from xmpc.surrogate import FX_SCHEMA, Normalization, SurrogateModel, background_of, predict_batch
+from xmpc.surrogate import (
+    FX_SCHEMA,
+    SCHEMAS,
+    Normalization,
+    SurrogateModel,
+    background_of,
+    predict_batch,
+)
 
 
 def coalition_value(fn, instance, background, members) -> float:
@@ -406,23 +415,32 @@ class TestVerifyAdditivity:
 
 
 class TestSerialization:
-    def test_json_roundtrip(self):
-        rng = np.random.default_rng(10)
-        instance = rng.normal(size=5)
-        background = rng.normal(size=(4, 5))
-        attr = shapley(nonlinear_fn, instance, background)
-        data = attr.to_json()
+    """An attribution as an episode record holds it, through ``hub``'s episode codec."""
+
+    @staticmethod
+    def decode(episode, data):
+        """Record 5's line ``data`` decoded with the header parts around it."""
+        base_values = {role: episode.records[0].attributions[f"{role}_t1"].base_value
+                       for role in ("fx", "fy")}
+        return TimestepRecord.from_json(data, 5, episode.calendar, base_values,
+                                        episode.records[6].disturbance)
+
+    def test_json_roundtrip(self, mini_episode):
+        record = mini_episode.records[5]
+        data = json.loads(json.dumps(record.to_json()))
         # The JSON holds phi alone: the names come from the model schema, and
         # the values, the base value and the prediction from the episode that
         # holds the attribution.
-        assert list(data) == ["phi"]
-        back = Attribution.from_json(data, attr.feature_names, instance, attr.base_value,
-                                     attr.prediction)
-        assert back.feature_names == attr.feature_names == tuple(f"f{i}" for i in range(5))
-        assert np.array_equal(back.feature_values, attr.feature_values)
-        assert np.array_equal(back.shapley_values, attr.shapley_values)
-        assert back.base_value == attr.base_value
-        assert back.prediction == attr.prediction
+        for key, attr in record.attributions.items():
+            assert data["attributions"][key] == {"phi": attr.shapley_values.tolist()}
+        back = self.decode(mini_episode, data)
+        for key, attr in record.attributions.items():
+            got = back.attributions[key]
+            assert got.feature_names == attr.feature_names == SCHEMAS[key[:2]].feature_names
+            assert np.array_equal(got.feature_values, attr.feature_values)
+            assert np.array_equal(got.shapley_values, attr.shapley_values)
+            assert got.base_value == attr.base_value
+            assert got.prediction == attr.prediction
 
     @pytest.mark.parametrize("edit, message", [
         (lambda data: data.update(values=[0.0] * 5), "unexpected or missing keys ['values']"),
@@ -434,11 +452,8 @@ class TestSerialization:
         (lambda data: data.update(prediction=None), "unexpected or missing keys ['prediction']"),
     ], ids=["values-stored", "phi-long", "phi-scalar", "phi-string", "phi-bool", "base-nan",
             "prediction-null"])
-    def test_from_json_refuses_malformed_numbers(self, edit, message):
-        rng = np.random.default_rng(10)
-        attr = shapley(nonlinear_fn, rng.normal(size=5), rng.normal(size=(4, 5)))
-        data = attr.to_json()
-        edit(data)
+    def test_from_json_refuses_malformed_numbers(self, mini_episode, edit, message):
+        data = json.loads(json.dumps(mini_episode.records[5].to_json()))
+        edit(data["attributions"]["fx_t1"])
         with pytest.raises(ValueError, match=re.escape(message)):
-            Attribution.from_json(data, attr.feature_names, attr.feature_values, attr.base_value,
-                                  attr.prediction)
+            self.decode(mini_episode, data)

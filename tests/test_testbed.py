@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from xmpc import testbed
 from xmpc.errors import DeserializationError, InvalidInputError, SimulationDivergedError
+from xmpc.hub import calendar_from_json, calendar_to_json
 from xmpc.testbed import (
     COOLING_CAPACITY_W,
     CSV_COLUMNS,
@@ -38,8 +39,6 @@ from xmpc.testbed import (
     ExcitationData,
     TestbedConfig,
     ZoneState,
-    calendar_from_json,
-    calendar_to_json,
     generate_dr_calendar,
     load_config,
     power_limit_at,
@@ -237,7 +236,7 @@ class TestDrCalendar:
             generate_dr_calendar(5, 1.5, seed=0)
 
     def test_calendar_roundtrip(self):
-        # Through JSON text, as an episode header carries it.
+        # Through JSON text, as an episode header carries it (``hub``'s episode codec).
         cal = generate_dr_calendar(5, 1.0, seed=11)
         assert calendar_from_json(json.loads(json.dumps(calendar_to_json(cal))), "header") == cal
 
@@ -260,9 +259,11 @@ class TestDrCalendar:
         (b'{"3": 0}', "limit for hour 3"),
         (b'{"3": true}', "limit for hour 3"),
         (b'{"3": 1' + b"0" * 400 + b"}", "limit for hour 3"),
+        # More digits than int() converts: a bare ValueError before.
+        (b'{"' + b"1" * 5000 + b'": 1000}', "hour '1111"),
     ], ids=["top-level-number", "limits-list", "hour-word", "hour-negative",
             "hour-leading-zero", "hour-double-zero", "limit-string", "limit-nan", "limit-inf",
-            "limit-negative", "limit-zero", "limit-bool", "limit-oversized-int"])
+            "limit-negative", "limit-zero", "limit-bool", "limit-oversized-int", "hour-huge"])
     def test_calendar_malformed_content_rejected(self, content, message):
         with pytest.raises(DeserializationError, match=f"header: .*{message}"):
             calendar_from_json(json.loads(content), "header")
