@@ -145,8 +145,8 @@ class TimestepRecord:
             raise ValueError(f"cooling_rate_w must be in [0, {COOLING_CAPACITY_W}], got {rate!r}")
         p1, p2 = power_limit_at(calendar, t + 1), power_limit_at(calendar, t + 2)
         d = decision_from_json(data["decision"], p1, p2)
-        record = cls(t, disturbance=_disturbance(data), disturbance_t2=after, p_limit_t1_w=p1,
-                     p_limit_t2_w=p2, decision=d, attributions={}, **scalars)
+        record = cls(t, disturbance=_disturbance(data, "record"), disturbance_t2=after,
+                     p_limit_t1_w=p1, p_limit_t2_w=p2, decision=d, attributions={}, **scalars)
         h1 = features(d.u1_c, record.zone_temp_c, record.disturbance)
         h2 = features(d.u2_c, d.x1_c, after)
         for (key, output), values in zip(ATTRIBUTION_KEYS.items(), (h1, h1, h2, h2)):
@@ -178,8 +178,13 @@ _RECORD_KEYS = frozenset(("zone_temp_c", *(f.name for f in fields(Disturbance)),
 _OUTPUTS = ("x1_c", "x2_c", "y1_w", "y2_w")
 
 
-def _disturbance(data: dict) -> Disturbance:
-    """A record line's, or the header's ``after_last``, boundary conditions."""
+def _disturbance(data, part: str) -> Disturbance:
+    """The boundary conditions of a record line or the header's ``after_last``, named ``part``."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{part} must be a JSON object, got {type(data).__name__}")
+    missing = [f.name for f in fields(Disturbance) if f.name not in data]
+    if missing:
+        raise ValueError(f"{part} is missing keys {missing}")
     return Disturbance(*(finite_number(data[f.name], f.name) for f in fields(Disturbance)))
 
 
@@ -504,7 +509,7 @@ def load_episode(path: str | Path, hour: int | None = None) -> Episode:
         if held:
             base_values = {role: finite_number(header["base_values"][role], f"{role} base value")
                            for role in SCHEMAS}
-            after = _disturbance(header["after_last"])
+            after = _disturbance(header["after_last"], "after_last")
     except (KeyError, TypeError, ValueError) as exc:
         raise EpisodeIntegrityError(f"{path}:1: bad header ({exc})") from None
     for t, (lineno, line) in reversed(list(enumerate(held, start=hour or 0))):
@@ -512,7 +517,7 @@ def load_episode(path: str | Path, hour: int | None = None) -> Episode:
             data = json.loads(line)
             if hour in (None, t):
                 records.append(TimestepRecord.from_json(data, t, calendar, base_values, after))
-            after = _disturbance(data)
+            after = _disturbance(data, "record")
         except (KeyError, TypeError, ValueError, RecursionError) as exc:
             raise EpisodeIntegrityError(f"{path}:{lineno}: bad record ({exc})") from None
     return Episode(header["seeds"], header["model_digests"], records[::-1], calendar)

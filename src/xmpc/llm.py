@@ -10,9 +10,12 @@ Two modes share one ``complete()`` entry point:
   with networking disabled.
 * ``online``: POSTs an OpenAI-style ``/chat/completions`` request with the
   configured model and temperature, bearer-authenticated with a key read
-  from the ``LLM_API_KEY`` environment variable.  Transient failures
-  (connect errors, timeouts, 429, 5xx) retry with exponential backoff; the
-  API key is never logged or echoed into error messages.
+  from the ``LLM_API_KEY`` environment variable, through the standard
+  library's ``urllib.request``: the usual proxy variables apply, and TLS is
+  checked against the system trust store (``SSL_CERT_FILE`` names another).
+  Transient failures (refused or reset connections, timeouts, 429, 5xx)
+  retry with exponential backoff; the API key is never logged, echoed into
+  error messages or sent on a redirect.
 
 Every exchange can be appended to a JSON-lines log as digests plus metadata,
 never raw key material.
@@ -28,6 +31,7 @@ import re
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from urllib.parse import urlsplit
 
 import numpy as np
 
@@ -125,26 +129,39 @@ def answer_question(cfg: LlmConfig, context: str) -> ChatExchange:
 
 
 def online_api_key(cfg: LlmConfig) -> str:
-    """The API key for the online gateway; ConfigError if it cannot run."""
+    """The API key for the online gateway; ConfigError if the endpoint or key is unusable."""
     if not cfg.endpoint:
         raise ConfigError("online mode requires a chat-completions endpoint URL (--endpoint)")
+    try:
+        url = urlsplit(cfg.endpoint)
+        usable = url.scheme in ("http", "https") and url.hostname and url.port != 0
+    except ValueError:  # a port that is not a number in range, or a broken IPv6 host
+        usable = False
+    if not (usable and re.fullmatch(r"[!-~]+", cfg.endpoint)):  # printable ASCII, no space
+        raise ConfigError(f"--endpoint {cfg.endpoint!r} is not a usable URL: expected "
+                          "http(s)://host[:port][/path] in printable ASCII")
     api_key = os.environ.get(API_KEY_ENV, "")
-    if not api_key:
-        raise ConfigError(
-            f"online mode requires an API key in the {API_KEY_ENV} environment variable"
-        )
+    if not re.fullmatch(r"[!-~]+", api_key):  # a header value; the key itself is never quoted
+        raise ConfigError(f"online mode requires an API key in the {API_KEY_ENV} environment "
+                          "variable, in printable ASCII")
     return api_key
 
 
 def _complete_online(
     cfg: LlmConfig, system_prompt: str, user_prompt: str, started: float
 ) -> ChatExchange:
-    import requests
+    import http.client
+    import ssl
+    import urllib.error
+    import urllib.request
 
     api_key = online_api_key(cfg)
-    url = cfg.endpoint.rstrip("/") + "/chat/completions"
-    body = build_request(cfg, system_prompt, user_prompt)
-    headers = {"Authorization": f"Bearer {api_key}", "Content-Type": "application/json"}
+    request = urllib.request.Request(
+        cfg.endpoint.rstrip("/") + "/chat/completions",
+        data=json.dumps(build_request(cfg, system_prompt, user_prompt)).encode(),
+        headers={"Content-Type": "application/json"},
+    )
+    request.add_unredirected_header("Authorization", f"Bearer {api_key}")  # kept off redirects
 
     last_error: Exception | None = None
     timed_out = False
@@ -152,32 +169,24 @@ def _complete_online(
         if attempt:
             time.sleep(BACKOFF_SECONDS * 2 ** (attempt - 1))
         try:
-            resp = requests.post(url, json=body, headers=headers, timeout=TIMEOUT_SECONDS)
-        except requests.Timeout as exc:
-            last_error, timed_out = exc, True
+            with urllib.request.urlopen(request, timeout=TIMEOUT_SECONDS) as resp:
+                status, raw = resp.status, resp.read()
+        except urllib.error.HTTPError as exc:  # a status outside 2xx, or a redirect loop
+            status = exc.code
+            exc.close()
+        except (OSError, http.client.HTTPException) as exc:  # URLError wraps a socket's error
+            reason = exc.reason if isinstance(exc, urllib.error.URLError) else exc
+            if isinstance(reason, ssl.SSLError):  # a certificate failure will not pass on retry
+                raise GatewayError(f"request failed ({reason})") from None
+            last_error, timed_out = reason, timed_out or isinstance(reason, TimeoutError)
             continue
-        except requests.exceptions.SSLError as exc:
-            # A ConnectionError subclass, but a certificate failure will not pass on retry.
-            raise GatewayError(f"request failed ({exc})") from None
-        except requests.ConnectionError as exc:
-            last_error = exc
+        if status == 429 or status >= 500:
+            last_error = GatewayError(f"service returned status {status}")
             continue
-        except (
-            requests.exceptions.MissingSchema,
-            requests.exceptions.InvalidSchema,
-            requests.exceptions.InvalidURL,
-        ) as exc:
-            raise ConfigError(f"--endpoint {cfg.endpoint!r} is not a usable URL ({exc})") from None
-        except requests.RequestException as exc:
-            # A redirect loop or an undecodable body: retrying will not help.
-            raise GatewayError(f"request failed ({exc})") from None
-        if resp.status_code == 429 or resp.status_code >= 500:
-            last_error = GatewayError(f"service returned status {resp.status_code}")
-            continue
-        if resp.status_code != 200:
-            raise GatewayError(f"service returned status {resp.status_code}")
+        if status != 200:
+            raise GatewayError(f"service returned status {status}")
         try:
-            data = resp.json()
+            data = json.loads(raw)
             content = data["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError, RecursionError) as exc:
             raise GatewayError(f"malformed chat-completions response ({exc})") from None

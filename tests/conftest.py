@@ -8,8 +8,10 @@ deterministic end to end.
 from __future__ import annotations
 
 import hashlib
+import http.server
 import json
 import socket
+import threading
 from pathlib import Path
 
 import pytest
@@ -97,14 +99,90 @@ class _SocketBlocked(RuntimeError):
 
 @pytest.fixture()
 def no_network(monkeypatch: pytest.MonkeyPatch):
-    """Fail loudly if anything under test tries to open a socket."""
+    """Fail loudly if anything under test tries to open a socket or look up a host."""
 
     def _blocked(*args, **kwargs):
-        raise _SocketBlocked("socket creation attempted during an offline test")
+        raise _SocketBlocked("network access attempted during an offline test")
 
     monkeypatch.setattr(socket, "socket", _blocked)
     monkeypatch.setattr(socket, "create_connection", _blocked)
+    monkeypatch.setattr(socket, "getaddrinfo", _blocked)  # nor resolve a host name
     return _SocketBlocked
+
+
+class _ChatHandler(http.server.BaseHTTPRequestHandler):
+    """Answers each request with the server's next canned reply."""
+
+    timeout = 5  # seconds a connection may stall before the server moves on
+
+    def handle(self):
+        self.server.connections += 1
+        if self.request.recv(1, socket.MSG_PEEK) == b"\x16":  # a TLS handshake record
+            self.request.recv(1 << 16)
+            self.request.sendall(b"HTTP/1.0 400 Bad Request\r\n\r\n")  # plain text: TLS fails
+        else:
+            super().handle()
+
+    def do_POST(self):
+        body = self.rfile.read(int(self.headers.get("Content-Length", 0)))
+        self.server.received.append((self.command, self.path, self.headers, body))
+        replies = self.server.replies
+        reply = replies[min(len(self.server.received), len(replies)) - 1]
+        if reply is None:
+            return  # the connection closes unanswered
+        status, payload = reply
+        payload = payload if isinstance(payload, bytes) else json.dumps(payload).encode()
+        self.send_response(status)
+        if 300 <= status < 400:
+            self.send_header("Location", self.path)  # back where it came from, without end
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(payload)))
+        self.end_headers()
+        self.wfile.write(payload)
+
+    do_GET = do_POST  # a redirected POST comes back as a GET
+
+    def log_message(self, format, *args):
+        pass
+
+
+@pytest.fixture()
+def chat_server(monkeypatch):
+    """A chat-completions service on 127.0.0.1 that answers from canned replies.
+
+    Set ``replies`` to ``(status, body)`` pairs, used in turn with the last
+    one repeated: a dict body is sent as JSON, bytes as they are, and
+    ``None`` for a pair closes the connection unanswered.  A 3xx reply
+    redirects to the path asked for.  ``received`` lists each request as
+    ``(method, path, headers, body)``; ``connections`` counts every
+    connection, a TLS handshake included, which is answered in plain text.
+    ``url`` is the endpoint to configure.
+    """
+    monkeypatch.setenv("no_proxy", "127.0.0.1")
+    server = http.server.HTTPServer(("127.0.0.1", 0), _ChatHandler)  # one request at a time
+    server.replies, server.received, server.connections = [], [], 0
+    server.url = f"http://127.0.0.1:{server.server_port}/v1"
+    threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01}).start()
+    yield server
+    server.shutdown()
+    server.server_close()
+
+
+@pytest.fixture()
+def closed_url():
+    """An endpoint on a loopback port that refuses connections: bound, not listening."""
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        yield f"http://127.0.0.1:{sock.getsockname()[1]}/v1"
+
+
+@pytest.fixture()
+def silent_url():
+    """An endpoint on a loopback port that accepts connections and never answers."""
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        sock.listen(8)
+        yield f"http://127.0.0.1:{sock.getsockname()[1]}/v1"
 
 
 @pytest.fixture()

@@ -12,7 +12,6 @@ from dataclasses import asdict
 from pathlib import Path
 
 import pytest
-import requests
 
 from xmpc import errors, testbed
 from xmpc.cli import build_parser, main
@@ -385,23 +384,21 @@ class TestAsk:
         assert "absent.jsonl" not in err
 
     def test_gateway_request_failure_is_runtime_error(
-        self, cli_workspace, capsys, monkeypatch, no_network
+        self, cli_workspace, capsys, monkeypatch, chat_server
     ):
-        def fake_post(url, **kwargs):
-            raise requests.TooManyRedirects("Exceeded 30 redirects.")
-
-        monkeypatch.setattr(requests, "post", fake_post)
+        chat_server.replies = [(302, b"")]  # a redirect that never ends
         monkeypatch.setenv("LLM_API_KEY", "sk-test")
         rc = main(["ask", "--episode", str(cli_workspace / "episode.jsonl"), "--t", "0",
                    "--question", "Why precool?", "--mode", "online",
-                   "--endpoint", "https://gateway.example"])
+                   "--endpoint", chat_server.url])
         assert rc == 3
-        assert "runtime error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "runtime error:" in err
+        assert "sk-test" not in err
 
     def test_endpoint_without_scheme_is_usage_error(
         self, cli_workspace, capsys, monkeypatch, no_network
     ):
-        # requests rejects the URL before it opens any connection.
         monkeypatch.setenv("LLM_API_KEY", "sk-test")
         rc = main(["ask", "--episode", str(cli_workspace / "episode.jsonl"), "--t", "0",
                    "--question", "Why precool?", "--mode", "online", "--endpoint", "example.com"])
@@ -477,22 +474,15 @@ class TestLlmLog:
         ["explain", "--t", "14", "--mode", "llm", "--out", "docs", "--gateway"],
     ], ids=["ask", "explain"])
     def test_unwritable_log_refused_before_any_exchange(
-        self, cli_workspace, tmp_path, capsys, monkeypatch, no_network, argv, gateway
+        self, cli_workspace, tmp_path, capsys, monkeypatch, chat_server, argv, gateway
     ):
-        posts = []
-
-        def counting_post(url, **kwargs):
-            posts.append(url)
-            raise requests.TooManyRedirects("counted")
-
         monkeypatch.chdir(tmp_path)
-        monkeypatch.setattr(requests, "post", counting_post)
         monkeypatch.setenv("LLM_API_KEY", "sk-test")
         rc = main([argv[0], "--episode", str(cli_workspace / "episode.jsonl"), *argv[1:], gateway,
-                   "--endpoint", "https://gateway.example", "--llm-log", "missing_dir/x.log"])
+                   "--endpoint", chat_server.url, "--llm-log", "missing_dir/x.log"])
         assert rc == 2
         out, err = capsys.readouterr()
-        assert (out, posts, list(tmp_path.iterdir())) == ("", [], [])
+        assert (out, chat_server.connections, list(tmp_path.iterdir())) == ("", 0, [])
         assert err == ("error: --llm-log 'missing_dir/x.log' cannot be appended to: "
                        "No such file or directory\n")
 
@@ -502,24 +492,41 @@ class TestLlmLog:
     ["explain", "--t", "0", "--mode", "llm", "--gateway", "online", "--out", "docs"],
 ], ids=["ask", "explain"])
 def test_null_message_content_is_runtime_error(
-    cli_workspace, tmp_path, capsys, monkeypatch, no_network, argv
+    cli_workspace, tmp_path, capsys, monkeypatch, chat_server, argv
 ):
-    class NullContent:
-        status_code = 200
-
-        def json(self):
-            return {"choices": [{"message": {"role": "assistant", "content": None}}]}
-
+    null = {"choices": [{"message": {"role": "assistant", "content": None}}]}
+    chat_server.replies = [(200, null)]
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(requests, "post", lambda url, **kwargs: NullContent())
     monkeypatch.setenv("LLM_API_KEY", "sk-test")
     rc = main([argv[0], "--episode", str(cli_workspace / "episode.jsonl"), *argv[1:],
-               "--endpoint", "https://gateway.example"])
+               "--endpoint", chat_server.url])
     assert rc == 3
     captured = capsys.readouterr()
     assert "runtime error: malformed chat-completions response" in captured.err
+    assert "sk-test" not in captured.err
     assert "None" not in captured.out
     assert not Path("docs").exists()  # the first document failed, so no output directory
+
+
+# Each is refused before the episode is read and before any connection, by
+# name: no scheme, another scheme, no host, a port that is not a number, and
+# whitespace in the host.
+@pytest.mark.parametrize("endpoint", [
+    "example.com", "ftp://x", "http://", "http://h:abc", "http://exa mple.com",
+])
+@pytest.mark.parametrize("argv", [
+    ["ask", "--t", "0", "--question", "Why precool?", "--mode", "online"],
+    ["explain", "--t", "0", "--mode", "llm", "--gateway", "online", "--out", "docs"],
+], ids=["ask", "explain"])
+def test_unusable_endpoint_is_usage_error(tmp_path, capsys, monkeypatch, no_network, argv,
+                                          endpoint):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("LLM_API_KEY", "sk-test")
+    rc = main([argv[0], "--episode", "absent.jsonl", *argv[1:], "--endpoint", endpoint])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert (out, list(tmp_path.iterdir())) == ("", [])
+    assert err.startswith(f"error: --endpoint {endpoint!r} is not a usable URL")
 
 
 @pytest.mark.parametrize("argv", [
@@ -674,6 +681,19 @@ def test_malformed_record_is_usage_error(
     assert rc == 2
     assert f"probe.jsonl:16: bad record ({message}" in capsys.readouterr().err
     assert not Path("docs").exists()
+
+
+@pytest.mark.parametrize("t", [13, 14])
+def test_record_given_as_a_list_is_named(cli_workspace, tmp_path, capsys, monkeypatch, reseal, t):
+    # Hour 13 reads line 16 only for its second hour's boundary conditions.
+    monkeypatch.chdir(tmp_path)
+    lines = (cli_workspace / "episode.jsonl").read_bytes().splitlines(keepends=True)
+    lines[15] = json.dumps(list(json.loads(lines[15]))).encode() + b"\n"
+    Path("probe.jsonl").write_bytes(b"".join(lines))
+    reseal("probe.jsonl")
+    assert main(["ask", "--episode", "probe.jsonl", "--t", str(t), "--question", "Why?"]) == 2
+    assert ("probe.jsonl:16: bad record (record must be a JSON object, got list)"
+            in capsys.readouterr().err)
 
 
 def rewrite_record(src: Path, dst: Path, t: int, edit, reseal) -> None:

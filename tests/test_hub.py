@@ -642,8 +642,12 @@ class TestEpisodeFile:
         (lambda header: header["base_values"].update(fy="1.0"),
          "fy base value must be a finite number, got '1.0'"),
         (lambda header: header.pop("after_last"), "'after_last'"),
-        (lambda header: header["after_last"].pop("occupancy"), "'occupancy'"),
-    ], ids=["base-null", "base-missing-fy", "base-string", "after-missing", "after-missing-key"])
+        (lambda header: header["after_last"].pop("occupancy"),
+         "after_last is missing keys ['occupancy']"),
+        (lambda header: header.update(after_last=list(header["after_last"])),
+         "after_last must be a JSON object, got list"),
+    ], ids=["base-null", "base-missing-fy", "base-string", "after-missing", "after-missing-key",
+            "after-list"])
     def test_malformed_header_numbers_refused(self, mini_episode, tmp_path, reseal, edit, message):
         path = tmp_path / "episode.jsonl"
         save_episode(mini_episode, path)

@@ -9,7 +9,6 @@ import time
 
 import numpy as np
 import pytest
-import requests
 
 from xmpc import llm as llm_mod
 from xmpc.errors import ConfigError, GatewayError, GatewayTimeoutError
@@ -24,7 +23,6 @@ from xmpc.explain import (
 from xmpc.llm import (
     DEFAULT_MODEL,
     MAX_RETRIES,
-    TIMEOUT_SECONDS,
     ChatExchange,
     LlmConfig,
     answer_question,
@@ -50,18 +48,6 @@ def worked_attribution() -> Attribution:
     )
 
 
-class FakeResponse:
-    def __init__(self, status_code=200, payload=None, bad_json=False):
-        self.status_code = status_code
-        self._payload = payload
-        self._bad = bad_json
-
-    def json(self):
-        if self._bad:
-            raise ValueError("not json")
-        return self._payload
-
-
 def ok_payload(content="hello from the service"):
     return {
         "choices": [{"message": {"content": content}}],
@@ -71,10 +57,18 @@ def ok_payload(content="hello from the service"):
 
 
 @pytest.fixture()
-def online_cfg(monkeypatch):
+def online_cfg(monkeypatch, chat_server):
     monkeypatch.setenv("LLM_API_KEY", "sk-test-secret-123")
     monkeypatch.setattr(llm_mod, "BACKOFF_SECONDS", 0.01)
-    return LlmConfig(mode="online", endpoint="https://gateway.example/v1")
+    return LlmConfig(mode="online", endpoint=chat_server.url)
+
+
+def online_failure(cfg, error=GatewayError, match=None) -> GatewayError:
+    """The error one online completion raises, checked to hold no trace of the key."""
+    with pytest.raises(error, match=match) as info:
+        complete(cfg, SYSTEM, "user")
+    assert "sk-test-secret-123" not in str(info.value)
+    return info.value
 
 
 class TestConfigAndRequest:
@@ -158,121 +152,81 @@ class TestStub:
 
 
 class TestOnline:
-    def test_success_first_try(self, online_cfg, monkeypatch):
-        calls = []
+    """The online gateway on the wire, against loopback endpoints."""
 
-        def fake_post(url, json=None, headers=None, timeout=None):
-            calls.append((url, json, headers, timeout))
-            return FakeResponse(payload=ok_payload())
-
-        monkeypatch.setattr(requests, "post", fake_post)
+    def test_success_first_try(self, online_cfg, chat_server):
+        chat_server.replies = [(200, ok_payload())]
         exchange = complete(online_cfg, SYSTEM, "user text")
         assert exchange.response == "hello from the service"
         assert exchange.mode == "online"
         assert exchange.model == "remote-model"
         assert exchange.usage == {"total_tokens": 42}
-        url, body, headers, timeout = calls[0]
-        assert url == "https://gateway.example/v1/chat/completions"
+        [(method, path, headers, body)] = chat_server.received
+        assert (method, path) == ("POST", "/v1/chat/completions")
         assert headers["Authorization"] == "Bearer sk-test-secret-123"
-        assert body["messages"][1]["content"] == "user text"
-        assert timeout == TIMEOUT_SECONDS
+        assert headers["Content-Type"] == "application/json"
+        assert json.loads(body) == build_request(online_cfg, SYSTEM, "user text")
 
-    def test_retries_then_succeeds_with_backoff(self, online_cfg, monkeypatch):
-        attempts = []
+    def test_retries_then_succeeds_with_backoff(self, online_cfg, chat_server, monkeypatch):
+        # Twice the connection closes with no answer.
+        chat_server.replies = [None, None, (200, ok_payload("third time lucky"))]
         sleeps = []
-
-        def fake_post(url, **kwargs):
-            attempts.append(1)
-            if len(attempts) < 3:
-                raise requests.ConnectionError("refused")
-            return FakeResponse(payload=ok_payload("third time lucky"))
-
-        monkeypatch.setattr(requests, "post", fake_post)
         monkeypatch.setattr(time, "sleep", lambda s: sleeps.append(s))
         exchange = complete(online_cfg, SYSTEM, "user")
         assert exchange.response == "third time lucky"
-        assert len(attempts) == 3
+        assert len(chat_server.received) == 3
         assert sleeps == [0.01, 0.02]  # exponential backoff
 
-    def test_timeout_budget_exhausted(self, online_cfg, monkeypatch):
-        def fake_post(url, **kwargs):
-            raise requests.Timeout("too slow")
-
-        monkeypatch.setattr(requests, "post", fake_post)
-        monkeypatch.setattr(time, "sleep", lambda s: None)
-        with pytest.raises(GatewayTimeoutError):
-            complete(online_cfg, SYSTEM, "user")
-
-    def test_server_errors_retried_then_raised(self, online_cfg, monkeypatch):
-        attempts = []
-
-        def fake_post(url, **kwargs):
-            attempts.append(1)
-            return FakeResponse(status_code=503)
-
-        monkeypatch.setattr(requests, "post", fake_post)
-        monkeypatch.setattr(time, "sleep", lambda s: None)
-        with pytest.raises(GatewayError, match="503"):
-            complete(online_cfg, SYSTEM, "user")
-        assert len(attempts) == MAX_RETRIES
-
-    def test_client_error_not_retried(self, online_cfg, monkeypatch):
-        attempts = []
-
-        def fake_post(url, **kwargs):
-            attempts.append(1)
-            return FakeResponse(status_code=400)
-
-        monkeypatch.setattr(requests, "post", fake_post)
-        with pytest.raises(GatewayError, match="400"):
-            complete(online_cfg, SYSTEM, "user")
-        assert len(attempts) == 1
-
-    def test_tls_failure_not_retried(self, online_cfg, monkeypatch):
-        # SSLError subclasses ConnectionError, which is retried with backoff.
-        attempts = []
+    def test_refused_connection_retried(self, online_cfg, closed_url, monkeypatch):
         sleeps = []
-
-        def fake_post(url, **kwargs):
-            attempts.append(1)
-            raise requests.exceptions.SSLError("certificate verify failed")
-
-        monkeypatch.setattr(requests, "post", fake_post)
         monkeypatch.setattr(time, "sleep", lambda s: sleeps.append(s))
-        with pytest.raises(GatewayError, match="certificate verify failed") as info:
-            complete(online_cfg, SYSTEM, "user")
-        assert not isinstance(info.value, GatewayTimeoutError)
-        assert "attempts" not in str(info.value)
-        assert len(attempts) == 1
-        assert sleeps == []
+        online_cfg.endpoint = closed_url
+        error = online_failure(online_cfg, match=f"no response after {MAX_RETRIES} attempts")
+        assert not isinstance(error, GatewayTimeoutError)
+        assert sleeps == [0.01, 0.02]
 
-    def test_malformed_response(self, online_cfg, monkeypatch):
-        monkeypatch.setattr(
-            requests, "post", lambda url, **kwargs: FakeResponse(payload={"nope": True})
-        )
-        with pytest.raises(GatewayError, match="malformed"):
-            complete(online_cfg, SYSTEM, "user")
+    def test_timeout_budget_exhausted(self, online_cfg, silent_url, monkeypatch):
+        monkeypatch.setattr(llm_mod, "TIMEOUT_SECONDS", 0.2)
+        monkeypatch.setattr(time, "sleep", lambda s: None)
+        online_cfg.endpoint = silent_url
+        online_failure(online_cfg, GatewayTimeoutError, f"no response after {MAX_RETRIES} attempts")
 
-        monkeypatch.setattr(requests, "post", lambda url, **kwargs: FakeResponse(bad_json=True))
-        with pytest.raises(GatewayError, match="malformed"):
-            complete(online_cfg, SYSTEM, "user")
+    def test_server_errors_retried_then_raised(self, online_cfg, chat_server, monkeypatch):
+        monkeypatch.setattr(time, "sleep", lambda s: None)
+        for status in (429, 503):
+            chat_server.received.clear()
+            chat_server.replies = [(status, {"error": "busy"})]
+            online_failure(online_cfg, match=str(status))
+            assert len(chat_server.received) == MAX_RETRIES
 
-        # A body nested too deep for json raises RecursionError, not ValueError.
-        nested = requests.Response()
-        nested.status_code = 200
-        nested._content = b"[" * 100_000 + b"]" * 100_000
-        monkeypatch.setattr(requests, "post", lambda url, **kwargs: nested)
-        with pytest.raises(GatewayError, match="malformed"):
-            complete(online_cfg, SYSTEM, "user")
+    def test_client_error_not_retried(self, online_cfg, chat_server):
+        # A success status other than 200 is refused too.
+        for status in (400, 201):
+            chat_server.received.clear()
+            chat_server.replies = [(status, ok_payload())]
+            online_failure(online_cfg, match=f"status {status}")
+            assert len(chat_server.received) == 1
 
+    def test_tls_failure_not_retried(self, online_cfg, chat_server, monkeypatch):
+        # TLS to a plain-text port: the handshake fails, which no retry mends.
+        sleeps = []
+        monkeypatch.setattr(time, "sleep", lambda s: sleeps.append(s))
+        online_cfg.endpoint = chat_server.url.replace("http://", "https://")
+        error = online_failure(online_cfg, match="SSL")
+        assert not isinstance(error, GatewayTimeoutError)
+        assert "attempts" not in str(error)
+        assert (chat_server.connections, chat_server.received, sleeps) == (1, [], [])
+
+    def test_malformed_response(self, online_cfg, chat_server):
+        # The last body is nested too deep for json: RecursionError, not ValueError.
+        for body in ({"nope": True}, b"not json", b"[" * 100_000 + b"]" * 100_000):
+            chat_server.replies = [(200, body)]
+            online_failure(online_cfg, match="malformed")
         for content in (None, 42, ["text"]):
-            monkeypatch.setattr(
-                requests, "post", lambda url, **kwargs: FakeResponse(payload=ok_payload(content))
-            )
-            with pytest.raises(GatewayError, match="malformed chat-completions response"):
-                complete(online_cfg, SYSTEM, "user")
+            chat_server.replies = [(200, ok_payload(content))]
+            online_failure(online_cfg, match="malformed chat-completions response")
 
-    def test_missing_endpoint_or_key(self, monkeypatch):
+    def test_missing_endpoint_or_key(self, monkeypatch, no_network):
         monkeypatch.setenv("LLM_API_KEY", "sk-x")
         with pytest.raises(ConfigError, match="endpoint"):
             complete(LlmConfig(mode="online"), SYSTEM, "user")
@@ -283,11 +237,19 @@ class TestOnline:
             complete(cfg, SYSTEM, "user")
         assert "sk-" not in str(info.value)
 
+    @pytest.mark.parametrize("key", ["sk-secret\n", "sk secret", "sk-sécret"])
+    def test_key_unfit_for_a_header_refused_unquoted(self, monkeypatch, no_network, key):
+        monkeypatch.setenv("LLM_API_KEY", key)
+        cfg = LlmConfig(mode="online", endpoint="https://gateway.example")
+        with pytest.raises(ConfigError, match="LLM_API_KEY") as info:
+            complete(cfg, SYSTEM, "user")
+        assert "secret" not in str(info.value)
+
 
 class TestExchangeLog:
-    def test_log_carries_digests_never_key(self, online_cfg, monkeypatch, tmp_path):
+    def test_log_carries_digests_never_key(self, online_cfg, chat_server, tmp_path):
         online_cfg.log_path = str(tmp_path / "exchanges.jsonl")
-        monkeypatch.setattr(requests, "post", lambda url, **kwargs: FakeResponse(payload=ok_payload()))
+        chat_server.replies = [(200, ok_payload())]
         complete(online_cfg, SYSTEM, "user prompt with sk-test-secret-123 accidentally pasted")
 
         raw = (tmp_path / "exchanges.jsonl").read_text()
