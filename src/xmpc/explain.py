@@ -232,14 +232,11 @@ def _comparative(value: float, limit: float) -> str:
 def _rationale(record: TimestepRecord, scenario: int) -> str:
     d = record.decision
     if scenario == 1:
-        try:
-            hold_cost = fmt_value(d.candidate_cost(COMFORT_CEILING_C, COMFORT_CEILING_C))
-            hold = f" (cost {fmt_value(d.cost)} against {hold_cost} for holding the ceiling)"
-        except KeyError:
-            hold = ""
+        hold_cost = fmt_value(d.candidate_cost(COMFORT_CEILING_C, COMFORT_CEILING_C))
         return (
             "Rationale: pre-cooling ahead of the event was the cheapest plan in the "
-            f"candidate table{hold}."
+            f"candidate table (cost {fmt_value(d.cost)} against {hold_cost} for holding "
+            "the ceiling)."
         )
     if scenario == 3:
         return (

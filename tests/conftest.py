@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from xmpc.cli import main
 from xmpc.hub import Episode, run_episode
 from xmpc.surrogate import FX_SCHEMA, FY_SCHEMA, SurrogateModel, TrainConfig, train
 from xmpc.testbed import ExcitationData, TestbedConfig, generate_dr_calendar, run_excitation
@@ -91,6 +92,26 @@ def mini_episode(
     fx, fy = mini_models
     calendar = generate_dr_calendar(2, 1.0, seed=5)
     return run_episode(2, testbed_cfg, fx, fy, calendar, seed=5)
+
+
+@pytest.fixture(scope="session")
+def cli_workspace(tmp_path_factory):
+    """excite -> train fx/fy -> run at desk size, shared by the CLI and fuzz tests."""
+    root = tmp_path_factory.mktemp("cli")
+    csv = root / "data.csv"
+    assert main(["excite", "--days", "4", "--seed", "3", "--out", str(csv)]) == 0
+    for target in ("fx", "fy"):
+        rc = main([
+            "train", "--data", str(csv), "--target", target,
+            "--epochs", "150", "--seed", "0", "--out", str(root / f"{target}.json"),
+        ])
+        assert rc == 0
+    rc = main([
+        "run", "--days", "2", "--fx", str(root / "fx.json"), "--fy", str(root / "fy.json"),
+        "--seed", "5", "--out", str(root / "episode.jsonl"),
+    ])
+    assert rc == 0
+    return root
 
 
 class _SocketBlocked(RuntimeError):

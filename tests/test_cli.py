@@ -18,26 +18,6 @@ from xmpc.cli import build_parser, main
 from xmpc.surrogate import SCHEMAS
 
 
-@pytest.fixture(scope="session")
-def cli_workspace(tmp_path_factory):
-    """excite -> train fx/fy -> run, shared by the read-only CLI tests."""
-    root = tmp_path_factory.mktemp("cli")
-    csv = root / "data.csv"
-    assert main(["excite", "--days", "4", "--seed", "3", "--out", str(csv)]) == 0
-    for target in ("fx", "fy"):
-        rc = main([
-            "train", "--data", str(csv), "--target", target,
-            "--epochs", "150", "--seed", "0", "--out", str(root / f"{target}.json"),
-        ])
-        assert rc == 0
-    rc = main([
-        "run", "--days", "2", "--fx", str(root / "fx.json"), "--fy", str(root / "fy.json"),
-        "--seed", "5", "--out", str(root / "episode.jsonl"),
-    ])
-    assert rc == 0
-    return root
-
-
 class TestExcite:
     def test_writes_only_the_csv(self, cli_workspace):
         csv = cli_workspace / "data.csv"
@@ -224,6 +204,13 @@ def copied_schema(model: dict) -> None:
     model["activation"] = "relu"
 
 
+def thirty_hidden_units(model: dict) -> None:
+    """Cut a model file to a consistent net of 30 hidden units, not the fixed 50."""
+    hidden, output = model["layers"]
+    hidden["w"], hidden["b"] = hidden["w"][:30], hidden["b"][:30]
+    output["w"] = [row[:30] for row in output["w"]]
+
+
 class TestRun:
     def test_episode_file_written(self, cli_workspace):
         from xmpc.hub import load_episode
@@ -270,9 +257,11 @@ class TestRun:
          "meta.background must be a finite (k >= 1, 5) array"),
         (lambda m: m["meta"]["background"][3].__setitem__(1, float("nan")),
          "meta.background must be a finite"),
+        (thirty_hidden_units, "layer (weight, bias) shapes [((30, 5), (30,)), ((1, 30), (1,))] "
+         "are not the fixed network's"),
     ], ids=["copied-schema", "unknown-target", "no-layers", "one-layer", "three-layers",
             "meta-array", "short-norm-means",
-            "string-background", "narrow-background", "nan-background"])
+            "string-background", "narrow-background", "nan-background", "30-hidden-units"])
     def test_malformed_model_is_usage_error(self, cli_workspace, tmp_path, capsys, edit, message):
         model = json.loads((cli_workspace / "fx.json").read_text())
         edit(model)
@@ -382,6 +371,16 @@ class TestAsk:
         err = capsys.readouterr().err
         assert "--endpoint" in err
         assert "absent.jsonl" not in err
+
+    def test_online_answer_is_printed(self, cli_workspace, capsys, monkeypatch, chat_server):
+        reply = {"choices": [{"message": {"content": "canned loopback answer"}}]}
+        chat_server.replies = [(200, reply)]
+        monkeypatch.setenv("LLM_API_KEY", "sk-test")
+        rc = main(["ask", "--episode", str(cli_workspace / "episode.jsonl"), "--t", "14",
+                   "--question", "Why?", "--mode", "online", "--endpoint", chat_server.url])
+        assert rc == 0
+        assert capsys.readouterr() == ("canned loopback answer\n", "")
+        assert len(chat_server.received) == 1
 
     def test_gateway_request_failure_is_runtime_error(
         self, cli_workspace, capsys, monkeypatch, chat_server
@@ -748,18 +747,23 @@ def test_attribution_not_explaining_its_decision_is_usage_error(
     assert not Path("docs").exists()
 
 
-@pytest.mark.parametrize("field, value", [
-    ("seeds", {"run": 5}),
-    ("seeds", {"run": 5, "testbed": -1}),
-    ("model_digests", {"fx": "0" * 64, "fy": "not a digest"}),
-    ("model_digests", [0, 1]),
-], ids=["seeds-missing-testbed", "seeds-negative", "digest-not-hex", "digests-list"])
+@pytest.mark.parametrize("field, value, message", [
+    ("seeds", {"run": 5}, "probe.jsonl:1: seeds must be "),
+    ("seeds", {"run": 5, "testbed": -1}, "probe.jsonl:1: seeds must be "),
+    ("model_digests", {"fx": "0" * 64, "fy": "not a digest"},
+     "probe.jsonl:1: model_digests must be "),
+    ("model_digests", [0, 1], "probe.jsonl:1: model_digests must be "),
+    # An hour with more digits than int() converts.
+    ("calendar", {"1" * 5000: 1000.0},
+     "probe.jsonl:1 calendar: hour '111111111111...1111111111111' is not a canonical"),
+], ids=["seeds-missing-testbed", "seeds-negative", "digest-not-hex", "digests-list",
+        "calendar-hour-of-5000-digits"])
 @pytest.mark.parametrize("argv", [
     ["ask", "--t", "14", "--question", "Why?"],
     ["explain", "--out", "docs"],
 ], ids=["ask", "explain"])
 def test_malformed_provenance_is_usage_error(
-    cli_workspace, tmp_path, capsys, monkeypatch, reseal, argv, field, value
+    cli_workspace, tmp_path, capsys, monkeypatch, reseal, argv, field, value, message
 ):
     monkeypatch.chdir(tmp_path)
     head, _, body = (cli_workspace / "episode.jsonl").read_bytes().partition(b"\n")
@@ -770,28 +774,31 @@ def test_malformed_provenance_is_usage_error(
     reseal("probe.jsonl")
     rc = main([argv[0], "--episode", "probe.jsonl", *argv[1:]])
     assert rc == 2
-    assert f"probe.jsonl:1: {field} must be " in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not Path("docs").exists()
 
 
-@pytest.mark.parametrize("hour", [lambda event: event - 2, lambda event: event - 3, lambda _: 0],
-                         ids=["event-2", "event-3", "hour-0"])
+@pytest.mark.parametrize("hour, limit", [
+    (lambda event: event - 2, 500.0), (lambda event: event - 3, 500.0), (lambda _: 0, 500.0),
+    (lambda _: 3, testbed.NORMAL_POWER_LIMIT_W),
+], ids=["event-2", "event-3", "hour-0", "raised-hour-3"])
 @pytest.mark.parametrize("argv", [
     ["ask", "--question", "Why?"],
     ["explain", "--out", "docs"],
 ], ids=["ask", "explain"])
 def test_unsealed_header_limit_edit_names_the_seal(
-    cli_workspace, tmp_path, capsys, monkeypatch, argv, hour
+    cli_workspace, tmp_path, capsys, monkeypatch, argv, hour, limit
 ):
     # Lowering an event's limit in the header changes the limits the record
-    # two hours ahead of it derives; the seal, checked before any record is
-    # decoded, is what every hour reports.
+    # two hours ahead of it derives, and raising it to the normal limit would
+    # lift the event; the seal, checked before any record is decoded, is what
+    # every hour reports.
     monkeypatch.chdir(tmp_path)
     head, _, body = (cli_workspace / "episode.jsonl").read_bytes().partition(b"\n")
     header = json.loads(head)
-    event = min(int(h) for h, limit in header["calendar"].items()
-                if limit < testbed.NORMAL_POWER_LIMIT_W)
-    header["calendar"][str(event)] = 500.0
+    event = min(int(h) for h, watts in header["calendar"].items()
+                if watts < testbed.NORMAL_POWER_LIMIT_W)
+    header["calendar"][str(event)] = limit
     Path("edited.jsonl").write_bytes(json.dumps(header, separators=(",", ":")).encode()
                                      + b"\n" + body)
     rc = main([argv[0], "--episode", "edited.jsonl", "--t", str(hour(event)), *argv[1:]])
@@ -835,20 +842,6 @@ def test_edited_sealed_episode_is_usage_error(
     monkeypatch.chdir(tmp_path)
     edit_digit(cli_workspace / "episode.jsonl", tmp_path / "edited.jsonl", 30)
     rc = main([argv[0], "--episode", "edited.jsonl", *argv[1:]])
-    assert rc == 2
-    assert "records_sha256" in capsys.readouterr().err
-
-
-def test_edited_episode_header_is_usage_error(cli_workspace, tmp_path, capsys):
-    # The seal covers the header: a raised event limit must not load quietly.
-    head, _, body = (cli_workspace / "episode.jsonl").read_bytes().partition(b"\n")
-    header = json.loads(head)
-    limits = header["calendar"]
-    event = min(h for h, limit in limits.items() if limit < testbed.NORMAL_POWER_LIMIT_W)
-    limits[event] = testbed.NORMAL_POWER_LIMIT_W
-    edited = tmp_path / "edited.jsonl"
-    edited.write_bytes(json.dumps(header, separators=(",", ":")).encode() + b"\n" + body)
-    rc = main(["ask", "--episode", str(edited), "--t", "3", "--question", "Why?"])
     assert rc == 2
     assert "records_sha256" in capsys.readouterr().err
 
