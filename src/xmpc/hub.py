@@ -31,12 +31,13 @@ Episodes serialize to JSON lines: a header object, then one record per line;
 this module alone reads and writes them.  Each number is stored once.  A
 record holds the zone temperature, the hour's boundary conditions under
 ``Disturbance``'s field names, the realized cooling rate, the decision's
-four raw network outputs and its 25 pair costs in ``optimize``'s order (null
-where not finite), each attribution as an object of its phi alone, and the
-optimization wall-clock.  The rest is derived: the hour is the record's
-line, its limits are the header calendar's at t + 1 and t + 2, its second
-hour's boundary conditions the next line's (the last record's are the
-header's ``after_last``), the chosen pair is the first cheapest, the
+four raw network outputs and its candidate table, the 25 costs in
+``setpoint_pairs()`` order (null where not finite), each attribution as an
+object of its phi alone, and the optimization wall-clock.  The rest is
+derived: the hour is the record's line, its limits are the header
+calendar's at t + 1 and t + 2, its second hour's boundary conditions the
+next line's (the last record's are the header's ``after_last``), the
+chosen pair is ``mpc.cheapest``'s, its cost J is ``mpc.pair_cost``'s, the
 scenario is ``classify(record)``, and an attribution's feature names,
 values, base value and prediction are its schema's, the vector the decision
 costed, the header's for its model and the decision's output it explains.
@@ -65,6 +66,7 @@ import math
 import re
 import reprlib
 import time
+from array import array
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -72,7 +74,7 @@ import numpy as np
 
 from .errors import DeserializationError, EpisodeIntegrityError, InvalidInputError, SchemaError
 from .fileio import atomic_write, check_keys, finite_number
-from .mpc import MpcDecision, MpcProblem, clamp_power, features, optimize, penalty, setpoint_pairs
+from .mpc import MpcDecision, MpcProblem, cheapest, features, optimize, pair_cost, setpoint_pairs
 from .shapley import Attribution, shapley, verify_additivity
 from .surrogate import SCHEMAS, SurrogateModel, background_of, digest, predict
 from .testbed import (
@@ -191,25 +193,26 @@ def _disturbance(data, part: str) -> Disturbance:
 def decision_to_json(decision: MpcDecision) -> dict:
     """The four network outputs and every pair's cost, null where it is not finite."""
     data = {name: getattr(decision, name) for name in _OUTPUTS}
-    data["costs"] = [cost if math.isfinite(cost) else None for _, _, cost in decision.candidates]
+    data["costs"] = [cost if math.isfinite(cost) else None for cost in decision.costs]
     return data
 
 
 def decision_from_json(data, p_limit_t1_w: float, p_limit_t2_w: float) -> MpcDecision:
-    """Decode ``decision_to_json`` output: the chosen pair is the first cheapest, the tie-break."""
+    """Decode ``decision_to_json`` output: the 25 costs in ``setpoint_pairs()`` order (null as
+    inf), whose chosen pair is ``mpc.cheapest``'s and must cost ``mpc.pair_cost``'s J."""
     check_keys(data, (*_OUTPUTS, "costs"), "decision")
     x1, x2, y1, y2 = (finite_number(data[name], name) for name in _OUTPUTS)
     pairs = setpoint_pairs()
     if not isinstance(data["costs"], list) or len(data["costs"]) != len(pairs):
         raise ValueError(f"costs must list {len(pairs)} entries, one per setpoint pair")
-    table = [(u1, u2, math.inf if c is None else finite_number(c, "cost"))
-             for (u1, u2), c in zip(pairs, data["costs"])]
-    u1, u2, cost = min(table, key=lambda candidate: candidate[2])
-    v1, v2 = penalty(clamp_power(y1), p_limit_t1_w), penalty(clamp_power(y2), p_limit_t2_w)
-    # optimize's own sum, bit for bit; this also refuses a table of nulls (cost inf).
-    if cost != clamp_power(y1) + v1 + clamp_power(y2) + v2:
-        raise ValueError(f"chosen cost {cost!r} is not max(0, y1_w) + v1 + max(0, y2_w) + v2")
-    return MpcDecision(u1, u2, x1, x2, y1, y2, v1, v2, cost, table)
+    costs = array("d", (math.inf if c is None else finite_number(c, "cost") for c in data["costs"]))
+    best = cheapest(costs)
+    if best is None:
+        raise ValueError("costs hold no finite entry")
+    v1, v2, cost = pair_cost(y1, y2, p_limit_t1_w, p_limit_t2_w)
+    if costs[best] != cost:
+        raise ValueError(f"chosen cost {costs[best]!r} is not max(0, y1_w) + v1 + max(0, y2_w) + v2")
+    return MpcDecision(*pairs[best], x1, x2, y1, y2, v1, v2, costs[best], costs)
 
 
 def calendar_to_json(calendar: dict[int, float]) -> dict:

@@ -4,7 +4,7 @@ Each control interval the controller picks cooling setpoints (u1, u2) for
 the coming two hours from ``testbed.SETPOINT_GRID_C``, the 1 K grid 22..26
 degC, by exhaustively costing all 25 pairs.  A candidate's cost is the
 predicted cooling power plus a quadratic penalty for exceeding each hour's
-demand-response power limit:
+demand-response power limit, as ``pair_cost`` sums it:
 
     J(u1, u2) = y1 + V(y1, L1) + y2 + V(y2, L2)
     V(y, L)   = (y - L)^2  if y > L  else  0
@@ -23,14 +23,15 @@ once per u1 and reuse it for every u2, which costs 2g + 2g^2 model calls on
 a g-point grid (60 for the 5-point grid) where rolling out each pair
 afresh costs 4g^2 (100), with the same decisions and candidate table.
 
-Cost ties prefer the larger u1 and then the larger u2, so the controller
-only moves off the comfort ceiling for a strict cost advantage.  With the
-untightened 5000 W limits this makes (26, 26) the resting choice.
+Cost ties prefer the larger u1 and then the larger u2 (``cheapest``), so the
+controller only moves off the comfort ceiling for a strict cost advantage.
+With the untightened 5000 W limits this makes (26, 26) the resting choice.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field, fields
 from typing import Callable
 
@@ -78,8 +79,8 @@ class MpcProblem:
 class MpcDecision:
     """One costed setpoint pair: its raw predictions, penalties and total cost.
 
-    ``rollout`` returns a pair with an empty ``candidates`` table; ``optimize``
-    returns the cheapest pair with the table of every pair it costed.
+    ``costs`` holds the 25 costs in ``setpoint_pairs()`` order, NaN or inf where not finite:
+    empty from ``rollout``, every pair's from ``optimize``, which returns ``cheapest``'s pair.
     """
 
     u1_c: float
@@ -91,13 +92,13 @@ class MpcDecision:
     v1: float
     v2: float
     cost: float
-    candidates: list[tuple[float, float, float]] = field(default_factory=list)
+    costs: array = field(default_factory=lambda: array("d"))
 
     def candidate_cost(self, u1: float, u2: float) -> float:
-        for cu1, cu2, cost in self.candidates:
-            if cu1 == u1 and cu2 == u2:
-                return cost
-        raise KeyError(f"pair ({u1}, {u2}) not in candidate table")
+        try:
+            return self.costs[setpoint_pairs().index((u1, u2))]
+        except (ValueError, IndexError):  # off the grid, or a rollout's empty table
+            raise KeyError(f"pair ({u1}, {u2}) not in candidate table") from None
 
 
 def penalty(power_w: float, p_limit_w: float) -> float:
@@ -110,6 +111,19 @@ def penalty(power_w: float, p_limit_w: float) -> float:
         except OverflowError:  # float ** raises where * would give inf
             return math.inf
     return 0.0
+
+
+def pair_cost(y1: float, y2: float, limit1: float, limit2: float) -> tuple[float, float, float]:
+    """Penalties v1, v2 and cost J of two finite cooling outputs, each clamped at zero."""
+    p1, p2 = clamp_power(y1), clamp_power(y2)
+    v1, v2 = penalty(p1, limit1), penalty(p2, limit2)
+    return v1, v2, p1 + v1 + p2 + v2
+
+
+def cheapest(costs) -> int | None:
+    """Index of the first least finite cost (the tie-break), or None when none is finite."""
+    finite = [cost for cost in costs if math.isfinite(cost)]
+    return costs.index(min(finite)) if finite else None
 
 
 def setpoint_grid(problem: MpcProblem) -> list[float]:
@@ -147,9 +161,7 @@ def _second_hour(problem: MpcProblem, u1: float, x1: float, y1: float, u2: float
         x2 = float(problem.fx(f2))
         y2 = float(problem.fy(f2))
         if math.isfinite(x2) and math.isfinite(y2):
-            p1, p2 = clamp_power(y1), clamp_power(y2)
-            v1, v2 = penalty(p1, problem.p_limit_t1_w), penalty(p2, problem.p_limit_t2_w)
-            cost = p1 + v1 + p2 + v2
+            v1, v2, cost = pair_cost(y1, y2, problem.p_limit_t1_w, problem.p_limit_t2_w)
     return MpcDecision(
         u1_c=u1, u2_c=u2, x1_c=x1, x2_c=x2, y1_w=y1, y2_w=y2, v1=v1, v2=v2, cost=cost
     )
@@ -161,25 +173,15 @@ def rollout(problem: MpcProblem, u1: float, u2: float) -> MpcDecision:
 
 
 def optimize(problem: MpcProblem) -> MpcDecision:
-    """Exhaustively cost every setpoint pair and return the argmin.
-
-    Iteration runs from large setpoints down and a candidate replaces the
-    incumbent only on strictly lower cost, which implements the tie-break
-    (prefer larger u1, then larger u2) without a separate comparison pass.
-    The returned candidate table lists all pairs in that evaluation order.
-    """
-    best: MpcDecision | None = None
-    candidates: list[tuple[float, float, float]] = []
+    """Cost every pair in ``setpoint_pairs()`` order and return ``cheapest``'s, with the costs."""
     # Hour one depends on u1 alone: predict it once for all of u1's pairs.
     first_hours = {u1: _first_hour(problem, u1) for u1 in SETPOINT_GRID_C}
-    for u1, u2 in setpoint_pairs():
-        pair = _second_hour(problem, u1, *first_hours[u1], u2)
-        candidates.append((u1, u2, pair.cost))
-        if math.isfinite(pair.cost) and (best is None or pair.cost < best.cost):
-            best = pair
+    pairs = [_second_hour(problem, u1, *first_hours[u1], u2) for u1, u2 in setpoint_pairs()]
+    costs = array("d", (pair.cost for pair in pairs))
+    best = cheapest(costs)
     if best is None:
         raise OptimizationFailedError(
-            f"all {len(candidates)} setpoint candidates evaluated to non-finite cost"
+            f"all {len(costs)} setpoint candidates evaluated to non-finite cost"
         )
-    best.candidates = candidates
-    return best
+    pairs[best].costs = costs
+    return pairs[best]

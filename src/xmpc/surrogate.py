@@ -474,7 +474,12 @@ def _numbers(value, name: str) -> np.ndarray:
     def read(item):
         return [read(x) for x in item] if isinstance(item, list) else finite_number(item, name)
 
-    return np.array(read(value), dtype=float)
+    rows = read(value)
+    if isinstance(rows, list) and all(isinstance(row, list) for row in rows):
+        for i, row in enumerate(rows):
+            if len(row) != len(rows[0]):
+                raise ValueError(f"{name} row {i} has {len(row)} numbers, row 0 has {len(rows[0])}")
+    return np.array(rows, dtype=float)
 
 
 def load(path: str | Path) -> SurrogateModel:
@@ -500,8 +505,9 @@ def load(path: str | Path) -> SurrogateModel:
     if not isinstance(data["meta"], dict):
         raise DeserializationError(f"{path}: 'meta' must be a JSON object")
     try:
-        layers = [(_numbers(layer["w"], "weight"), _numbers(layer["b"], "bias"))
-                  for layer in data["layers"]]
+        layers = [(_numbers(layer["w"], f"layers[{i}] weight"),
+                   _numbers(layer["b"], f"layers[{i}] bias"))
+                  for i, layer in enumerate(data["layers"])]
     except (KeyError, TypeError, ValueError) as exc:
         raise DeserializationError(
             f"{path}: malformed layer or non-finite layer weight ({exc})"

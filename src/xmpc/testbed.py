@@ -334,11 +334,15 @@ class ExcitationData:
                         raise DeserializationError(
                             f"{path}:{lineno}: expected {len(CSV_COLUMNS)} fields, got {len(row)}"
                         )
-                    try:
-                        rows.append([finite_number(float(v), name)
-                                     for name, v in zip(CSV_COLUMNS, row)])
-                    except ValueError as exc:
-                        raise DeserializationError(f"{path}:{lineno}: {exc}") from None
+                    numbers = []
+                    for name, v in zip(CSV_COLUMNS, row):
+                        try:
+                            numbers.append(finite_number(float(v), name))
+                        except ValueError:  # the field as written, without repr's quotes
+                            shown = reprlib.repr(v)[1:-1]
+                            raise DeserializationError(f"{path}:{lineno}: {name} must be a "
+                                                       f"finite number, got {shown}") from None
+                    rows.append(numbers)
         except UnicodeDecodeError as exc:
             raise DeserializationError(f"{path}: not a text file ({exc})") from None
         except csv.Error as exc:  # e.g. a field longer than the csv module's limit

