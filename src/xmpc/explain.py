@@ -260,7 +260,7 @@ def render_document(record: TimestepRecord, mode: str = "deterministic", llm_con
     if mode not in ("deterministic", "llm"):
         raise ConfigError(f"unknown rendering mode {mode!r}")
     scenario = classify(record)
-    d = record.decision
+    d, attributions = record.decision, record.attributions
 
     narrations: dict[str, str] = {}
     footer = f"Rendering mode: {mode}."
@@ -269,9 +269,7 @@ def render_document(record: TimestepRecord, mode: str = "deterministic", llm_con
 
         cfg = llm_config if llm_config is not None else LlmConfig()
         for key in ATTRIBUTION_KEYS:
-            prompt = build_shap_prompt(
-                record.attributions[key], target_desc=ATTRIBUTION_TARGETS[key]
-            )
+            prompt = build_shap_prompt(attributions[key], target_desc=ATTRIBUTION_TARGETS[key])
             narrations[key] = complete(cfg, NARRATOR_SYSTEM_PROMPT, prompt).response.strip()
         judgment = complete(cfg, NARRATOR_SYSTEM_PROMPT, build_scenario_prompt(record))
         if parse_scenario(judgment.response) == scenario:
@@ -283,9 +281,8 @@ def render_document(record: TimestepRecord, mode: str = "deterministic", llm_con
             )
     else:
         for key in ATTRIBUTION_KEYS:
-            narrations[key] = narrate_attribution(
-                record.attributions[key], target_desc=ATTRIBUTION_TARGETS[key]
-            )
+            narrations[key] = narrate_attribution(attributions[key],
+                                                  target_desc=ATTRIBUTION_TARGETS[key])
 
     mapping = {
         "P_limit_t1": fmt_value(record.p_limit_t1_w),
@@ -343,10 +340,10 @@ def write_documents(
         md_path = out_dir / f"ts_{record.t}.md"
         md_path.write_text(text)
         written.append(md_path)
-        for k, key in enumerate(ATTRIBUTION_KEYS, start=1):
+        for k, (key, attribution) in enumerate(record.attributions.items(), start=1):
             svg_path = out_dir / figure_name(record.t, k)
             title = f"Shapley attribution: {ATTRIBUTION_TARGETS[key]}"
-            svg_path.write_text(attribution_chart_svg(record.attributions[key], title))
+            svg_path.write_text(attribution_chart_svg(attribution, title))
             written.append(svg_path)
     return written
 

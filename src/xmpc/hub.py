@@ -41,6 +41,9 @@ chosen pair is ``mpc.cheapest``'s, its cost J is ``mpc.pair_cost``'s, the
 scenario is ``classify(record)``, and an attribution's feature names,
 values, base value and prediction are its schema's, the vector the decision
 costed, the header's for its model and the decision's output it explains.
+In memory too a record holds its phi once, as one (4, n) array, with the
+episode's base values; ``record.attributions`` builds its four
+``Attribution`` objects on each access, their phi views of that array.
 The header also carries the format version (7, the only one that loads),
 the run and weather seeds, model digests, the DR calendar (each event hour
 as a decimal string in canonical form, with no sign or leading zero, mapped
@@ -107,7 +110,9 @@ COMFORT_CEILING_C = SETPOINT_GRID_C[-1]
 
 @dataclass
 class TimestepRecord:
-    """Everything observed, decided, and explained at one control interval."""
+    """Everything observed, decided, and explained at one control interval.
+
+    Its attributions are held once, as ``phi`` and the episode's ``base_values``."""
 
     t: int
     zone_temp_c: float
@@ -117,15 +122,27 @@ class TimestepRecord:
     p_limit_t1_w: float
     p_limit_t2_w: float
     decision: MpcDecision
-    attributions: dict[str, Attribution]
+    phi: np.ndarray  # (4, n): one row per attribution, in ATTRIBUTION_KEYS order
+    base_values: dict[str, float]  # the episode's, shared: model role -> base value
     opt_seconds: float | None = None
+
+    @property
+    def attributions(self) -> dict[str, Attribution]:
+        """The four attributions, built on each access, each phi a view of its row of ``phi``."""
+        d = self.decision
+        h1 = features(d.u1_c, self.zone_temp_c, self.disturbance)
+        h2 = features(d.u2_c, d.x1_c, self.disturbance_t2)
+        return {key: Attribution(SCHEMAS[key[:2]].feature_names, values.copy(), phi,
+                                 self.base_values[key[:2]], getattr(d, output))
+                for (key, output), values, phi in zip(ATTRIBUTION_KEYS.items(), (h1, h1, h2, h2),
+                                                      self.phi)}
 
     def to_json(self, include_timing: bool = True) -> dict:
         data = {"zone_temp_c": self.zone_temp_c, **asdict(self.disturbance),
                 "cooling_rate_w": self.cooling_rate_w,
                 "decision": decision_to_json(self.decision),
-                "attributions": {k: {"phi": [float(p) for p in self.attributions[k].shapley_values]}
-                                 for k in ATTRIBUTION_KEYS}}
+                "attributions": {key: {"phi": phi.tolist()}
+                                 for key, phi in zip(ATTRIBUTION_KEYS, self.phi)}}
         if include_timing and self.opt_seconds is not None:
             data["opt_seconds"] = self.opt_seconds
         return data
@@ -147,21 +164,20 @@ class TimestepRecord:
             raise ValueError(f"cooling_rate_w must be in [0, {COOLING_CAPACITY_W}], got {rate!r}")
         p1, p2 = power_limit_at(calendar, t + 1), power_limit_at(calendar, t + 2)
         d = decision_from_json(data["decision"], p1, p2)
-        record = cls(t, disturbance=_disturbance(data, "record"), disturbance_t2=after,
-                     p_limit_t1_w=p1, p_limit_t2_w=p2, decision=d, attributions={}, **scalars)
-        h1 = features(d.u1_c, record.zone_temp_c, record.disturbance)
-        h2 = features(d.u2_c, d.x1_c, after)
-        for (key, output), values in zip(ATTRIBUTION_KEYS.items(), (h1, h1, h2, h2)):
+        disturbance = _disturbance(data, "record")
+        rows = []
+        for key in ATTRIBUTION_KEYS:
             check_keys(attributions[key], ("phi",), key)
             phi, names = attributions[key]["phi"], SCHEMAS[key[:2]].feature_names
             if not isinstance(phi, list) or len(phi) != len(names):
                 raise ValueError(f"phi must list {len(names)} numbers, one per feature")
-            phi = np.array([finite_number(p, "phi") for p in phi])
-            attribution = Attribution(names, values.copy(), phi, base_values[key[:2]],
-                                      getattr(d, output))
-            if not verify_additivity(attribution)[0]:
+            rows.append([finite_number(p, "phi") for p in phi])
+        record = cls(t, disturbance=disturbance, disturbance_t2=after, p_limit_t1_w=p1,
+                     p_limit_t2_w=p2, decision=d, phi=np.array(rows), base_values=base_values,
+                     **scalars)
+        for (key, output), a in zip(ATTRIBUTION_KEYS.items(), record.attributions.values()):
+            if not verify_additivity(a)[0]:
                 raise ValueError(f"{key} base value + sum(phi) is not the decision's {output}")
-            record.attributions[key] = attribution
         return record
 
     @property
@@ -329,6 +345,9 @@ def run_episode(
 
     state = ZoneState(0, INITIAL_ZONE_TEMP_C)
     records: list[TimestepRecord] = []
+    # Every record's base values and its rows of phi, filled in once control is done.
+    base_values: dict[str, float] = {}
+    phi = np.empty((24 * n_days, len(ATTRIBUTION_KEYS), len(SCHEMAS["fx"].feature_names)))
     # The feature vectors each decision costed, attributed once control is done.
     hours_h1: list[np.ndarray] = []
     hours_h2: list[np.ndarray] = []
@@ -360,21 +379,19 @@ def run_episode(
             p_limit_t1_w=problem.p_limit_t1_w,
             p_limit_t2_w=problem.p_limit_t2_w,
             decision=decision,
-            attributions={},
+            phi=phi[t],
+            base_values=base_values,
             opt_seconds=opt_seconds,
         ))
         state = next_state
 
     # One attribution call per model over the whole episode: [h1 rows; h2 rows].
     hours = np.array(hours_h1 + hours_h2)
-    fx_attrs = shapley(fx_model, hours, fx_bg)
-    fy_attrs = shapley(fy_model, hours, fy_bg)
-    n = len(records)
-    for t, record in enumerate(records):
-        at_t = (fx_attrs[t], fy_attrs[t], fx_attrs[n + t], fy_attrs[n + t])
-        for (key, output), attribution in zip(ATTRIBUTION_KEYS.items(), at_t):
-            attribution.prediction = getattr(record.decision, output)
-            record.attributions[key] = attribution
+    n, keys = len(records), list(ATTRIBUTION_KEYS)
+    for role, model, background in (("fx", fx_model, fx_bg), ("fy", fy_model, fy_bg)):
+        for row, attribution in enumerate(shapley(model, hours, background)):
+            phi[row % n, keys.index(f"{role}_t{1 + row // n}")] = attribution.shapley_values
+        base_values[role] = attribution.base_value  # the same in every row
 
     return Episode(
         seeds={"run": seed, "testbed": cfg.rng_seed},
@@ -404,8 +421,7 @@ def save_episode(episode: Episode, path: str | Path, include_timing: bool = True
     problem = _provenance_problem(episode.seeds, episode.model_digests)
     if problem:
         raise InvalidInputError(problem)
-    base_values = ({role: records[0].attributions[f"{role}_t1"].base_value for role in SCHEMAS}
-                   if records else None)
+    base_values = records[0].base_values if records else None
     seconds = [r.disturbance for r in records[1:]] + [r.disturbance_t2 for r in records[-1:]]
     header = {
         "version": EPISODE_VERSION,
@@ -428,8 +444,7 @@ def save_episode(episode: Episode, path: str | Path, include_timing: bool = True
                 ("limits", [record.p_limit_t1_w, record.p_limit_t2_w],
                  [power_limit_at(episode.calendar, p + k) for k in (1, 2)]),
                 ("second hour", record.disturbance_t2, seconds[p]),
-                ("base values", {k: a.base_value for k, a in record.attributions.items()},
-                 {k: base_values[k[:2]] for k in record.attributions}),
+                ("base values", record.base_values, base_values),
             ):
                 if stored != derived:
                     raise InvalidInputError(f"record {p} holds {name} {stored}, not {derived}")
@@ -520,7 +535,9 @@ def load_episode(path: str | Path, hour: int | None = None) -> Episode:
             data = json.loads(line)
             if hour in (None, t):
                 records.append(TimestepRecord.from_json(data, t, calendar, base_values, after))
-            after = _disturbance(data, "record")
+                after = records[-1].disturbance  # one object for both hours that hold it
+            else:
+                after = _disturbance(data, "record")
         except (KeyError, TypeError, ValueError, RecursionError) as exc:
             raise EpisodeIntegrityError(f"{path}:{lineno}: bad record ({exc})") from None
     return Episode(header["seeds"], header["model_digests"], records[::-1], calendar)

@@ -55,7 +55,7 @@ def fake_record(p_limit_t2: float, u1: float, t: int = 0) -> TimestepRecord:
         t=t, zone_temp_c=25.0, disturbance=Disturbance(33.0, 400.0, 3.0),
         disturbance_t2=Disturbance(33.5, 350.0, 3.0), cooling_rate_w=1100.0, p_limit_t1_w=5000.0,
         p_limit_t2_w=p_limit_t2,
-        decision=decision, attributions={},
+        decision=decision, phi=np.zeros((4, 5)), base_values={"fx": 24.0, "fy": 1000.0},
     )
 
 

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import hashlib
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -142,35 +144,71 @@ class TestRunEpisode:
         with pytest.raises(SchemaError, match="fy model predicts 'zone_temp'"):
             run_episode(1, testbed_cfg, fx, fx, {})
 
-    def test_one_shapley_call_per_model_after_control(self, testbed_cfg, mini_models, monkeypatch):
+    def test_one_shapley_call_per_model_after_control(
+            self, testbed_cfg, mini_models, monkeypatch, tmp_path):
         fx, fy = mini_models
         calls = []
 
         def spy(model, instances, background):
-            calls.append((model, np.array(instances)))
-            return shapley(model, instances, background)
+            returned = shapley(model, instances, background)
+            calls.append((model, np.array(instances), copy.deepcopy(returned)))
+            return returned
 
         monkeypatch.setattr(hub, "shapley", spy)
         episode = run_episode(1, testbed_cfg, fx, fy, generate_dr_calendar(1, 1.0, seed=9), seed=9)
         assert len(calls) == 2 and calls[0][0] is fx and calls[1][0] is fy
-        assert all(rows.shape == (48, 5) for _, rows in calls)
-        # Each record's four attributions are its own h1 and h2 attributed alone.
-        for record in episode.records:
-            d = record.decision
+        assert all(rows.shape == (48, 5) for _, rows, _ in calls)
+        path = tmp_path / "episode.jsonl"
+        save_episode(episode, path)
+        fx_rows, fy_rows = (returned for _, _, returned in calls)
+        n = len(episode)
+        for record, back in zip(episode.records, load_episode(path).records):
+            # Each record's four attributions are its own h1 and h2 attributed
+            # alone, and, in memory and reloaded, what the episode's two calls
+            # returned for them, bit for bit and field by field.
+            d, t = record.decision, record.t
             h1 = features(d.u1_c, record.zone_temp_c, record.disturbance)
             h2 = features(d.u2_c, d.x1_c, record.disturbance_t2)
             outputs = (d.x1_c, d.y1_w, d.x2_c, d.y2_w)
-            for key, model, h, output in zip(ATTRIBUTION_KEYS, (fx, fy, fx, fy), (h1, h1, h2, h2),
-                                             outputs):
+            returned = (fx_rows[t], fy_rows[t], fx_rows[n + t], fy_rows[n + t])
+            for key, model, h, output, want in zip(ATTRIBUTION_KEYS, (fx, fy, fx, fy),
+                                                   (h1, h1, h2, h2), outputs, returned):
                 alone = shapley(model, h, background_of(model))
-                got = record.attributions[key]
-                assert np.array_equal(got.feature_values, h)
-                assert got.shapley_values.tobytes() == alone.shapley_values.tobytes()
-                assert got.base_value == alone.base_value
-                # What is attributed is the decision's raw output, which the
-                # closed form's own v(all features) meets within round-off.
-                assert got.prediction == output
-                assert got.prediction == pytest.approx(alone.prediction, rel=1e-11, abs=1e-9)
+                for got in (record.attributions[key], back.attributions[key]):
+                    assert np.array_equal(got.feature_values, h)
+                    assert got.shapley_values.tobytes() == alone.shapley_values.tobytes()
+                    assert got.base_value == alone.base_value
+                    assert got.feature_names == want.feature_names
+                    assert got.feature_values.tobytes() == want.feature_values.tobytes()
+                    assert got.shapley_values.tobytes() == want.shapley_values.tobytes()
+                    assert got.base_value == want.base_value
+                    # What is attributed is the decision's raw output, which the
+                    # closed form's own v(all features) meets within round-off.
+                    assert got.prediction == output
+                    assert got.prediction == pytest.approx(want.prediction, rel=1e-11, abs=1e-9)
+                    assert got.prediction == pytest.approx(alone.prediction, rel=1e-11, abs=1e-9)
+
+    @pytest.mark.parametrize("reload", [False, True], ids=["in-memory", "reloaded"])
+    def test_a_record_holds_its_phi_once(self, mini_episode, tmp_path, reload):
+        # One (4, n) array, its rows in ATTRIBUTION_KEYS order.  The
+        # Attributions built on access view it, so an in-place edit of one is
+        # an edit of the record, which the file then holds and the loader refuses.
+        path = tmp_path / "episode.jsonl"
+        save_episode(mini_episode, path)
+        episode = load_episode(path) if reload else copy.deepcopy(mini_episode)
+        for record in episode.records:
+            assert record.phi.shape == (4, 5)
+            for row, attribution in zip(record.phi, record.attributions.values()):
+                assert np.shares_memory(attribution.shapley_values, row)
+        record = episode.records[5]
+        before = record.to_json()["attributions"]["fy_t1"]["phi"]
+        record.attributions["fy_t1"].shapley_values[2] += 1.0
+        after = record.to_json()["attributions"]["fy_t1"]["phi"]
+        assert after == record.phi[1].tolist() and after[2] == before[2] + 1.0
+        save_episode(episode, path)
+        message = ":7: bad record (fy_t1 base value + sum(phi) is not the decision's y1_w)"
+        with pytest.raises(EpisodeIntegrityError, match=re.escape(message)):
+            load_episode(path)
 
     def test_rerun_is_identical(self, testbed_cfg, mini_models, tmp_path):
         fx, fy = mini_models
@@ -560,17 +598,15 @@ class TestEpisodeFile:
         # the first record's base value is refused.
         records = list(mini_episode.records)
         record = records[5]
-        attributions = dict(record.attributions)
         if part == "second-hour":
             second = record.disturbance_t2
             record = dataclasses.replace(record, disturbance_t2=dataclasses.replace(
                 second, oa_temp_c=second.oa_temp_c + 3.0))
             message = "record 5 holds second hour Disturbance(oa_temp_c="
         else:
-            base = attributions["fy_t2"].base_value
-            attributions["fy_t2"] = dataclasses.replace(attributions["fy_t2"], base_value=base + 1)
-            record = dataclasses.replace(record, attributions=attributions)
-            message = f"record 5 holds base values {{'fx_t1': "
+            base_values = {**record.base_values, "fy": record.base_values["fy"] + 1}
+            record = dataclasses.replace(record, base_values=base_values)
+            message = "record 5 holds base values {'fx': "
         records[5] = record
         path = tmp_path / "episode.jsonl"
         with pytest.raises(InvalidInputError, match=re.escape(message)):
@@ -687,6 +723,21 @@ class TestEpisodeFile:
                 assert back.attributions[key].base_value == orig.attributions[key].base_value
                 assert back.attributions[key].prediction == output
         assert any(r.decision.y1_w < 0.0 or r.decision.y2_w < 0.0 for r in loaded.records)
+
+    def test_decoded_record_memory(self, episode, tmp_path):
+        # A decoded record holds its phi as one array and its base values as
+        # the episode's dict; four Attribution objects per record, each with
+        # its own feature vector, would take about 3,200 B.
+        path = tmp_path / "episode.jsonl"
+        save_episode(episode, path, include_timing=False)
+        tracemalloc.start()
+        try:
+            loaded = load_episode(path)
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(loaded) == 744
+        assert retained / len(loaded) <= 2200
 
     def test_month_episode_shape(self, episode):
         # The month-long fixture: 31 days of hourly records, every scenario
