@@ -64,15 +64,13 @@ for question in (
     "What happens if the cooling power exceeds the limit?",
 ):
     context = build_qa_context(record, question)
-    exchange = answer_question(stub, context)
     print(f"\nQ: {question}")
-    print(f"A: {exchange.response}")
+    print(f"A: {answer_question(stub, context)}")
 
 # The stub's scenario judgment agrees with the deterministic rubric on every
 # step, which the acceptance suite checks across a full month.
 agree = sum(
-    parse_scenario(complete(stub, "scenario judge", build_scenario_prompt(r)).response)
-    == r.scenario
+    parse_scenario(complete(stub, "scenario judge", build_scenario_prompt(r))) == r.scenario
     for r in episode.records
 )
 print(f"\nstub scenario judgments agreeing with the rubric over the week: {agree}/{len(episode)}")

@@ -10,8 +10,9 @@ Subcommands mirror the package pipeline:
   written as JSON lines.
 * ``explain``: render per-timestep Markdown documents and SVG charts.
 * ``ask``: answer an operator question about one timestep, one-shot or REPL.
-  ``explain --mode llm`` and ``ask`` take ``--llm-log PATH`` to append one
-  JSON line per LLM exchange.
+  ``ask --mode`` picks the chat gateway, as ``explain --gateway`` does for
+  ``explain --mode llm``; both take ``--llm-log PATH`` to append one JSON
+  line per LLM exchange.
 
 ``COMMANDS`` lists each subcommand's help, argument adder and function.
 When the first argument names one, ``main`` builds the parser with that
@@ -152,9 +153,7 @@ def cmd_explain(args) -> int:
         except ValueError:
             raise InvalidInputError(f"--t must be an hour index or 'all', got {args.t!r}") from None
     episode = hub_mod.load_episode(args.episode, hour)
-    written = explain_mod.write_documents(
-        episode.records, args.out, mode=args.mode, llm_config=llm_config
-    )
+    written = explain_mod.write_documents(episode.records, args.out, llm_config)
     docs = sum(1 for p in written if p.suffix == ".md")
     print(f"wrote {docs} documents ({len(written)} files) to {args.out}")
     return 0
@@ -167,9 +166,7 @@ def cmd_ask(args) -> int:
     [record] = hub_mod.load_episode(args.episode, args.t).records
 
     def answer(question: str) -> None:
-        context = explain_mod.build_qa_context(record, question)
-        exchange = llm_mod.answer_question(cfg, context)
-        print(exchange.response)
+        print(llm_mod.answer_question(cfg, explain_mod.build_qa_context(record, question)))
 
     if args.question:
         answer(args.question)
@@ -190,7 +187,13 @@ def cmd_ask(args) -> int:
     return 0
 
 
-_LLM_LOG_HELP = "append one JSON line per LLM exchange (digests, latency, usage) to PATH"
+def _gateway_arguments(p: argparse.ArgumentParser) -> None:
+    """The settings ``explain`` and ``ask`` share for the chat gateway."""
+    p.add_argument("--endpoint", help="chat-completions endpoint for the online gateway")
+    p.add_argument("--model", default=llm_mod.DEFAULT_MODEL)
+    p.add_argument("--temperature", type=float, default=0.5)
+    p.add_argument("--llm-log", metavar="PATH",
+                   help="append one JSON line per LLM exchange (digests, latency, usage) to PATH")
 
 
 def _excite_arguments(p: argparse.ArgumentParser) -> None:
@@ -226,10 +229,7 @@ def _explain_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mode", choices=("deterministic", "llm"), default="deterministic")
     p.add_argument("--gateway", choices=("online", "stub"), default="online",
                    help="chat gateway used in llm mode")
-    p.add_argument("--endpoint", help="chat-completions endpoint for the online gateway")
-    p.add_argument("--model", default=llm_mod.DEFAULT_MODEL)
-    p.add_argument("--temperature", type=float, default=0.5)
-    p.add_argument("--llm-log", metavar="PATH", help=_LLM_LOG_HELP)
+    _gateway_arguments(p)
     p.add_argument("--out", default="docs")
 
 
@@ -238,11 +238,9 @@ def _ask_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--question")
     p.add_argument("--repl", action="store_true")
-    p.add_argument("--mode", dest="gateway", choices=("stub", "online"), default="stub")
-    p.add_argument("--endpoint")
-    p.add_argument("--model", default=llm_mod.DEFAULT_MODEL)
-    p.add_argument("--temperature", type=float, default=0.5)
-    p.add_argument("--llm-log", metavar="PATH", help=_LLM_LOG_HELP)
+    p.add_argument("--mode", dest="gateway", choices=("stub", "online"), default="stub",
+                   help="chat gateway")
+    _gateway_arguments(p)
 
 
 # name -> (help, argument adder, command function), in the order help lists them

@@ -28,7 +28,7 @@ import re
 from pathlib import Path
 
 from .charts import attribution_chart_svg, fmt_mean, fmt_phi, fmt_value, ranking_order
-from .errors import ConfigError, InvalidInputError, RenderError
+from .errors import InvalidInputError, RenderError
 from .hub import ATTRIBUTION_KEYS, COMFORT_CEILING_C, Episode, TimestepRecord, classify
 from .mpc import clamp_power
 from .shapley import Attribution
@@ -249,40 +249,35 @@ def _rationale(record: TimestepRecord, scenario: int) -> str:
     )
 
 
-def render_document(record: TimestepRecord, mode: str = "deterministic", llm_config=None) -> str:
-    """One interval's Markdown document, rendered in deterministic or llm mode.
+def render_document(record: TimestepRecord, llm_config=None) -> str:
+    """One interval's Markdown document, in llm mode when given an ``LlmConfig``.
 
-    In llm mode the four narration paragraphs and the scenario judgment come
-    from the chat gateway (which may itself be its offline stub); the
-    deterministic rubric still decides the displayed scenario.  A narration
-    that still holds a ``[placeholder]`` token is a ``RenderError``.
+    Without one, the deterministic narrator writes the four attribution
+    paragraphs.  With one, they and a scenario judgment come from the chat
+    gateway (which may itself be its offline stub); the deterministic rubric
+    still decides the displayed scenario.  A narration that still holds a
+    ``[placeholder]`` token is a ``RenderError``.
     """
-    if mode not in ("deterministic", "llm"):
-        raise ConfigError(f"unknown rendering mode {mode!r}")
     scenario = classify(record)
     d, attributions = record.decision, record.attributions
 
-    narrations: dict[str, str] = {}
-    footer = f"Rendering mode: {mode}."
-    if mode == "llm":
-        from .llm import LlmConfig, complete
-
-        cfg = llm_config if llm_config is not None else LlmConfig()
-        for key in ATTRIBUTION_KEYS:
-            prompt = build_shap_prompt(attributions[key], target_desc=ATTRIBUTION_TARGETS[key])
-            narrations[key] = complete(cfg, NARRATOR_SYSTEM_PROMPT, prompt).response.strip()
-        judgment = complete(cfg, NARRATOR_SYSTEM_PROMPT, build_scenario_prompt(record))
-        if parse_scenario(judgment.response) == scenario:
-            footer += " The language model's scenario judgment agrees with the rubric."
-        else:
-            footer += (
-                " The language model's scenario judgment disagrees with the rubric; "
-                "the rubric label is shown."
-            )
+    if llm_config is None:
+        narrations = {key: narrate_attribution(attributions[key], ATTRIBUTION_TARGETS[key])
+                      for key in ATTRIBUTION_KEYS}
+        footer = "Rendering mode: deterministic."
     else:
-        for key in ATTRIBUTION_KEYS:
-            narrations[key] = narrate_attribution(attributions[key],
-                                                  target_desc=ATTRIBUTION_TARGETS[key])
+        from .llm import complete  # at call time, where a traced run wraps it
+
+        narrations = {
+            key: complete(llm_config, NARRATOR_SYSTEM_PROMPT,
+                          build_shap_prompt(attributions[key], ATTRIBUTION_TARGETS[key])).strip()
+            for key in ATTRIBUTION_KEYS
+        }
+        judgment = complete(llm_config, NARRATOR_SYSTEM_PROMPT, build_scenario_prompt(record))
+        footer = "Rendering mode: llm. The language model's scenario judgment " + (
+            "agrees with the rubric." if parse_scenario(judgment) == scenario
+            else "disagrees with the rubric; the rubric label is shown."
+        )
 
     mapping = {
         "P_limit_t1": fmt_value(record.p_limit_t1_w),
@@ -321,12 +316,9 @@ def render_document(record: TimestepRecord, mode: str = "deterministic", llm_con
 
 
 def write_documents(
-    records: list[TimestepRecord],
-    out_dir: str | Path,
-    mode: str = "deterministic",
-    llm_config=None,
+    records: list[TimestepRecord], out_dir: str | Path, llm_config=None
 ) -> list[Path]:
-    """Render documents and charts for the given records.
+    """Render documents and charts for the given records, in llm mode given an ``LlmConfig``.
 
     Emits ``ts_<t>.md`` plus ``ts_<t>_attr<k>.svg`` for k in 1..4 and
     returns every path written.
@@ -334,7 +326,7 @@ def write_documents(
     out_dir = Path(out_dir)
     written: list[Path] = []
     for record in records:
-        text = render_document(record, mode=mode, llm_config=llm_config)
+        text = render_document(record, llm_config)
         if not written:  # only once a document has rendered, so a failed first one leaves no dir
             out_dir.mkdir(parents=True, exist_ok=True)
         md_path = out_dir / f"ts_{record.t}.md"

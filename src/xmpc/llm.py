@@ -1,13 +1,16 @@
 """Chat-completions gateway with a deterministic offline stub.
 
-Two modes share one ``complete()`` entry point:
+Two modes share one ``complete()`` entry point, which returns the reply text:
 
 * ``stub`` (default): no network at all.  The stub recognizes the three
-  request shapes the explainer produces (attribution narration, scenario
-  judgment, question answering), parses the numbers back out of the prompt,
-  and delegates to the same deterministic narration and rubric logic the
-  explainer uses.  Everything stays reproducible and the full pipeline runs
-  with networking disabled.
+  request shapes the explainer produces and answers from the numbers it
+  parses back out of the prompt: a narration through the explainer's
+  deterministic narrator, a question from the record quoted in it, and a
+  scenario judgment by applying the rubric's rule to the threshold and
+  ceiling the prompt states, never by calling the rubric, so a judgment
+  that agrees with the rubric shows that the prompt states it correctly.
+  Everything stays reproducible and the full pipeline runs with
+  networking disabled.
 * ``online``: POSTs an OpenAI-style ``/chat/completions`` request with the
   configured model and temperature, bearer-authenticated with a key read
   from the ``LLM_API_KEY`` environment variable, through the standard
@@ -17,8 +20,9 @@ Two modes share one ``complete()`` entry point:
   retry with exponential backoff; the API key is never logged, echoed into
   error messages or sent on a redirect.
 
-Every exchange can be appended to a JSON-lines log as digests plus metadata,
-never raw key material.
+With ``LlmConfig.log_path`` set (``--llm-log``), every exchange appends one
+JSON line holding the rest: the model, mode and temperature, digests of both
+prompts and of the reply, the latency and the usage, never raw key material.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ import math
 import os
 import re
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from urllib.parse import urlsplit
 
@@ -69,19 +73,6 @@ class LlmConfig:
             raise ConfigError(f"temperature must be finite and >= 0, got {self.temperature}")
 
 
-@dataclass
-class ChatExchange:
-    """One request/response pair, with enough metadata to audit it."""
-
-    system_prompt: str
-    user_prompt: str
-    response: str
-    model: str
-    mode: str
-    usage: dict = field(default_factory=dict)
-    latency_seconds: float = 0.0
-
-
 def build_request(cfg: LlmConfig, system_prompt: str, user_prompt: str) -> dict:
     """The wire-format request body (also used by tests, without sending)."""
     return {
@@ -95,31 +86,37 @@ def build_request(cfg: LlmConfig, system_prompt: str, user_prompt: str) -> dict:
     }
 
 
-def complete(cfg: LlmConfig, system_prompt: str, user_prompt: str) -> ChatExchange:
-    """Run one chat completion in the configured mode."""
+def complete(cfg: LlmConfig, system_prompt: str, user_prompt: str) -> str:
+    """The reply text of one chat completion in the configured mode, logged if asked."""
     started = time.perf_counter()
     if cfg.mode == "stub":
         response = _stub_response(user_prompt)
-        exchange = ChatExchange(
-            system_prompt=system_prompt,
-            user_prompt=user_prompt,
-            response=response,
-            model=f"stub/{cfg.model}",
-            mode="stub",
-            usage={
-                "prompt_chars": len(system_prompt) + len(user_prompt),
-                "completion_chars": len(response),
-            },
-            latency_seconds=time.perf_counter() - started,
-        )
+        model = f"stub/{cfg.model}"
+        usage = {
+            "prompt_chars": len(system_prompt) + len(user_prompt),
+            "completion_chars": len(response),
+        }
     else:
-        exchange = _complete_online(cfg, system_prompt, user_prompt, started)
-    _log_exchange(cfg, exchange)
-    return exchange
+        response, model, usage = _complete_online(cfg, system_prompt, user_prompt)
+    if cfg.log_path:
+        latency = time.perf_counter() - started
+        entry = {
+            "model": model,
+            "mode": cfg.mode,
+            "temperature": cfg.temperature,
+            "system_digest": hashlib.sha256(system_prompt.encode()).hexdigest(),
+            "user_digest": hashlib.sha256(user_prompt.encode()).hexdigest(),
+            "response_digest": hashlib.sha256(response.encode()).hexdigest(),
+            "latency_seconds": latency,
+            "usage": usage,
+        }
+        with Path(cfg.log_path).open("a") as fh:
+            fh.write(json.dumps(entry) + "\n")
+    return response
 
 
-def answer_question(cfg: LlmConfig, context: str) -> ChatExchange:
-    """Answer an operator question over a QA context from the explainer."""
+def answer_question(cfg: LlmConfig, context: str) -> str:
+    """The reply to an operator question over a QA context from the explainer."""
     return complete(cfg, QA_SYSTEM_PROMPT, context)
 
 
@@ -148,8 +145,9 @@ def online_api_key(cfg: LlmConfig) -> str:
 
 
 def _complete_online(
-    cfg: LlmConfig, system_prompt: str, user_prompt: str, started: float
-) -> ChatExchange:
+    cfg: LlmConfig, system_prompt: str, user_prompt: str
+) -> tuple[str, str, dict]:
+    """The reply text, the model the service names and the usage it reports."""
     import http.client
     import ssl
     import urllib.error
@@ -194,15 +192,7 @@ def _complete_online(
             raise GatewayError(
                 f"malformed chat-completions response (content is {type(content).__name__})"
             )
-        return ChatExchange(
-            system_prompt=system_prompt,
-            user_prompt=user_prompt,
-            response=content,
-            model=data.get("model", cfg.model),
-            mode="online",
-            usage=data.get("usage", {}),
-            latency_seconds=time.perf_counter() - started,
-        )
+        return content, data.get("model", cfg.model), data.get("usage", {})
     if timed_out:
         raise GatewayTimeoutError(f"no response after {MAX_RETRIES} attempts (last error: timeout)")
     raise GatewayError(f"no response after {MAX_RETRIES} attempts (last error: {last_error})")
@@ -317,24 +307,3 @@ def _first_float(pattern: str, text: str) -> float | None:
     match = re.search(pattern, text)
     return float(match.group(1)) if match else None
 
-
-# ---------------------------------------------------------------------------
-# Exchange log
-# ---------------------------------------------------------------------------
-
-
-def _log_exchange(cfg: LlmConfig, exchange: ChatExchange) -> None:
-    if not cfg.log_path:
-        return
-    entry = {
-        "model": exchange.model,
-        "mode": exchange.mode,
-        "temperature": cfg.temperature,
-        "system_digest": hashlib.sha256(exchange.system_prompt.encode()).hexdigest(),
-        "user_digest": hashlib.sha256(exchange.user_prompt.encode()).hexdigest(),
-        "response_digest": hashlib.sha256(exchange.response.encode()).hexdigest(),
-        "latency_seconds": exchange.latency_seconds,
-        "usage": exchange.usage,
-    }
-    with Path(cfg.log_path).open("a") as fh:
-        fh.write(json.dumps(entry) + "\n")

@@ -263,8 +263,7 @@ def test_06_scenario_census(criterion, episode):
         stable = all(classify(r) == r.scenario for r in episode.records)
         cfg = LlmConfig()
         agree = sum(
-            parse_scenario(complete(cfg, "scenario judge", build_scenario_prompt(r)).response)
-            == r.scenario
+            parse_scenario(complete(cfg, "scenario judge", build_scenario_prompt(r))) == r.scenario
             for r in episode.records
         )
         v.ok = partitions and stable and agree == len(episode)
@@ -380,13 +379,9 @@ def test_10_offline_guarantee(criterion, episode, no_network):
     with criterion("10 offline guarantee") as v:
         cfg = LlmConfig()
         record = next(r for r in episode.records if r.scenario == 1)
-        judged = parse_scenario(
-            complete(cfg, "scenario judge", build_scenario_prompt(record)).response
-        )
-        doc = render_document(record, mode="llm", llm_config=cfg)
-        answer = answer_question(
-            cfg, build_qa_context(record, "Why precool this hour?")
-        ).response
+        judged = parse_scenario(complete(cfg, "scenario judge", build_scenario_prompt(record)))
+        doc = render_document(record, llm_config=cfg)
+        answer = answer_question(cfg, build_qa_context(record, "Why precool this hour?"))
         v.ok = judged == record.scenario and "Shapley value" in doc and bool(answer)
         v.detail = (
             "stub gateway, llm-mode rendering, and QA all ran with socket.socket disabled; "

@@ -622,6 +622,7 @@ MALFORMED_RECORDS = {
                                    "unexpected or missing keys ['p_limit_t2_w'])"),
     "hour-key": (["t"], 14, "unexpected or missing keys ['t'])"),
     "negative-occupancy": (["occupancy"], -3, "occupancy must be >= 0, got -3.0)"),
+    "negative-radiation": (["oa_radiation_wm2"], -3, "radiation must be >= 0, got -3.0)"),
     "negative-occupancy-t2": (["occupancy_t2"], -3, "unexpected or missing keys ['occupancy_t2'])"),
     "t2-conditions-not-the-next-hours": (["oa_temp_t2_c"], 38.3,
                                          "unexpected or missing keys ['oa_temp_t2_c'])"),
@@ -1095,8 +1096,8 @@ options:
   --t T
   --question QUESTION
   --repl
-  --mode {stub,online}
-  --endpoint ENDPOINT
+  --mode {stub,online}  chat gateway
+  --endpoint ENDPOINT   chat-completions endpoint for the online gateway
   --model MODEL
   --temperature TEMPERATURE
   --llm-log PATH        append one JSON line per LLM exchange (digests,

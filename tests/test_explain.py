@@ -5,12 +5,13 @@ from __future__ import annotations
 import dataclasses
 import re
 import string
+from array import array
 
 import numpy as np
 import pytest
 
 from xmpc import llm as llm_mod
-from xmpc.errors import ConfigError, InvalidInputError, RenderError
+from xmpc.errors import InvalidInputError, RenderError
 from xmpc.explain import (
     ATTRIBUTION_TARGETS,
     COMFORT_CEILING_C,
@@ -33,7 +34,8 @@ from xmpc.explain import (
     write_documents,
 )
 from xmpc.hub import ATTRIBUTION_KEYS, TimestepRecord
-from xmpc.mpc import MpcDecision, clamp_power
+from xmpc.llm import LlmConfig
+from xmpc.mpc import MpcDecision, clamp_power, setpoint_pairs
 from xmpc.shapley import Attribution
 from xmpc.testbed import Disturbance
 
@@ -284,9 +286,25 @@ class TestRenderDocument:
         assert f"T_z(t) = {fmt_value(record.zone_temp_c)}°C" in header_block
         assert f"Realized cooling this hour: {fmt_value(record.cooling_rate_w)}W" in header_block
 
-    def test_unknown_mode(self, mini_episode):
-        with pytest.raises(ConfigError, match="mode"):
-            render_document(mini_episode.records[0], mode="interpretive_dance")
+    @pytest.mark.parametrize("u1, p_limit_t2, phrase", [
+        (26.0, 800.0, "P(t+2) = 900.0W, is greater than the limit P_limit(t+2) = 800.0W,"),
+        (26.0, 900.0, "P(t+2) = 900.0W, is equal to the limit P_limit(t+2) = 900.0W,"),
+        (24.0, 800.0, "P(t+2) = 900.0W is greater than P_limit(t+2) = 800.0W, which still "
+                      "exceeds the limit, so the penalty is reduced rather than avoided.\n"),
+    ], ids=["scenario3-over", "scenario3-at", "scenario1-over"])
+    def test_predicted_power_at_or_over_its_limit(self, u1, p_limit_t2, phrase):
+        # fake_record predicts P(t+2) = 900 W.  Scenario 1's rationale quotes the
+        # cost of holding the ceiling, so its decision gets a 25-pair cost table.
+        record = fake_record(p_limit_t2, u1)
+        d = record.decision
+        d.costs = array("d", [d.cost if pair == (d.u1_c, d.u2_c) else d.cost + 100.0
+                              for pair in setpoint_pairs()])
+        text = render_document(record)
+        assert text.startswith(f"# Timestep 0: Scenario {classify(record)} ")
+        assert phrase in text
+        allowed = expected_numerals(record)
+        for numeral in re.findall(r"\d+(?:\.\d+)?", text):
+            assert numeral in allowed, f"untraceable numeral {numeral!r}"
 
     def test_rendering_is_deterministic(self, episode):
         record = first_of(episode, 1)
@@ -305,18 +323,18 @@ class TestNumeralFaithfulness:
             assert numeral in allowed, f"untraceable numeral {numeral!r} in scenario {scenario}"
 
     @pytest.mark.parametrize("output", ["y1_w", "y2_w"])
-    @pytest.mark.parametrize("mode", ["deterministic", "llm"])
-    def test_clamped_cooling_prediction(self, episode, no_network, output, mode):
+    @pytest.mark.parametrize("llm_config", [None, LlmConfig()], ids=["deterministic", "llm"])
+    def test_clamped_cooling_prediction(self, episode, no_network, output, llm_config):
         # The document quotes the costed 0.0 W and the negative output that
         # the attribution paragraph explains, both traceable to the record.
         record = first_clamped(episode, output)
         raw = getattr(record.decision, output)
-        text = render_document(record, mode=mode)
+        text = render_document(record, llm_config)
         hour = {"y1_w": "t+1", "y2_w": "t+2"}[output]
         assert f"P({hour}) = 0.0W (the surrogate's {fmt_value(raw)}W, clamped at zero)" in text
         key = {"y1_w": "fy_t1", "y2_w": "fy_t2"}[output]
         assert record.attributions[key].prediction == raw
-        if mode == "deterministic":
+        if llm_config is None:
             assert f"P({hour}) at {fmt_mean(raw)}, against" in text
         allowed = expected_numerals(record)
         for numeral in re.findall(r"\d+(?:\.\d+)?", text):
@@ -331,7 +349,7 @@ class TestNumeralFaithfulness:
 class TestLlmModeRendering:
     def test_stub_narrations_and_agreement(self, episode, no_network):
         record = first_of(episode, 1)
-        text = render_document(record, mode="llm")  # default gateway config is the stub
+        text = render_document(record, llm_config=LlmConfig())  # the stub gateway
         assert text.endswith(
             "Rendering mode: llm. The language model's scenario judgment agrees with the rubric.\n"
         )
@@ -341,17 +359,16 @@ class TestLlmModeRendering:
 
     def test_stub_agreement_across_scenarios(self, episode, no_network):
         for scenario in (1, 2, 3):
-            text = render_document(first_of(episode, scenario), mode="llm")
+            text = render_document(first_of(episode, scenario), llm_config=LlmConfig())
             assert "judgment agrees with the rubric" in text, f"scenario {scenario}"
 
     def test_disagreeing_judgment_keeps_the_rubric_label(self, episode, monkeypatch):
         def fake_complete(cfg, system_prompt, user_prompt):
-            return llm_mod.ChatExchange(system_prompt, user_prompt, "Scenario 3.",
-                                        cfg.model, "online")
+            return "Scenario 3."
 
         monkeypatch.setattr(llm_mod, "complete", fake_complete)
         record = first_of(episode, 1)
-        text = render_document(record, mode="llm")
+        text = render_document(record, llm_config=LlmConfig())
         assert text.startswith(f"# Timestep {record.t}: Scenario 1 (Precool)")
         assert text.endswith(
             "The language model's scenario judgment disagrees with the rubric; "
@@ -361,12 +378,11 @@ class TestLlmModeRendering:
     def test_placeholder_token_in_a_narration_is_render_error(self, episode, monkeypatch):
         # An online model's reply is outside input; a "[placeholder]" it echoes must not ship.
         def fake_complete(cfg, system_prompt, user_prompt):
-            return llm_mod.ChatExchange(system_prompt, user_prompt, "See [placeholder].",
-                                        cfg.model, "online")
+            return "See [placeholder]."
 
         monkeypatch.setattr(llm_mod, "complete", fake_complete)
         with pytest.raises(RenderError, match="placeholder"):
-            render_document(first_of(episode, 2), mode="llm")
+            render_document(first_of(episode, 2), llm_config=LlmConfig())
 
 
 class TestWriteDocuments:

@@ -682,8 +682,10 @@ class TestEpisodeFile:
          "after_last is missing keys ['occupancy']"),
         (lambda header: header.update(after_last=list(header["after_last"])),
          "after_last must be a JSON object, got list"),
+        (lambda header: header["after_last"].update(oa_radiation_wm2=-1),
+         "radiation must be >= 0, got -1"),
     ], ids=["base-null", "base-missing-fy", "base-string", "after-missing", "after-missing-key",
-            "after-list"])
+            "after-list", "after-negative-radiation"])
     def test_malformed_header_numbers_refused(self, mini_episode, tmp_path, reseal, edit, message):
         path = tmp_path / "episode.jsonl"
         save_episode(mini_episode, path)

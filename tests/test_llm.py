@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import math
 import time
@@ -23,7 +24,6 @@ from xmpc.explain import (
 from xmpc.llm import (
     DEFAULT_MODEL,
     MAX_RETRIES,
-    ChatExchange,
     LlmConfig,
     answer_question,
     build_request,
@@ -61,6 +61,14 @@ def online_cfg(monkeypatch, chat_server):
     monkeypatch.setenv("LLM_API_KEY", "sk-test-secret-123")
     monkeypatch.setattr(llm_mod, "BACKOFF_SECONDS", 0.01)
     return LlmConfig(mode="online", endpoint=chat_server.url)
+
+
+def logged_complete(cfg, tmp_path, user_prompt):
+    """The reply to one completion and the JSON line it appended to a fresh log."""
+    cfg.log_path = str(tmp_path / "exchanges.jsonl")
+    reply = complete(cfg, SYSTEM, user_prompt)
+    [line] = (tmp_path / "exchanges.jsonl").read_text().splitlines()
+    return reply, json.loads(line)
 
 
 def online_failure(cfg, error=GatewayError, match=None) -> GatewayError:
@@ -101,20 +109,20 @@ class TestConfigAndRequest:
 
 
 class TestStub:
-    def test_runs_fully_offline(self, no_network):
-        exchange = complete(LlmConfig(), SYSTEM, "hello")
-        assert exchange.mode == "stub"
-        assert exchange.model == f"stub/{DEFAULT_MODEL}"
-        assert exchange.response.startswith("Stub response ")
+    def test_runs_fully_offline(self, no_network, tmp_path):
+        reply, entry = logged_complete(LlmConfig(), tmp_path, "hello")
+        assert entry["mode"] == "stub"
+        assert entry["model"] == f"stub/{DEFAULT_MODEL}"
+        assert reply.startswith("Stub response ")
 
     def test_narration_matches_deterministic_narrator(self, no_network):
         # Schema names, so the narration reads descriptions from the prompt's dictionary.
         attr = dataclasses.replace(worked_attribution(), feature_names=FY_SCHEMA.feature_names)
         prompt = build_shap_prompt(attr, "the cooling power P(t+1)")
-        exchange = complete(LlmConfig(), SYSTEM, prompt)
+        reply = complete(LlmConfig(), SYSTEM, prompt)
         expected = narrate_attribution(attr, target_desc="the cooling power P(t+1)")
         assert "zone temperature setpoint" in expected
-        assert exchange.response == expected
+        assert reply == expected
 
     def test_narration_matches_just_above_a_rounding_boundary(self, no_network):
         # 359.6500004 narrates as 359.7; a prompt that rounds it first to 359.65
@@ -129,38 +137,39 @@ class TestStub:
         prompt = build_shap_prompt(attr, "the cooling power P(t+1)")
         expected = narrate_attribution(attr, target_desc="the cooling power P(t+1)")
         assert "= 359.7)" in expected
-        assert complete(LlmConfig(), SYSTEM, prompt).response == expected
+        assert complete(LlmConfig(), SYSTEM, prompt) == expected
 
     def test_scenario_judgment_agrees_with_rubric(self, no_network, mini_episode):
         cfg = LlmConfig()
         for record in mini_episode.records[::5]:
             prompt = build_scenario_prompt(record)
-            exchange = complete(cfg, SYSTEM, prompt)
-            assert parse_scenario(exchange.response) == classify(record), f"t={record.t}"
+            reply = complete(cfg, SYSTEM, prompt)
+            assert parse_scenario(reply) == classify(record), f"t={record.t}"
 
     def test_answer_mentions_limit_and_penalty(self, no_network, mini_episode):
         context = build_qa_context(mini_episode.records[13], "What is the penalty risk?")
-        exchange = answer_question(LlmConfig(), context)
+        answer = answer_question(LlmConfig(), context)
         record = mini_episode.records[13]
-        assert f"P_limit(t+2) = {record.p_limit_t2_w:.1f}W" in exchange.response
-        assert "quadratic penalty" in exchange.response
+        assert f"P_limit(t+2) = {record.p_limit_t2_w:.1f}W" in answer
+        assert "quadratic penalty" in answer
 
-    def test_usage_and_latency_recorded(self, no_network):
-        exchange = complete(LlmConfig(), SYSTEM, "ping")
-        assert exchange.usage["prompt_chars"] == len(SYSTEM) + len("ping")
-        assert exchange.latency_seconds >= 0.0
+    def test_usage_and_latency_recorded(self, no_network, tmp_path):
+        reply, entry = logged_complete(LlmConfig(), tmp_path, "ping")
+        assert entry["usage"] == {"prompt_chars": len(SYSTEM) + len("ping"),
+                                  "completion_chars": len(reply)}
+        assert entry["latency_seconds"] >= 0.0
 
 
 class TestOnline:
     """The online gateway on the wire, against loopback endpoints."""
 
-    def test_success_first_try(self, online_cfg, chat_server):
+    def test_success_first_try(self, online_cfg, chat_server, tmp_path):
         chat_server.replies = [(200, ok_payload())]
-        exchange = complete(online_cfg, SYSTEM, "user text")
-        assert exchange.response == "hello from the service"
-        assert exchange.mode == "online"
-        assert exchange.model == "remote-model"
-        assert exchange.usage == {"total_tokens": 42}
+        reply, entry = logged_complete(online_cfg, tmp_path, "user text")
+        assert reply == "hello from the service"
+        assert entry["mode"] == "online"
+        assert entry["model"] == "remote-model"
+        assert entry["usage"] == {"total_tokens": 42}
         [(method, path, headers, body)] = chat_server.received
         assert (method, path) == ("POST", "/v1/chat/completions")
         assert headers["Authorization"] == "Bearer sk-test-secret-123"
@@ -172,8 +181,7 @@ class TestOnline:
         chat_server.replies = [None, None, (200, ok_payload("third time lucky"))]
         sleeps = []
         monkeypatch.setattr(time, "sleep", lambda s: sleeps.append(s))
-        exchange = complete(online_cfg, SYSTEM, "user")
-        assert exchange.response == "third time lucky"
+        assert complete(online_cfg, SYSTEM, "user") == "third time lucky"
         assert len(chat_server.received) == 3
         assert sleeps == [0.01, 0.02]  # exponential backoff
 
@@ -261,6 +269,16 @@ class TestExchangeLog:
         assert len(entry["response_digest"]) == 64
         assert "user prompt" not in raw  # prompts stored as digests only
 
+    def test_log_line_fields_in_order(self, no_network, tmp_path):
+        cfg = LlmConfig(temperature=0.25)
+        reply, entry = logged_complete(cfg, tmp_path, "hello")
+        assert list(entry) == ["model", "mode", "temperature", "system_digest", "user_digest",
+                               "response_digest", "latency_seconds", "usage"]
+        assert entry["temperature"] == 0.25
+        digests = [entry[f"{k}_digest"] for k in ("system", "user", "response")]
+        assert digests == [hashlib.sha256(text.encode()).hexdigest()
+                           for text in (SYSTEM, "hello", reply)]
+
     def test_stub_exchanges_logged_too(self, no_network, tmp_path):
         cfg = LlmConfig(log_path=str(tmp_path / "log.jsonl"))
         complete(cfg, SYSTEM, "first")
@@ -274,11 +292,3 @@ class TestExchangeLog:
         complete(LlmConfig(), SYSTEM, "no log expected")
         assert list(tmp_path.iterdir()) == []
 
-
-class TestChatExchangeShape:
-    def test_fields(self):
-        exchange = ChatExchange(
-            system_prompt="s", user_prompt="u", response="r", model="m", mode="stub"
-        )
-        assert exchange.usage == {}
-        assert exchange.latency_seconds == 0.0

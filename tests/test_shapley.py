@@ -163,6 +163,8 @@ class TestExact:
             shapley(fn, np.array([np.nan, 1.0]), np.zeros((2, 2)))
         with pytest.raises(InvalidInputError):
             shapley(fn, np.zeros(2), np.zeros((0, 2)))
+        with pytest.raises(InvalidInputError, match="cannot attribute over object; need model"):
+            shapley(object(), np.zeros(2), np.zeros((1, 2)))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_background_rejected(self, bad):

@@ -342,6 +342,10 @@ class TestExcitation:
         with pytest.raises(DeserializationError, match="no data"):
             ExcitationData.from_csv(no_rows)
 
+        with pytest.raises(DeserializationError, match=re.escape(
+                f"must have {len(CSV_COLUMNS)} columns, got shape (2, 7)")):
+            ExcitationData(np.zeros((2, len(CSV_COLUMNS) - 1)))
+
     def test_field_over_the_csv_limit_names_its_line(self, tmp_path):
         long_header = tmp_path / "long_header.csv"
         long_header.write_text("a" * 200_000 + "\n")
