@@ -15,9 +15,9 @@ Subcommands mirror the package pipeline:
   line per LLM exchange.
 
 ``COMMANDS`` lists each subcommand's help, argument adder and function.
-When the first argument names one, ``main`` builds the parser with that
-subcommand only; help, usage errors and exit codes are the same as with
-``build_parser()``'s five.  The parser is built anew on every call.
+``build_parser()`` builds the parser with all five on its first call in a
+process, never at import, and every later call, ``main``'s too, reuses it;
+help wraps at the terminal width in force when it prints.
 
 Exit codes: 0 success, 2 for a bad input or file (an ``errors.UsageError``
 or an ``OSError``), 3 for a runtime failure (an ``errors.FailureError``);
@@ -30,6 +30,7 @@ byte for byte.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 import time
@@ -253,24 +254,21 @@ COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The ``xmpc`` parser with every subcommand, or with ``command`` only."""
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The ``xmpc`` parser with every subcommand, built once and shared: change none of it."""
     parser = argparse.ArgumentParser(
         prog="xmpc",
         description="surrogate MPC for building demand response, with Shapley explanations",
     )
-    # With one command built, the metavar keeps usage lines naming all five.
-    metavar = "{" + ",".join(COMMANDS) + "}" if command else None
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in [command] if command else COMMANDS:
-        help_text, add_arguments, _ = COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments, _) in COMMANDS.items():
         add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         # A non-finite result is the checks' to report, as one line, not numpy's.
         with np.errstate(all="ignore"):

@@ -6,14 +6,18 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+import textwrap
 import warnings
 from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
-from xmpc import errors, testbed
+from xmpc import cli, errors, testbed
 from xmpc.cli import build_parser, main
 from xmpc.surrogate import SCHEMAS
 
@@ -960,7 +964,7 @@ class TestParser:
         assert list(tmp_path.iterdir()) == []
 
 
-# argv per subcommand, valid and invalid, parsed alike with one subparser or all five.
+# argv per subcommand, valid and invalid, parsed alike by the cached parser and a fresh one.
 PARSER_CASES = {
     "excite": [[], ["--days", "3", "--seed", "2", "--out", "d.csv", "--config", "c.json"],
                ["--days", "0"], ["--days", "x"], ["--seed", "-1"], ["--days"], ["--bogus"],
@@ -998,15 +1002,49 @@ def parse_outcome(parser, argv, capsys):
 @pytest.mark.parametrize("argv", [
     [name, *args] for name, cases in PARSER_CASES.items() for args in cases
 ], ids=lambda argv: " ".join(argv))
-def test_one_subcommand_parses_like_all_five(monkeypatch, capsys, argv):
+def test_cached_parser_parses_like_a_fresh_one(monkeypatch, capsys, argv):
     monkeypatch.setenv("COLUMNS", "80")
-    alone = parse_outcome(build_parser(argv[0]), argv, capsys)
-    assert alone == parse_outcome(build_parser(), argv, capsys)
-    # main builds the one-subcommand parser; a usage error leaves the same way.
-    if not isinstance(alone, argparse.Namespace):
+    fresh = parse_outcome(build_parser.__wrapped__(), argv, capsys)
+    # main's parser, twice after a usage error and twice after --help went through main.
+    for before in (["excite", "--days", "0"], ["ask", "--help"]):
+        with pytest.raises(SystemExit):
+            main(before)
+        capsys.readouterr()
+        assert [parse_outcome(build_parser(), argv, capsys) for _ in range(2)] == [fresh, fresh]
+    # A usage error leaves main the same way.
+    if not isinstance(fresh, argparse.Namespace):
         with pytest.raises(SystemExit) as info:
             main(argv)
-        assert (info.value.code, *capsys.readouterr()) == alone
+        assert (info.value.code, *capsys.readouterr()) == fresh
+
+
+def test_parser_is_built_on_the_first_main_call_only(tmp_path):
+    # Import cost is in every cold start, so importing the CLI builds no parser.
+    code = textwrap.dedent("""
+        import argparse
+        built = []
+        init = argparse.ArgumentParser.__init__
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+        argparse.ArgumentParser.__init__ = counting_init
+        import xmpc.cli
+        print(len(built))
+        for _ in range(2):
+            print(xmpc.cli.main(["ask", "--episode", "missing.jsonl", "--t", "0", "--question", "Why?"]))
+        print(built)
+    """)
+    src = str(Path(cli.__file__).parents[1])
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    result = subprocess.run(
+        [sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True,
+        timeout=60,
+    )
+    # One parser and its five subparsers, each exit 2 from the missing episode.
+    assert result.stdout.splitlines() == [
+        "0", "2", "2", str(["xmpc", *(f"xmpc {name}" for name in cli.COMMANDS)])
+    ], result.stderr
 
 
 HELP_TEXTS = {
@@ -1113,6 +1151,20 @@ def test_help_bytes(monkeypatch, capsys, command):
         main([command, "--help"] if command else ["--help"])
     assert info.value.code == 0
     assert capsys.readouterr() == (HELP_TEXTS[command], "")
+
+
+def test_cached_help_wraps_at_the_width_in_force(monkeypatch, capsys):
+    with pytest.raises(SystemExit):
+        main(["conjure"])
+    capsys.readouterr()
+    helps = []
+    for columns in ("80", "120"):
+        monkeypatch.setenv("COLUMNS", columns)
+        with pytest.raises(SystemExit) as info:
+            main(["ask", "--help"])
+        helps.append((info.value.code, *capsys.readouterr()))
+        assert helps[-1] == parse_outcome(build_parser.__wrapped__(), ["ask", "--help"], capsys)
+    assert helps[0][1] == HELP_TEXTS["ask"] and helps[1][1] != helps[0][1]
 
 
 @pytest.mark.parametrize("argv", [[], ["conjure"], ["--", "ask"], ["exc", "--days", "1"]],
